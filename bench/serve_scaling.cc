@@ -30,11 +30,10 @@
 #include <vector>
 
 #include "bugbase/testbed.hh"
-#include "bugbase/workloads.hh"
 #include "debug/engine.hh"
+#include "debug/workload.hh"
 #include "hdl/ast.hh"
 #include "serve/cache.hh"
-#include "sim/simulator.hh"
 
 using namespace hwdbg;
 
@@ -49,33 +48,15 @@ now()
         .count();
 }
 
-/** The server's bug builder, verbatim in shape: full build plus a
+/** The server's bug build: debug::buildWorkload, instrumented, with a
  *  recording simulation of the bug's workload. */
 serve::CachedDesign
 buildBug(const bugs::TestbedBug &bug)
 {
-    auto elaborated = bugs::buildDesign(bug, /*buggy=*/true);
-    debug::InstrumentConfig icfg;
-    icfg.fsm = bug.monitors.fsm;
-    icfg.depVariable = bug.monitors.depVariable;
-    icfg.depCycles = bug.monitors.depCycles;
-    icfg.lossCheck = bug.lossCheck;
-    icfg.constants = elaborated.constants;
-    auto instr = debug::instrumentForDebug(*elaborated.mod, icfg);
-    auto tape = std::make_shared<sim::StimulusTape>();
-    {
-        sim::Simulator recorder(instr.module);
-        recorder.recordStimulus(tape.get());
-        bugs::runWorkload(bug, recorder);
-        recorder.recordStimulus(nullptr);
-    }
-    serve::CachedDesign built;
-    built.name = instr.module->name;
-    built.module = instr.module;
-    built.base = elaborated.mod;
-    built.tape = tape;
-    built.constants = elaborated.constants;
-    return built;
+    debug::WorkloadSpec spec;
+    spec.bug = bug.id;
+    spec.instrument = true;
+    return debug::buildWorkload(spec);
 }
 
 /** One session attach against an already-resolved cache entry: clone
@@ -87,7 +68,7 @@ attachSession(const std::shared_ptr<const serve::CachedDesign> &design)
     debug::EngineOptions eopts;
     eopts.constants = design->constants;
     return std::make_unique<debug::Engine>(
-        hdl::cloneModule(*design->module), design->tape, eopts);
+        hdl::cloneModule(*design->instrumented), design->tape, eopts);
 }
 
 struct Row

@@ -187,6 +187,16 @@ passById(const std::string &id)
     return nullptr;
 }
 
+std::vector<std::string>
+selectedPasses(const AnalyzeOptions &opts)
+{
+    std::vector<std::string> ids;
+    for (const auto &pass : analyzePasses())
+        if (opts.passes.empty() || opts.passes.count(pass.id))
+            ids.push_back(pass.id);
+    return ids;
+}
+
 std::vector<lint::Diagnostic>
 runAnalyze(const Module &mod, const AnalyzeOptions &opts)
 {

@@ -64,6 +64,10 @@ struct AnalyzeOptions
     std::set<std::string> passes;
 };
 
+/** Ids of the passes @p opts selects, in registry order, so a report's
+ *  pass list does not depend on how the selection was spelled. */
+std::vector<std::string> selectedPasses(const AnalyzeOptions &opts);
+
 /**
  * Run the (selected) passes over an elaborated module and return the
  * diagnostics in stable (location, rule) order.

@@ -1086,6 +1086,15 @@ runWorkload(const TestbedBug &bug, Simulator &sim)
     fatal("no workload for bug '%s'", bug.id.c_str());
 }
 
+sim::Stimulus
+workloadStimulus(const TestbedBug &bug, bool buggy)
+{
+    sim::Stimulus stim;
+    stim.label = "bug:" + bug.id + (buggy ? "" : ":fixed");
+    stim.live = [&bug](Simulator &sim) { runWorkload(bug, sim); };
+    return stim;
+}
+
 void
 driveGroundTruth(const TestbedBug &bug, Simulator &sim)
 {

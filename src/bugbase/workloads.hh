@@ -21,6 +21,7 @@
 
 #include "bugbase/testbed.hh"
 #include "sim/simulator.hh"
+#include "sim/stimulus.hh"
 
 namespace hwdbg::bugs
 {
@@ -38,6 +39,12 @@ struct WorkloadResult
 
 /** Run the trigger workload for @p bug on @p sim. */
 WorkloadResult runWorkload(const TestbedBug &bug, sim::Simulator &sim);
+
+/** @p bug's trigger workload as a live Stimulus, labelled
+ *  "bug:<id>" ("bug:<id>:fixed" for the fixed variant). The stimulus
+ *  refers to @p bug, which must outlive it (testbedBugs() entries
+ *  live for the whole program). */
+sim::Stimulus workloadStimulus(const TestbedBug &bug, bool buggy);
 
 /**
  * Drive the passing (ground truth) stimulus for @p bug; meaningful for

@@ -41,7 +41,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -58,14 +57,13 @@
 #include "core/fsm_monitor.hh"
 #include "core/losscheck.hh"
 #include "core/signalcat.hh"
-#include "bugbase/workloads.hh"
 #include "cover/report.hh"
 #include "cover/run.hh"
 #include "cover/snapshot.hh"
 #include "debug/engine.hh"
 #include "debug/protocol.hh"
 #include "debug/repl.hh"
-#include "elab/elaborate.hh"
+#include "debug/workload.hh"
 #include "hdl/parser.hh"
 #include "hdl/preproc.hh"
 #include "fuzz/runner.hh"
@@ -222,35 +220,61 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-elab::ElabResult
-load(const Args &args)
+/** The design named by <file> [--top M] [--define NAME]... */
+debug::WorkloadSpec
+fileSpec(const Args &args)
 {
     if (args.file.empty())
         fatal("no input file (see 'hwdbg' for usage)");
-    hdl::Design design = hdl::parseWithDefines(readFile(args.file),
-                                               args.defines, args.file);
-    if (design.modules.empty())
-        fatal("'%s' contains no modules", args.file.c_str());
-    std::string top = args.opt("top", design.modules.back()->name);
-    return elab::elaborate(design, top);
+    debug::WorkloadSpec spec;
+    spec.file = args.file;
+    spec.top = args.opt("top");
+    spec.defines = args.defines;
+    return spec;
+}
+
+/** fileSpec, or the testbed bug named by --bug ID [--fixed], plus an
+ *  optional --stimulus FILE. */
+debug::WorkloadSpec
+workloadSpec(const Args &args)
+{
+    debug::WorkloadSpec spec;
+    spec.bug = args.opt("bug");
+    spec.buggy = !args.flag("fixed");
+    if (spec.bug.empty())
+        spec = fileSpec(args);
+    spec.stimulus = args.opt("stimulus");
+    return spec;
+}
+
+debug::Workload
+load(const Args &args)
+{
+    return debug::buildWorkload(fileSpec(args));
+}
+
+/** --format: true for json, false for text (the default). */
+bool
+jsonFormat(const Args &args)
+{
+    std::string format = args.opt("format", "text");
+    if (format != "text" && format != "json")
+        fatal("unknown format '%s' (expected text or json)",
+              format.c_str());
+    return format == "json";
+}
+
+sim::BackendFactory
+backendOf(const Args &args)
+{
+    return compile::backendByName(args.opt("backend", "interp"));
 }
 
 int
 cmdParse(const Args &args)
 {
-    hdl::Design design = hdl::parseWithDefines(readFile(args.file),
-                                               args.defines, args.file);
+    hdl::Design design = hdl::parseWithDefines(
+        readFileOrFatal(args.file), args.defines, args.file);
     std::fputs(hdl::printDesign(design).c_str(), stdout);
     return 0;
 }
@@ -258,18 +282,14 @@ cmdParse(const Args &args)
 int
 cmdLint(const Args &args)
 {
-    auto elaborated = load(args);
     lint::LintOptions opts;
     opts.rules.insert(args.rules.begin(), args.rules.end());
-    auto diags = lint::runLint(*elaborated.mod, opts);
-    std::string format = args.opt("format", "text");
-    if (format == "json")
-        std::fputs(lint::renderJson(diags).c_str(), stdout);
-    else if (format == "text")
-        std::fputs(lint::renderText(diags).c_str(), stdout);
-    else
-        fatal("unknown lint output format '%s'", format.c_str());
-    if (format == "text")
+    auto diags = lint::runLint(*load(args).base, opts);
+    bool json = jsonFormat(args);
+    std::fputs((json ? lint::renderJson(diags) : lint::renderText(diags))
+                   .c_str(),
+               stdout);
+    if (!json)
         std::fprintf(stderr, "lint: %zu diagnostic%s\n", diags.size(),
                      diags.size() == 1 ? "" : "s");
     return lint::hasErrors(diags) ? 1 : 0;
@@ -278,59 +298,32 @@ cmdLint(const Args &args)
 int
 cmdAnalyze(const Args &args)
 {
-    hdl::ModulePtr mod;
-    std::string bugId = args.opt("bug");
-    if (!bugId.empty()) {
-        const auto &bug = bugs::bugById(bugId);
-        mod = bugs::buildDesign(bug, !args.flag("fixed")).mod;
-    } else {
-        mod = load(args).mod;
-    }
+    hdl::ModulePtr mod = debug::buildWorkload(workloadSpec(args)).base;
 
     analyze::AnalyzeOptions opts;
-    std::string passList = args.opt("pass");
-    if (!passList.empty()) {
-        std::stringstream split(passList);
-        std::string id;
-        while (std::getline(split, id, ',')) {
-            if (id.empty())
-                continue;
-            if (!analyze::passById(id)) {
-                std::string known;
-                for (const auto &pass : analyze::analyzePasses())
-                    known += (known.empty() ? "" : ", ") + pass.id;
-                fatal("unknown analyze pass '%s' (%s)", id.c_str(),
-                      known.c_str());
-            }
-            opts.passes.insert(id);
+    for (const auto &id : splitCsv(args.opt("pass"))) {
+        if (!analyze::passById(id)) {
+            std::string known;
+            for (const auto &pass : analyze::analyzePasses())
+                known += (known.empty() ? "" : ", ") + pass.id;
+            fatal("unknown analyze pass '%s' (%s)", id.c_str(),
+                  known.c_str());
         }
+        opts.passes.insert(id);
     }
-    // Registry order, so the report's pass list is deterministic no
-    // matter how --pass was spelled.
-    std::vector<std::string> ran;
-    for (const auto &pass : analyze::analyzePasses())
-        if (opts.passes.empty() || opts.passes.count(pass.id))
-            ran.push_back(pass.id);
+    std::vector<std::string> ran = analyze::selectedPasses(opts);
 
     auto diags = analyze::runAnalyze(*mod, opts);
-    std::string out = args.opt("out");
-    if (!out.empty()) {
-        std::ofstream file(out);
-        if (!file)
-            fatal("cannot write '%s'", out.c_str());
-        file << analyze::renderAnalyzeJson(ran, diags);
-    }
-    std::string format = args.opt("format", "text");
-    if (format == "json") {
+    if (!args.opt("out").empty())
+        writeFileOrFatal(args.opt("out"),
+                         analyze::renderAnalyzeJson(ran, diags));
+    if (jsonFormat(args)) {
         std::fputs(analyze::renderAnalyzeJson(ran, diags).c_str(),
                    stdout);
-    } else if (format == "text") {
+    } else {
         std::fputs(lint::renderText(diags).c_str(), stdout);
         std::fprintf(stderr, "analyze: %zu diagnostic%s\n",
                      diags.size(), diags.size() == 1 ? "" : "s");
-    } else {
-        fatal("unknown format '%s' (expected text or json)",
-              format.c_str());
     }
     return lint::hasErrors(diags) ? 1 : 0;
 }
@@ -339,7 +332,7 @@ int
 cmdFsm(const Args &args)
 {
     auto elaborated = load(args);
-    auto fsms = analysis::detectFsms(*elaborated.mod);
+    auto fsms = analysis::detectFsms(*elaborated.base);
     if (fsms.empty()) {
         std::printf("no state machines detected\n");
         return 0;
@@ -374,7 +367,7 @@ cmdDeps(const Args &args)
     if (opts.variable.empty())
         fatal("deps requires --var");
     opts.cycles = std::atoi(args.opt("cycles", "4").c_str());
-    auto result = core::applyDepMonitor(*elaborated.mod, opts);
+    auto result = core::applyDepMonitor(*elaborated.base, opts);
     std::printf("dependency chain of %s (within %d cycles):\n",
                 opts.variable.c_str(), opts.cycles);
     for (const auto &[reg, dist] : result.chain)
@@ -396,7 +389,7 @@ cmdSignalcat(const Args &args)
     opts.armSignal = args.opt("arm");
     opts.stopSignal = args.opt("stop");
     opts.preTrigger = args.flag("pre-trigger");
-    auto result = core::applySignalCat(*elaborated.mod, opts);
+    auto result = core::applySignalCat(*elaborated.base, opts);
     std::fprintf(stderr,
                  "signalcat: %zu statements, %u-bit entries, %d "
                  "generated lines\n",
@@ -417,7 +410,7 @@ cmdLosscheck(const Args &args)
     if (opts.source.empty() || opts.sourceValid.empty() ||
         opts.sink.empty())
         fatal("losscheck requires --source, --valid, and --sink");
-    auto result = core::applyLossCheck(*elaborated.mod, opts);
+    auto result = core::applyLossCheck(*elaborated.base, opts);
     std::fprintf(stderr, "losscheck: path {");
     for (const auto &name : result.onPath)
         std::fprintf(stderr, " %s", name.c_str());
@@ -433,7 +426,7 @@ cmdResources(const Args &args)
 {
     auto elaborated = load(args);
     synth::ResourceUsage usage =
-        synth::estimateResources(*elaborated.mod);
+        synth::estimateResources(*elaborated.base);
     const synth::Platform &platform =
         synth::platformByName(args.opt("platform", "KC705"));
     synth::NormalizedUsage pct = synth::normalize(usage, platform);
@@ -451,7 +444,7 @@ cmdTiming(const Args &args)
 {
     auto elaborated = load(args);
     synth::TimingReport report =
-        synth::estimateTiming(*elaborated.mod);
+        synth::estimateTiming(*elaborated.base);
     std::printf("critical path : %.3f ns (through %s)\n",
                 report.criticalPathNs, report.criticalSignal.c_str());
     std::printf("Fmax          : %.1f MHz\n", report.fmaxMhz);
@@ -495,31 +488,6 @@ cmdTestbed(const Args &args)
           args.positional[0].c_str());
 }
 
-uint64_t
-parseU64(const std::string &text, const char *what)
-{
-    char *end = nullptr;
-    uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        fatal("invalid %s '%s'", what, text.c_str());
-    return value;
-}
-
-/** Parse --backend for the commands that run a simulator; an empty
- *  factory means the default interpreter. */
-sim::BackendFactory
-backendFromArgs(const Args &args)
-{
-    std::string name = args.opt("backend", "interp");
-    if (name == "interp")
-        return {};
-    if (name == "bytecode")
-        return compile::makeBytecodeBackend();
-    fatal("unknown backend '%s' (expected interp or bytecode)",
-          name.c_str());
-    return {};
-}
-
 int
 cmdFuzz(const Args &args)
 {
@@ -550,12 +518,8 @@ cmdFuzz(const Args &args)
             config.mask |= fuzz::oracleBit(oracle);
         }
     }
-    config.backend = backendFromArgs(args);
-    std::string format = args.opt("format", "text");
-    if (format != "text" && format != "json")
-        fatal("unknown format '%s' (expected text or json)",
-              format.c_str());
-    config.json = format == "json";
+    config.backend = backendOf(args);
+    config.json = jsonFormat(args);
     config.selfCheck = args.flag("self-check");
     config.cover = args.flag("cover");
     config.coverPlateau = static_cast<uint32_t>(parseU64(
@@ -572,7 +536,6 @@ cmdFuzz(const Args &args)
 int
 cmdProfile(const Args &args)
 {
-    auto elaborated = load(args);
     sim::ProfileOptions opts;
     opts.cycles = static_cast<uint32_t>(
         parseU64(args.opt("cycles", "2000"), "--cycles"));
@@ -589,89 +552,48 @@ cmdProfile(const Args &args)
         parseU64(args.opt("limit", "20"), "--limit"));
     opts.signalLimit = static_cast<uint32_t>(
         parseU64(args.opt("signals", "10"), "--signals"));
-    opts.backend = backendFromArgs(args);
+    opts.backend = backendOf(args);
     sim::ProfileReport report =
-        sim::profileDesign(elaborated.mod, opts);
-    std::string format = args.opt("format", "text");
-    if (format == "json")
-        std::fputs(sim::renderProfileJson(report, opts).c_str(),
-                   stdout);
-    else if (format == "text")
-        std::fputs(sim::renderProfileText(report, opts).c_str(),
-                   stdout);
-    else
-        fatal("unknown format '%s' (expected text or json)",
-              format.c_str());
+        sim::profileDesign(load(args).base, opts);
+    std::fputs((jsonFormat(args) ? sim::renderProfileJson(report, opts)
+                                 : sim::renderProfileText(report, opts))
+                   .c_str(),
+               stdout);
     return 0;
 }
 
 int
 cmdDebug(const Args &args)
 {
-    debug::InstrumentConfig icfg;
-    hdl::ModulePtr base;
-    std::map<std::string, Bits> constants;
-    std::string bugId = args.opt("bug");
-
-    if (!bugId.empty()) {
-        const auto &bug = bugs::bugById(bugId);
-        auto elaborated = bugs::buildDesign(bug, !args.flag("fixed"));
-        base = elaborated.mod;
-        constants = elaborated.constants;
-        // Default to the bug's Fig. 2 monitor setup so the paper-tool
-        // events nearest the root cause are on by default.
-        icfg.fsm = bug.monitors.fsm;
-        icfg.depVariable = bug.monitors.depVariable;
-        icfg.depCycles = bug.monitors.depCycles;
-        icfg.lossCheck = bug.lossCheck;
-    } else {
-        auto elaborated = load(args);
-        base = elaborated.mod;
-        constants = elaborated.constants;
-    }
-
-    if (args.flag("fsm"))
-        icfg.fsm = true;
+    debug::WorkloadSpec spec = workloadSpec(args);
+    if (spec.bug.empty() && spec.stimulus.empty())
+        fatal("debug requires --bug ID or --stimulus FILE "
+              "(the replayable input source)");
+    spec.instrument = true;
+    spec.fsm = args.flag("fsm");
     if (args.options.count("dep")) {
-        std::string spec = args.opt("dep");
-        auto colon = spec.rfind(':');
+        std::string dep = args.opt("dep");
+        auto colon = dep.rfind(':');
         if (colon != std::string::npos) {
-            icfg.depCycles = static_cast<int>(
-                parseU64(spec.substr(colon + 1), "--dep cycle count"));
-            spec = spec.substr(0, colon);
+            spec.depCycles = static_cast<int>(
+                parseU64(dep.substr(colon + 1), "--dep cycle count"));
+            dep = dep.substr(0, colon);
         }
-        icfg.depVariable = spec;
+        spec.depVariable = dep;
     }
     if (args.options.count("loss")) {
-        std::string spec = args.opt("loss");
-        auto c1 = spec.find(':');
-        auto c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
+        std::string loss = args.opt("loss");
+        auto c1 = loss.find(':');
+        auto c2 = c1 == std::string::npos ? c1 : loss.find(':', c1 + 1);
         if (c1 == std::string::npos || c2 == std::string::npos)
             fatal("--loss expects SOURCE:VALID:SINK");
         core::LossCheckOptions lc;
-        lc.source = spec.substr(0, c1);
-        lc.sourceValid = spec.substr(c1 + 1, c2 - c1 - 1);
-        lc.sink = spec.substr(c2 + 1);
-        icfg.lossCheck = lc;
+        lc.source = loss.substr(0, c1);
+        lc.sourceValid = loss.substr(c1 + 1, c2 - c1 - 1);
+        lc.sink = loss.substr(c2 + 1);
+        spec.lossCheck = lc;
     }
-    icfg.constants = constants;
-    auto instr = debug::instrumentForDebug(*base, icfg);
-
-    sim::StimulusTape tape;
-    if (args.options.count("stimulus")) {
-        tape = debug::loadStimulusFile(args.opt("stimulus"));
-    } else if (!bugId.empty()) {
-        // Record the bug's trigger workload against the instrumented
-        // design; the engine replays it deterministically.
-        const auto &bug = bugs::bugById(bugId);
-        sim::Simulator recorder(instr.module);
-        recorder.recordStimulus(&tape);
-        bugs::runWorkload(bug, recorder);
-        recorder.recordStimulus(nullptr);
-    } else {
-        fatal("debug requires --bug ID or --stimulus FILE "
-              "(the replayable input source)");
-    }
+    debug::Workload w = debug::buildWorkload(spec);
 
     debug::EngineOptions eopts;
     eopts.checkpointInterval =
@@ -680,17 +602,15 @@ cmdDebug(const Args &args)
     eopts.checkpointCapacity = static_cast<size_t>(
         parseU64(args.opt("checkpoint-capacity", "64"),
                  "--checkpoint-capacity"));
-    eopts.constants = constants;
-    eopts.backend = backendFromArgs(args);
-    debug::Engine engine(instr.module, std::move(tape), eopts);
+    eopts.constants = w.constants;
+    eopts.backend = backendOf(args);
+    debug::Engine engine(w.instrumented, w.tape, eopts);
 
     debug::SessionOptions sopts;
     sopts.machine = args.flag("machine");
     std::string script = args.opt("script");
     if (!script.empty()) {
-        std::ifstream in(script);
-        if (!in)
-            fatal("cannot open script '%s'", script.c_str());
+        std::istringstream in(readFileOrFatal(script));
         sopts.echo = !sopts.machine;
         return debug::runSession(engine, in, std::cout, sopts) ? 1 : 0;
     }
@@ -717,9 +637,7 @@ cmdServe(const Args &args)
         }
         if (script.empty())
             return serve::runClient(port, std::cin, std::cout) ? 1 : 0;
-        std::ifstream in(script);
-        if (!in)
-            fatal("cannot open script '%s'", script.c_str());
+        std::istringstream in(readFileOrFatal(script));
         return serve::runClient(port, in, std::cout) ? 1 : 0;
     }
 
@@ -746,12 +664,23 @@ cmdServe(const Args &args)
         return server.acceptLoop() ? 1 : 0;
     }
     if (!script.empty()) {
-        std::ifstream in(script);
-        if (!in)
-            fatal("cannot open script '%s'", script.c_str());
+        std::istringstream in(readFileOrFatal(script));
         return server.runChannel(in, std::cout) ? 1 : 0;
     }
     return server.runChannel(std::cin, std::cout) ? 1 : 0;
+}
+
+/** The workload's own stimulus (--bug or --stimulus), else seeded random
+ *  input from --seed S --cycles N. */
+sim::Stimulus
+oneShotStimulus(const Args &args, const debug::Workload &w)
+{
+    if (w.stimulus)
+        return *w.stimulus;
+    return sim::Stimulus::random(
+        parseU64(args.opt("seed", "1"), "--seed"),
+        static_cast<uint32_t>(
+            parseU64(args.opt("cycles", "2000"), "--cycles")));
 }
 
 cover::Snapshot
@@ -759,7 +688,7 @@ parseCoverageFile(const std::string &path)
 {
     cover::Snapshot snap;
     std::string error;
-    if (!cover::parseSnapshot(readFile(path), &snap, &error))
+    if (!cover::parseSnapshot(readFileOrFatal(path), &snap, &error))
         fatal("%s: not a coverage file: %s", path.c_str(),
               error.c_str());
     return snap;
@@ -784,10 +713,7 @@ cmdCoverMerge(const Args &args)
         std::fputs(json.c_str(), stdout);
         return 0;
     }
-    std::ofstream file(out);
-    if (!file)
-        fatal("cannot write '%s'", out.c_str());
-    file << json;
+    writeFileOrFatal(out, json);
     std::fprintf(stderr, "cover: merged %zu file%s into %s\n",
                  args.positional.size(),
                  args.positional.size() == 1 ? "" : "s", out.c_str());
@@ -799,49 +725,16 @@ cmdCover(const Args &args)
 {
     if (args.file == "merge")
         return cmdCoverMerge(args);
+    debug::Workload w = debug::buildWorkload(workloadSpec(args));
 
-    cover::Snapshot snap;
-    sim::BackendFactory backend = backendFromArgs(args);
-    std::string bugId = args.opt("bug");
-    if (!bugId.empty()) {
-        const auto &bug = bugs::bugById(bugId);
-        snap = cover::coverBugWorkload(bug, !args.flag("fixed"),
-                                       backend);
-    } else if (args.options.count("stimulus")) {
-        auto elaborated = load(args);
-        std::string path = args.opt("stimulus");
-        sim::StimulusTape tape = debug::loadStimulusFile(path);
-        // Label by basename so reports stay machine-independent.
-        auto slash = path.find_last_of('/');
-        std::string base =
-            slash == std::string::npos ? path : path.substr(slash + 1);
-        snap = cover::coverWithTape(elaborated.mod,
-                                    "stimulus:" + base, tape, backend);
-    } else {
-        auto elaborated = load(args);
-        uint64_t seed = parseU64(args.opt("seed", "1"), "--seed");
-        auto cycles = static_cast<uint32_t>(
-            parseU64(args.opt("cycles", "2000"), "--cycles"));
-        snap = cover::coverRandom(elaborated.mod,
-                                  "seed:" + std::to_string(seed),
-                                  seed, cycles, backend);
-    }
-
-    std::string out = args.opt("out");
-    if (!out.empty()) {
-        std::ofstream file(out);
-        if (!file)
-            fatal("cannot write '%s'", out.c_str());
-        file << cover::toJson(snap);
-    }
-    std::string format = args.opt("format", "text");
-    if (format == "json")
-        std::fputs(cover::toJson(snap).c_str(), stdout);
-    else if (format == "text")
-        std::fputs(cover::renderCoverText(snap).c_str(), stdout);
-    else
-        fatal("unknown format '%s' (expected text or json)",
-              format.c_str());
+    cover::Snapshot snap = cover::coverDesign(
+        w.base, oneShotStimulus(args, w), backendOf(args));
+    if (!args.opt("out").empty())
+        writeFileOrFatal(args.opt("out"), cover::toJson(snap));
+    std::fputs((jsonFormat(args) ? cover::toJson(snap)
+                                 : cover::renderCoverText(snap))
+                   .c_str(),
+               stdout);
     return 0;
 }
 
@@ -880,15 +773,7 @@ int
 cmdTrace(const Args &args)
 {
     trace::TraceConfig cfg;
-    std::string signals = args.opt("signals");
-    for (size_t pos = 0; pos < signals.size();) {
-        size_t comma = signals.find(',', pos);
-        if (comma == std::string::npos)
-            comma = signals.size();
-        if (comma > pos)
-            cfg.signals.push_back(signals.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
+    cfg.signals = splitCsv(args.opt("signals"));
     cfg.trigger = args.opt("trigger");
     cfg.budgetBytes = parseU64(args.opt("budget", "4096"), "--budget");
     cfg.prePct = static_cast<uint32_t>(
@@ -896,54 +781,17 @@ cmdTrace(const Args &args)
     if (cfg.prePct > 100)
         fatal("--pre is a percentage (0-100)");
 
-    trace::TraceDump dump;
-    sim::BackendFactory backend = backendFromArgs(args);
-    std::string bugId = args.opt("bug");
-    if (!bugId.empty()) {
-        const auto &bug = bugs::bugById(bugId);
-        dump = trace::traceBugWorkload(bug, !args.flag("fixed"), cfg,
-                                       backend);
-    } else if (args.options.count("stimulus")) {
-        auto elaborated = load(args);
-        std::string path = args.opt("stimulus");
-        sim::StimulusTape tape = debug::loadStimulusFile(path);
-        auto slash = path.find_last_of('/');
-        std::string base =
-            slash == std::string::npos ? path : path.substr(slash + 1);
-        dump = trace::traceWithTape(elaborated.mod, "stimulus:" + base,
-                                    tape, cfg, backend);
-    } else {
-        auto elaborated = load(args);
-        uint64_t seed = parseU64(args.opt("seed", "1"), "--seed");
-        auto cycles = static_cast<uint32_t>(
-            parseU64(args.opt("cycles", "2000"), "--cycles"));
-        dump = trace::traceRandom(elaborated.mod,
-                                  "seed:" + std::to_string(seed), seed,
-                                  cycles, cfg, backend);
-    }
-
-    std::string out = args.opt("out");
-    if (!out.empty()) {
-        std::ofstream file(out);
-        if (!file)
-            fatal("cannot write '%s'", out.c_str());
-        file << trace::toJson(dump);
-    }
-    std::string vcd = args.opt("vcd");
-    if (!vcd.empty()) {
-        std::ofstream file(vcd);
-        if (!file)
-            fatal("cannot write '%s'", vcd.c_str());
-        file << trace::renderVcd(dump);
-    }
-    std::string format = args.opt("format", "text");
-    if (format == "json")
-        std::fputs(trace::toJson(dump).c_str(), stdout);
-    else if (format == "text")
-        std::fputs(renderTraceText(dump).c_str(), stdout);
-    else
-        fatal("unknown format '%s' (expected text or json)",
-              format.c_str());
+    debug::Workload w = debug::buildWorkload(workloadSpec(args));
+    trace::TraceDump dump = trace::traceDesign(
+        w.base, oneShotStimulus(args, w), cfg, backendOf(args));
+    if (!args.opt("out").empty())
+        writeFileOrFatal(args.opt("out"), trace::toJson(dump));
+    if (!args.opt("vcd").empty())
+        writeFileOrFatal(args.opt("vcd"), trace::renderVcd(dump));
+    std::fputs((jsonFormat(args) ? trace::toJson(dump)
+                                 : renderTraceText(dump))
+                   .c_str(),
+               stdout);
     return 0;
 }
 
@@ -981,7 +829,7 @@ cmdObscheck(const Args &args)
         fatal("obscheck requires at least one file");
     int rc = 0;
     for (const auto &path : files) {
-        std::string text = readFile(path);
+        std::string text = readFileOrFatal(path);
         // Sniff the snapshot kind from the content so one command
         // covers --trace, --metrics, and debug --machine output.
         // Debug transcripts are JSON-lines: detect them by the hello
@@ -1264,7 +1112,7 @@ commands()
          "analyze) over the JSON-lines protocol, multiplexed by\n"
          "session id. Sessions attach through a shared design cache\n"
          "(parse + elaborate + instrument + record once per\n"
-         "design/variant/backend) and dedupe checkpoint snapshots\n"
+         "design and variant) and dedupe checkpoint snapshots\n"
          "content-addressed across sessions.\n"
          "transports:\n"
          "  (default)            one channel on stdin/stdout\n"

@@ -1,8 +1,11 @@
 #include "common/logging.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -113,6 +116,49 @@ setLogSink(LogSink sink)
     LogSink previous = std::move(logSink);
     logSink = std::move(sink);
     return previous;
+}
+
+std::string
+readFileOrFatal(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        fatal("cannot open '%s'", path.c_str());
+    std::ostringstream body;
+    body << in.rdbuf();
+    return body.str();
+}
+
+void
+writeFileOrFatal(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        fatal("cannot write '%s'", path.c_str());
+    out << text;
+}
+
+uint64_t
+parseU64(const std::string &text, const char *what)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (errno || end == text.c_str() || *end != '\0')
+        fatal("invalid %s '%s'", what, text.c_str());
+    return value;
+}
+
+std::vector<std::string>
+splitCsv(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::string item;
+    std::istringstream in(text);
+    while (std::getline(in, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
 }
 
 } // namespace hwdbg

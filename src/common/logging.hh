@@ -13,9 +13,11 @@
 #define HWDBG_COMMON_LOGGING_HH
 
 #include <cstdarg>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace hwdbg
 {
@@ -72,6 +74,18 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
  * messages before they reach any sink.
  */
 LogSink setLogSink(LogSink sink);
+
+// Input helpers shared by the CLI and the server; each raises an
+// HdlError (via fatal) on bad input.
+
+/** Whole file contents; "cannot open 'PATH'" when unreadable. */
+std::string readFileOrFatal(const std::string &path);
+/** Replace @p path with @p text; "cannot write 'PATH'" on failure. */
+void writeFileOrFatal(const std::string &path, const std::string &text);
+/** Decimal unsigned integer; @p what names the value in the error. */
+uint64_t parseU64(const std::string &text, const char *what);
+/** Comma-separated items, empty items dropped. */
+std::vector<std::string> splitCsv(const std::string &text);
 
 } // namespace hwdbg
 

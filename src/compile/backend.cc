@@ -783,4 +783,15 @@ makeBytecodeBackend()
     };
 }
 
+sim::BackendFactory
+backendByName(const std::string &name)
+{
+    if (name == "interp")
+        return {};
+    if (name == "bytecode")
+        return makeBytecodeBackend();
+    fatal("unknown backend '%s' (expected interp or bytecode)",
+          name.c_str());
+}
+
 } // namespace hwdbg::compile

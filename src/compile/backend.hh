@@ -72,6 +72,10 @@ class BytecodeBackend final : public sim::Backend
 /** Factory handed to Simulator::setBackend / tool options. */
 sim::BackendFactory makeBytecodeBackend();
 
+/** Factory for a --backend / backend= name: "interp" (the empty
+ *  factory) or "bytecode"; anything else raises an HdlError. */
+sim::BackendFactory backendByName(const std::string &name);
+
 } // namespace hwdbg::compile
 
 #endif // HWDBG_COMPILE_BACKEND_HH

@@ -3,138 +3,35 @@
 #include <utility>
 
 #include "bugbase/workloads.hh"
-#include "common/logging.hh"
 #include "obs/trace.hh"
 
 namespace hwdbg::cover
 {
 
-using sim::Simulator;
-
-namespace
+Snapshot
+coverDesign(hdl::ModulePtr elaborated, const sim::Stimulus &stim,
+            const sim::BackendFactory &backend)
 {
-
-/** splitmix64, matching the profiler's stimulus draws. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    obs::ObsSpan span("cover:" + stim.label);
+    std::string top = elaborated->name;
+    sim::Simulator sim(std::move(elaborated));
+    if (backend)
+        sim.setBackend(backend);
+    sim::CoverageItems items = buildCoverageItems(
+        sim.design(), fsmSpecsFor(sim.design().module()));
+    sim::CoverageCollector collector(items);
+    sim.enableCoverage(&collector);
+    stim.drive(sim, "cover");
+    sim.enableCoverage(nullptr);
+    return snapshotFrom(items, collector, top, stim.label);
 }
-
-struct Attached
-{
-    sim::CoverageItems items;
-    sim::CoverageCollector collector;
-
-    Attached(Simulator &sim, const hdl::Module &mod)
-        : items(buildCoverageItems(sim.design(), fsmSpecsFor(mod))),
-          collector(items)
-    {
-        sim.enableCoverage(&collector);
-    }
-};
-
-} // namespace
 
 Snapshot
 coverBugWorkload(const bugs::TestbedBug &bug, bool buggy,
                  const sim::BackendFactory &backend)
 {
-    obs::ObsSpan span("cover:bug:" + bug.id);
-    elab::ElabResult design = bugs::buildDesign(bug, buggy);
-    std::string top = design.mod->name;
-    Simulator sim(design.mod);
-    if (backend)
-        sim.setBackend(backend);
-    Attached cover(sim, sim.design().module());
-    bugs::runWorkload(bug, sim);
-    sim.enableCoverage(nullptr);
-    std::string workload = "bug:" + bug.id;
-    if (!buggy)
-        workload += ":fixed";
-    return snapshotFrom(cover.items, cover.collector, top, workload);
-}
-
-Snapshot
-coverWithTape(hdl::ModulePtr elaborated, const std::string &workload,
-              const sim::StimulusTape &tape,
-              const sim::BackendFactory &backend)
-{
-    obs::ObsSpan span("cover:tape");
-    std::string top = elaborated->name;
-    Simulator sim(std::move(elaborated));
-    if (backend)
-        sim.setBackend(backend);
-    Attached cover(sim, sim.design().module());
-    for (const auto &step : tape.steps) {
-        sim.applyStep(step);
-        if (sim.finished())
-            break;
-    }
-    sim.enableCoverage(nullptr);
-    return snapshotFrom(cover.items, cover.collector, top, workload);
-}
-
-Snapshot
-coverRandom(hdl::ModulePtr elaborated, const std::string &workload,
-            uint64_t seed, uint32_t cycles,
-            const sim::BackendFactory &backend)
-{
-    obs::ObsSpan span("cover:random");
-    std::string top = elaborated->name;
-    Simulator sim(std::move(elaborated));
-    if (backend)
-        sim.setBackend(backend);
-    Attached cover(sim, sim.design().module());
-
-    const sim::LoweredDesign &design = sim.design();
-    bool has_clk = design.signalId("clk") >= 0 &&
-                   design.info(design.signalId("clk")).dir ==
-                       hdl::PortDir::Input;
-    bool has_rst = design.signalId("rst") >= 0 &&
-                   design.info(design.signalId("rst")).dir ==
-                       hdl::PortDir::Input;
-    struct DrivenInput
-    {
-        std::string name;
-        uint32_t width;
-    };
-    std::vector<DrivenInput> inputs;
-    for (size_t i = 0; i < design.numSignals(); ++i) {
-        const sim::SignalInfo &sig =
-            design.info(static_cast<int>(i));
-        if (sig.dir != hdl::PortDir::Input || sig.name == "clk" ||
-            sig.name == "rst")
-            continue;
-        inputs.push_back(DrivenInput{sig.name, sig.width});
-    }
-    if (!has_clk)
-        warn("cover: design has no 'clk' input; running %u "
-             "combinational eval rounds",
-             cycles);
-
-    for (uint32_t t = 0; t < cycles; ++t) {
-        if (has_rst)
-            sim.poke("rst", Bits(1, t < 2 ? 1 : 0));
-        for (size_t i = 0; i < inputs.size(); ++i) {
-            uint64_t draw =
-                mix64(seed ^ (static_cast<uint64_t>(t) << 20) ^ i);
-            sim.poke(inputs[i].name, Bits(inputs[i].width, draw));
-        }
-        if (has_clk) {
-            sim.poke("clk", Bits(1, 0));
-            sim.eval();
-            sim.poke("clk", Bits(1, 1));
-        }
-        sim.eval();
-        if (sim.finished())
-            break;
-    }
-    sim.enableCoverage(nullptr);
-    return snapshotFrom(cover.items, cover.collector, top, workload);
+    return coverDesign(bugs::buildDesign(bug, buggy).mod,
+                       bugs::workloadStimulus(bug, buggy), backend);
 }
 
 } // namespace hwdbg::cover

@@ -1,54 +1,36 @@
 /**
  * @file
- * Coverage run drivers: elaborate a design, attach a collector, drive
- * it, and return the resulting Snapshot.
+ * Coverage run driver: attach a collector to an elaborated design,
+ * drive it with a sim::Stimulus, and return the resulting Snapshot.
  *
- * Three stimulus sources, matching `hwdbg cover`:
- *  - a testbed bug's trigger workload (the push-button reproducers);
- *  - a recorded stimulus tape (the debugger's vector-file format —
- *    the caller loads the file, keeping this library independent of
- *    src/debug);
- *  - the seeded random driver (the profiler's input scheme: reset for
- *    two cycles, then splitmix-drawn values on every non-clock input
- *    each cycle).
- *
- * All drivers detect FSMs first (analysis::detectFsms) so FSM
+ * The driver detects FSMs first (analysis::detectFsms) so FSM
  * state/arc coverage rides along automatically.
  */
 
 #ifndef HWDBG_COVER_RUN_HH
 #define HWDBG_COVER_RUN_HH
 
-#include <string>
-
 #include "bugbase/testbed.hh"
 #include "cover/snapshot.hh"
 #include "sim/backend.hh"
-#include "sim/simulator.hh"
+#include "sim/stimulus.hh"
 
 namespace hwdbg::cover
 {
 
-// Each driver takes an optional execution backend (--backend); an empty
+// The driver takes an optional execution backend (--backend); an empty
 // factory runs the interpreter. Coverage events are sampled through the
 // CoverageCollector hooks both backends drive identically, so snapshots
 // are backend-independent.
 
-/** Run @p bug's trigger workload with coverage attached. */
+/** Drive @p elaborated with @p stim, coverage attached; the snapshot's
+ *  workload is the stimulus label. */
+Snapshot coverDesign(hdl::ModulePtr elaborated, const sim::Stimulus &stim,
+                     const sim::BackendFactory &backend = {});
+
+/** Run @p bug's trigger workload live with coverage attached. */
 Snapshot coverBugWorkload(const bugs::TestbedBug &bug, bool buggy,
                           const sim::BackendFactory &backend = {});
-
-/** Replay @p tape on @p elaborated with coverage attached. */
-Snapshot coverWithTape(hdl::ModulePtr elaborated,
-                       const std::string &workload,
-                       const sim::StimulusTape &tape,
-                       const sim::BackendFactory &backend = {});
-
-/** Drive @p cycles of seeded random stimulus with coverage attached. */
-Snapshot coverRandom(hdl::ModulePtr elaborated,
-                     const std::string &workload, uint64_t seed,
-                     uint32_t cycles,
-                     const sim::BackendFactory &backend = {});
 
 } // namespace hwdbg::cover
 

@@ -28,7 +28,6 @@ instrumentForDebug(const hdl::Module &mod, const InstrumentConfig &cfg)
         core::FsmMonitorOptions opts;
         opts.constants = cfg.constants;
         auto fsm = core::applyFsmMonitor(*cur, opts);
-        result.fsmMonitored = fsm.monitored;
         result.generatedLines += fsm.generatedLines;
         owned = fsm.module;
         cur = owned.get();
@@ -38,14 +37,12 @@ instrumentForDebug(const hdl::Module &mod, const InstrumentConfig &cfg)
         opts.variable = cfg.depVariable;
         opts.cycles = cfg.depCycles;
         auto dep = core::applyDepMonitor(*cur, opts);
-        result.depChain = dep.chain;
         result.generatedLines += dep.generatedLines;
         owned = dep.module;
         cur = owned.get();
     }
     if (cfg.lossCheck) {
         auto lc = core::applyLossCheck(*cur, *cfg.lossCheck);
-        result.lossInstrumented = lc.instrumented;
         result.generatedLines += lc.generatedLines;
         owned = lc.module;
         cur = owned.get();

@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -61,9 +60,6 @@ struct InstrumentConfig
 struct InstrumentResult
 {
     hdl::ModulePtr module;
-    std::vector<std::string> fsmMonitored;
-    std::map<std::string, int> depChain;
-    std::set<std::string> lossInstrumented;
     int generatedLines = 0;
 };
 

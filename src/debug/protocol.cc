@@ -63,6 +63,15 @@ JsonObject::raw(const std::string &k, const std::string &json)
     return *this;
 }
 
+JsonObject &
+JsonObject::merge(const JsonObject &other)
+{
+    if (!body_.empty() && !other.body_.empty())
+        body_ += ',';
+    body_ += other.body_;
+    return *this;
+}
+
 std::string
 jsonArray(const std::vector<std::string> &elems)
 {

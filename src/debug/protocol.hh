@@ -70,6 +70,8 @@ class JsonObject
     JsonObject &field(const std::string &key, bool value);
     /** Pre-rendered JSON (nested object/array/null). */
     JsonObject &raw(const std::string &key, const std::string &json);
+    /** Append every member of @p other, in order. */
+    JsonObject &merge(const JsonObject &other);
 
     std::string str() const { return "{" + body_ + "}"; }
 

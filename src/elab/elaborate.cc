@@ -280,9 +280,16 @@ class Elaborator
                 net->net = src->net;
                 net->dir = is_top ? src->dir : PortDir::None;
                 net->name = flatten(src->name);
+                if (!declared_.insert(net->name).second)
+                    fatal("%s: duplicate declaration of '%s'",
+                          net->loc.str().c_str(), net->name.c_str());
                 if (src->range) {
                     Bits msb = evalConst(src->range->msb, env);
                     Bits lsb = evalConst(src->range->lsb, env);
+                    if (!lsb.isZero())
+                        fatal("%s: only [N:0] vector ranges are supported "
+                              "(signal '%s')", net->loc.str().c_str(),
+                              net->name.c_str());
                     net->range = AstRange{mkNum(msb.resized(32), false),
                                           mkNum(lsb.resized(32), false)};
                 }
@@ -294,10 +301,15 @@ class Elaborator
                     uint64_t bound_b =
                         evalConst(src->array->lsb, env).toU64();
                     uint64_t hi = std::max(bound_a, bound_b);
-                    uint64_t lo = std::min(bound_a, bound_b);
-                    net->array =
-                        AstRange{mkNum(Bits(32, hi), false),
-                                 mkNum(Bits(32, lo), false)};
+                    if (std::min(bound_a, bound_b) != 0)
+                        fatal("%s: memory bounds must start at 0 "
+                              "(signal '%s')", net->loc.str().c_str(),
+                              net->name.c_str());
+                    if (net->net != NetKind::Reg)
+                        fatal("%s: memories must be regs ('%s')",
+                              net->loc.str().c_str(), net->name.c_str());
+                    net->array = AstRange{mkNum(Bits(32, hi), false),
+                                          mkNum(Bits(32, 0), false)};
                 }
                 result_.mod->items.push_back(net);
                 if (is_top && src->dir != PortDir::None)
@@ -443,6 +455,8 @@ class Elaborator
     const Design &design_;
     ElabResult result_;
     std::set<std::string> instancePath_;
+    /** Flattened net names declared so far. */
+    std::set<std::string> declared_;
 };
 
 } // namespace

@@ -903,25 +903,15 @@ runXtrace(const GeneratedDesign &gd, uint64_t seed, uint32_t cycles)
     if (gd.hasRst)
         cfg.trigger = "change:rst";
 
-    auto flatA = elab::elaborate(gd.design, gd.top).mod;
-    auto flatB = elab::elaborate(gd.design, gd.top).mod;
-    sim::Simulator interp(flatA);
-    sim::Simulator bytecode(flatB);
-    bytecode.setBackend(compile::makeBytecodeBackend());
-
-    trace::TraceRecorder recA(interp, cfg);
-    trace::TraceRecorder recB(bytecode, cfg);
-    recA.attach();
-    recB.attach();
-
     Stimulus stim = makeStimulus(gd, seed, cycles);
-    runTrace(interp, gd, stim);
-    runTrace(bytecode, gd, stim);
-
-    recA.detach();
-    recB.detach();
-    trace::TraceDump da = recA.dump("fuzz:" + std::to_string(seed));
-    trace::TraceDump db = recB.dump("fuzz:" + std::to_string(seed));
+    sim::Stimulus drive;
+    drive.label = "fuzz:" + std::to_string(seed);
+    drive.live = [&](sim::Simulator &sim) { runTrace(sim, gd, stim); };
+    trace::TraceDump da = trace::traceDesign(
+        elab::elaborate(gd.design, gd.top).mod, drive, cfg);
+    trace::TraceDump db = trace::traceDesign(
+        elab::elaborate(gd.design, gd.top).mod, drive, cfg,
+        compile::makeBytecodeBackend());
     // The backend provenance label is the one intentional difference;
     // neutralize it so the byte comparison covers everything else.
     da.backend = "x";

@@ -83,10 +83,8 @@ seedCoverKeys(uint64_t seed, const FuzzConfig &config)
 {
     GeneratedDesign gd = generateDesign(seed, generatorOptions(config));
     auto flat = elab::elaborate(gd.design, gd.top).mod;
-    cover::Snapshot snap =
-        cover::coverRandom(std::move(flat),
-                           "seed:" + std::to_string(seed), seed,
-                           config.cycles);
+    cover::Snapshot snap = cover::coverDesign(
+        std::move(flat), sim::Stimulus::random(seed, config.cycles));
     return cover::signatureKeys(snap);
 }
 

@@ -67,8 +67,6 @@ DesignCache::getOrBuild(const std::string &key, const Builder &build)
         built_.notify_all();
         throw HdlError(error);
     }
-    built.key = key;
-    built.buildMicros = micros;
     entry.design =
         std::make_shared<const CachedDesign>(std::move(built));
     ++stats_.builds;

@@ -3,11 +3,13 @@
  * Shared design cache: elaborate once, serve many.
  *
  * Serve sessions attach to designs through this cache, keyed by
- * (source, bug variant, backend). The cached value is everything that
- * is expensive and reusable about an attach: the parsed + elaborated +
- * instrumented module, the elaborated constants, and the recorded
- * stimulus tape (recording a bug workload is a full simulation run, so
- * sharing it is where most of the warm-attach speedup comes from).
+ * source and bug variant: the backend is not part of the key, since a
+ * build is backend-independent and every session picks its own engine.
+ * The cached value is the debug::Workload of that design, built once:
+ * the elaborated and instrumented modules, the elaborated constants,
+ * the debug tape, and the one-shot stimulus. Recording a bug workload
+ * is a full simulation run, so sharing the tape is where most of the
+ * warm-attach speedup comes from.
  *
  * The build-once guarantee is strict: for a given key the builder runs
  * exactly once even under concurrent attaches — later callers block on
@@ -31,30 +33,13 @@
 #include <mutex>
 #include <string>
 
-#include "common/bits.hh"
-#include "hdl/ast.hh"
-#include "sim/simulator.hh"
+#include "debug/workload.hh"
 
 namespace hwdbg::serve
 {
 
 /** One fully-prepared design, shared read-only between sessions. */
-struct CachedDesign
-{
-    /** Cache key this entry was built under. */
-    std::string key;
-    /** Top module name. */
-    std::string name;
-    /** Instrumented, elaborated master module (clone before use). */
-    hdl::ModulePtr module;
-    /** Un-instrumented elaborated master (analyze sessions). */
-    hdl::ModulePtr base;
-    /** Recorded or loaded stimulus, shared by every session. */
-    std::shared_ptr<const sim::StimulusTape> tape;
-    std::map<std::string, Bits> constants;
-    /** Wall-clock cost of the one real build, for serve `stats`. */
-    uint64_t buildMicros = 0;
-};
+using CachedDesign = debug::Workload;
 
 class DesignCache
 {

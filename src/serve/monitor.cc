@@ -1,20 +1,17 @@
 #include "serve/monitor.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <istream>
 #include <ostream>
 #include <sstream>
 #include <thread>
 
 #include "common/logging.hh"
 #include "obs/jsoncheck.hh"
+#include "serve/server.hh"
 
 namespace hwdbg::serve
 {
@@ -38,45 +35,6 @@ str(const obs::JsonValue *obj, const char *key)
         return "";
     const auto *v = obj->get(key);
     return v && v->isString() ? v->text : "";
-}
-
-/** Buffered line reads over a socket fd (the monitor's only input). */
-struct LineReader
-{
-    int fd;
-    std::string pending;
-
-    bool getline(std::string *line)
-    {
-        for (;;) {
-            auto nl = pending.find('\n');
-            if (nl != std::string::npos) {
-                *line = pending.substr(0, nl);
-                pending.erase(0, nl + 1);
-                return true;
-            }
-            char buf[4096];
-            ssize_t n = ::read(fd, buf, sizeof(buf));
-            if (n <= 0)
-                return false;
-            pending.append(buf, static_cast<size_t>(n));
-        }
-    }
-};
-
-bool
-writeAll(int fd, const std::string &text)
-{
-    const char *p = text.data();
-    size_t len = text.size();
-    while (len) {
-        ssize_t n = ::write(fd, p, len);
-        if (n <= 0)
-            return false;
-        p += n;
-        len -= static_cast<size_t>(n);
-    }
-    return true;
 }
 
 } // namespace
@@ -169,24 +127,12 @@ renderTopFrame(const std::string &statsJson)
 int
 runTop(uint16_t port, const TopOptions &opts, std::ostream &out)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        fatal("monitor: socket: %s", std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        int err = errno;
-        ::close(fd);
-        fatal("monitor: connect 127.0.0.1:%u: %s", unsigned(port),
-              std::strerror(err));
-    }
-
-    LineReader reader{fd, {}};
+    int fd = connectLoopback(port, "monitor");
+    FdBuf buf(fd);
+    std::istream in(&buf);
+    std::ostream req(&buf);
     std::string line;
-    if (!reader.getline(&line)) {
+    if (!std::getline(in, line)) {
         ::close(fd);
         fatal("monitor: server closed before hello");
     }
@@ -196,9 +142,7 @@ runTop(uint16_t port, const TopOptions &opts, std::ostream &out)
         if (frame && opts.intervalMs)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(opts.intervalMs));
-        if (!writeAll(fd, "stats\n"))
-            break;
-        if (!reader.getline(&line))
+        if (!(req << "stats\n" << std::flush) || !std::getline(in, line))
             break;
         // The stats document is the response's "payload" member;
         // payload is always the last field, so the document is the
@@ -216,7 +160,7 @@ runTop(uint16_t port, const TopOptions &opts, std::ostream &out)
         out << renderTopFrame(payload.empty() ? line : payload)
             << std::flush;
     }
-    writeAll(fd, "quit\n");
+    req << "quit\n" << std::flush;
     ::close(fd);
     return 0;
 }

@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -15,20 +14,16 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <streambuf>
 #include <thread>
 #include <vector>
 
 #include "analyze/analyze.hh"
-#include "bugbase/testbed.hh"
-#include "bugbase/workloads.hh"
 #include "common/logging.hh"
 #include "compile/backend.hh"
 #include "cover/run.hh"
 #include "cover/snapshot.hh"
 #include "debug/protocol.hh"
-#include "elab/elaborate.hh"
-#include "hdl/parser.hh"
+#include "debug/workload.hh"
 #include "lint/lint.hh"
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
@@ -44,113 +39,6 @@ namespace hwdbg::serve
 
 namespace
 {
-
-/** Minimal iostream plumbing over a connected socket fd. */
-class FdBuf : public std::streambuf
-{
-  public:
-    explicit FdBuf(int fd) : fd_(fd)
-    {
-        setg(ibuf_, ibuf_, ibuf_);
-        setp(obuf_, obuf_ + sizeof(obuf_));
-    }
-
-  protected:
-    int_type underflow() override
-    {
-        ssize_t n = ::read(fd_, ibuf_, sizeof(ibuf_));
-        if (n <= 0)
-            return traits_type::eof();
-        setg(ibuf_, ibuf_, ibuf_ + n);
-        return traits_type::to_int_type(ibuf_[0]);
-    }
-
-    int_type overflow(int_type ch) override
-    {
-        if (sync() != 0)
-            return traits_type::eof();
-        if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-            obuf_[0] = traits_type::to_char_type(ch);
-            pbump(1);
-        }
-        return traits_type::not_eof(ch);
-    }
-
-    int sync() override
-    {
-        const char *p = pbase();
-        size_t len = static_cast<size_t>(pptr() - pbase());
-        while (len) {
-            ssize_t n = ::write(fd_, p, len);
-            if (n <= 0)
-                return -1;
-            p += n;
-            len -= static_cast<size_t>(n);
-        }
-        setp(obuf_, obuf_ + sizeof(obuf_));
-        return 0;
-    }
-
-  private:
-    int fd_;
-    char ibuf_[4096];
-    char obuf_[4096];
-};
-
-std::string
-readFileOrFatal(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open '%s'", path.c_str());
-    std::ostringstream body;
-    body << in.rdbuf();
-    return body.str();
-}
-
-void
-writeFileOrFatal(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("cannot write '%s'", path.c_str());
-    out << text;
-}
-
-uint64_t
-parseU64(const std::string &text, const char *what)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno || !end || *end || end == text.c_str())
-        fatal("%s: bad number '%s'", what, text.c_str());
-    return v;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(text);
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-sim::BackendFactory
-backendByName(const std::string &name)
-{
-    if (name == "interp")
-        return {};
-    if (name == "bytecode")
-        return compile::makeBytecodeBackend();
-    fatal("unknown backend '%s' (expected interp or bytecode)",
-          name.c_str());
-    return {};
-}
 
 /** key=value / bare-flag argument list for `open`. */
 struct OpenArgs
@@ -185,6 +73,70 @@ parseOpenArgs(const std::vector<std::string> &args)
 }
 
 } // namespace
+
+FdBuf::FdBuf(int fd) : fd_(fd)
+{
+    setg(ibuf_, ibuf_, ibuf_);
+    setp(obuf_, obuf_ + sizeof(obuf_));
+}
+
+FdBuf::int_type
+FdBuf::underflow()
+{
+    ssize_t n = ::read(fd_, ibuf_, sizeof(ibuf_));
+    if (n <= 0)
+        return traits_type::eof();
+    setg(ibuf_, ibuf_, ibuf_ + n);
+    return traits_type::to_int_type(ibuf_[0]);
+}
+
+FdBuf::int_type
+FdBuf::overflow(int_type ch)
+{
+    if (sync() != 0)
+        return traits_type::eof();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+        obuf_[0] = traits_type::to_char_type(ch);
+        pbump(1);
+    }
+    return traits_type::not_eof(ch);
+}
+
+int
+FdBuf::sync()
+{
+    const char *p = pbase();
+    size_t len = static_cast<size_t>(pptr() - pbase());
+    while (len) {
+        ssize_t n = ::write(fd_, p, len);
+        if (n <= 0)
+            return -1;
+        p += n;
+        len -= static_cast<size_t>(n);
+    }
+    setp(obuf_, obuf_ + sizeof(obuf_));
+    return 0;
+}
+
+int
+connectLoopback(uint16_t port, const char *who)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        fatal("%s: socket: %s", who, std::strerror(errno));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) < 0) {
+        int err = errno;
+        ::close(fd);
+        fatal("%s: connect 127.0.0.1:%u: %s", who, unsigned(port),
+              std::strerror(err));
+    }
+    return fd;
+}
 
 Server::Server(ServerOptions opts)
     : opts_(opts),
@@ -252,67 +204,22 @@ Server::openSession(const std::vector<std::string> &args)
         fatal("%s sessions on file= designs need stimulus=FILE",
               kind.c_str());
     // Validate eagerly so a bad name fails before a cache slot exists.
-    sim::BackendFactory backend = backendByName(backendName);
+    sim::BackendFactory backend = compile::backendByName(backendName);
 
+    debug::WorkloadSpec spec;
+    spec.instrument = true;
     std::string key;
-    DesignCache::Builder builder;
     if (!bugId.empty()) {
-        key = "bug:" + bugId + (buggy ? ":buggy" : ":fixed") + ":" +
-              backendName;
-        builder = [bugId, buggy]() {
-            const auto &bug = bugs::bugById(bugId);
-            auto elaborated = bugs::buildDesign(bug, buggy);
-            debug::InstrumentConfig icfg;
-            icfg.fsm = bug.monitors.fsm;
-            icfg.depVariable = bug.monitors.depVariable;
-            icfg.depCycles = bug.monitors.depCycles;
-            icfg.lossCheck = bug.lossCheck;
-            icfg.constants = elaborated.constants;
-            auto instr = debug::instrumentForDebug(*elaborated.mod, icfg);
-            auto tape = std::make_shared<sim::StimulusTape>();
-            {
-                // Recording is a full simulation run; caching it is
-                // most of what makes the second attach cheap.
-                sim::Simulator recorder(instr.module);
-                recorder.recordStimulus(tape.get());
-                bugs::runWorkload(bug, recorder);
-                recorder.recordStimulus(nullptr);
-            }
-            CachedDesign built;
-            built.name = instr.module->name;
-            built.module = instr.module;
-            built.base = elaborated.mod;
-            built.tape = tape;
-            built.constants = elaborated.constants;
-            return built;
-        };
+        spec.bug = bugId;
+        spec.buggy = buggy;
+        key = "bug:" + bugId + (buggy ? ":buggy" : ":fixed");
     } else {
-        std::string top = oa.opt("top");
-        key = "file:" + file + ":top:" + top + ":stim:" + stimulus +
-              ":" + backendName;
-        builder = [file, top, stimulus]() {
-            hdl::Design design =
-                hdl::parseWithDefines(readFileOrFatal(file), {}, file);
-            if (design.modules.empty())
-                fatal("'%s' contains no modules", file.c_str());
-            std::string topName =
-                top.empty() ? design.modules.back()->name : top;
-            auto elaborated = elab::elaborate(design, topName);
-            debug::InstrumentConfig icfg;
-            icfg.constants = elaborated.constants;
-            auto instr = debug::instrumentForDebug(*elaborated.mod, icfg);
-            auto tape = std::make_shared<sim::StimulusTape>();
-            if (!stimulus.empty())
-                *tape = debug::loadStimulusFile(stimulus);
-            CachedDesign built;
-            built.name = instr.module->name;
-            built.module = instr.module;
-            built.base = elaborated.mod;
-            built.tape = tape;
-            built.constants = elaborated.constants;
-            return built;
-        };
+        spec.file = file;
+        spec.top = oa.opt("top");
+        spec.stimulus = stimulus;
+        key = "file:" + file + ":top:" + spec.top + ":stim:" + stimulus;
     }
+    auto builder = [&spec] { return debug::buildWorkload(spec); };
 
     DesignCache::Attach attach = cache_.getOrBuild(key, builder);
     const auto &design = attach.design;
@@ -321,7 +228,6 @@ Server::openSession(const std::vector<std::string> &args)
     auto sess = registry_.create(kind);
     sess->design = design;
     sess->cacheHit = attach.hit;
-    sess->designName = design->name;
     sess->openedUs = uptimeUs();
     // One named Perfetto track per session, minted lazily so an
     // untraced long-lived server never grows the track registry.
@@ -339,6 +245,9 @@ Server::openSession(const std::vector<std::string> &args)
     payload.field("cache",
                   std::string(attach.hit ? "hit" : "miss"));
 
+    // One-shot kinds put their result in the open payload and keep it
+    // as the session's summary.
+    debug::JsonObject summary;
     try {
         if (kind == "debug") {
             debug::EngineOptions eopts;
@@ -348,7 +257,8 @@ Server::openSession(const std::vector<std::string> &args)
             eopts.backend = backend;
             eopts.snapshots = &snapshots_;
             sess->engine = std::make_unique<debug::Engine>(
-                hdl::cloneModule(*design->module), design->tape, eopts);
+                hdl::cloneModule(*design->instrumented), design->tape,
+                eopts);
             sess->handler = std::make_unique<debug::ProtocolHandler>(
                 *sess->engine);
             sess->handler->setTraceTrack(sess->track);
@@ -359,77 +269,55 @@ Server::openSession(const std::vector<std::string> &args)
                 static_cast<uint64_t>(
                     sess->engine->sim().design().numSignals()));
         } else if (kind == "cover") {
-            auto snap = cover::coverWithTape(
-                hdl::cloneModule(*design->module), label, *design->tape,
-                backend);
+            auto snap = cover::coverDesign(hdl::cloneModule(*design->base),
+                                           *design->stimulus, backend);
             auto totals = snap.totals();
             if (!oa.opt("out").empty())
                 writeFileOrFatal(oa.opt("out"), cover::toJson(snap));
-            debug::JsonObject summary;
             summary.field("covered", totals.covered());
             summary.field("total", totals.total());
-            sess->summaryJson = summary.str();
-            payload.field("covered", totals.covered());
-            payload.field("total", totals.total());
         } else if (kind == "trace") {
             trace::TraceConfig cfg;
             cfg.signals = splitCsv(oa.opt("signals"));
             cfg.trigger = oa.opt("trigger");
             if (!oa.opt("budget").empty())
                 cfg.budgetBytes =
-                    parseU64(oa.opt("budget"), "budget=");
-            auto dump = trace::traceWithTape(
-                hdl::cloneModule(*design->module), label, *design->tape,
-                cfg, backend);
+                    parseU64(oa.opt("budget"), "budget");
+            auto dump = trace::traceDesign(hdl::cloneModule(*design->base),
+                                           *design->stimulus, cfg, backend);
             if (!oa.opt("out").empty())
                 writeFileOrFatal(oa.opt("out"), trace::toJson(dump));
             if (!oa.opt("vcd").empty())
                 writeFileOrFatal(oa.opt("vcd"), trace::renderVcd(dump));
-            debug::JsonObject summary;
             summary.field("rows",
                           static_cast<uint64_t>(dump.rows.size()));
             summary.field("samples", dump.samples);
             summary.field("drops", dump.drops);
             summary.field("fired", dump.fired);
-            sess->summaryJson = summary.str();
-            payload.field("rows",
-                          static_cast<uint64_t>(dump.rows.size()));
-            payload.field("samples", dump.samples);
-            payload.field("drops", dump.drops);
-            payload.field("fired", dump.fired);
         } else { // analyze
             analyze::AnalyzeOptions aopts;
             for (const auto &pass : splitCsv(oa.opt("passes")))
                 aopts.passes.insert(pass);
             auto base = hdl::cloneModule(*design->base);
             auto diags = analyze::runAnalyze(*base, aopts);
-            std::vector<std::string> ran;
-            for (const auto &pass : analyze::analyzePasses())
-                if (aopts.passes.empty() || aopts.passes.count(pass.id))
-                    ran.push_back(pass.id);
+            std::vector<std::string> ran = analyze::selectedPasses(aopts);
             if (!oa.opt("out").empty())
                 writeFileOrFatal(oa.opt("out"),
                                  analyze::renderAnalyzeJson(ran, diags));
-            debug::JsonObject summary;
             summary.field("passes",
                           static_cast<uint64_t>(ran.size()));
             summary.field("diagnostics",
                           static_cast<uint64_t>(diags.size()));
             summary.field("errors", lint::hasErrors(diags));
-            sess->summaryJson = summary.str();
-            payload.field("passes",
-                          static_cast<uint64_t>(ran.size()));
-            payload.field("diagnostics",
-                          static_cast<uint64_t>(diags.size()));
-            payload.field("errors", lint::hasErrors(diags));
         }
     } catch (const HdlError &) {
         // Failed opens must not leave a half-built session listed.
         registry_.close(sess->id);
         throw;
     }
-
-    return payload.str();
+    if (kind != "debug")
+        sess->summaryJson = summary.str();
+    return payload.merge(summary).str();
 }
 
 std::string
@@ -488,7 +376,8 @@ Server::statsJson()
         debug::JsonObject row;
         row.field("session", sess->id);
         row.field("kind", sess->kind);
-        row.field("design", sess->designName);
+        row.field("design", sess->design ? sess->design->name
+                                         : std::string());
         row.field("cache",
                   std::string(sess->cacheHit ? "hit" : "miss"));
         row.field("cmds", sess->cmds.load(std::memory_order_relaxed));
@@ -531,7 +420,7 @@ Server::serverCommand(const debug::Request &req, bool *failed,
             if (req.args.size() != 1)
                 fatal("usage: close <session-id>");
             int64_t sid = static_cast<int64_t>(
-                parseU64(req.args[0], "close"));
+                parseU64(req.args[0], "session id"));
             if (!registry_.close(sid))
                 fatal("no session %lld",
                       static_cast<long long>(sid));
@@ -856,21 +745,7 @@ Server::shutdown()
 int
 runClient(uint16_t port, std::istream &script, std::ostream &out)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        fatal("connect: socket: %s", std::strerror(errno));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) < 0) {
-        int err = errno;
-        ::close(fd);
-        fatal("connect 127.0.0.1:%u: %s", unsigned(port),
-              std::strerror(err));
-    }
-
+    int fd = connectLoopback(port, "client");
     FdBuf buf(fd);
     std::istream rin(&buf);
     std::ostream rout(&buf);
@@ -879,7 +754,7 @@ runClient(uint16_t port, std::istream &script, std::ostream &out)
     std::string line;
     if (!std::getline(rin, line)) {
         ::close(fd);
-        fatal("connect: server closed before hello");
+        fatal("client: server closed before hello");
     }
     out << line << "\n";
 

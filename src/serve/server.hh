@@ -42,7 +42,7 @@
  * gets its own named Perfetto track carrying attach + command spans.
  *
  * Sessions attach through the shared DesignCache (elaborate + record
- * once per (source, variant, backend)) and intern checkpoints in the
+ * once per (source, variant)) and intern checkpoints in the
  * shared SnapshotStore, so the Nth session on a design is attach-cheap
  * and checkpoint-dedup'd against its peers. Every response line is a
  * deterministic function of the request sequence on its channel, which
@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <streambuf>
 #include <string>
 
 #include "obs/reqlog.hh"
@@ -156,6 +157,27 @@ class Server
     std::atomic<bool> stopping_{false};
     std::atomic<int> listenFd_{-1};
 };
+
+/** Minimal iostream plumbing over a connected socket fd. */
+class FdBuf : public std::streambuf
+{
+  public:
+    explicit FdBuf(int fd);
+
+  protected:
+    int_type underflow() override;
+    int_type overflow(int_type ch) override;
+    int sync() override;
+
+  private:
+    int fd_;
+    char ibuf_[4096];
+    char obuf_[4096];
+};
+
+/** A TCP socket connected to 127.0.0.1:@p port; @p who prefixes the
+ *  error raised when the connection fails. */
+int connectLoopback(uint16_t port, const char *who);
 
 /**
  * Connect to a server on 127.0.0.1:@p port and drive it from @p script

@@ -37,8 +37,6 @@ struct Session
     std::shared_ptr<const CachedDesign> design;
     /** Whether the attach was served from the design cache. */
     bool cacheHit = false;
-    /** Design description as rendered in the open payload. */
-    std::string designName;
 
     /** Live debugger state (kind == "debug" only). */
     std::unique_ptr<debug::Engine> engine;

@@ -84,31 +84,13 @@ LoweredDesign::collectSignals()
         sig.name = net->name;
         sig.isReg = net->net == NetKind::Reg;
         sig.dir = net->dir;
-        if (net->range) {
-            uint64_t msb = constU64(net->range->msb);
-            uint64_t lsb = constU64(net->range->lsb);
-            if (lsb != 0)
-                fatal("%s: only [N:0] vector ranges are supported "
-                      "(signal '%s')", net->loc.str().c_str(),
-                      net->name.c_str());
-            sig.width = static_cast<uint32_t>(msb) + 1;
-        }
-        if (net->array) {
-            uint64_t msb = constU64(net->array->msb);
-            uint64_t lsb = constU64(net->array->lsb);
-            if (lsb > msb)
-                std::swap(msb, lsb);
-            if (lsb != 0)
-                fatal("%s: memory bounds must start at 0 (signal '%s')",
-                      net->loc.str().c_str(), net->name.c_str());
-            sig.arraySize = static_cast<uint32_t>(msb) + 1;
-            if (!sig.isReg)
-                fatal("%s: memories must be regs ('%s')",
-                      net->loc.str().c_str(), net->name.c_str());
-        }
-        if (byName_.count(sig.name))
-            fatal("%s: duplicate declaration of '%s'",
-                  net->loc.str().c_str(), sig.name.c_str());
+        // Elaboration has checked the declaration: vectors are [N:0],
+        // memories are regs based at 0, names are unique.
+        if (net->range)
+            sig.width = static_cast<uint32_t>(constU64(net->range->msb)) + 1;
+        if (net->array)
+            sig.arraySize =
+                static_cast<uint32_t>(constU64(net->array->msb)) + 1;
         byName_[sig.name] = static_cast<int>(signals_.size());
         signals_.push_back(std::move(sig));
     }

@@ -5,11 +5,11 @@
 #include <set>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "hdl/printer.hh"
 #include "obs/json.hh"
 #include "obs/trace.hh"
 #include "sim/simulator.hh"
+#include "sim/stimulus.hh"
 
 namespace hwdbg::sim
 {
@@ -18,16 +18,6 @@ using namespace hdl;
 
 namespace
 {
-
-/** splitmix64: deterministic stimulus without depending on fuzz/rng. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** Lvalue target names of a statement tree, in first-write order. */
 void
@@ -135,57 +125,17 @@ profileDesign(hdl::ModulePtr elaborated, const ProfileOptions &opts)
     SimCounters counters;
     sim.enableProfiling(&counters);
 
-    const LoweredDesign &design = sim.design();
-    bool hasClk = design.signalId("clk") >= 0 &&
-                  design.info(design.signalId("clk")).dir ==
-                      PortDir::Input;
-    bool hasRst = design.signalId("rst") >= 0 &&
-                  design.info(design.signalId("rst")).dir ==
-                      PortDir::Input;
-    struct DrivenInput
-    {
-        std::string name;
-        uint32_t width;
-    };
-    std::vector<DrivenInput> inputs;
-    for (size_t i = 0; i < design.numSignals(); ++i) {
-        const SignalInfo &sig = design.info(static_cast<int>(i));
-        if (sig.dir != PortDir::Input || sig.name == "clk" ||
-            sig.name == "rst")
-            continue;
-        inputs.push_back(DrivenInput{sig.name, sig.width});
-    }
-    if (!hasClk)
-        warn("profile: design has no 'clk' input; running %u "
-             "combinational eval rounds",
-             opts.cycles);
-
     auto begin = std::chrono::steady_clock::now();
     {
         obs::ObsSpan simSpan("simulate");
-        for (uint32_t t = 0; t < opts.cycles; ++t) {
-            if (hasRst)
-                sim.poke("rst", Bits(1, t < 2 ? 1 : 0));
-            for (size_t i = 0; i < inputs.size(); ++i) {
-                uint64_t draw = mix64(opts.seed ^
-                                      (static_cast<uint64_t>(t) << 20) ^
-                                      i);
-                sim.poke(inputs[i].name,
-                         Bits(inputs[i].width, draw));
-            }
-            if (hasClk) {
-                sim.poke("clk", Bits(1, 0));
-                sim.eval();
-                sim.poke("clk", Bits(1, 1));
-            }
-            sim.eval();
-            if (sim.finished())
-                break;
-        }
+        Stimulus::random(opts.seed, opts.cycles).drive(sim, "profile");
     }
     report.wallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - begin)
                         .count();
+    const LoweredDesign &design = sim.design();
+    int clk = design.signalId("clk");
+    bool hasClk = clk >= 0 && design.info(clk).dir == PortDir::Input;
     report.cyclesRun = hasClk ? sim.cycle() : opts.cycles;
     report.finished = sim.finished();
     report.settleCalls = counters.settleCalls;

@@ -12,9 +12,9 @@
  *    simulator takes a single branch per construct).
  *
  *  - profileDesign(): the `hwdbg profile` engine. Drives an elaborated
- *    design with deterministic pseudorandom stimulus (clk toggled,
- *    rst held for two cycles, every other input redrawn each cycle
- *    from a seed), then ranks processes/always-blocks/assigns by wall
+ *    design with the seeded random Stimulus (sim/stimulus.hh) that
+ *    `hwdbg cover` and `hwdbg trace` use on bare files, then ranks
+ *    processes/always-blocks/assigns by wall
  *    time or eval count and the design's signals by toggle count —
  *    turning "the simulator is slow" into a list of hot constructs
  *    with source locations.

@@ -3,125 +3,33 @@
 #include <utility>
 
 #include "bugbase/workloads.hh"
-#include "common/logging.hh"
 #include "obs/trace.hh"
 
 namespace hwdbg::trace
 {
 
-using sim::Simulator;
-
-namespace
+TraceDump
+traceDesign(hdl::ModulePtr elaborated, const sim::Stimulus &stim,
+            const TraceConfig &cfg, const sim::BackendFactory &backend)
 {
-
-/** splitmix64, matching the cover/profiler stimulus draws. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    obs::ObsSpan span("trace:" + stim.label);
+    sim::Simulator sim(std::move(elaborated));
+    if (backend)
+        sim.setBackend(backend);
+    TraceRecorder recorder(sim, cfg);
+    recorder.attach();
+    stim.drive(sim, "trace");
+    recorder.detach();
+    return recorder.dump(stim.label);
 }
-
-} // namespace
 
 TraceDump
 traceBugWorkload(const bugs::TestbedBug &bug, bool buggy,
                  const TraceConfig &cfg,
                  const sim::BackendFactory &backend)
 {
-    obs::ObsSpan span("trace:bug:" + bug.id);
-    elab::ElabResult design = bugs::buildDesign(bug, buggy);
-    Simulator sim(design.mod);
-    if (backend)
-        sim.setBackend(backend);
-    TraceRecorder recorder(sim, cfg);
-    recorder.attach();
-    bugs::runWorkload(bug, sim);
-    recorder.detach();
-    std::string workload = "bug:" + bug.id;
-    if (!buggy)
-        workload += ":fixed";
-    return recorder.dump(workload);
-}
-
-TraceDump
-traceWithTape(hdl::ModulePtr elaborated, const std::string &workload,
-              const sim::StimulusTape &tape, const TraceConfig &cfg,
-              const sim::BackendFactory &backend)
-{
-    obs::ObsSpan span("trace:tape");
-    Simulator sim(std::move(elaborated));
-    if (backend)
-        sim.setBackend(backend);
-    TraceRecorder recorder(sim, cfg);
-    recorder.attach();
-    for (const auto &step : tape.steps) {
-        sim.applyStep(step);
-        if (sim.finished())
-            break;
-    }
-    recorder.detach();
-    return recorder.dump(workload);
-}
-
-TraceDump
-traceRandom(hdl::ModulePtr elaborated, const std::string &workload,
-            uint64_t seed, uint32_t cycles, const TraceConfig &cfg,
-            const sim::BackendFactory &backend)
-{
-    obs::ObsSpan span("trace:random");
-    Simulator sim(std::move(elaborated));
-    if (backend)
-        sim.setBackend(backend);
-    TraceRecorder recorder(sim, cfg);
-    recorder.attach();
-
-    const sim::LoweredDesign &design = sim.design();
-    bool has_clk = design.signalId("clk") >= 0 &&
-                   design.info(design.signalId("clk")).dir ==
-                       hdl::PortDir::Input;
-    bool has_rst = design.signalId("rst") >= 0 &&
-                   design.info(design.signalId("rst")).dir ==
-                       hdl::PortDir::Input;
-    struct DrivenInput
-    {
-        std::string name;
-        uint32_t width;
-    };
-    std::vector<DrivenInput> inputs;
-    for (size_t i = 0; i < design.numSignals(); ++i) {
-        const sim::SignalInfo &sig = design.info(static_cast<int>(i));
-        if (sig.dir != hdl::PortDir::Input || sig.name == "clk" ||
-            sig.name == "rst")
-            continue;
-        inputs.push_back(DrivenInput{sig.name, sig.width});
-    }
-    if (!has_clk)
-        warn("trace: design has no 'clk' input; running %u "
-             "combinational eval rounds",
-             cycles);
-
-    for (uint32_t t = 0; t < cycles; ++t) {
-        if (has_rst)
-            sim.poke("rst", Bits(1, t < 2 ? 1 : 0));
-        for (size_t i = 0; i < inputs.size(); ++i) {
-            uint64_t draw =
-                mix64(seed ^ (static_cast<uint64_t>(t) << 20) ^ i);
-            sim.poke(inputs[i].name, Bits(inputs[i].width, draw));
-        }
-        if (has_clk) {
-            sim.poke("clk", Bits(1, 0));
-            sim.eval();
-            sim.poke("clk", Bits(1, 1));
-        }
-        sim.eval();
-        if (sim.finished())
-            break;
-    }
-    recorder.detach();
-    return recorder.dump(workload);
+    return traceDesign(bugs::buildDesign(bug, buggy).mod,
+                       bugs::workloadStimulus(bug, buggy), cfg, backend);
 }
 
 } // namespace hwdbg::trace

@@ -1,43 +1,33 @@
 /**
  * @file
- * Trace run drivers: elaborate a design, attach a recorder, drive it,
- * and return the captured window.
+ * Trace run driver: attach a recorder to an elaborated design, drive it
+ * with a sim::Stimulus, and return the captured window.
  *
- * The three stimulus sources mirror `hwdbg cover` (and the CLI):
- * testbed bug workloads, recorded stimulus tapes, and the seeded
- * random driver. Recording goes through the backend-agnostic per-eval
- * hook, so any driver accepts an execution backend and the dumps are
- * byte-identical across backends (the fuzz xtrace oracle's claim).
+ * Recording goes through the backend-agnostic per-eval hook, so the
+ * driver accepts an execution backend and the dumps are byte-identical
+ * across backends (the fuzz xtrace oracle's claim).
  */
 
 #ifndef HWDBG_TRACE_RUN_HH
 #define HWDBG_TRACE_RUN_HH
 
-#include <string>
-
 #include "bugbase/testbed.hh"
+#include "sim/stimulus.hh"
 #include "trace/trace.hh"
 
 namespace hwdbg::trace
 {
 
-/** Record @p bug's trigger workload. */
+/** Drive @p elaborated with @p stim, recording attached; the dump's
+ *  workload is the stimulus label. */
+TraceDump traceDesign(hdl::ModulePtr elaborated, const sim::Stimulus &stim,
+                      const TraceConfig &cfg,
+                      const sim::BackendFactory &backend = {});
+
+/** Record @p bug's trigger workload, driven live. */
 TraceDump traceBugWorkload(const bugs::TestbedBug &bug, bool buggy,
                            const TraceConfig &cfg,
                            const sim::BackendFactory &backend = {});
-
-/** Replay @p tape on @p elaborated with recording attached. */
-TraceDump traceWithTape(hdl::ModulePtr elaborated,
-                        const std::string &workload,
-                        const sim::StimulusTape &tape,
-                        const TraceConfig &cfg,
-                        const sim::BackendFactory &backend = {});
-
-/** Drive @p cycles of seeded random stimulus with recording attached. */
-TraceDump traceRandom(hdl::ModulePtr elaborated,
-                      const std::string &workload, uint64_t seed,
-                      uint32_t cycles, const TraceConfig &cfg,
-                      const sim::BackendFactory &backend = {});
 
 } // namespace hwdbg::trace
 

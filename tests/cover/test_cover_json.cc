@@ -37,8 +37,8 @@ Snapshot
 snapFor(const char *src, uint64_t seed, uint32_t cycles = 40)
 {
     hdl::Design design = hdl::parse(src);
-    return coverRandom(elab::elaborate(design, "m").mod,
-                       "seed:" + std::to_string(seed), seed, cycles);
+    return coverDesign(elab::elaborate(design, "m").mod,
+                       sim::Stimulus::random(seed, cycles));
 }
 
 std::string

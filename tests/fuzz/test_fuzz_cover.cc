@@ -36,11 +36,12 @@ smallCampaign()
 TEST(FuzzCoverTest, SignatureKeysAreDeterministic)
 {
     GeneratedDesign gd = generateDesign(3);
-    auto snapA = cover::coverRandom(
-        elab::elaborate(gd.design, gd.top).mod, "seed:3", 3, 24);
+    auto snapA = cover::coverDesign(
+        elab::elaborate(gd.design, gd.top).mod, sim::Stimulus::random(3, 24));
     GeneratedDesign gd2 = generateDesign(3);
-    auto snapB = cover::coverRandom(
-        elab::elaborate(gd2.design, gd2.top).mod, "seed:3", 3, 24);
+    auto snapB = cover::coverDesign(
+        elab::elaborate(gd2.design, gd2.top).mod,
+        sim::Stimulus::random(3, 24));
     auto keysA = cover::signatureKeys(snapA);
     EXPECT_FALSE(keysA.empty());
     EXPECT_EQ(keysA, cover::signatureKeys(snapB));

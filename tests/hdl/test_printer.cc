@@ -58,6 +58,14 @@ struct RoundTripCase
     const char *src;
 };
 
+// gtest would otherwise print a case as the bytes of its two pointers,
+// which differ on every run, and CTest names each test after it.
+static void
+PrintTo(const RoundTripCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class PrinterRoundTrip : public ::testing::TestWithParam<RoundTripCase>
 {
 };

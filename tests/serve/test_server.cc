@@ -15,16 +15,22 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "bugbase/testbed.hh"
 #include "common/logging.hh"
+#include "cover/run.hh"
 #include "obs/jsoncheck.hh"
 #include "serve/server.hh"
 #include "serve/stats.hh"
+#include "trace/json.hh"
+#include "trace/run.hh"
 
 using namespace hwdbg;
 using namespace hwdbg::serve;
@@ -281,3 +287,83 @@ TEST(ServeServerTest, ConcurrentTcpClientsGetByteIdenticalSessions)
     ::close(fd);
     acceptor.join();
 }
+
+TEST(ServeServerTest, BackendIsNotPartOfTheCacheKey)
+{
+    // Both engines replay one cached build, so the bytecode session
+    // attaches warm and answers exactly like the interpreter session.
+    const std::string script = "open debug bug=D3\n"
+                               "open debug bug=D3 backend=bytecode\n"
+                               "@1 goto-cycle 12\n"
+                               "@2 goto-cycle 12\n"
+                               "@1 print bus_state\n"
+                               "@2 print bus_state\n"
+                               "stats\n"
+                               "quit\n";
+    Server server;
+    std::string transcript = runScript(server, script);
+    EXPECT_EQ(checkServeTranscript(transcript), "");
+    auto all = lines(transcript);
+    ASSERT_EQ(all.size(), 9u); // hello + 8 responses
+    EXPECT_NE(all[1].find("\"cache\":\"miss\""), std::string::npos);
+    EXPECT_NE(all[2].find("\"cache\":\"hit\""), std::string::npos);
+    EXPECT_NE(all[7].find("\"builds\":1"), std::string::npos);
+    EXPECT_EQ(server.cache().stats().builds, 1u);
+
+    std::map<int64_t, std::vector<std::string>> buckets;
+    routedStreams(transcript, &buckets);
+    ASSERT_EQ(buckets.size(), 2u);
+    ASSERT_EQ(buckets.at(1).size(), 2u);
+    EXPECT_EQ(buckets.at(1), buckets.at(2));
+}
+
+/** One-shot serve sessions answer exactly like the library drivers the
+ *  CLI's --bug runs use, on every bug and both variants. */
+class ServeOneShotTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+TEST_P(ServeOneShotTest, MatchesTheBugWorkloadDrivers)
+{
+    const auto &[id, buggy] = GetParam();
+    const bugs::TestbedBug &bug = bugs::bugById(id);
+    std::string stem = ::testing::TempDir() + "hwdbg_oneshot_" + id +
+                       (buggy ? "_buggy" : "_fixed");
+    std::string variant = buggy ? "" : " fixed";
+    Server server;
+    std::string transcript = runScript(
+        server, "open cover bug=" + id + variant + " out=" + stem +
+                    ".cover.json\n"
+                    "open trace bug=" + id + variant + " out=" + stem +
+                    ".trace.json\n"
+                    "quit\n");
+    EXPECT_EQ(transcript.find("\"ok\":false"), std::string::npos)
+        << transcript;
+    EXPECT_EQ(readFileOrFatal(stem + ".cover.json"),
+              cover::toJson(cover::coverBugWorkload(bug, buggy)));
+    EXPECT_EQ(readFileOrFatal(stem + ".trace.json"),
+              trace::toJson(
+                  trace::traceBugWorkload(bug, buggy, trace::TraceConfig{})));
+    std::remove((stem + ".cover.json").c_str());
+    std::remove((stem + ".trace.json").c_str());
+}
+
+std::vector<std::tuple<std::string, bool>>
+allVariants()
+{
+    std::vector<std::tuple<std::string, bool>> out;
+    for (const auto &bug : bugs::testbedBugs()) {
+        out.emplace_back(bug.id, true);
+        out.emplace_back(bug.id, false);
+    }
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBugs, ServeOneShotTest, ::testing::ValuesIn(allVariants()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>>
+           &info) {
+        return std::get<0>(info.param) +
+               (std::get<1>(info.param) ? "_buggy" : "_fixed");
+    });
