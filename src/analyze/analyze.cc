@@ -1,161 +1,22 @@
 #include "analyze/analyze.hh"
 
-#include <algorithm>
-#include <functional>
 #include <sstream>
 
-#include "analysis/exprutil.hh"
 #include "analyze/passes.hh"
-#include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
-#include "obs/trace.hh"
 
 namespace hwdbg::analyze
 {
 
 using namespace hdl;
 
-// ----------------------------------------------------------------- context
-
-AnalyzeContext::AnalyzeContext(const Module &mod)
-    : mod_(&mod), sigs_(mod)
-{
-}
-
-AnalyzeContext::~AnalyzeContext() = default;
-
-const analysis::DepGraph &
-AnalyzeContext::graph()
-{
-    if (!graph_)
-        graph_ = std::make_unique<analysis::DepGraph>(*mod_);
-    return *graph_;
-}
-
-const ConstFixpoint &
-AnalyzeContext::fixpoint()
-{
-    if (!fix_)
-        fix_ = std::make_unique<ConstFixpoint>(
-            solveConstants(*mod_, sigs_));
-    return *fix_;
-}
-
-namespace
-{
-
-void
-collectExprReads(const ExprPtr &expr, std::set<std::string> &out)
-{
-    if (!expr)
-        return;
-    for (const auto &sig : analysis::collectSignals(expr))
-        out.insert(sig);
-}
-
-void
-collectStmtReads(const StmtPtr &stmt, std::set<std::string> &out)
-{
-    if (!stmt)
-        return;
-    switch (stmt->kind) {
-      case StmtKind::Block:
-        for (const auto &sub : stmt->as<BlockStmt>()->stmts)
-            collectStmtReads(sub, out);
-        break;
-      case StmtKind::If: {
-        const auto *branch = stmt->as<IfStmt>();
-        collectExprReads(branch->cond, out);
-        collectStmtReads(branch->thenStmt, out);
-        collectStmtReads(branch->elseStmt, out);
-        break;
-      }
-      case StmtKind::Case: {
-        const auto *sel = stmt->as<CaseStmt>();
-        collectExprReads(sel->selector, out);
-        for (const auto &item : sel->items) {
-            for (const auto &label : item.labels)
-                collectExprReads(label, out);
-            collectStmtReads(item.body, out);
-        }
-        break;
-      }
-      case StmtKind::Assign: {
-        const auto *assign = stmt->as<AssignStmt>();
-        collectExprReads(assign->rhs, out);
-        // Index/part-select lvalues read their index expressions (and
-        // partially read the base); the written targets are not reads.
-        std::set<std::string> lhs_sigs;
-        collectExprReads(assign->lhs, lhs_sigs);
-        for (const auto &target :
-             analysis::lvalueTargets(assign->lhs))
-            lhs_sigs.erase(target);
-        for (const auto &sig : lhs_sigs)
-            out.insert(sig);
-        break;
-      }
-      case StmtKind::Display:
-        for (const auto &arg : stmt->as<DisplayStmt>()->args)
-            collectExprReads(arg, out);
-        break;
-      case StmtKind::Finish:
-      case StmtKind::Null:
-        break;
-    }
-}
-
-} // namespace
-
-const std::set<std::string> &
-AnalyzeContext::procReads(const AlwaysItem *proc)
-{
-    auto it = reads_.find(proc);
-    if (it != reads_.end())
-        return it->second;
-    std::set<std::string> reads;
-    if (proc)
-        collectStmtReads(proc->body, reads);
-    return reads_.emplace(proc, std::move(reads)).first->second;
-}
-
-SourceLoc
-AnalyzeContext::declLoc(const std::string &name) const
-{
-    if (const auto *info = sigs_.find(name))
-        return info->loc;
-    return mod_->loc;
-}
-
-void
-AnalyzeContext::report(lint::Diagnostic diag)
-{
-    diags_.push_back(std::move(diag));
-}
-
-std::vector<lint::Diagnostic>
-AnalyzeContext::take()
-{
-    lint::sortDiagnostics(diags_);
-    return std::move(diags_);
-}
-
 // ---------------------------------------------------------------- registry
 
-void
-passLoop(AnalyzeContext &ctx)
-{
-    for (auto &diag : lint::combCycleDiagnostics(
-             ctx.graph().combCycles(), [&](const std::string &name) {
-                 return ctx.declLoc(name);
-             }))
-        ctx.report(std::move(diag));
-}
-
-const std::vector<AnalyzePass> &
+const std::vector<Check> &
 analyzePasses()
 {
-    static const std::vector<AnalyzePass> passes = {
+    static const std::vector<Check> passes = {
         {"const",
          "constant/known-bits propagation: dead guards, stuck "
          "outputs, unobservable logic",
@@ -173,18 +34,15 @@ analyzePasses()
          passCdc},
         {"loop",
          "combinational loops (shared diagnostics with lint)",
-         passLoop},
+         checkCombLoop},
     };
     return passes;
 }
 
-const AnalyzePass *
+const Check *
 passById(const std::string &id)
 {
-    for (const auto &pass : analyzePasses())
-        if (pass.id == id)
-            return &pass;
-    return nullptr;
+    return findCheck(analyzePasses(), id);
 }
 
 std::vector<std::string>
@@ -197,28 +55,18 @@ selectedPasses(const AnalyzeOptions &opts)
     return ids;
 }
 
-std::vector<lint::Diagnostic>
+std::vector<Diagnostic>
 runAnalyze(const Module &mod, const AnalyzeOptions &opts)
 {
-    obs::ObsSpan span("analyze");
-    for (const auto &id : opts.passes)
-        if (!passById(id))
-            fatal("unknown analyze pass '%s'", id.c_str());
-    AnalyzeContext ctx(mod);
-    for (const auto &pass : analyzePasses()) {
-        if (!opts.passes.empty() && !opts.passes.count(pass.id))
-            continue;
-        obs::ObsSpan passSpan(std::string("analyze.") + pass.id);
-        pass.run(ctx);
-    }
-    return ctx.take();
+    return runChecks("analyze", "analyze pass", analyzePasses(),
+                     opts.passes, mod);
 }
 
 // -------------------------------------------------------------------- JSON
 
 std::string
 renderAnalyzeJson(const std::vector<std::string> &passes,
-                  const std::vector<lint::Diagnostic> &diags)
+                  const std::vector<Diagnostic> &diags)
 {
     std::ostringstream out;
     out << "{\"format\": \"hwdbg-analyze\", \"version\": 1,\n";
@@ -228,7 +76,7 @@ renderAnalyzeJson(const std::vector<std::string> &passes,
         out << (i ? ", " : "") << "\"" << obs::jsonEscape(passes[i])
             << "\"";
     out << "],\n";
-    std::string body = lint::renderJson(diags);
+    std::string body = renderJson(diags);
     while (!body.empty() && body.back() == '\n')
         body.pop_back();
     out << "\"diagnostics\": " << body << "}\n";

@@ -1,12 +1,11 @@
-#include "lint/diagnostic.hh"
+#include "analyze/diagnostic.hh"
 
 #include <algorithm>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "obs/json.hh"
 
-namespace hwdbg::lint
+namespace hwdbg::analyze
 {
 
 const char *
@@ -53,20 +52,10 @@ renderText(const std::vector<Diagnostic> &diags)
     return out.str();
 }
 
-namespace
-{
-
-std::string
-jsonEscape(const std::string &text)
-{
-    return obs::jsonEscape(text);
-}
-
-} // namespace
-
 std::string
 renderJson(const std::vector<Diagnostic> &diags)
 {
+    using obs::jsonEscape;
     std::ostringstream out;
     out << "[\n";
     for (size_t i = 0; i < diags.size(); ++i) {
@@ -87,51 +76,13 @@ renderJson(const std::vector<Diagnostic> &diags)
     return out.str();
 }
 
-std::vector<Diagnostic>
-combCycleDiagnostics(
-    const std::vector<std::vector<std::string>> &cycles,
-    const std::function<hdl::SourceLoc(const std::string &)> &loc_of)
+bool
+hasErrors(const std::vector<Diagnostic> &diags)
 {
-    std::vector<Diagnostic> out;
-    for (const auto &cycle : cycles) {
-        std::ostringstream path;
-        for (const auto &name : cycle)
-            path << name << " -> ";
-        path << cycle.front();
-        Diagnostic diag;
-        diag.rule = "comb-loop";
-        diag.severity = Severity::Error;
-        diag.subclass = "Deadlock";
-        diag.loc = loc_of(cycle.front());
-        diag.message = csprintf("combinational loop: %s",
-                                path.str().c_str());
-        diag.signals = cycle;
-        out.push_back(std::move(diag));
-    }
-    return out;
+    return std::any_of(diags.begin(), diags.end(),
+                       [](const Diagnostic &diag) {
+                           return diag.severity == Severity::Error;
+                       });
 }
 
-std::vector<Diagnostic>
-dedupeDiagnostics(std::vector<Diagnostic> diags)
-{
-    std::vector<Diagnostic> out;
-    auto same = [](const Diagnostic &a, const Diagnostic &b) {
-        return a.rule == b.rule && a.severity == b.severity &&
-               a.subclass == b.subclass && a.loc.file == b.loc.file &&
-               a.loc.line == b.loc.line && a.loc.col == b.loc.col &&
-               a.message == b.message && a.signals == b.signals;
-    };
-    for (auto &diag : diags) {
-        bool dup = false;
-        for (const auto &kept : out)
-            if (same(kept, diag)) {
-                dup = true;
-                break;
-            }
-        if (!dup)
-            out.push_back(std::move(diag));
-    }
-    return out;
-}
-
-} // namespace hwdbg::lint
+} // namespace hwdbg::analyze

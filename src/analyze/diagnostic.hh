@@ -1,7 +1,7 @@
 /**
  * @file
- * Lint diagnostics: the result record every rule emits, plus the text
- * and JSON renderers the CLI exposes.
+ * Static-analysis diagnostics: the result record every lint rule and
+ * analyze pass emits, plus the text and JSON renderers the CLI exposes.
  *
  * Each diagnostic carries the rule id, the Table 1 bug subclass the rule
  * is keyed to (the paper's bug-study taxonomy), a severity, the source
@@ -10,16 +10,15 @@
  * finding straight to a SignalCat/LossCheck deployment on those signals.
  */
 
-#ifndef HWDBG_LINT_DIAGNOSTIC_HH
-#define HWDBG_LINT_DIAGNOSTIC_HH
+#ifndef HWDBG_ANALYZE_DIAGNOSTIC_HH
+#define HWDBG_ANALYZE_DIAGNOSTIC_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "hdl/ast.hh"
 
-namespace hwdbg::lint
+namespace hwdbg::analyze
 {
 
 enum class Severity { Info, Warning, Error };
@@ -51,24 +50,9 @@ std::string renderText(const std::vector<Diagnostic> &diags);
 /** JSON array rendering (one object per diagnostic). */
 std::string renderJson(const std::vector<Diagnostic> &diags);
 
-/**
- * Shared combinational-loop diagnostics over DepGraph::combCycles()
- * output. Both `hwdbg lint` and `hwdbg analyze` emit loop findings
- * through this one builder, so the two reports produce byte-identical
- * diagnostics that dedupeDiagnostics() can collapse. @p loc_of maps a
- * signal name to its declaration location.
- */
-std::vector<Diagnostic> combCycleDiagnostics(
-    const std::vector<std::vector<std::string>> &cycles,
-    const std::function<hdl::SourceLoc(const std::string &)> &loc_of);
+/** True when any diagnostic has Error severity (CLI exit status). */
+bool hasErrors(const std::vector<Diagnostic> &diags);
 
-/**
- * Drop diagnostics identical in every field to an earlier one,
- * preserving order. Used when combining lint and analyze reports so a
- * finding both tools emit appears once.
- */
-std::vector<Diagnostic> dedupeDiagnostics(std::vector<Diagnostic> diags);
+} // namespace hwdbg::analyze
 
-} // namespace hwdbg::lint
-
-#endif // HWDBG_LINT_DIAGNOSTIC_HH
+#endif // HWDBG_ANALYZE_DIAGNOSTIC_HH

@@ -92,6 +92,8 @@ SignalTable::SignalTable(const Module &mod)
             else
                 info.width = 0; // unsizable: treated as unknown
         }
+        if (!sigs_.count(net->name))
+            order_.push_back(net->name);
         sigs_[net->name] = info;
     }
 }
@@ -640,7 +642,10 @@ kbEvalImpl(const ExprPtr &expr, uint32_t ctx_width,
         if (!it->second)
             return std::nullopt;
         const KnownBits &base = *it->second;
-        if ((base.known >> index->value & 1) == 0)
+        // Facts cap at 64 bits: a higher bit of a wider signal is
+        // unknown, and shifting by its index would be undefined.
+        if (index->value >= base.width ||
+            (base.known >> index->value & 1) == 0)
             return unknownAt(w);
         return KnownBits::constant(1, base.value >> index->value & 1)
             .resized(w);

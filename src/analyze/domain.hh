@@ -20,6 +20,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "hdl/ast.hh"
 
@@ -90,8 +91,9 @@ KnownBits joinKnown(const KnownBits &a, const KnownBits &b);
 enum class Tri { False, True, Unknown };
 
 /**
- * Signal declarations of one elaborated module: widths, kinds, and
- * resolved parameter constants, computed without mutating the AST.
+ * Signal declarations of one elaborated module: widths, kinds,
+ * declaration locations and order, and resolved parameter constants,
+ * computed without mutating the AST.
  */
 class SignalTable
 {
@@ -100,6 +102,8 @@ class SignalTable
 
     struct Info
     {
+        /** Vector width (memories: element width); 0 when the range
+         *  cannot be sized. */
         uint32_t width = 1;
         bool isReg = false;
         bool isArray = false;
@@ -111,10 +115,14 @@ class SignalTable
     const Info *find(const std::string &name) const;
     /** Resolved parameter value, or nullptr. */
     const KnownBits *param(const std::string &name) const;
+    /** Every signal, in name order. */
     const std::map<std::string, Info> &all() const { return sigs_; }
+    /** Every signal name, in declaration order. */
+    const std::vector<std::string> &order() const { return order_; }
 
   private:
     std::map<std::string, Info> sigs_;
+    std::vector<std::string> order_;
     std::map<std::string, KnownBits> params_;
 };
 

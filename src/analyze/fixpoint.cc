@@ -89,10 +89,10 @@ ConstFixpoint::factOf(const std::string &name,
 }
 
 ConstFixpoint
-solveConstants(const Module &mod, const SignalTable &sigs)
+solveConstants(const Module &mod, const SignalTable &sigs,
+               const std::vector<analysis::GuardedAssign> &assigns)
 {
     ConstFixpoint fix;
-    fix.assigns = analysis::collectAssigns(mod);
     fix.primConnected = primitiveConnections(mod);
 
     // Which comb processes fully assign which registers: those
@@ -102,8 +102,8 @@ solveConstants(const Module &mod, const SignalTable &sigs)
     std::map<std::string, std::vector<size_t>> assignsOf;
     std::map<std::string, std::vector<const AlwaysItem *>> combProcsOf;
     std::map<std::string, bool> hasNonCombAssign;
-    for (size_t i = 0; i < fix.assigns.size(); ++i) {
-        const auto &ga = fix.assigns[i];
+    for (size_t i = 0; i < assigns.size(); ++i) {
+        const auto &ga = assigns[i];
         for (const auto &target : analysis::lvalueTargets(ga.lhs)) {
             assignsOf[target].push_back(i);
             if (ga.proc && ga.proc->isComb) {
@@ -154,7 +154,7 @@ solveConstants(const Module &mod, const SignalTable &sigs)
 
     // Reverse dependency map: reading signal -> assignments to re-run.
     std::map<std::string, std::set<std::string>> dependents;
-    for (const auto &ga : fix.assigns) {
+    for (const auto &ga : assigns) {
         std::set<std::string> reads = analysis::collectSignals(ga.rhs);
         for (const auto &sig : analysis::collectSignals(ga.guard))
             reads.insert(sig);
@@ -177,7 +177,7 @@ solveConstants(const Module &mod, const SignalTable &sigs)
         if (seeds[name] == Seed::Zero)
             acc = KnownBits::constant(info->width, 0);
         for (size_t i : assignsOf[name]) {
-            const auto &ga = fix.assigns[i];
+            const auto &ga = assigns[i];
             auto guard = triEval(ga.guard, sigs, fix.env);
             if (!guard || *guard == Tri::False)
                 continue;
@@ -246,10 +246,10 @@ solveConstants(const Module &mod, const SignalTable &sigs)
         }
     }
 
-    fix.deadGuard.assign(fix.assigns.size(), 0);
-    fix.trueGuard.assign(fix.assigns.size(), 0);
-    for (size_t i = 0; i < fix.assigns.size(); ++i) {
-        const auto &ga = fix.assigns[i];
+    fix.deadGuard.assign(assigns.size(), 0);
+    fix.trueGuard.assign(assigns.size(), 0);
+    for (size_t i = 0; i < assigns.size(); ++i) {
+        const auto &ga = assigns[i];
         auto guard = triEval(ga.guard, sigs, fix.env);
         if (guard && *guard == Tri::False)
             fix.deadGuard[i] = 1;

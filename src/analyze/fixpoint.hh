@@ -54,10 +54,10 @@ struct MustAssignDomain
 /** Signals assigned on every activation path of @p proc. */
 std::set<std::string> mustAssignAtExit(const hdl::AlwaysItem &proc);
 
+/** Fixpoint over a module's assignments (analysis::collectAssigns);
+ *  the per-assign vectors are indexed like that list. */
 struct ConstFixpoint
 {
-    /** Every assignment, from analysis::collectAssigns (module order). */
-    std::vector<analysis::GuardedAssign> assigns;
     /** Final facts; a remaining std::nullopt means the signal is part
      *  of a combinational cycle and never settled (treat as unknown). */
     Env env;
@@ -74,8 +74,9 @@ struct ConstFixpoint
                      const SignalTable &sigs) const;
 };
 
-ConstFixpoint solveConstants(const hdl::Module &mod,
-                             const SignalTable &sigs);
+ConstFixpoint solveConstants(
+    const hdl::Module &mod, const SignalTable &sigs,
+    const std::vector<analysis::GuardedAssign> &assigns);
 
 } // namespace hwdbg::analyze
 

@@ -9,13 +9,12 @@
 namespace hwdbg::analyze
 {
 
-class AnalyzeContext;
+class Context;
 
-void passConst(AnalyzeContext &ctx);
-void passXinit(AnalyzeContext &ctx);
-void passRace(AnalyzeContext &ctx);
-void passCdc(AnalyzeContext &ctx);
-void passLoop(AnalyzeContext &ctx);
+void passConst(Context &ctx);
+void passXinit(Context &ctx);
+void passRace(Context &ctx);
+void passCdc(Context &ctx);
 
 } // namespace hwdbg::analyze
 

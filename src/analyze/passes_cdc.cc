@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "analysis/exprutil.hh"
-#include "analyze/analyze.hh"
+#include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"
 
@@ -33,21 +33,6 @@ using namespace hdl;
 
 namespace
 {
-
-lint::Diagnostic
-mkDiag(const std::string &rule, lint::Severity severity,
-       const std::string &subclass, const SourceLoc &loc,
-       std::string message, std::vector<std::string> signals)
-{
-    lint::Diagnostic diag;
-    diag.rule = rule;
-    diag.severity = severity;
-    diag.subclass = subclass;
-    diag.loc = loc;
-    diag.message = std::move(message);
-    diag.signals = std::move(signals);
-    return diag;
-}
 
 /** True when @p expr is exactly one identifier read of @p name. */
 bool
@@ -60,15 +45,15 @@ isPlainRead(const ExprPtr &expr, const std::string &name)
 } // namespace
 
 void
-passCdc(AnalyzeContext &ctx)
+passCdc(Context &ctx)
 {
-    const ConstFixpoint &fix = ctx.fixpoint();
     const Module &mod = ctx.module();
+    const auto &assigns = ctx.assigns();
     const auto &graph = ctx.graph();
 
     // Write domain(s) per register.
     std::map<std::string, std::set<std::string>> domainsOf;
-    for (const auto &ga : fix.assigns) {
+    for (const auto &ga : assigns) {
         if (!ga.proc || ga.proc->isComb || ga.clock.empty())
             continue;
         for (const auto &target : analysis::lvalueTargets(ga.lhs))
@@ -81,18 +66,18 @@ passCdc(AnalyzeContext &ctx)
         std::string clock_list;
         for (const auto &clock : domains)
             clock_list += (clock_list.empty() ? "" : ", ") + clock;
-        ctx.report(mkDiag(
-            "multi-clock-reg", lint::Severity::Error,
+        ctx.report(
+            "multi-clock-reg", Severity::Error,
             "Signal Asynchrony", ctx.declLoc(name),
             csprintf("'%s' is written from processes on different "
                      "clocks (%s)",
                      name.c_str(), clock_list.c_str()),
-            {name}));
+            {name});
     }
 
     // Unsynchronized consumption across domains.
     std::set<std::pair<std::string, std::string>> reported;
-    for (const auto &ga : fix.assigns) {
+    for (const auto &ga : assigns) {
         if (!ga.proc || ga.proc->isComb || ga.clock.empty())
             continue;
         std::set<std::string> reads =
@@ -114,15 +99,15 @@ passCdc(AnalyzeContext &ctx)
                     continue;
                 if (!reported.emplace(src, ga.clock).second)
                     continue;
-                ctx.report(mkDiag(
-                    "cdc-unsync", lint::Severity::Warning,
+                ctx.report(
+                    "cdc-unsync", Severity::Warning,
                     "Signal Asynchrony",
                     ga.stmt ? ga.stmt->loc : mod.loc,
                     csprintf("'%s' (clock '%s') is consumed in clock "
                              "domain '%s' without a synchronizer",
                              src.c_str(), src_clock.c_str(),
                              ga.clock.c_str()),
-                    {src}));
+                    {src});
             }
         }
     }

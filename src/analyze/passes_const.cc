@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "analysis/exprutil.hh"
-#include "analyze/analyze.hh"
+#include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"
 
@@ -22,21 +22,6 @@ using namespace hdl;
 
 namespace
 {
-
-lint::Diagnostic
-mkDiag(const std::string &rule, lint::Severity severity,
-       const std::string &subclass, const SourceLoc &loc,
-       std::string message, std::vector<std::string> signals)
-{
-    lint::Diagnostic diag;
-    diag.rule = rule;
-    diag.severity = severity;
-    diag.subclass = subclass;
-    diag.loc = loc;
-    diag.message = std::move(message);
-    diag.signals = std::move(signals);
-    return diag;
-}
 
 SourceLoc
 assignLoc(const analysis::GuardedAssign &ga, const Module &mod)
@@ -147,15 +132,16 @@ observableSinks(const Module &mod)
 } // namespace
 
 void
-passConst(AnalyzeContext &ctx)
+passConst(Context &ctx)
 {
     const Module &mod = ctx.module();
     const SignalTable &sigs = ctx.signals();
+    const auto &assigns = ctx.assigns();
     const ConstFixpoint &fix = ctx.fixpoint();
 
     // --- dead and always-true guards.
-    for (size_t i = 0; i < fix.assigns.size(); ++i) {
-        const auto &ga = fix.assigns[i];
+    for (size_t i = 0; i < assigns.size(); ++i) {
+        const auto &ga = assigns[i];
         if (!fix.deadGuard[i] && !fix.trueGuard[i])
             continue;
         auto targets = analysis::lvalueTargets(ga.lhs);
@@ -168,21 +154,21 @@ passConst(AnalyzeContext &ctx)
         for (const auto &target : targets)
             target_list += (target_list.empty() ? "" : ", ") + target;
         if (fix.deadGuard[i]) {
-            ctx.report(mkDiag(
-                "dead-guard", lint::Severity::Warning,
+            ctx.report(
+                "dead-guard", Severity::Warning,
                 "Failure-to-Update", assignLoc(ga, mod),
                 csprintf("branch guard is never true: assignment to "
                          "'%s' is unreachable",
                          target_list.c_str()),
-                std::move(signals)));
+                std::move(signals));
         } else {
-            ctx.report(mkDiag(
-                "const-guard", lint::Severity::Info,
+            ctx.report(
+                "const-guard", Severity::Info,
                 "Incomplete Implementation", assignLoc(ga, mod),
                 csprintf("branch guard is always true for assignment "
                          "to '%s'",
                          target_list.c_str()),
-                std::move(signals)));
+                std::move(signals));
         }
     }
 
@@ -193,12 +179,12 @@ passConst(AnalyzeContext &ctx)
             continue;
         KnownBits kb = fix.factOf(name, sigs);
         if (kb.fullyKnown()) {
-            ctx.report(mkDiag(
-                "stuck-output", lint::Severity::Warning,
+            ctx.report(
+                "stuck-output", Severity::Warning,
                 "Failure-to-Update", info.loc,
                 csprintf("output '%s' is stuck at %s", name.c_str(),
                          fmtConst(kb).c_str()),
-                {name}));
+                {name});
         } else if (kb.anyKnown() && info.width > 1) {
             std::ostringstream bitlist;
             bool first = true;
@@ -209,12 +195,12 @@ passConst(AnalyzeContext &ctx)
                         << "]=" << (kb.value >> bit & 1);
                 first = false;
             }
-            ctx.report(mkDiag(
-                "stuck-bit", lint::Severity::Warning,
+            ctx.report(
+                "stuck-bit", Severity::Warning,
                 "Failure-to-Update", info.loc,
                 csprintf("output '%s' has stuck bits: %s",
                          name.c_str(), bitlist.str().c_str()),
-                {name}));
+                {name});
         }
     }
 
@@ -236,13 +222,13 @@ passConst(AnalyzeContext &ctx)
         // signals are lint's unused-signal finding, not ours.
         if (graph.edgesOutOf(name).empty())
             continue;
-        ctx.report(mkDiag(
-            "dead-signal", lint::Severity::Warning,
+        ctx.report(
+            "dead-signal", Severity::Warning,
             "Incomplete Implementation", info.loc,
             csprintf("'%s' is read but never reaches an output, "
                      "$display, $finish, or primitive",
                      name.c_str()),
-            {name}));
+            {name});
     }
 }
 

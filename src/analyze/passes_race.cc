@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "analysis/exprutil.hh"
-#include "analyze/analyze.hh"
+#include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"
 
@@ -43,21 +43,6 @@ using namespace hdl;
 
 namespace
 {
-
-lint::Diagnostic
-mkDiag(const std::string &rule, lint::Severity severity,
-       const std::string &subclass, const SourceLoc &loc,
-       std::string message, std::vector<std::string> signals)
-{
-    lint::Diagnostic diag;
-    diag.rule = rule;
-    diag.severity = severity;
-    diag.subclass = subclass;
-    diag.loc = loc;
-    diag.message = std::move(message);
-    diag.signals = std::move(signals);
-    return diag;
-}
 
 struct ClockedWrite
 {
@@ -70,14 +55,13 @@ struct ClockedWrite
 } // namespace
 
 void
-passRace(AnalyzeContext &ctx)
+passRace(Context &ctx)
 {
-    const ConstFixpoint &fix = ctx.fixpoint();
     const Module &mod = ctx.module();
 
     // Clocked writes per signal, in module order.
     std::map<std::string, std::vector<ClockedWrite>> writes;
-    for (const auto &ga : fix.assigns) {
+    for (const auto &ga : ctx.assigns()) {
         if (!ga.proc || ga.proc->isComb)
             continue;
         ClockedWrite cw;
@@ -128,14 +112,14 @@ passRace(AnalyzeContext &ctx)
                 for (size_t rival : rivals)
                     rival_list += (rival_list.empty() ? "" : ", ") +
                                   csprintf("always-block %zu", rival);
-                ctx.report(mkDiag(
-                    "blocking-race", lint::Severity::Error,
+                ctx.report(
+                    "blocking-race", Severity::Error,
                     "Signal Asynchrony", blocking->loc,
                     csprintf("blocking write to '%s' races with %s on "
                              "the same clock edge; the observed value "
                              "depends on process execution order",
                              name.c_str(), rival_list.c_str()),
-                    {name}));
+                    {name});
             }
         }
 
@@ -150,15 +134,15 @@ passRace(AnalyzeContext &ctx)
             has_nba |= !site.blocking;
         }
         if (has_blocking && has_nba) {
-            ctx.report(mkDiag(
-                "nba-blocking-mix", lint::Severity::Warning,
+            ctx.report(
+                "nba-blocking-mix", Severity::Warning,
                 "Signal Asynchrony", mix_loc,
                 csprintf("'%s' is written with both blocking and "
                          "nonblocking assignments in clocked "
                          "processes; the nonblocking commit can "
                          "silently overwrite the blocking value",
                          name.c_str()),
-                {name}));
+                {name});
         }
 
         // --- multi-driver-nba: NBA writers in several processes.
@@ -175,14 +159,14 @@ passRace(AnalyzeContext &ctx)
             nbaProcs.insert(site.proc);
         }
         if (nbaProcs.size() >= 2) {
-            ctx.report(mkDiag(
-                "multi-driver-nba", lint::Severity::Warning,
+            ctx.report(
+                "multi-driver-nba", Severity::Warning,
                 "Signal Asynchrony", nba_loc,
                 csprintf("'%s' receives nonblocking writes from %zu "
                          "clocked processes; the surviving value "
                          "follows process execution order",
                          name.c_str(), nbaProcs.size()),
-                {name}));
+                {name});
         }
     }
 }

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "analysis/exprutil.hh"
-#include "analyze/analyze.hh"
+#include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "analyze/solver.hh"
 #include "common/logging.hh"
@@ -34,82 +34,12 @@ namespace hwdbg::analyze
 
 using namespace hdl;
 
-namespace
-{
-
-lint::Diagnostic
-mkDiag(const std::string &rule, lint::Severity severity,
-       const std::string &subclass, const SourceLoc &loc,
-       std::string message, std::vector<std::string> signals)
-{
-    lint::Diagnostic diag;
-    diag.rule = rule;
-    diag.severity = severity;
-    diag.subclass = subclass;
-    diag.loc = loc;
-    diag.message = std::move(message);
-    diag.signals = std::move(signals);
-    return diag;
-}
-
-/** Signals a CFG node reads when it executes (or branches). */
-std::set<std::string>
-nodeReads(const CfgNode &node)
-{
-    std::set<std::string> reads;
-    if (!node.stmt)
-        return reads;
-    auto add = [&](const ExprPtr &expr) {
-        if (!expr)
-            return;
-        for (const auto &sig : analysis::collectSignals(expr))
-            reads.insert(sig);
-    };
-    switch (node.stmt->kind) {
-      case StmtKind::If:
-        add(node.stmt->as<IfStmt>()->cond);
-        break;
-      case StmtKind::Case: {
-        const auto *sel = node.stmt->as<CaseStmt>();
-        add(sel->selector);
-        for (const auto &item : sel->items)
-            for (const auto &label : item.labels)
-                add(label);
-        break;
-      }
-      case StmtKind::Assign: {
-        const auto *assign = node.stmt->as<AssignStmt>();
-        add(assign->rhs);
-        // Index expressions of the lvalue are reads; the written
-        // targets themselves are not.
-        std::set<std::string> lhs_sigs;
-        for (const auto &sig :
-             analysis::collectSignals(assign->lhs))
-            lhs_sigs.insert(sig);
-        for (const auto &target :
-             analysis::lvalueTargets(assign->lhs))
-            lhs_sigs.erase(target);
-        for (const auto &sig : lhs_sigs)
-            reads.insert(sig);
-        break;
-      }
-      case StmtKind::Display:
-        for (const auto &arg : node.stmt->as<DisplayStmt>()->args)
-            add(arg);
-        break;
-      default:
-        break;
-    }
-    return reads;
-}
-
-} // namespace
-
 void
-passXinit(AnalyzeContext &ctx)
+passXinit(Context &ctx)
 {
     const Module &mod = ctx.module();
     const SignalTable &sigs = ctx.signals();
+    const auto &assigns = ctx.assigns();
     const ConstFixpoint &fix = ctx.fixpoint();
 
     // --- comb-read-before-write: must-assign dataflow per comb proc.
@@ -122,7 +52,7 @@ passXinit(AnalyzeContext &ctx)
 
         // Signals this process drives anywhere.
         std::set<std::string> written;
-        for (const auto &ga : fix.assigns)
+        for (const auto &ga : assigns)
             if (ga.proc == proc)
                 for (const auto &target :
                      analysis::lvalueTargets(ga.lhs))
@@ -139,28 +69,29 @@ passXinit(AnalyzeContext &ctx)
             const CfgNode &node = cfg.nodes[n];
             if (!node.stmt || !res.in[n])
                 continue;
-            for (const auto &sig : nodeReads(node)) {
+            std::set<std::string> reads;
+            stmtReads(*node.stmt, reads);
+            for (const auto &sig : reads) {
                 if (!written.count(sig) || res.in[n]->count(sig))
                     continue;
                 if (!reported.insert(sig).second)
                     continue;
-                ctx.report(mkDiag(
-                    "comb-read-before-write", lint::Severity::Warning,
+                ctx.report(
+                    "comb-read-before-write", Severity::Warning,
                     "Signal Asynchrony", node.stmt->loc,
                     csprintf("'%s' is read before this combinational "
                              "process assigns it; the read observes "
                              "the previous settling value",
                              sig.c_str()),
-                    {sig}));
+                    {sig});
             }
         }
     }
 
     // --- read-uninitialized: every assignment to a register is dead.
     std::map<std::string, std::vector<size_t>> assignsOf;
-    for (size_t i = 0; i < fix.assigns.size(); ++i)
-        for (const auto &target :
-             analysis::lvalueTargets(fix.assigns[i].lhs))
+    for (size_t i = 0; i < assigns.size(); ++i)
+        for (const auto &target : analysis::lvalueTargets(assigns[i].lhs))
             assignsOf[target].push_back(i);
 
     const auto &graph = ctx.graph();
@@ -182,14 +113,14 @@ passXinit(AnalyzeContext &ctx)
                     info.dir == PortDir::Output;
         if (!read)
             continue;
-        ctx.report(mkDiag(
-            "read-uninitialized", lint::Severity::Warning,
+        ctx.report(
+            "read-uninitialized", Severity::Warning,
             "Failure-to-Update", info.loc,
             csprintf("no assignment to '%s' is ever reachable; reads "
                      "observe only the initial value (X in four-state "
                      "simulation)",
                      name.c_str()),
-            {name}));
+            {name});
     }
 }
 

@@ -5,7 +5,7 @@
  * Exposes the library's debugging tools over Verilog files:
  *
  *   hwdbg parse      <file> [--top M] [--define NAME]...
- *   hwdbg lint       <file> [--top M] [--format text|json]
+ *   hwdbg lint       <file|--bug ID> [--top M] [--format text|json]
  *                    [--rule ID]...
  *   hwdbg analyze    <file|--bug ID> [--pass LIST]
  *                    [--format text|json] [--out FILE]
@@ -284,7 +284,8 @@ cmdLint(const Args &args)
 {
     lint::LintOptions opts;
     opts.rules.insert(args.rules.begin(), args.rules.end());
-    auto diags = lint::runLint(*load(args).base, opts);
+    auto diags = lint::runLint(
+        *debug::buildWorkload(workloadSpec(args)).base, opts);
     bool json = jsonFormat(args);
     std::fputs((json ? lint::renderJson(diags) : lint::renderText(diags))
                    .c_str(),
@@ -909,9 +910,11 @@ commands()
          "  --top M          top module (default: the only/first one)\n"
          "  --define NAME    preprocessor define (repeatable)\n",
          cmdParse},
-        {"lint", "lint <file> [--format F] [--rule ID]...",
+        {"lint", "lint <file|--bug ID> [--format F] [--rule ID]...",
          "static bug-pattern check (exit 1 when errors)",
          "options:\n"
+         "  --bug ID             lint a testbed bug's design\n"
+         "                       (--fixed for the fixed variant)\n"
          "  --format text|json   diagnostic output format\n"
          "  --rule ID            only run the named rule (repeatable)\n",
          cmdLint},

@@ -42,7 +42,9 @@ class Lowerer
         : design_(design), fold_(fold), sigs_(design.module())
     {
         if (fold_) {
-            fix_ = analyze::solveConstants(design_.module(), sigs_);
+            fix_ = analyze::solveConstants(
+                design_.module(), sigs_,
+                analysis::collectAssigns(design_.module()));
             env_ = &fix_.env;
         }
     }

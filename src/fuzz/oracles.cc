@@ -21,7 +21,6 @@
 #include "fuzz/rng.hh"
 #include "hdl/parser.hh"
 #include "hdl/printer.hh"
-#include "lint/diagnostic.hh"
 #include "lint/lint.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"

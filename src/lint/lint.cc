@@ -1,122 +1,86 @@
 #include "lint/lint.hh"
 
-#include "common/logging.hh"
-#include "lint/context.hh"
 #include "lint/rules.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace hwdbg::lint
 {
 
-const std::vector<LintRule> &
+using analyze::Check;
+
+const std::vector<Check> &
 lintRules()
 {
     // Each rule targets one Table 1 bug subclass from the paper's bug
     // study; the DESIGN.md lint section documents the mapping.
-    static const std::vector<LintRule> rules = {
-        {"incomplete-case", Severity::Warning,
-         "Incomplete Implementation",
+    static const std::vector<Check> rules = {
+        {"incomplete-case",
          "case in a combinational process covers neither all selector "
          "values nor a default",
-         checkIncompleteCase},
-        {"inferred-latch", Severity::Warning,
-         "Failure-to-Update",
+         checkIncompleteCase, Severity::Warning, "Incomplete Implementation"},
+        {"inferred-latch",
          "combinational process leaves a target unassigned on some "
          "path, inferring a latch",
-         checkInferredLatch},
-        {"blocking-in-seq", Severity::Warning, "Signal Asynchrony",
+         checkInferredLatch, Severity::Warning, "Failure-to-Update"},
+        {"blocking-in-seq",
          "blocking assignment inside a clocked process",
-         checkBlockingInSeq},
-        {"nonblocking-in-comb", Severity::Warning, "Signal Asynchrony",
+         checkBlockingInSeq, Severity::Warning, "Signal Asynchrony"},
+        {"nonblocking-in-comb",
          "nonblocking assignment inside a combinational process",
-         checkNonblockingInComb},
-        {"width-trunc", Severity::Warning, "Bit Truncation",
+         checkNonblockingInComb, Severity::Warning, "Signal Asynchrony"},
+        {"width-trunc",
          "assignment silently truncates a wider value",
-         checkWidthTruncation},
-        {"multi-driven", Severity::Error, "Signal Asynchrony",
+         checkWidthTruncation, Severity::Warning, "Bit Truncation"},
+        {"multi-driven",
          "signal driven from more than one process or assignment",
-         checkMultiDriven},
-        {"comb-loop", Severity::Error, "Deadlock",
-         "zero-delay combinational feedback loop", checkCombLoop},
-        {"undriven", Severity::Error, "Failure-to-Update",
+         checkMultiDriven, Severity::Error, "Signal Asynchrony"},
+        {"comb-loop",
+         "zero-delay combinational feedback loop",
+         analyze::checkCombLoop, Severity::Error, "Deadlock"},
+        {"undriven",
          "signal is read (or exported) but nothing ever drives it",
-         checkUndriven},
-        {"unused-signal", Severity::Warning,
-         "Incomplete Implementation",
+         checkUndriven, Severity::Error, "Failure-to-Update"},
+        {"unused-signal",
          "internal signal is driven but its value is never read",
-         checkUnusedSignal},
-        {"unused-input", Severity::Warning,
-         "Incomplete Implementation",
-         "input port is never read", checkUnusedInput},
-        {"fifo-no-backpressure", Severity::Error, "Buffer Overflow",
+         checkUnusedSignal, Severity::Warning, "Incomplete Implementation"},
+        {"unused-input",
+         "input port is never read",
+         checkUnusedInput, Severity::Warning, "Incomplete Implementation"},
+        {"fifo-no-backpressure",
          "FIFO request ignores the primitive's full/empty flag",
-         checkFifoNoBackpressure},
-        {"fsm-unreachable", Severity::Warning,
-         "Incomplete Implementation",
+         checkFifoNoBackpressure, Severity::Error, "Buffer Overflow"},
+        {"fsm-unreachable",
          "FSM state is unreachable from the reset state",
-         checkFsmUnreachable},
-        {"fsm-no-exit", Severity::Warning, "Deadlock",
-         "FSM state has no outgoing transition", checkFsmNoExit},
-        {"sticky-flag", Severity::Warning, "Failure-to-Update",
+         checkFsmUnreachable, Severity::Warning, "Incomplete Implementation"},
+        {"fsm-no-exit",
+         "FSM state has no outgoing transition",
+         checkFsmNoExit, Severity::Warning, "Deadlock"},
+        {"sticky-flag",
          "flag set during operation is only ever cleared by reset",
-         checkStickyFlag},
-        {"enable-deadlock", Severity::Error, "Deadlock",
+         checkStickyFlag, Severity::Warning, "Failure-to-Update"},
+        {"enable-deadlock",
          "flags that reset to 0 require each other to ever assert",
-         checkEnableDeadlock},
-        {"handshake-drop", Severity::Error, "Protocol Violation",
+         checkEnableDeadlock, Severity::Error, "Deadlock"},
+        {"handshake-drop",
          "valid deasserted without consulting ready",
-         checkHandshakeDrop},
-        {"handshake-unstable", Severity::Error, "Protocol Violation",
+         checkHandshakeDrop, Severity::Error, "Protocol Violation"},
+        {"handshake-unstable",
          "data changes while valid is high and ready is low",
-         checkHandshakeUnstable},
+         checkHandshakeUnstable, Severity::Error, "Protocol Violation"},
     };
     return rules;
 }
 
-const LintRule *
+const Check *
 ruleById(const std::string &id)
 {
-    for (const auto &rule : lintRules())
-        if (rule.id == id)
-            return &rule;
-    return nullptr;
+    return analyze::findCheck(lintRules(), id);
 }
 
 std::vector<Diagnostic>
 runLint(const hdl::Module &mod, const LintOptions &opts)
 {
-    for (const auto &id : opts.rules)
-        if (!ruleById(id))
-            fatal("unknown lint rule '%s'", id.c_str());
-
-    obs::ObsSpan span("lint");
-    LintContext ctx(mod);
-    for (const auto &rule : lintRules()) {
-        if (!opts.rules.empty() && !opts.rules.count(rule.id))
-            continue;
-        ctx.beginRule(rule);
-        rule.check(ctx);
-    }
-    std::vector<Diagnostic> diags = ctx.takeDiagnostics();
-    HWDBG_STAT_INC("lint.runs", 1);
-    HWDBG_STAT_INC("lint.diagnostics", diags.size());
-    if (obs::metricsEnabled()) {
-        // Per-rule hit counters need dynamic names, so they bypass the
-        // cached-site macro and pay the registry lookup per diagnostic.
-        for (const auto &diag : diags)
-            obs::counter("lint.hits." + diag.rule).inc();
-    }
-    return diags;
-}
-
-bool
-hasErrors(const std::vector<Diagnostic> &diags)
-{
-    for (const auto &diag : diags)
-        if (diag.severity == Severity::Error)
-            return true;
-    return false;
+    return analyze::runChecks("lint", "lint rule", lintRules(), opts.rules,
+                              mod);
 }
 
 } // namespace hwdbg::lint

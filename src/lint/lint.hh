@@ -2,15 +2,15 @@
  * @file
  * Static lint over the elaborated Verilog AST.
  *
- * The linter is a registry of rules keyed to the paper's Table 1 bug
- * subclasses: each rule statically matches one of the code patterns the
- * bug study found in real FPGA projects (inferred latches, multiple
- * drivers, combinational loops, dead FSM states, bit truncation,
- * sticky flags, circular enables, FIFO pushes without backpressure,
- * and valid/ready handshake violations). Running the linter before
- * simulation complements the dynamic tools (SignalCat, the monitors,
- * LossCheck): the rules flag the bug pattern, the dynamic tools then
- * localize the failing instance.
+ * The linter is the pattern-rule preset of the one check registry
+ * (analyze/context.hh): each rule statically matches one of the code
+ * patterns the paper's Table 1 bug study found in real FPGA projects
+ * (inferred latches, multiple drivers, combinational loops, dead FSM
+ * states, bit truncation, sticky flags, circular enables, FIFO pushes
+ * without backpressure, and valid/ready handshake violations). Running
+ * the linter before simulation complements the dynamic tools
+ * (SignalCat, the monitors, LossCheck): the rules flag the bug
+ * pattern, the dynamic tools then localize the failing instance.
  */
 
 #ifndef HWDBG_LINT_LINT_HH
@@ -20,29 +20,24 @@
 #include <string>
 #include <vector>
 
+#include "analyze/context.hh"
 #include "hdl/ast.hh"
-#include "lint/diagnostic.hh"
 
 namespace hwdbg::lint
 {
 
-class LintContext;
-
-struct LintRule
-{
-    std::string id;
-    Severity severity = Severity::Warning;
-    /** Table 1 subclass the rule targets. */
-    std::string subclass;
-    std::string description;
-    void (*check)(LintContext &ctx) = nullptr;
-};
+using analyze::Diagnostic;
+using analyze::hasErrors;
+using analyze::renderJson;
+using analyze::renderText;
+using analyze::Severity;
+using analyze::severityName;
 
 /** The full rule registry, in presentation order. */
-const std::vector<LintRule> &lintRules();
+const std::vector<analyze::Check> &lintRules();
 
 /** Registry entry for @p id, or nullptr. */
-const LintRule *ruleById(const std::string &id);
+const analyze::Check *ruleById(const std::string &id);
 
 struct LintOptions
 {
@@ -56,9 +51,6 @@ struct LintOptions
  */
 std::vector<Diagnostic> runLint(const hdl::Module &mod,
                                 const LintOptions &opts = {});
-
-/** True when any diagnostic has Error severity (CLI exit status). */
-bool hasErrors(const std::vector<Diagnostic> &diags);
 
 } // namespace hwdbg::lint
 

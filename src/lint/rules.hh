@@ -1,42 +1,47 @@
 /**
  * @file
  * Rule check entry points, grouped by the module file implementing them.
- * Each function scans the LintContext and reports any findings; the
- * registry in lint.cc stamps rule id/severity/subclass metadata.
+ * Each function reads facts from the analyze::Context and reports any
+ * findings; the context stamps the registry's rule id, severity and
+ * subclass on them. The comb-loop rule is analyze::checkCombLoop.
  */
 
 #ifndef HWDBG_LINT_RULES_HH
 #define HWDBG_LINT_RULES_HH
 
+#include "analyze/context.hh"
+
 namespace hwdbg::lint
 {
 
-class LintContext;
+using analyze::conjuncts;
+using analyze::Context;
+using analyze::forEachStmt;
+using analyze::mentions;
 
 // rules_style.cc — coding-style rules over process bodies.
-void checkIncompleteCase(LintContext &ctx);
-void checkInferredLatch(LintContext &ctx);
-void checkBlockingInSeq(LintContext &ctx);
-void checkNonblockingInComb(LintContext &ctx);
-void checkWidthTruncation(LintContext &ctx);
+void checkIncompleteCase(Context &ctx);
+void checkInferredLatch(Context &ctx);
+void checkBlockingInSeq(Context &ctx);
+void checkNonblockingInComb(Context &ctx);
+void checkWidthTruncation(Context &ctx);
 
 // rules_structure.cc — netlist-structure rules.
-void checkMultiDriven(LintContext &ctx);
-void checkCombLoop(LintContext &ctx);
-void checkUndriven(LintContext &ctx);
-void checkUnusedSignal(LintContext &ctx);
-void checkUnusedInput(LintContext &ctx);
-void checkFifoNoBackpressure(LintContext &ctx);
+void checkMultiDriven(Context &ctx);
+void checkUndriven(Context &ctx);
+void checkUnusedSignal(Context &ctx);
+void checkUnusedInput(Context &ctx);
+void checkFifoNoBackpressure(Context &ctx);
 
 // rules_state.cc — FSM and state-flag rules.
-void checkFsmUnreachable(LintContext &ctx);
-void checkFsmNoExit(LintContext &ctx);
-void checkStickyFlag(LintContext &ctx);
-void checkEnableDeadlock(LintContext &ctx);
+void checkFsmUnreachable(Context &ctx);
+void checkFsmNoExit(Context &ctx);
+void checkStickyFlag(Context &ctx);
+void checkEnableDeadlock(Context &ctx);
 
 // rules_handshake.cc — valid/ready protocol rules.
-void checkHandshakeDrop(LintContext &ctx);
-void checkHandshakeUnstable(LintContext &ctx);
+void checkHandshakeDrop(Context &ctx);
+void checkHandshakeUnstable(Context &ctx);
 
 } // namespace hwdbg::lint
 

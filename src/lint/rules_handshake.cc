@@ -11,7 +11,6 @@
 
 #include "analysis/exprutil.hh"
 #include "common/logging.hh"
-#include "lint/context.hh"
 #include "lint/rules.hh"
 #include "sim/design.hh"
 
@@ -38,7 +37,7 @@ prefixOf(const std::string &name, const std::string &suffix)
 bool
 hasPositiveConjunct(const ExprPtr &guard, const std::string &name)
 {
-    for (const auto &conj : LintContext::conjuncts(guard))
+    for (const auto &conj : conjuncts(guard))
         if (conj->kind == ExprKind::Id &&
             conj->as<IdExpr>()->name == name)
             return true;
@@ -48,16 +47,17 @@ hasPositiveConjunct(const ExprPtr &guard, const std::string &name)
 } // namespace
 
 void
-checkHandshakeDrop(LintContext &ctx)
+checkHandshakeDrop(Context &ctx)
 {
-    for (const auto &valid : ctx.signalNames()) {
+    const auto &sigs = ctx.signals();
+    for (const auto &valid : sigs.order()) {
         auto prefix = prefixOf(valid, "valid");
         if (!prefix)
             continue;
         std::string ready = *prefix + "ready";
-        if (!ctx.isDeclared(ready) || !ctx.isReg(valid) ||
-            ctx.dirOf(valid) == PortDir::Input ||
-            ctx.driversOf(valid).empty())
+        const auto *info = sigs.find(valid);
+        if (!sigs.find(ready) || !info->isReg ||
+            info->dir == PortDir::Input || ctx.driversOf(valid).empty())
             continue;
 
         // Pulse-style producers that only assert valid when ready is
@@ -78,7 +78,7 @@ checkHandshakeDrop(LintContext &ctx)
             if (is_clear || ctx.isResetBranchGuard(ga.guard))
                 continue;
             any_set = true;
-            if (!LintContext::mentions(ga.guard, ready))
+            if (!mentions(ga.guard, ready))
                 sets_gated_on_ready = false;
         }
         if (any_set && sets_gated_on_ready)
@@ -100,7 +100,7 @@ checkHandshakeDrop(LintContext &ctx)
                 continue;
             if (ctx.isResetBranchGuard(ga.guard))
                 continue;
-            if (LintContext::mentions(ga.guard, ready))
+            if (mentions(ga.guard, ready))
                 continue;
             ctx.report(ga.stmt->loc,
                        csprintf("'%s' is deasserted without checking "
@@ -113,17 +113,18 @@ checkHandshakeDrop(LintContext &ctx)
 }
 
 void
-checkHandshakeUnstable(LintContext &ctx)
+checkHandshakeUnstable(Context &ctx)
 {
-    for (const auto &data : ctx.signalNames()) {
+    const auto &sigs = ctx.signals();
+    for (const auto &data : sigs.order()) {
         auto prefix = prefixOf(data, "data");
         if (!prefix)
             continue;
         std::string valid = *prefix + "valid";
         std::string ready = *prefix + "ready";
-        if (!ctx.isDeclared(valid) || !ctx.isDeclared(ready))
+        if (!sigs.find(valid) || !sigs.find(ready))
             continue;
-        if (!ctx.isReg(data) || ctx.driversOf(data).empty())
+        if (!sigs.find(data)->isReg || ctx.driversOf(data).empty())
             continue;
 
         for (const auto &ga : ctx.assigns()) {
@@ -136,7 +137,7 @@ checkHandshakeUnstable(LintContext &ctx)
                 continue;
             if (!hasPositiveConjunct(ga.guard, valid))
                 continue;
-            if (LintContext::mentions(ga.guard, ready))
+            if (mentions(ga.guard, ready))
                 continue;
             ctx.report(ga.stmt->loc,
                        csprintf("'%s' changes while '%s' is high "

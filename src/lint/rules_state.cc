@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "lint/context.hh"
 #include "lint/rules.hh"
 #include "sim/design.hh"
 
@@ -50,7 +49,7 @@ struct FlagAssign
  * classification would be unsound).
  */
 std::optional<std::vector<FlagAssign>>
-flagAssigns(LintContext &ctx, const std::string &name)
+flagAssigns(Context &ctx, const std::string &name)
 {
     std::vector<FlagAssign> out;
     for (const auto &ga : ctx.assigns()) {
@@ -72,10 +71,24 @@ flagAssigns(LintContext &ctx, const std::string &name)
     return out;
 }
 
+/** One-bit, non-memory registers, in declaration order. */
+std::vector<std::string>
+flagRegs(Context &ctx)
+{
+    std::vector<std::string> out;
+    const auto &sigs = ctx.signals();
+    for (const auto &name : sigs.order()) {
+        const auto *info = sigs.find(name);
+        if (info->isReg && !info->isArray && info->width == 1)
+            out.push_back(name);
+    }
+    return out;
+}
+
 } // namespace
 
 void
-checkFsmUnreachable(LintContext &ctx)
+checkFsmUnreachable(Context &ctx)
 {
     for (const auto &fsm : ctx.fsms()) {
         // Entry states: targets of reset-branch transitions; fall back
@@ -123,7 +136,7 @@ checkFsmUnreachable(LintContext &ctx)
 }
 
 void
-checkFsmNoExit(LintContext &ctx)
+checkFsmNoExit(Context &ctx)
 {
     for (const auto &fsm : ctx.fsms()) {
         if (fsm.transitions.empty())
@@ -155,12 +168,9 @@ checkFsmNoExit(LintContext &ctx)
 }
 
 void
-checkStickyFlag(LintContext &ctx)
+checkStickyFlag(Context &ctx)
 {
-    for (const auto &name : ctx.signalNames()) {
-        if (!ctx.isReg(name) || ctx.isMemory(name) ||
-            ctx.widthOf(name) != 1)
-            continue;
+    for (const auto &name : flagRegs(ctx)) {
         if (!ctx.isRead(name) || ctx.isClockName(name) ||
             ctx.isResetName(name))
             continue;
@@ -195,7 +205,7 @@ checkStickyFlag(LintContext &ctx)
 }
 
 void
-checkEnableDeadlock(LintContext &ctx)
+checkEnableDeadlock(Context &ctx)
 {
     // Candidate flags: one-bit registers that reset to 0 and are only
     // ever set to constant 1 outside reset.
@@ -204,10 +214,7 @@ checkEnableDeadlock(LintContext &ctx)
         std::vector<const analysis::GuardedAssign *> sets;
     };
     std::map<std::string, Candidate> candidates;
-    for (const auto &name : ctx.signalNames()) {
-        if (!ctx.isReg(name) || ctx.isMemory(name) ||
-            ctx.widthOf(name) != 1)
-            continue;
+    for (const auto &name : flagRegs(ctx)) {
         auto fas = flagAssigns(ctx, name);
         if (!fas || fas->empty())
             continue;
@@ -239,7 +246,7 @@ checkEnableDeadlock(LintContext &ctx)
         bool first = true;
         for (const auto *ga : cand.sets) {
             std::set<std::string> here;
-            for (const auto &conj : LintContext::conjuncts(ga->guard))
+            for (const auto &conj : conjuncts(ga->guard))
                 if (conj->kind == ExprKind::Id &&
                     candidates.count(conj->as<IdExpr>()->name) &&
                     conj->as<IdExpr>()->name != name)

@@ -14,7 +14,6 @@
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "elab/ip_models.hh"
-#include "lint/context.hh"
 #include "lint/rules.hh"
 
 namespace hwdbg::lint
@@ -23,9 +22,9 @@ namespace hwdbg::lint
 using namespace hdl;
 
 void
-checkMultiDriven(LintContext &ctx)
+checkMultiDriven(Context &ctx)
 {
-    for (const auto &name : ctx.signalNames()) {
+    for (const auto &name : ctx.signals().order()) {
         const auto &sites = ctx.driversOf(name);
         if (sites.size() < 2)
             continue;
@@ -43,22 +42,12 @@ checkMultiDriven(LintContext &ctx)
 }
 
 void
-checkCombLoop(LintContext &ctx)
+checkUndriven(Context &ctx)
 {
-    // Emitted through the shared builder so the analyze framework's
-    // loop findings are byte-identical and dedupe against these.
-    for (auto &diag : combCycleDiagnostics(
-             ctx.graph().combCycles(), [&](const std::string &name) {
-                 return ctx.declLoc(name);
-             }))
-        ctx.report(std::move(diag));
-}
-
-void
-checkUndriven(LintContext &ctx)
-{
-    for (const auto &name : ctx.signalNames()) {
-        if (ctx.dirOf(name) == PortDir::Input)
+    const auto &sigs = ctx.signals();
+    for (const auto &name : sigs.order()) {
+        PortDir dir = sigs.find(name)->dir;
+        if (dir == PortDir::Input)
             continue;
         if (!ctx.driversOf(name).empty())
             continue;
@@ -67,7 +56,7 @@ checkUndriven(LintContext &ctx)
                        csprintf("'%s' is read but never driven",
                                 name.c_str()),
                        {name});
-        } else if (ctx.dirOf(name) == PortDir::Output) {
+        } else if (dir == PortDir::Output) {
             ctx.report(ctx.declLoc(name),
                        csprintf("output port '%s' is never driven",
                                 name.c_str()),
@@ -77,10 +66,11 @@ checkUndriven(LintContext &ctx)
 }
 
 void
-checkUnusedSignal(LintContext &ctx)
+checkUnusedSignal(Context &ctx)
 {
-    for (const auto &name : ctx.signalNames()) {
-        if (ctx.dirOf(name) != PortDir::None)
+    const auto &sigs = ctx.signals();
+    for (const auto &name : sigs.order()) {
+        if (sigs.find(name)->dir != PortDir::None)
             continue;
         if (ctx.isRead(name))
             continue;
@@ -103,10 +93,11 @@ checkUnusedSignal(LintContext &ctx)
 }
 
 void
-checkUnusedInput(LintContext &ctx)
+checkUnusedInput(Context &ctx)
 {
-    for (const auto &name : ctx.signalNames()) {
-        if (ctx.dirOf(name) != PortDir::Input)
+    const auto &sigs = ctx.signals();
+    for (const auto &name : sigs.order()) {
+        if (sigs.find(name)->dir != PortDir::Input)
             continue;
         if (ctx.isRead(name) || ctx.isClockName(name))
             continue;
@@ -158,7 +149,7 @@ struct ReqFlagPair
 } // namespace
 
 void
-checkFifoNoBackpressure(LintContext &ctx)
+checkFifoNoBackpressure(Context &ctx)
 {
     static const std::map<std::string, std::vector<ReqFlagPair>>
         pairsByModel = {
@@ -166,8 +157,8 @@ checkFifoNoBackpressure(LintContext &ctx)
             {"dcfifo", {{"wrreq", "wrfull"}, {"rdreq", "rdempty"}}},
         };
 
-    const auto defs = analysis::wireDefinitions(ctx.mod());
-    for (const auto &item : ctx.mod().items) {
+    const auto defs = analysis::wireDefinitions(ctx.module());
+    for (const auto &item : ctx.module().items) {
         if (item->kind != ItemKind::Instance)
             continue;
         const auto *inst = item->as<InstanceItem>();

@@ -7,15 +7,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "analysis/exprutil.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
-#include "lint/context.hh"
 #include "lint/rules.hh"
+#include "sim/design.hh"
 
 namespace hwdbg::lint
 {
@@ -25,29 +25,88 @@ using namespace hdl;
 namespace
 {
 
-/** Walk every statement of @p stmt, leaves included. */
-void
-forEachStmt(const StmtPtr &stmt,
-            const std::function<void(const Stmt &)> &fn)
+/** Constant value of @p expr, or nullopt for non-constant trees. */
+std::optional<uint64_t>
+tryConstU64(const ExprPtr &expr)
 {
-    if (!stmt)
-        return;
-    fn(*stmt);
-    switch (stmt->kind) {
-      case StmtKind::Block:
-        for (const auto &sub : stmt->as<BlockStmt>()->stmts)
-            forEachStmt(sub, fn);
-        break;
-      case StmtKind::If:
-        forEachStmt(stmt->as<IfStmt>()->thenStmt, fn);
-        forEachStmt(stmt->as<IfStmt>()->elseStmt, fn);
-        break;
-      case StmtKind::Case:
-        for (const auto &item : stmt->as<CaseStmt>()->items)
-            forEachStmt(item.body, fn);
-        break;
+    if (!expr)
+        return std::nullopt;
+    try {
+        return sim::constU64(expr);
+    } catch (const HdlError &) {
+        return std::nullopt;
+    }
+}
+
+/**
+ * Self-determined width of an explicit-width expression: sized
+ * literals, identifiers, part/bit selects, and concats/repeats of
+ * those. 0 when the width is context-determined or unknown
+ * (arithmetic, comparisons, unsized literals, unsizable declarations).
+ */
+uint32_t
+explicitWidth(const ExprPtr &expr, const analyze::SignalTable &sigs)
+{
+    if (!expr)
+        return 0;
+    switch (expr->kind) {
+      case ExprKind::Number: {
+        const auto *num = expr->as<NumberExpr>();
+        return num->sized ? num->value.width() : 0;
+      }
+      case ExprKind::Id: {
+        const auto *info = sigs.find(expr->as<IdExpr>()->name);
+        return info && !info->isArray ? info->width : 0;
+      }
+      case ExprKind::Index: {
+        const auto *info = sigs.find(expr->as<IndexExpr>()->base);
+        return info && info->isArray ? info->width : 1;
+      }
+      case ExprKind::Range: {
+        const auto *range = expr->as<RangeExpr>();
+        auto msb = tryConstU64(range->msb);
+        auto lsb = tryConstU64(range->lsb);
+        if (msb && lsb && *msb >= *lsb)
+            return static_cast<uint32_t>(*msb - *lsb + 1);
+        return 0;
+      }
+      case ExprKind::Concat: {
+        uint32_t total = 0;
+        for (const auto &part : expr->as<ConcatExpr>()->parts) {
+            uint32_t w = explicitWidth(part, sigs);
+            if (w == 0)
+                return 0;
+            total += w;
+        }
+        return total;
+      }
+      case ExprKind::Repeat: {
+        const auto *rep = expr->as<RepeatExpr>();
+        auto count = tryConstU64(rep->count);
+        uint32_t inner = explicitWidth(rep->inner, sigs);
+        if (!count || inner == 0)
+            return 0;
+        return static_cast<uint32_t>(*count) * inner;
+      }
       default:
-        break;
+        return 0;
+    }
+}
+
+/** Width of an assignment target; 0 when unknown. */
+uint32_t
+lvalueWidth(const ExprPtr &lhs, const analyze::SignalTable &sigs)
+{
+    if (!lhs)
+        return 0;
+    switch (lhs->kind) {
+      case ExprKind::Id:
+      case ExprKind::Index:
+      case ExprKind::Range:
+      case ExprKind::Concat:
+        return explicitWidth(lhs, sigs);
+      default:
+        return 0;
     }
 }
 
@@ -90,9 +149,9 @@ assignsOnAllPaths(const StmtPtr &stmt, const std::string &name)
 } // namespace
 
 void
-checkIncompleteCase(LintContext &ctx)
+checkIncompleteCase(Context &ctx)
 {
-    for (const auto &item : ctx.mod().items) {
+    for (const auto &item : ctx.module().items) {
         if (item->kind != ItemKind::Always ||
             !item->as<AlwaysItem>()->isComb)
             continue;
@@ -106,7 +165,7 @@ checkIncompleteCase(LintContext &ctx)
                     return; // default item: complete
                 labels += ci.labels.size();
             }
-            uint32_t width = ctx.explicitWidth(sel->selector);
+            uint32_t width = explicitWidth(sel->selector, ctx.signals());
             // Coverage is decidable only for narrow selectors; wider
             // ones can't enumerate 2^w labels anyway.
             if (width > 0 && width < 16 &&
@@ -129,9 +188,9 @@ checkIncompleteCase(LintContext &ctx)
 }
 
 void
-checkInferredLatch(LintContext &ctx)
+checkInferredLatch(Context &ctx)
 {
-    for (const auto &item : ctx.mod().items) {
+    for (const auto &item : ctx.module().items) {
         if (item->kind != ItemKind::Always ||
             !item->as<AlwaysItem>()->isComb)
             continue;
@@ -158,7 +217,7 @@ checkInferredLatch(LintContext &ctx)
 }
 
 void
-checkBlockingInSeq(LintContext &ctx)
+checkBlockingInSeq(Context &ctx)
 {
     for (const auto &ga : ctx.assigns()) {
         if (!ga.proc || ga.proc->isComb || !ga.stmt)
@@ -174,7 +233,7 @@ checkBlockingInSeq(LintContext &ctx)
 }
 
 void
-checkNonblockingInComb(LintContext &ctx)
+checkNonblockingInComb(Context &ctx)
 {
     for (const auto &ga : ctx.assigns()) {
         if (!ga.proc || !ga.proc->isComb || !ga.stmt)
@@ -190,15 +249,15 @@ checkNonblockingInComb(LintContext &ctx)
 }
 
 void
-checkWidthTruncation(LintContext &ctx)
+checkWidthTruncation(Context &ctx)
 {
     size_t assign_idx = 0;
     for (const auto &ga : ctx.assigns()) {
         size_t idx = assign_idx++;
         if (mutationOn(MUT_LINT_TRUNC_INDEX) && idx % 2 == 0)
             continue;
-        uint32_t lhs_w = ctx.lvalueWidth(ga.lhs);
-        uint32_t rhs_w = ctx.explicitWidth(ga.rhs);
+        uint32_t lhs_w = lvalueWidth(ga.lhs, ctx.signals());
+        uint32_t rhs_w = explicitWidth(ga.rhs, ctx.signals());
         if (lhs_w == 0 || rhs_w == 0 || rhs_w <= lhs_w)
             continue;
         SourceLoc loc = ga.stmt ? ga.stmt->loc

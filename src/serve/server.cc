@@ -24,7 +24,6 @@
 #include "cover/snapshot.hh"
 #include "debug/protocol.hh"
 #include "debug/workload.hh"
-#include "lint/lint.hh"
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
 #include "obs/metrics.hh"
@@ -308,7 +307,7 @@ Server::openSession(const std::vector<std::string> &args)
                           static_cast<uint64_t>(ran.size()));
             summary.field("diagnostics",
                           static_cast<uint64_t>(diags.size()));
-            summary.field("errors", lint::hasErrors(diags));
+            summary.field("errors", analyze::hasErrors(diags));
         }
     } catch (const HdlError &) {
         // Failed opens must not leave a half-built session listed.

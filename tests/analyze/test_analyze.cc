@@ -3,7 +3,7 @@
  * Tests for the analyze pass framework: the registry, one firing and
  * one clean fixture per rule, pass selection, determinism, the
  * versioned JSON report with its obscheck validator, and the shared
- * comb-loop emitter that keeps lint and analyze findings identical.
+ * comb-loop check that keeps lint and analyze findings identical.
  */
 
 #include <gtest/gtest.h>
@@ -254,12 +254,95 @@ TEST(AnalyzeLoopTest, IdenticalToLintAndDedupable)
         EXPECT_EQ(fromLint[i].loc.line, fromAnalyze[i].loc.line);
         EXPECT_EQ(fromLint[i].signals, fromAnalyze[i].signals);
     }
+}
 
-    // Combining the two reports collapses the duplicates.
-    std::vector<lint::Diagnostic> both = fromLint;
-    both.insert(both.end(), fromAnalyze.begin(), fromAnalyze.end());
-    auto deduped = lint::dedupeDiagnostics(both);
-    EXPECT_EQ(deduped.size(), fromLint.size());
+// Lint and analyze once built their facts separately and disagreed in
+// four places. The one context settles each; these tests pin how.
+
+TEST(ContextTest, UndeclaredLoopMemberIsReportedAtTheModule)
+{
+    // declLoc falls back to the module location for an undeclared
+    // name (lint used to print an empty ":0:0" location).
+    std::string src = "module m(input wire clk, output wire y);\n"
+                      "assign p = q;\nassign q = p;\nassign y = p;\n"
+                      "endmodule";
+    auto mod = elab::elaborate(hdl::parse(src), "m").mod;
+    lint::LintOptions lopts;
+    lopts.rules.insert("comb-loop");
+    auto fromLint = lint::runLint(*mod, lopts);
+    ASSERT_EQ(fromLint.size(), 1u);
+    EXPECT_EQ(fromLint[0].loc.line, mod->loc.line);
+    EXPECT_EQ(fromLint[0].loc.col, mod->loc.col);
+    EXPECT_EQ(lint::renderJson(fromLint),
+              lint::renderJson(analyzeSrc(src, "loop")));
+}
+
+TEST(ContextTest, UnsizableRangeHasUnknownWidth)
+{
+    // Elaboration folds every range, but a module straight from the
+    // parser may carry one that does not fold. Its width is unknown
+    // (0, as analyze always had it; lint used to assume 1), so the
+    // register is no one-bit flag.
+    auto stickyHits = [](const std::string &decl) {
+        hdl::Design design = hdl::parse(
+            "module m(input wire clk, input wire rst, input wire go,\n"
+            "         output wire y);\n" + decl +
+            "always @(posedge clk)\n"
+            "  if (rst) f <= 1'b0;\n  else if (go) f <= 1'b1;\n"
+            "assign y = f;\nendmodule");
+        lint::LintOptions opts;
+        opts.rules.insert("sticky-flag");
+        return lint::runLint(*design.modules.at(0), opts).size();
+    };
+    EXPECT_EQ(stickyHits("reg f;\n"), 1u);
+    EXPECT_EQ(stickyHits("reg [W:0] f;\n"), 0u);
+}
+
+TEST(ContextTest, SelfIndexedLvalueReadsItsBase)
+{
+    // `a[a] <= d` reads a as the index (as lint always had it;
+    // analyze used to drop the base from the read set).
+    std::string seq = "module m(input wire clk, input wire d);\n"
+                      "reg [1:0] a;\n"
+                      "always @(posedge clk) a[a] <= d;\nendmodule";
+    auto mod = elab::elaborate(hdl::parse(seq), "m").mod;
+    lint::LintOptions lopts;
+    lopts.rules.insert("unused-signal");
+    EXPECT_TRUE(lint::runLint(*mod, lopts).empty());
+
+    // In a combinational process that read comes before any write.
+    std::string comb = "module m(input wire d, output reg [1:0] y);\n"
+                       "always @(*) y[y] = d;\nendmodule";
+    EXPECT_TRUE(fires(analyzeSrc(comb, "xinit"),
+                      "comb-read-before-write"));
+}
+
+TEST(ContextTest, LintWalksDeclarationOrderAnalyzeNameOrder)
+{
+    // Flattening gives b__t and a__t one declaration location, so the
+    // walk order decides the order of their tied findings: lint rules
+    // walk signals as declared, analyze passes by name. Both orders
+    // are kept so neither report changes.
+    std::string src = "module sub(input wire clk, input wire d);\n"
+                      "reg t;\nreg u;\n"
+                      "always @(posedge clk) t <= d;\n"
+                      "always @(posedge clk) u <= t;\nendmodule\n"
+                      "module m(input wire clk, input wire d);\n"
+                      "sub b(.clk(clk), .d(d));\n"
+                      "sub a(.clk(clk), .d(d));\nendmodule";
+    auto mod = elab::elaborate(hdl::parse(src), "m").mod;
+    auto signalsOf = [](const std::vector<lint::Diagnostic> &diags,
+                        const std::string &rule) {
+        std::vector<std::string> out;
+        for (const auto &diag : diags)
+            if (diag.rule == rule)
+                out.push_back(diag.signals.at(0));
+        return out;
+    };
+    EXPECT_EQ(signalsOf(lint::runLint(*mod), "unused-signal"),
+              (std::vector<std::string>{"b__u", "a__u"}));
+    EXPECT_EQ(signalsOf(runAnalyze(*mod), "dead-signal"),
+              (std::vector<std::string>{"a__d", "b__d", "a__t", "b__t"}));
 }
 
 TEST(AnalyzeTest, PassSelectionLimitsRules)

@@ -163,6 +163,22 @@ TEST(DomainTest, KbEvalBottomPropagates)
     EXPECT_FALSE(u->anyKnown());
 }
 
+TEST(DomainTest, KbEvalIndexAboveTheFactWidthIsUnknown)
+{
+    // Facts cap at 64 bits. Bit 100 of a 128-bit signal lies above
+    // its fact, so it is unknown: bit 36 (100 mod 64) must not leak.
+    Env env;
+    env["w"] = KnownBits::constant(64, uint64_t{1} << 36);
+    auto v = evalExpr("wire [127:0] w;\n", "w[100]", 1, env);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_FALSE(v->anyKnown());
+    // Bit 36 itself is inside the fact and stays proven.
+    auto low = evalExpr("wire [127:0] w;\n", "w[36]", 1, env);
+    ASSERT_TRUE(low.has_value());
+    EXPECT_TRUE(low->fullyKnown());
+    EXPECT_EQ(low->value, 1u);
+}
+
 TEST(DomainTest, TriEvalThreeValues)
 {
     auto mod = flat("module m(input wire clk, input wire c);\n"
@@ -255,7 +271,8 @@ TEST(FixpointTest, ProvesConstantsThroughWiresAndRegs)
                     "always @(posedge clk) r <= k;\n"
                     "assign y = r;\nendmodule");
     SignalTable sigs(*mod);
-    auto fix = solveConstants(*mod, sigs);
+    auto fix =
+        solveConstants(*mod, sigs, analysis::collectAssigns(*mod));
     // r joins its reset value 0 with k=5: only the agreeing bits
     // survive (0b0101 vs 0b0000 -> bits 3 and 1 known zero).
     KnownBits r = fix.factOf("r", sigs);
@@ -276,9 +293,10 @@ TEST(FixpointTest, DeadGuardDetected)
                     "  q <= 4'd0;\n"
                     "  if (en) q <= 4'd9;\nend\nendmodule");
     SignalTable sigs(*mod);
-    auto fix = solveConstants(*mod, sigs);
+    auto assigns = analysis::collectAssigns(*mod);
+    auto fix = solveConstants(*mod, sigs, assigns);
     size_t dead = 0;
-    for (size_t i = 0; i < fix.assigns.size(); ++i)
+    for (size_t i = 0; i < assigns.size(); ++i)
         dead += fix.deadGuard[i];
     EXPECT_EQ(dead, 1u);
     // With the guarded store dead, q is proven stuck at zero.
@@ -295,7 +313,8 @@ TEST(FixpointTest, PrimitiveConnectionsForceUnknown)
                     "    .rdreq(1'b1), .q(q), .full(full),\n"
                     "    .empty(empty));\nendmodule");
     SignalTable sigs(*mod);
-    auto fix = solveConstants(*mod, sigs);
+    auto fix =
+        solveConstants(*mod, sigs, analysis::collectAssigns(*mod));
     EXPECT_TRUE(fix.primConnected.count("q"));
     // Even though nothing in the module assigns q, the IP may: no
     // constant claim is allowed.

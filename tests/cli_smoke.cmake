@@ -66,3 +66,17 @@ if(NOT lint_fixed STREQUAL "")
     message(FATAL_ERROR
             "lint reported diagnostics on fixed D4: ${lint_fixed}")
 endif()
+
+# lint takes --bug ID [--fixed] like the other design commands.
+execute_process(COMMAND ${HWDBG} lint --bug D4
+                RESULT_VARIABLE rc OUTPUT_VARIABLE lint_bug ERROR_QUIET)
+if(NOT rc EQUAL 0 OR NOT lint_bug MATCHES "unused-signal")
+    message(FATAL_ERROR "lint --bug D4 missed the dead logic: ${lint_bug}")
+endif()
+execute_process(COMMAND ${HWDBG} lint --bug D4 --fixed
+                RESULT_VARIABLE rc OUTPUT_VARIABLE lint_bug_fixed
+                ERROR_QUIET)
+if(NOT rc EQUAL 0 OR lint_bug_fixed MATCHES "unused-signal")
+    message(FATAL_ERROR
+            "lint --bug D4 --fixed is not clean: ${lint_bug_fixed}")
+endif()

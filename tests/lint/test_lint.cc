@@ -49,7 +49,7 @@ TEST(LintRegistryTest, RulesAreRegisteredAndUnique)
         EXPECT_TRUE(ids.insert(rule.id).second)
             << "duplicate rule id " << rule.id;
         EXPECT_FALSE(rule.subclass.empty()) << rule.id;
-        EXPECT_NE(rule.check, nullptr) << rule.id;
+        EXPECT_NE(rule.run, nullptr) << rule.id;
         EXPECT_EQ(ruleById(rule.id), &rule);
     }
     EXPECT_EQ(ruleById("no-such-rule"), nullptr);
