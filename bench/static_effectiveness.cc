@@ -12,12 +12,10 @@
  * crossings). Together they measure how far static analysis alone gets
  * before the monitors and LossCheck have to take over.
  *
- * Usage: static_effectiveness [lint|analyze]  (default: both). Exit 1
- * when a preset misses its gate.
+ * Runs both presets; exit 1 when either misses its gate.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -142,19 +140,10 @@ runPreset(const Preset &preset)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const char *only = argc > 1 ? argv[1] : nullptr;
-    bool ok = true, ran = false;
-    for (const auto &preset : kPresets) {
-        if (only && std::strcmp(only, preset.name) != 0)
-            continue;
-        ran = true;
+    bool ok = true;
+    for (const auto &preset : kPresets)
         ok = runPreset(preset) && ok;
-    }
-    if (!ran) {
-        std::fprintf(stderr, "usage: static_effectiveness [lint|analyze]\n");
-        return 2;
-    }
     return ok ? 0 : 1;
 }

@@ -8,15 +8,10 @@
  * must match tests/analyze/testbed_static.golden byte for byte, so a
  * refactor of the rules, the passes or their shared context cannot
  * silently change a finding, a location, a message or the order.
- *
- * After an intended behaviour change, regenerate the golden with
- *   HWDBG_UPDATE_GOLDEN=1 ./build/tests/test_static_golden
- * and review the diff.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -85,11 +80,6 @@ TEST(StaticGoldenTest, TestbedLintAndAnalyzeReportsArePinned)
     auto sections = renderSections();
     ASSERT_EQ(sections.size(), 80u);
     std::string actual = join(sections);
-
-    if (std::getenv("HWDBG_UPDATE_GOLDEN")) {
-        std::ofstream(kGolden, std::ios::binary) << actual;
-        GTEST_SKIP() << "rewrote " << kGolden;
-    }
 
     std::ifstream in(kGolden, std::ios::binary);
     ASSERT_TRUE(in) << "missing " << kGolden;

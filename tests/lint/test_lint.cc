@@ -2,7 +2,8 @@
  * @file
  * Tests for the static lint: one firing and one clean fixture per
  * rule, the diagnostic renderers, rule selection, and the testbed
- * integration claims the lint_effectiveness bench relies on.
+ * integration claims the lint preset of the static_effectiveness bench
+ * relies on.
  */
 
 #include <gtest/gtest.h>
@@ -466,8 +467,8 @@ testbedRules(const char *id, bool buggy)
 
 TEST(LintTestbedTest, DetectsStructuralBugsBuggyOnly)
 {
-    // The claims the lint_effectiveness bench and cli smoke test rest
-    // on: each of these rules fires on the buggy form and not on the
+    // The claims the static_effectiveness bench (lint preset) and cli
+    // smoke test rest on: each of these rules fires on the buggy form and not on the
     // fixed form of the same design.
     const struct { const char *id; const char *rule; } expected[] = {
         {"D3", "fifo-no-backpressure"},
