@@ -8,7 +8,8 @@
  * bench reports cycles/second on each backend and their ratio; the gate
  * is the geometric-mean speedup, which must stay >= 5x or the bench
  * exits 1 — the bar ISSUE 7 sets for the compiled backend to justify
- * its existence.
+ * its existence. The worst per-design ratio and its seed are reported
+ * next to the geomean, ungated.
  *
  * While it measures, the bench asserts what the equivalence tests
  * assert: both runs must end in the identical architectural state
@@ -147,6 +148,7 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     double logSum = 0;
+    const Row *worst = nullptr;
     bool diverged = false;
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         fuzz::GeneratedDesign gd = fuzz::generateDesign(seed, opts);
@@ -178,9 +180,14 @@ main(int argc, char **argv)
                     row.identical ? "identical" : "DIVERGED");
     }
 
+    for (const Row &row : rows)
+        if (!worst || row.speedup < worst->speedup)
+            worst = &row;
     double geomean = std::exp(logSum / static_cast<double>(rows.size()));
-    std::printf("\ngeomean speedup: %.2fx (gate: >= %.1fx)\n", geomean,
-                kGate);
+    std::printf("\ngeomean speedup: %.2fx (gate: >= %.1fx), "
+                "min %.2fx (seed %llu)\n",
+                geomean, kGate, worst->speedup,
+                static_cast<unsigned long long>(worst->seed));
 
     if (jsonPath) {
         FILE *f = std::fopen(jsonPath, "w");
@@ -207,8 +214,10 @@ main(int argc, char **argv)
                          i + 1 < rows.size() ? "," : "");
         std::fprintf(f,
                      "  ],\n  \"geomean_speedup\": %.3f,\n"
+                     "  \"min_speedup\": %.3f,\n  \"min_seed\": %llu,\n"
                      "  \"gate\": %.1f\n}\n",
-                     geomean, kGate);
+                     geomean, worst->speedup,
+                     static_cast<unsigned long long>(worst->seed), kGate);
         std::fclose(f);
         std::printf("trajectory written to %s\n", jsonPath);
     }

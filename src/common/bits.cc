@@ -2,11 +2,52 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace hwdbg
 {
+
+namespace
+{
+
+/** The 64 bits of @p src (@p nw words) from bit @p pos up; bits past
+ *  the last word read as zero. */
+inline uint64_t
+readBits64(const uint64_t *src, size_t nw, uint64_t pos)
+{
+    size_t w = pos / 64;
+    unsigned b = pos % 64;
+    uint64_t lo = w < nw ? src[w] >> b : 0;
+    uint64_t hi = b && w + 1 < nw ? src[w + 1] << (64 - b) : 0;
+    return lo | hi;
+}
+
+/**
+ * Copy @p count bits of @p src (@p nw words) from bit @p from up into
+ * @p dst from bit @p to up, one destination word at a time; bits of
+ * @p dst outside the range keep their value. The one bit-range copy
+ * behind slice, setSlice, concat, replicate, shl and shr.
+ */
+void
+copyBits(uint64_t *dst, uint64_t to, const uint64_t *src, size_t nw,
+         uint64_t from, uint64_t count)
+{
+    while (count > 0) {
+        unsigned b = to % 64;
+        uint64_t n = std::min<uint64_t>(count, 64 - b);
+        uint64_t mask = (n == 64 ? ~uint64_t(0) : (uint64_t(1) << n) - 1)
+                        << b;
+        uint64_t &word = dst[to / 64];
+        word = (word & ~mask) | ((readBits64(src, nw, from) << b) & mask);
+        to += n;
+        from += n;
+        count -= n;
+    }
+}
+
+} // namespace
 
 Bits::Bits(uint32_t width, uint64_t value)
     : width_(width ? width : 1), words_(wordsFor(width ? width : 1), 0)
@@ -155,7 +196,12 @@ Bits::isZero() const
 bool
 Bits::isAllOnes() const
 {
-    return *this == allOnes(width_);
+    for (size_t i = 0; i + 1 < words_.size(); ++i)
+        if (words_[i] != ~uint64_t(0))
+            return false;
+    uint32_t top_bits = width_ % 64;
+    return words_.back() ==
+           (top_bits ? (~uint64_t(0)) >> (64 - top_bits) : ~uint64_t(0));
 }
 
 bool
@@ -185,8 +231,9 @@ Bits::slice(uint32_t msb, uint32_t lsb) const
         std::swap(msb, lsb);
     uint32_t out_width = msb - lsb + 1;
     Bits result(out_width);
-    for (uint32_t i = 0; i < out_width; ++i)
-        result.setBit(i, bit(lsb + i));
+    if (lsb < width_)
+        copyBits(result.words_.data(), 0, words_.data(), words_.size(),
+                 lsb, std::min(out_width, width_ - lsb));
     return result;
 }
 
@@ -196,8 +243,9 @@ Bits::setSlice(uint32_t msb, uint32_t lsb, const Bits &value)
     if (msb < lsb)
         std::swap(msb, lsb);
     uint32_t span = msb - lsb + 1;
-    for (uint32_t i = 0; i < span; ++i)
-        setBit(lsb + i, value.bit(i));
+    if (lsb < width_)
+        copyBits(words_.data(), lsb, value.words_.data(),
+                 value.words_.size(), 0, std::min(span, width_ - lsb));
 }
 
 Bits
@@ -214,11 +262,13 @@ Bits::resized(uint32_t new_width) const
 Bits
 Bits::concat(const Bits &low) const
 {
+    // The width wraps past 2^32 bits: copy only what the result holds.
     Bits result(width_ + low.width_);
-    for (uint32_t i = 0; i < low.width_; ++i)
-        result.setBit(i, low.bit(i));
-    for (uint32_t i = 0; i < width_; ++i)
-        result.setBit(low.width_ + i, bit(i));
+    copyBits(result.words_.data(), 0, low.words_.data(),
+             low.words_.size(), 0, std::min(low.width_, result.width_));
+    if (low.width_ < result.width_)
+        copyBits(result.words_.data(), low.width_, words_.data(),
+                 words_.size(), 0, result.width_ - low.width_);
     return result;
 }
 
@@ -227,9 +277,18 @@ Bits::replicate(uint32_t count) const
 {
     if (count == 0)
         fatal("replication count must be positive");
-    Bits result = *this;
-    for (uint32_t i = 1; i < count; ++i)
-        result = result.concat(*this);
+    Bits result(width_ * count);
+    uint64_t total = result.width_;
+    uint64_t filled = std::min<uint64_t>(width_, total);
+    copyBits(result.words_.data(), 0, words_.data(), words_.size(), 0,
+             filled);
+    // Double the filled prefix: it is made of whole copies.
+    while (filled < total) {
+        uint64_t n = std::min(filled, total - filled);
+        copyBits(result.words_.data(), filled, result.words_.data(),
+                 result.words_.size(), 0, n);
+        filled += n;
+    }
     return result;
 }
 
@@ -291,41 +350,23 @@ Bits::mul(const Bits &rhs) const
 Bits
 Bits::divu(const Bits &rhs) const
 {
-    uint32_t out_width = std::max(width_, rhs.width_);
-    if (rhs.isZero())
-        return allOnes(out_width);
-    // Bit-serial long division; widths here are small in practice.
-    Bits dividend = resized(out_width);
-    Bits divisor = rhs.resized(out_width);
-    Bits quotient(out_width);
-    Bits remainder(out_width);
-    for (int i = static_cast<int>(out_width) - 1; i >= 0; --i) {
-        remainder = remainder.shl(1);
-        remainder.setBit(0, dividend.bit(static_cast<uint32_t>(i)));
-        if (remainder.compare(divisor) >= 0) {
-            remainder = remainder.sub(divisor);
-            quotient.setBit(static_cast<uint32_t>(i), true);
-        }
-    }
-    return quotient;
+    Bits result(std::max(width_, rhs.width_));
+    if (!divModWords(words_.data(), words_.size(), rhs.words_.data(),
+                     rhs.words_.size(), result.words_.data(),
+                     result.words_.size(), nullptr, 0))
+        return allOnes(result.width_);
+    return result;
 }
 
 Bits
 Bits::modu(const Bits &rhs) const
 {
-    uint32_t out_width = std::max(width_, rhs.width_);
-    if (rhs.isZero())
-        return allOnes(out_width);
-    Bits dividend = resized(out_width);
-    Bits divisor = rhs.resized(out_width);
-    Bits remainder(out_width);
-    for (int i = static_cast<int>(out_width) - 1; i >= 0; --i) {
-        remainder = remainder.shl(1);
-        remainder.setBit(0, dividend.bit(static_cast<uint32_t>(i)));
-        if (remainder.compare(divisor) >= 0)
-            remainder = remainder.sub(divisor);
-    }
-    return remainder;
+    Bits result(std::max(width_, rhs.width_));
+    if (!divModWords(words_.data(), words_.size(), rhs.words_.data(),
+                     rhs.words_.size(), nullptr, 0, result.words_.data(),
+                     result.words_.size()))
+        return allOnes(result.width_);
+    return result;
 }
 
 Bits
@@ -375,10 +416,9 @@ Bits
 Bits::shl(uint64_t amount) const
 {
     Bits result(width_);
-    if (amount >= width_)
-        return result;
-    for (uint32_t i = static_cast<uint32_t>(amount); i < width_; ++i)
-        result.setBit(i, bit(i - static_cast<uint32_t>(amount)));
+    if (amount < width_)
+        copyBits(result.words_.data(), amount, words_.data(),
+                 words_.size(), 0, width_ - amount);
     return result;
 }
 
@@ -386,10 +426,9 @@ Bits
 Bits::shr(uint64_t amount) const
 {
     Bits result(width_);
-    if (amount >= width_)
-        return result;
-    for (uint32_t i = 0; i < width_ - amount; ++i)
-        result.setBit(i, bit(i + static_cast<uint32_t>(amount)));
+    if (amount < width_)
+        copyBits(result.words_.data(), 0, words_.data(), words_.size(),
+                 amount, width_ - amount);
     return result;
 }
 
@@ -411,14 +450,12 @@ Bits::popcount() const
 int
 Bits::compare(const Bits &rhs) const
 {
-    uint32_t out_width = std::max(width_, rhs.width_);
-    Bits a = resized(out_width);
-    Bits b = rhs.resized(out_width);
-    for (size_t i = a.words_.size(); i-- > 0;) {
-        if (a.words_[i] < b.words_[i])
-            return -1;
-        if (a.words_[i] > b.words_[i])
-            return 1;
+    size_t na = words_.size(), nb = rhs.words_.size();
+    for (size_t i = std::max(na, nb); i-- > 0;) {
+        uint64_t a = i < na ? words_[i] : 0;
+        uint64_t b = i < nb ? rhs.words_[i] : 0;
+        if (a != b)
+            return a < b ? -1 : 1;
     }
     return 0;
 }
@@ -436,11 +473,9 @@ Bits::toHexString() const
     uint32_t nibbles = (width_ + 3) / 4;
     std::string out;
     out.reserve(nibbles);
-    for (uint32_t i = nibbles; i-- > 0;) {
-        uint32_t lsb = i * 4;
-        uint32_t msb = std::min(lsb + 3, width_ - 1);
-        out.push_back(digits[slice(msb, lsb).toU64()]);
-    }
+    for (uint32_t i = nibbles; i-- > 0;)
+        out.push_back(
+            digits[readBits64(words_.data(), words_.size(), i * 4) & 0xf]);
     return out;
 }
 
@@ -459,17 +494,29 @@ Bits::toDecString() const
 {
     if (width_ <= 64)
         return std::to_string(toU64());
-    Bits value = *this;
-    Bits ten(width_, 10);
-    std::string out;
-    while (!value.isZero()) {
-        Bits digit = value.modu(ten);
-        out.push_back(static_cast<char>('0' + digit.toU64()));
-        value = value.divu(ten);
+    // Peel off 19 decimal digits per division, least significant first.
+    const uint64_t ten19 = 10000000000000000000ull;
+    std::vector<uint64_t> value = words_;
+    std::vector<uint64_t> chunks;
+    size_t n = value.size();
+    for (;;) {
+        while (n > 0 && value[n - 1] == 0)
+            --n;
+        if (n == 0)
+            break;
+        uint64_t chunk = 0;
+        divModWords(value.data(), n, &ten19, 1, value.data(), n, &chunk,
+                    1);
+        chunks.push_back(chunk);
     }
-    if (out.empty())
-        out = "0";
-    std::reverse(out.begin(), out.end());
+    if (chunks.empty())
+        return "0";
+    std::string out = std::to_string(chunks.back());
+    for (size_t i = chunks.size() - 1; i-- > 0;) {
+        std::string digits = std::to_string(chunks[i]);
+        out.append(19 - digits.size(), '0');
+        out += digits;
+    }
     return out;
 }
 
@@ -477,6 +524,120 @@ std::string
 Bits::toVerilog() const
 {
     return std::to_string(width_) + "'h" + toHexString();
+}
+
+bool
+divModWords(const uint64_t *a, size_t na, const uint64_t *b, size_t nb,
+            uint64_t *q, size_t nq, uint64_t *r, size_t nr)
+{
+    using u128 = unsigned __int128;
+    size_t m = na, n = nb;
+    while (m > 0 && a[m - 1] == 0)
+        --m;
+    while (n > 0 && b[n - 1] == 0)
+        --n;
+    if (n == 0)
+        return false;
+
+    auto put = [](uint64_t *dst, size_t nd, const uint64_t *src,
+                  size_t ns) {
+        for (size_t i = 0; i < nd; ++i)
+            dst[i] = i < ns ? src[i] : 0;
+    };
+    if (m < n) {
+        // a < b: quotient 0, remainder a. Write r first: q may alias a.
+        if (r)
+            put(r, nr, a, m);
+        if (q)
+            put(q, nq, nullptr, 0);
+        return true;
+    }
+
+    // Working words: quotient (m - n + 1), normalized dividend (m + 1)
+    // and normalized divisor (n), on the stack when they fit.
+    uint64_t local[64] = {};
+    std::vector<uint64_t> heap;
+    size_t need = (m - n + 1) + (m + 1) + n;
+    uint64_t *qs = local;
+    if (need > std::size(local)) {
+        heap.resize(need);
+        qs = heap.data();
+    }
+    uint64_t *un = qs + (m - n + 1);
+    uint64_t *vn = un + (m + 1);
+
+    if (n == 1) {
+        u128 rem = 0;
+        for (size_t i = m; i-- > 0;) {
+            u128 cur = (rem << 64) | a[i];
+            qs[i] = static_cast<uint64_t>(cur / b[0]);
+            rem = cur - u128(qs[i]) * b[0];
+        }
+        un[0] = static_cast<uint64_t>(rem);
+    } else {
+        // D1: normalize so the divisor's top bit is set.
+        int s = __builtin_clzll(b[n - 1]);
+        auto shifted = [s](const uint64_t *src, size_t i) {
+            return s ? (src[i] << s) | (src[i - 1] >> (64 - s)) : src[i];
+        };
+        for (size_t i = n - 1; i > 0; --i)
+            vn[i] = shifted(b, i);
+        vn[0] = b[0] << s;
+        un[m] = s ? a[m - 1] >> (64 - s) : 0;
+        for (size_t i = m - 1; i > 0; --i)
+            un[i] = shifted(a, i);
+        un[0] = a[0] << s;
+
+        for (size_t j = m - n + 1; j-- > 0;) {
+            // D3: estimate qhat from the top two words, then correct it
+            // with the divisor's second word so it is at most one high.
+            u128 num = (u128(un[j + n]) << 64) | un[j + n - 1];
+            u128 qhat = num / vn[n - 1];
+            u128 rhat = num - qhat * vn[n - 1];
+            while ((qhat >> 64) != 0 ||
+                   qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
+                --qhat;
+                rhat += vn[n - 1];
+                if ((rhat >> 64) != 0)
+                    break;
+            }
+            // D4: multiply and subtract.
+            uint64_t borrow = 0, carry = 0;
+            for (size_t i = 0; i < n; ++i) {
+                u128 p = qhat * vn[i] + carry;
+                carry = static_cast<uint64_t>(p >> 64);
+                uint64_t lo = static_cast<uint64_t>(p);
+                uint64_t t = un[i + j] - lo;
+                uint64_t b1 = un[i + j] < lo;
+                un[i + j] = t - borrow;
+                borrow = b1 | (t < borrow);
+            }
+            uint64_t t = un[j + n] - carry;
+            uint64_t b1 = un[j + n] < carry;
+            un[j + n] = t - borrow;
+            bool negative = b1 | (t < borrow);
+            // D5/D6: qhat was one too large; add the divisor back.
+            if (negative) {
+                --qhat;
+                u128 sum = 0;
+                for (size_t i = 0; i < n; ++i) {
+                    sum += u128(un[i + j]) + vn[i];
+                    un[i + j] = static_cast<uint64_t>(sum);
+                    sum >>= 64;
+                }
+                un[j + n] += static_cast<uint64_t>(sum);
+            }
+            qs[j] = static_cast<uint64_t>(qhat);
+        }
+        // D8: unnormalize the remainder in place.
+        for (size_t i = 0; i < n; ++i)
+            un[i] = s ? (un[i] >> s) | (un[i + 1] << (64 - s)) : un[i];
+    }
+    if (q)
+        put(q, nq, qs, m - n + 1);
+    if (r)
+        put(r, nr, un, n);
+    return true;
 }
 
 } // namespace hwdbg

@@ -125,6 +125,21 @@ class Bits
     std::vector<uint64_t> words_;
 };
 
+/**
+ * Unsigned multi-word division: the one kernel behind Bits::divu,
+ * Bits::modu, Bits::toDecString and the bytecode Divu/Modu ops.
+ *
+ * @p a (@p na words) and @p b (@p nb words) are little-endian. The
+ * quotient goes to @p q (@p nq words) and the remainder to @p r (@p nr
+ * words), each zero-extended or truncated to fit; either output may be
+ * null, and either may alias an input. Knuth's Algorithm D (TAOCP
+ * 4.3.1) with leading zero words trimmed and a single-word-divisor
+ * fast path. Returns false, writing nothing, when @p b is zero.
+ */
+bool divModWords(const uint64_t *a, size_t na, const uint64_t *b,
+                 size_t nb, uint64_t *q, size_t nq, uint64_t *r,
+                 size_t nr);
+
 } // namespace hwdbg
 
 #endif // HWDBG_COMMON_BITS_HH

@@ -210,13 +210,20 @@ BytecodeBackend::run(const Program::Chunk &chunk)
                     r = div ? a0 / b0 : a0 % b0;
                 s[op.d] = r & topWordMask(op.w);
             } else {
-                Bits a = Bits::fromWords(op.wa, s + op.a,
-                                         wordsFor(op.wa));
-                Bits b = Bits::fromWords(op.wb, s + op.b,
-                                         wordsFor(op.wb));
-                Bits r = (div ? a.divu(b) : a.modu(b)).resized(op.w);
-                resizeWords(s + op.d, op.w, r.rawWords(),
-                            static_cast<uint32_t>(r.numWords()) * 64);
+                Word *q = div ? s + op.d : nullptr;
+                Word *r = div ? nullptr : s + op.d;
+                uint32_t nq = div ? op.nw : 0, nr = div ? 0 : op.nw;
+                if (divModWords(s + op.a, wordsFor(op.wa), s + op.b,
+                                wordsFor(op.wb), q, nq, r, nr)) {
+                    maskTop(s, op.d, op.nw, op.w);
+                    break;
+                }
+                // Division by zero: all-ones at the operands' width,
+                // resized to op.w.
+                uint32_t w = std::min(op.w, std::max(op.wa, op.wb));
+                for (uint32_t i = 0; i < op.nw; ++i)
+                    s[op.d + i] = i < wordsFor(w) ? ~Word(0) : 0;
+                maskTop(s, op.d, wordsFor(w), w);
             }
             break;
           }

@@ -294,3 +294,225 @@ TEST_P(BitsSliceProperty, SplitConcatRoundTrip)
 INSTANTIATE_TEST_SUITE_P(Widths, BitsSliceProperty,
                          ::testing::Values(2u, 5u, 8u, 17u, 64u, 65u,
                                            100u, 128u, 200u));
+
+// ---------------------------------------------------------------------
+// Multi-word properties: division, decimal rendering and the word-level
+// bit-range operations at widths past one word.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A uniformly random @p width-bit value, built one bit at a time. */
+Bits
+randomBits(uint32_t width, std::mt19937_64 &rng)
+{
+    Bits value(width);
+    for (uint32_t i = 0; i < width; ++i)
+        value.setBit(i, rng() & 1);
+    return value;
+}
+
+/** Checks q*b + r == a and r < b at max(width), and the zero divisor. */
+void
+expectDivision(const Bits &a, const Bits &b)
+{
+    uint32_t w = std::max(a.width(), b.width());
+    Bits q = a.divu(b);
+    Bits r = a.modu(b);
+    ASSERT_EQ(q.width(), w);
+    ASSERT_EQ(r.width(), w);
+    EXPECT_EQ(q.mul(b).add(r), a)
+        << "a=" << a.toVerilog() << " b=" << b.toVerilog();
+    EXPECT_LT(r.compare(b), 0)
+        << "a=" << a.toVerilog() << " b=" << b.toVerilog();
+}
+
+} // namespace
+
+TEST(BitsWide, DivisionIdentityAcrossWidthsAndDivisorShapes)
+{
+    std::mt19937_64 rng(4242);
+    for (int i = 0; i < 300; ++i) {
+        uint32_t wa = 65 + static_cast<uint32_t>(rng() % 448);
+        uint32_t wb = 65 + static_cast<uint32_t>(rng() % 448);
+        Bits a = randomBits(wa, rng);
+        // A one-word divisor, a full-width one, and one whose only set
+        // word is its top word.
+        expectDivision(a, Bits(wb, rng() | 1));
+        expectDivision(a, randomBits(wb, rng));
+        Bits top(wb);
+        top.setSlice(wb - 1, (wb - 1) / 64 * 64, Bits(64, rng() | 1));
+        expectDivision(a, top);
+        // A dividend narrower than its divisor.
+        expectDivision(randomBits(wb / 2, rng), randomBits(wb, rng));
+    }
+}
+
+TEST(BitsWide, DivisionByZeroIsAllOnesAtTheWideWidth)
+{
+    for (uint32_t w : {65u, 128u, 200u, 512u}) {
+        Bits a = Bits::allOnes(w).shr(3);
+        EXPECT_EQ(a.divu(Bits(8, 0)).width(), w);
+        EXPECT_TRUE(a.divu(Bits(8, 0)).isAllOnes()) << w;
+        EXPECT_TRUE(a.modu(Bits(w, 0)).isAllOnes()) << w;
+        EXPECT_TRUE(Bits(8, 5).divu(Bits(w, 0)).isAllOnes()) << w;
+        EXPECT_EQ(Bits(8, 5).modu(Bits(w, 0)).width(), w);
+    }
+}
+
+TEST(BitsWide, DivisionTakesTheAddBackStep)
+{
+    // Base-2^64 digits, least significant first: a = {0, 0, 2^63,
+    // 2^63 - 1}, b = {1, 0, 2^63}. The two-digit quotient estimate
+    // 2^64 - 1 survives its correction test, and the multiply-subtract
+    // goes negative, so Algorithm D adds the divisor back once.
+    Bits a = Bits::parseVerilog("256'h7fffffffffffffff_8000000000000000_"
+                                "0000000000000000_0000000000000000");
+    Bits b = Bits::parseVerilog("192'h8000000000000000_0000000000000000_"
+                                "0000000000000001");
+    EXPECT_EQ(a.divu(b), Bits(256, 0xfffffffffffffffeull));
+    EXPECT_EQ(a.modu(b),
+              Bits::parseVerilog("256'h7fffffffffffffff_ffffffffffffffff_"
+                                 "0000000000000002"));
+    expectDivision(a, b);
+}
+
+TEST(BitsWide, DecimalRoundTripsThroughTheParser)
+{
+    std::mt19937_64 rng(99);
+    for (uint32_t w = 65; w <= 512; w += 7) {
+        Bits value = randomBits(w, rng);
+        std::string dec = value.toDecString();
+        Bits back =
+            Bits::parseVerilog(std::to_string(w) + "'d" + dec);
+        EXPECT_EQ(back.toBinString(), value.toBinString()) << dec;
+    }
+    EXPECT_EQ(Bits(300, 0).toDecString(), "0");
+}
+
+TEST(BitsWide, DecimalRenderingKeepsChunkPadding)
+{
+    EXPECT_EQ(Bits::allOnes(128).toDecString(),
+              "340282366920938463463374607431768211455");
+    Bits ten19(128, 10000000000000000000ull);
+    EXPECT_EQ(ten19.toDecString(), "1" + std::string(19, '0'));
+    EXPECT_EQ(ten19.mul(ten19).toDecString(), "1" + std::string(38, '0'));
+    EXPECT_EQ(ten19.mul(ten19).add(Bits(128, 7)).toDecString(),
+              "1" + std::string(37, '0') + "7");
+}
+
+namespace
+{
+
+// Bit-serial references for the word-level operations.
+
+Bits
+refSlice(const Bits &v, uint32_t msb, uint32_t lsb)
+{
+    if (msb < lsb)
+        std::swap(msb, lsb);
+    Bits out(msb - lsb + 1);
+    for (uint32_t i = 0; i < out.width(); ++i)
+        out.setBit(i, v.bit(lsb + i));
+    return out;
+}
+
+void
+refSetSlice(Bits &v, uint32_t msb, uint32_t lsb, const Bits &x)
+{
+    if (msb < lsb)
+        std::swap(msb, lsb);
+    for (uint32_t i = 0; i < msb - lsb + 1; ++i)
+        v.setBit(lsb + i, x.bit(i));
+}
+
+Bits
+refConcat(const Bits &hi, const Bits &lo)
+{
+    Bits out(hi.width() + lo.width());
+    for (uint32_t i = 0; i < lo.width(); ++i)
+        out.setBit(i, lo.bit(i));
+    for (uint32_t i = 0; i < hi.width(); ++i)
+        out.setBit(lo.width() + i, hi.bit(i));
+    return out;
+}
+
+Bits
+refShift(const Bits &v, uint64_t amount, bool left)
+{
+    Bits out(v.width());
+    for (uint32_t i = 0; i < v.width(); ++i) {
+        uint64_t from = left ? i - amount : i + amount;
+        if (left ? amount <= i : from < v.width())
+            out.setBit(i, v.bit(static_cast<uint32_t>(from)));
+    }
+    return out;
+}
+
+void
+expectSame(const Bits &got, const Bits &want, const std::string &what)
+{
+    EXPECT_EQ(got.width(), want.width()) << what;
+    EXPECT_EQ(got.toBinString(), want.toBinString()) << what;
+}
+
+} // namespace
+
+TEST(BitsWide, WordLevelOpsMatchBitSerialReference)
+{
+    std::mt19937_64 rng(31337);
+    for (int i = 0; i < 400; ++i) {
+        uint32_t w = 1 + static_cast<uint32_t>(rng() % 300);
+        uint32_t w2 = 1 + static_cast<uint32_t>(rng() % 300);
+        Bits v = randomBits(w, rng);
+        Bits x = randomBits(w2, rng);
+        // Indexes run up to 64 bits past the width.
+        uint32_t msb = static_cast<uint32_t>(rng() % (w + 64));
+        uint32_t lsb = static_cast<uint32_t>(rng() % (w + 64));
+        std::string at = "w=" + std::to_string(w) + " [" +
+                         std::to_string(msb) + ":" + std::to_string(lsb) +
+                         "]";
+
+        expectSame(v.slice(msb, lsb), refSlice(v, msb, lsb),
+                   "slice " + at);
+        Bits got = v, want = v;
+        got.setSlice(msb, lsb, x);
+        refSetSlice(want, msb, lsb, x);
+        expectSame(got, want, "setSlice " + at);
+        expectSame(v.concat(x), refConcat(v, x), "concat " + at);
+        uint32_t count = 1 + static_cast<uint32_t>(rng() % 9);
+        Bits rep = v;
+        for (uint32_t k = 1; k < count; ++k)
+            rep = refConcat(rep, v);
+        expectSame(v.replicate(count), rep,
+                   "replicate " + std::to_string(count) + " " + at);
+        uint64_t amount = rng() % (w + 70);
+        expectSame(v.shl(amount), refShift(v, amount, true),
+                   "shl " + std::to_string(amount) + " " + at);
+        expectSame(v.shr(amount), refShift(v, amount, false),
+                   "shr " + std::to_string(amount) + " " + at);
+    }
+}
+
+TEST(BitsWide, CompareAndAllOnesAcrossWords)
+{
+    std::mt19937_64 rng(8);
+    for (int i = 0; i < 200; ++i) {
+        uint32_t w = 1 + static_cast<uint32_t>(rng() % 300);
+        Bits a = randomBits(w, rng);
+        Bits b = randomBits(1 + static_cast<uint32_t>(rng() % 300), rng);
+        int want = 0;
+        for (uint32_t k = std::max(a.width(), b.width()); k-- > 0;)
+            if (a.bit(k) != b.bit(k)) {
+                want = a.bit(k) ? 1 : -1;
+                break;
+            }
+        EXPECT_EQ(a.compare(b), want);
+        EXPECT_EQ(a == b, want == 0);
+        EXPECT_EQ(a.isAllOnes(), a.popcount() == w);
+        EXPECT_TRUE(Bits::allOnes(w).isAllOnes());
+        EXPECT_TRUE(a.resized(w + 5) == a);
+    }
+    EXPECT_THROW(Bits(4, 1).replicate(0), HdlError);
+}

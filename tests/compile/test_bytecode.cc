@@ -9,7 +9,8 @@
  * without defaults, concatenation lvalues, nonblocking swap ordering,
  * $display logs and $finish, non-power-of-two memories (index masking
  * plus out-of-range drops), the read/write asymmetry of scalar bit
- * indexing, and the known-bits folding statistics.
+ * indexing, the known-bits folding statistics, and wide division
+ * against literal values (both engines share its kernel).
  */
 
 #include <gtest/gtest.h>
@@ -422,4 +423,80 @@ TEST(BytecodeTest, PokeVisibleToBytecodeAndPeekFlushes)
     p.poke("a", uint64_t(0x1234));
     p.eval();
     EXPECT_EQ(p.peek("b").toU64(), 0xFFFF0000FFFF1234ULL);
+}
+
+TEST(BytecodeTest, WideDivisionMatchesLiteralValues)
+{
+    // Both engines divide wide operands with one shared kernel, so
+    // their agreement cannot catch a bug in it. The expected values
+    // here were computed with Python integers, outside hwdbg.
+    Pair p("module m(input wire [64:0] a65, input wire [64:0] b65,\n"
+           "         input wire [129:0] a130, input wire [129:0] b130,\n"
+           "         output wire [64:0] q65, output wire [64:0] r65,\n"
+           "         output wire [129:0] q130, output wire [129:0] r130,\n"
+           "         output wire [129:0] qm, output wire [129:0] rm);\n"
+           "assign q65 = a65 / b65;\n"
+           "assign r65 = a65 % b65;\n"
+           "assign q130 = a130 / b130;\n"
+           "assign r130 = a130 % b130;\n"
+           "assign qm = a130 / b65;\n"
+           "assign rm = a130 % b65;\n"
+           "endmodule");
+    struct Case
+    {
+        const char *a, *b, *q, *r;
+    };
+    const Case cases65[] = {
+        {"1d3c2b1a09f8e7d6c", "000000000fedcba98", "000000001d5d946fe",
+         "000000000c2afca9c"},
+        {"1d3c2b1a09f8e7d6c", "10000000000000007", "00000000000000001",
+         "0d3c2b1a09f8e7d65"},
+        {"1d3c2b1a09f8e7d6c", "00000000000000000", "1ffffffffffffffff",
+         "1ffffffffffffffff"},
+    };
+    for (const Case &c : cases65) {
+        p.poke("a65", Bits::parseVerilog(std::string("65'h") + c.a));
+        p.poke("b65", Bits::parseVerilog(std::string("65'h") + c.b));
+        p.eval();
+        EXPECT_EQ(p.peek("q65").toHexString(), c.q) << c.b;
+        EXPECT_EQ(p.peek("r65").toHexString(), c.r) << c.b;
+    }
+    const Case cases130[] = {
+        {"30123456789abcdeffedcba9876543210",
+         "00000000000000000123456789abcdef1",
+         "0000000000000002a4000000000002573",
+         "0000000000000000000da740da74336cd"},
+        {"30123456789abcdeffedcba9876543210",
+         "280000000000000000000000000000001",
+         "000000000000000000000000000000001",
+         "08123456789abcdeffedcba987654320f"},
+        {"30123456789abcdeffedcba9876543210",
+         "00000000000000abcdef0123456789abc",
+         "000000000000000000047a10fb3f783c4",
+         "000000000000001fe7842f2b3cb6b8620"},
+        // Differs from the divisor in the low word only: the quotient
+        // estimate 1 is one too high, so Algorithm D adds back.
+        {"30123456789abcdef0000000000000004",
+         "30123456789abcdef0000000000000005",
+         "000000000000000000000000000000000",
+         "30123456789abcdef0000000000000004"},
+        {"30123456789abcdeffedcba9876543210",
+         "000000000000000000000000000000000",
+         "3ffffffffffffffffffffffffffffffff",
+         "3ffffffffffffffffffffffffffffffff"},
+    };
+    for (const Case &c : cases130) {
+        p.poke("a130", Bits::parseVerilog(std::string("130'h") + c.a));
+        p.poke("b130", Bits::parseVerilog(std::string("130'h") + c.b));
+        p.eval();
+        EXPECT_EQ(p.peek("q130").toHexString(), c.q) << c.b;
+        EXPECT_EQ(p.peek("r130").toHexString(), c.r) << c.b;
+    }
+    // A 130-bit dividend over a 65-bit divisor.
+    p.poke("b65", Bits::parseVerilog("65'h10000000000000007"));
+    p.eval();
+    EXPECT_EQ(p.peek("qm").toHexString(),
+              "000000000000000030123456789abcdda");
+    EXPECT_EQ(p.peek("rm").toHexString(),
+              "00000000000000000f6e5d4c3b2a1911a");
 }
