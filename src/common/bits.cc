@@ -50,10 +50,58 @@ copyBits(uint64_t *dst, uint64_t to, const uint64_t *src, size_t nw,
 } // namespace
 
 Bits::Bits(uint32_t width, uint64_t value)
-    : width_(width ? width : 1), words_(wordsFor(width ? width : 1), 0)
+    : width_(width ? width : 1), st_{{value, 0}}
 {
-    words_[0] = value;
+    if (onHeap()) {
+        st_.heap = new uint64_t[numWords()]();
+        st_.heap[0] = value;
+    }
     normalize();
+}
+
+void
+Bits::copyHeap(const Bits &other)
+{
+    st_.heap = new uint64_t[numWords()];
+    std::copy_n(other.st_.heap, numWords(), st_.heap);
+}
+
+Bits &
+Bits::operator=(const Bits &other)
+{
+    if (this == &other)
+        return *this;
+    if (!other.onHeap()) {
+        if (onHeap())
+            delete[] st_.heap;
+        width_ = other.width_;
+        st_ = other.st_;
+        return *this;
+    }
+    // Reuse the heap words when the word count matches.
+    if (!onHeap() || numWords() != other.numWords()) {
+        uint64_t *fresh = new uint64_t[other.numWords()];
+        if (onHeap())
+            delete[] st_.heap;
+        st_.heap = fresh;
+    }
+    width_ = other.width_;
+    std::copy_n(other.st_.heap, numWords(), st_.heap);
+    return *this;
+}
+
+Bits &
+Bits::operator=(Bits &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    if (onHeap())
+        delete[] st_.heap;
+    width_ = other.width_;
+    st_ = other.st_;
+    if (other.onHeap())
+        other.reset();
+    return *this;
 }
 
 void
@@ -61,15 +109,14 @@ Bits::normalize()
 {
     uint32_t top_bits = width_ % 64;
     if (top_bits != 0)
-        words_.back() &= (~uint64_t(0)) >> (64 - top_bits);
+        words()[numWords() - 1] &= (~uint64_t(0)) >> (64 - top_bits);
 }
 
 Bits
 Bits::allOnes(uint32_t width)
 {
     Bits result(width);
-    for (auto &w : result.words_)
-        w = ~uint64_t(0);
+    std::fill_n(result.words(), result.numWords(), ~uint64_t(0));
     result.normalize();
     return result;
 }
@@ -78,9 +125,8 @@ Bits
 Bits::fromWords(uint32_t width, const uint64_t *words, size_t count)
 {
     Bits result(width);
-    size_t n = std::min<size_t>(result.words_.size(), count);
-    for (size_t i = 0; i < n; ++i)
-        result.words_[i] = words[i];
+    std::copy_n(words, std::min(result.numWords(), count),
+                result.words());
     result.normalize();
     return result;
 }
@@ -187,20 +233,21 @@ Bits::parseVerilog(const std::string &text, bool *sized)
 bool
 Bits::isZero() const
 {
-    for (uint64_t w : words_)
-        if (w != 0)
-            return false;
-    return true;
+    const uint64_t *w = words();
+    return std::all_of(w, w + numWords(),
+                       [](uint64_t word) { return word == 0; });
 }
 
 bool
 Bits::isAllOnes() const
 {
-    for (size_t i = 0; i + 1 < words_.size(); ++i)
-        if (words_[i] != ~uint64_t(0))
+    const uint64_t *w = words();
+    size_t n = numWords();
+    for (size_t i = 0; i + 1 < n; ++i)
+        if (w[i] != ~uint64_t(0))
             return false;
     uint32_t top_bits = width_ % 64;
-    return words_.back() ==
+    return w[n - 1] ==
            (top_bits ? (~uint64_t(0)) >> (64 - top_bits) : ~uint64_t(0));
 }
 
@@ -209,7 +256,7 @@ Bits::bit(uint32_t idx) const
 {
     if (idx >= width_)
         return false;
-    return (words_[idx / 64] >> (idx % 64)) & 1;
+    return (words()[idx / 64] >> (idx % 64)) & 1;
 }
 
 void
@@ -219,9 +266,9 @@ Bits::setBit(uint32_t idx, bool value)
         return;
     uint64_t mask = uint64_t(1) << (idx % 64);
     if (value)
-        words_[idx / 64] |= mask;
+        words()[idx / 64] |= mask;
     else
-        words_[idx / 64] &= ~mask;
+        words()[idx / 64] &= ~mask;
 }
 
 Bits
@@ -232,8 +279,8 @@ Bits::slice(uint32_t msb, uint32_t lsb) const
     uint32_t out_width = msb - lsb + 1;
     Bits result(out_width);
     if (lsb < width_)
-        copyBits(result.words_.data(), 0, words_.data(), words_.size(),
-                 lsb, std::min(out_width, width_ - lsb));
+        copyBits(result.words(), 0, words(), numWords(), lsb,
+                 std::min(out_width, width_ - lsb));
     return result;
 }
 
@@ -244,17 +291,16 @@ Bits::setSlice(uint32_t msb, uint32_t lsb, const Bits &value)
         std::swap(msb, lsb);
     uint32_t span = msb - lsb + 1;
     if (lsb < width_)
-        copyBits(words_.data(), lsb, value.words_.data(),
-                 value.words_.size(), 0, std::min(span, width_ - lsb));
+        copyBits(words(), lsb, value.words(), value.numWords(), 0,
+                 std::min(span, width_ - lsb));
 }
 
 Bits
 Bits::resized(uint32_t new_width) const
 {
     Bits result(new_width);
-    uint32_t nwords = std::min(result.words_.size(), words_.size());
-    for (uint32_t i = 0; i < nwords; ++i)
-        result.words_[i] = words_[i];
+    std::copy_n(words(), std::min(result.numWords(), numWords()),
+                result.words());
     result.normalize();
     return result;
 }
@@ -264,11 +310,11 @@ Bits::concat(const Bits &low) const
 {
     // The width wraps past 2^32 bits: copy only what the result holds.
     Bits result(width_ + low.width_);
-    copyBits(result.words_.data(), 0, low.words_.data(),
-             low.words_.size(), 0, std::min(low.width_, result.width_));
+    copyBits(result.words(), 0, low.words(), low.numWords(), 0,
+             std::min(low.width_, result.width_));
     if (low.width_ < result.width_)
-        copyBits(result.words_.data(), low.width_, words_.data(),
-                 words_.size(), 0, result.width_ - low.width_);
+        copyBits(result.words(), low.width_, words(), numWords(), 0,
+                 result.width_ - low.width_);
     return result;
 }
 
@@ -280,13 +326,12 @@ Bits::replicate(uint32_t count) const
     Bits result(width_ * count);
     uint64_t total = result.width_;
     uint64_t filled = std::min<uint64_t>(width_, total);
-    copyBits(result.words_.data(), 0, words_.data(), words_.size(), 0,
-             filled);
+    copyBits(result.words(), 0, words(), numWords(), 0, filled);
     // Double the filled prefix: it is made of whole copies.
     while (filled < total) {
         uint64_t n = std::min(filled, total - filled);
-        copyBits(result.words_.data(), filled, result.words_.data(),
-                 result.words_.size(), 0, n);
+        copyBits(result.words(), filled, result.words(),
+                 result.numWords(), 0, n);
         filled += n;
     }
     return result;
@@ -298,12 +343,14 @@ Bits::add(const Bits &rhs) const
     uint32_t out_width = std::max(width_, rhs.width_);
     Bits a = resized(out_width);
     Bits b = rhs.resized(out_width);
+    uint64_t *aw = a.words();
+    const uint64_t *bw = b.words();
     unsigned __int128 carry = 0;
-    for (size_t i = 0; i < a.words_.size(); ++i) {
+    for (size_t i = 0; i < a.numWords(); ++i) {
         unsigned __int128 sum = carry;
-        sum += a.words_[i];
-        sum += b.words_[i];
-        a.words_[i] = static_cast<uint64_t>(sum);
+        sum += aw[i];
+        sum += bw[i];
+        aw[i] = static_cast<uint64_t>(sum);
         carry = sum >> 64;
     }
     a.normalize();
@@ -330,16 +377,18 @@ Bits::mul(const Bits &rhs) const
     Bits a = resized(out_width);
     Bits b = rhs.resized(out_width);
     Bits result(out_width);
-    size_t nwords = result.words_.size();
+    const uint64_t *aw = a.words(), *bw = b.words();
+    uint64_t *rw = result.words();
+    size_t nwords = result.numWords();
     for (size_t i = 0; i < nwords; ++i) {
-        if (a.words_[i] == 0)
+        if (aw[i] == 0)
             continue;
         unsigned __int128 carry = 0;
         for (size_t j = 0; i + j < nwords; ++j) {
-            unsigned __int128 cur = result.words_[i + j];
-            cur += static_cast<unsigned __int128>(a.words_[i]) * b.words_[j];
+            unsigned __int128 cur = rw[i + j];
+            cur += static_cast<unsigned __int128>(aw[i]) * bw[j];
             cur += carry;
-            result.words_[i + j] = static_cast<uint64_t>(cur);
+            rw[i + j] = static_cast<uint64_t>(cur);
             carry = cur >> 64;
         }
     }
@@ -351,9 +400,8 @@ Bits
 Bits::divu(const Bits &rhs) const
 {
     Bits result(std::max(width_, rhs.width_));
-    if (!divModWords(words_.data(), words_.size(), rhs.words_.data(),
-                     rhs.words_.size(), result.words_.data(),
-                     result.words_.size(), nullptr, 0))
+    if (!divModWords(words(), numWords(), rhs.words(), rhs.numWords(),
+                     result.words(), result.numWords(), nullptr, 0))
         return allOnes(result.width_);
     return result;
 }
@@ -362,9 +410,8 @@ Bits
 Bits::modu(const Bits &rhs) const
 {
     Bits result(std::max(width_, rhs.width_));
-    if (!divModWords(words_.data(), words_.size(), rhs.words_.data(),
-                     rhs.words_.size(), nullptr, 0, result.words_.data(),
-                     result.words_.size()))
+    if (!divModWords(words(), numWords(), rhs.words(), rhs.numWords(),
+                     nullptr, 0, result.words(), result.numWords()))
         return allOnes(result.width_);
     return result;
 }
@@ -375,8 +422,10 @@ Bits::bitAnd(const Bits &rhs) const
     uint32_t out_width = std::max(width_, rhs.width_);
     Bits a = resized(out_width);
     Bits b = rhs.resized(out_width);
-    for (size_t i = 0; i < a.words_.size(); ++i)
-        a.words_[i] &= b.words_[i];
+    uint64_t *aw = a.words();
+    const uint64_t *bw = b.words();
+    for (size_t i = 0; i < a.numWords(); ++i)
+        aw[i] &= bw[i];
     return a;
 }
 
@@ -386,8 +435,10 @@ Bits::bitOr(const Bits &rhs) const
     uint32_t out_width = std::max(width_, rhs.width_);
     Bits a = resized(out_width);
     Bits b = rhs.resized(out_width);
-    for (size_t i = 0; i < a.words_.size(); ++i)
-        a.words_[i] |= b.words_[i];
+    uint64_t *aw = a.words();
+    const uint64_t *bw = b.words();
+    for (size_t i = 0; i < a.numWords(); ++i)
+        aw[i] |= bw[i];
     return a;
 }
 
@@ -397,8 +448,10 @@ Bits::bitXor(const Bits &rhs) const
     uint32_t out_width = std::max(width_, rhs.width_);
     Bits a = resized(out_width);
     Bits b = rhs.resized(out_width);
-    for (size_t i = 0; i < a.words_.size(); ++i)
-        a.words_[i] ^= b.words_[i];
+    uint64_t *aw = a.words();
+    const uint64_t *bw = b.words();
+    for (size_t i = 0; i < a.numWords(); ++i)
+        aw[i] ^= bw[i];
     return a;
 }
 
@@ -406,8 +459,9 @@ Bits
 Bits::bitNot() const
 {
     Bits result = *this;
-    for (auto &w : result.words_)
-        w = ~w;
+    uint64_t *w = result.words();
+    for (size_t i = 0; i < result.numWords(); ++i)
+        w[i] = ~w[i];
     result.normalize();
     return result;
 }
@@ -417,8 +471,8 @@ Bits::shl(uint64_t amount) const
 {
     Bits result(width_);
     if (amount < width_)
-        copyBits(result.words_.data(), amount, words_.data(),
-                 words_.size(), 0, width_ - amount);
+        copyBits(result.words(), amount, words(), numWords(), 0,
+                 width_ - amount);
     return result;
 }
 
@@ -427,8 +481,8 @@ Bits::shr(uint64_t amount) const
 {
     Bits result(width_);
     if (amount < width_)
-        copyBits(result.words_.data(), 0, words_.data(), words_.size(),
-                 amount, width_ - amount);
+        copyBits(result.words(), 0, words(), numWords(), amount,
+                 width_ - amount);
     return result;
 }
 
@@ -442,18 +496,20 @@ uint32_t
 Bits::popcount() const
 {
     uint32_t count = 0;
-    for (uint64_t w : words_)
-        count += static_cast<uint32_t>(__builtin_popcountll(w));
+    const uint64_t *w = words();
+    for (size_t i = 0; i < numWords(); ++i)
+        count += static_cast<uint32_t>(__builtin_popcountll(w[i]));
     return count;
 }
 
 int
 Bits::compare(const Bits &rhs) const
 {
-    size_t na = words_.size(), nb = rhs.words_.size();
+    const uint64_t *aw = words(), *bw = rhs.words();
+    size_t na = numWords(), nb = rhs.numWords();
     for (size_t i = std::max(na, nb); i-- > 0;) {
-        uint64_t a = i < na ? words_[i] : 0;
-        uint64_t b = i < nb ? rhs.words_[i] : 0;
+        uint64_t a = i < na ? aw[i] : 0;
+        uint64_t b = i < nb ? bw[i] : 0;
         if (a != b)
             return a < b ? -1 : 1;
     }
@@ -475,7 +531,7 @@ Bits::toHexString() const
     out.reserve(nibbles);
     for (uint32_t i = nibbles; i-- > 0;)
         out.push_back(
-            digits[readBits64(words_.data(), words_.size(), i * 4) & 0xf]);
+            digits[readBits64(words(), numWords(), i * 4) & 0xf]);
     return out;
 }
 
@@ -496,7 +552,7 @@ Bits::toDecString() const
         return std::to_string(toU64());
     // Peel off 19 decimal digits per division, least significant first.
     const uint64_t ten19 = 10000000000000000000ull;
-    std::vector<uint64_t> value = words_;
+    std::vector<uint64_t> value(words(), words() + numWords());
     std::vector<uint64_t> chunks;
     size_t n = value.size();
     for (;;) {

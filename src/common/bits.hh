@@ -6,11 +6,16 @@
  * stored little-endian in 64-bit words and are always kept canonical: bits
  * above the declared width are zero. All arithmetic is unsigned and modulo
  * 2^width, matching two-state Verilog semantics for unsigned vectors.
+ *
+ * Values of up to 128 bits keep their words inline; wider values own a
+ * heap array. The width alone says which, so the inline words and the
+ * heap pointer share storage.
  */
 
 #ifndef HWDBG_COMMON_BITS_HH
 #define HWDBG_COMMON_BITS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,10 +27,32 @@ class Bits
 {
   public:
     /** Construct a 1-bit zero. */
-    Bits() : width_(1), words_(1, 0) {}
+    Bits() : width_(1), st_{{0, 0}} {}
 
     /** Construct a vector of @p width bits holding @p value (truncated). */
     explicit Bits(uint32_t width, uint64_t value = 0);
+
+    Bits(const Bits &other) : width_(other.width_), st_(other.st_)
+    {
+        if (onHeap())
+            copyHeap(other);
+    }
+
+    /** Leaves @p other a valid 1-bit zero when it owned heap words. */
+    Bits(Bits &&other) noexcept : width_(other.width_), st_(other.st_)
+    {
+        if (other.onHeap())
+            other.reset();
+    }
+
+    Bits &operator=(const Bits &other);
+    Bits &operator=(Bits &&other) noexcept;
+
+    ~Bits()
+    {
+        if (onHeap())
+            delete[] st_.heap;
+    }
 
     /** Parse a Verilog-style literal body, e.g. "8'hff", "12", "4'b1010".
      *  @param sized set to true when the literal carried an explicit width.
@@ -47,12 +74,12 @@ class Bits
     uint32_t width() const { return width_; }
 
     /** Little-endian word storage (numWords() entries, canonical). */
-    const uint64_t *rawWords() const { return words_.data(); }
+    const uint64_t *rawWords() const { return words(); }
     /** Number of 64-bit words backing this value. */
-    size_t numWords() const { return words_.size(); }
+    size_t numWords() const { return wordsFor(width_); }
 
     /** Low 64 bits of the value. */
-    uint64_t toU64() const { return words_[0]; }
+    uint64_t toU64() const { return words()[0]; }
 
     bool isZero() const;
     bool isAllOnes() const;
@@ -118,11 +145,33 @@ class Bits
     std::string toVerilog() const;
 
   private:
+    /** Widths above this keep their words on the heap. */
+    static constexpr uint32_t kInlineBits = 128;
+
     void normalize();
     static uint32_t wordsFor(uint32_t width) { return (width + 63) / 64; }
 
+    bool onHeap() const { return width_ > kInlineBits; }
+    uint64_t *words() { return onHeap() ? st_.heap : st_.inl; }
+    const uint64_t *words() const
+    {
+        return onHeap() ? st_.heap : st_.inl;
+    }
+    /** Point at a fresh copy of @p other's heap words (same width). */
+    void copyHeap(const Bits &other);
+    /** Become a 1-bit zero without freeing (the words moved away). */
+    void reset()
+    {
+        width_ = 1;
+        st_.inl[0] = 0;
+    }
+
     uint32_t width_;
-    std::vector<uint64_t> words_;
+    union Storage
+    {
+        uint64_t inl[kInlineBits / 64];
+        uint64_t *heap;
+    } st_;
 };
 
 /**

@@ -521,6 +521,141 @@ BytecodeBackend::run(const Program::Chunk &chunk)
           case Opc::Finish:
             ectx.finished = true;
             break;
+
+          // Single-word forms: operands are canonical one-word values,
+          // so zero extension is free and only the result is masked.
+          case Opc::Copy1:
+            s[op.d] = s[op.a] & topWordMask(op.w);
+            break;
+          case Opc::Add1: {
+            Word r = mutationOn(MUT_SIM_ADD_AS_SUB) ? s[op.a] - s[op.b]
+                                                    : s[op.a] + s[op.b];
+            s[op.d] = r & topWordMask(op.w);
+            break;
+          }
+          case Opc::Sub1:
+            s[op.d] = (s[op.a] - s[op.b]) & topWordMask(op.w);
+            break;
+          case Opc::And1:
+            s[op.d] = s[op.a] & s[op.b];
+            break;
+          case Opc::Or1:
+            s[op.d] = s[op.a] | s[op.b];
+            break;
+          case Opc::Xor1:
+            s[op.d] = mutationOn(MUT_SIM_XOR_AS_OR) ? s[op.a] | s[op.b]
+                                                    : s[op.a] ^ s[op.b];
+            break;
+          case Opc::Not1:
+            s[op.d] = ~s[op.a] & topWordMask(op.w);
+            break;
+          case Opc::Shl1: {
+            uint64_t amt = s[op.b];
+            s[op.d] =
+                amt >= op.wa ? 0 : (s[op.a] << amt) & topWordMask(op.w);
+            break;
+          }
+          case Opc::Shr1: {
+            uint64_t amt = s[op.b] +
+                           (mutationOn(MUT_SIM_SHR_OFF_BY_ONE) ? 1 : 0);
+            s[op.d] = amt >= op.wa ? 0 : s[op.a] >> amt;
+            break;
+          }
+          case Opc::LogNot1:
+            s[op.d] = s[op.a] == 0;
+            break;
+          case Opc::RedOr1:
+            s[op.d] = s[op.a] != 0;
+            break;
+          case Opc::LogAnd1:
+            s[op.d] = s[op.a] != 0 && s[op.b] != 0;
+            break;
+          case Opc::LogOr1:
+            s[op.d] = s[op.a] != 0 || s[op.b] != 0;
+            break;
+          case Opc::CmpEq1:
+            s[op.d] = s[op.a] == s[op.b];
+            break;
+          case Opc::CmpNe1:
+            s[op.d] = s[op.a] != s[op.b];
+            break;
+          case Opc::CmpLt1:
+            s[op.d] = mutationOn(MUT_SIM_LT_AS_LE) ? s[op.a] <= s[op.b]
+                                                   : s[op.a] < s[op.b];
+            break;
+          case Opc::CmpLe1:
+            s[op.d] = s[op.a] <= s[op.b];
+            break;
+          case Opc::CmpGt1:
+            s[op.d] = s[op.a] > s[op.b];
+            break;
+          case Opc::CmpGe1:
+            s[op.d] = s[op.a] >= s[op.b];
+            break;
+          case Opc::Select1: {
+            bool taken = s[op.c] != 0;
+            if (mutationOn(MUT_SIM_TERNARY_SWAP))
+                taken = !taken;
+            // Both arms are lowered at the destination width.
+            s[op.d] = s[taken ? op.a : op.b];
+            break;
+          }
+          case Opc::SliceGet1: {
+            uint32_t lo = static_cast<uint32_t>(op.aux);
+            uint32_t ws = lo / 64, bs = lo % 64;
+            uint32_t nwa = wordsFor(op.wa);
+            Word v = ws < nwa ? s[op.a + ws] >> bs : 0;
+            if (bs && ws + 1 < nwa)
+                v |= s[op.a + ws + 1] << (64 - bs);
+            s[op.d] = v & topWordMask(static_cast<uint32_t>(op.aux2));
+            break;
+          }
+          case Opc::BitGet1: {
+            uint32_t idx = static_cast<uint32_t>(s[op.b]);
+            s[op.d] = idx < op.wa ? (s[op.a] >> idx) & 1 : 0;
+            break;
+          }
+          case Opc::ArrGet1: {
+            uint64_t elem = s[op.b] & static_cast<uint32_t>(op.aux2);
+            s[op.d] = elem < op.c ? s[op.a + elem] & topWordMask(op.w) : 0;
+            break;
+          }
+          case Opc::WriteTemp1:
+            s[op.d + static_cast<uint32_t>(op.aux) / 64] |=
+                s[op.a] << (static_cast<uint32_t>(op.aux) % 64);
+            break;
+          case Opc::ClearTemp1:
+            s[op.d] = 0;
+            break;
+          case Opc::Jz1:
+            if (!s[op.a]) {
+                pc = static_cast<uint32_t>(op.aux);
+                continue;
+            }
+            break;
+          case Opc::Jnz1:
+            if (s[op.a]) {
+                pc = static_cast<uint32_t>(op.aux);
+                continue;
+            }
+            break;
+          case Opc::Store1: {
+            Word v = s[op.a] & topWordMask(op.w);
+            if (s[op.d] == v)
+                break;
+            const StoreDesc &sd =
+                prog_.stores[static_cast<size_t>(op.aux)];
+            // Coverage sees both values through the generic path.
+            if (cov) {
+                doStore(sd);
+                break;
+            }
+            s[op.d] = v;
+            ectx.valuesChanged = true;
+            if (ectx.toggles)
+                ++(*ectx.toggles)[sd.sig];
+            break;
+          }
         }
         ++pc;
     }
@@ -628,25 +763,23 @@ BytecodeBackend::settleComb()
         std::memcpy(before_.data(), slab_.data(),
                     prog_.stateWords * sizeof(Word));
         ectx.valuesChanged = false;
-        for (size_t i = 0; i < prog_.assignChunks.size(); ++i) {
-            ProfClock::time_point t0;
-            if (prof_)
-                t0 = ProfClock::now();
-            run(prog_.assignChunks[i]);
-            if (prof_) {
+        if (!prof_) {
+            // The assign and comb chunks are contiguous in the op
+            // stream: one dispatch loop runs the whole pass.
+            run(prog_.settleChunk);
+        } else {
+            for (size_t i = 0; i < prog_.assignChunks.size(); ++i) {
+                ProfClock::time_point t0 = ProfClock::now();
+                run(prog_.assignChunks[i]);
                 ++prof_->assignEvals[i];
                 prof_->assignNs[i] +=
                     std::chrono::duration<double, std::nano>(
                         ProfClock::now() - t0)
                         .count();
             }
-        }
-        for (size_t i = 0; i < prog_.combChunks.size(); ++i) {
-            ProfClock::time_point t0;
-            if (prof_)
-                t0 = ProfClock::now();
-            run(prog_.combChunks[i]);
-            if (prof_) {
+            for (size_t i = 0; i < prog_.combChunks.size(); ++i) {
+                ProfClock::time_point t0 = ProfClock::now();
+                run(prog_.combChunks[i]);
                 ++prof_->combEvals[i];
                 prof_->combNs[i] +=
                     std::chrono::duration<double, std::nano>(

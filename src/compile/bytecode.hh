@@ -92,6 +92,43 @@ enum class Opc : uint8_t {
     Display,   ///< displays[aux]: format + append to ctx log
     WarnDisplay, ///< $display in comb process: warn once per backend
     Finish,      ///< ctx.finished = true; execution continues
+
+    // Single-word forms. Lowering rewrites an op into its *1 form when
+    // the words it touches are one word each (see narrowOp in
+    // lower.cc); the semantics, fields and mutation checks are those
+    // of the generic op, executed as one word expression.
+    Copy1,
+    Add1,
+    Sub1,
+    And1,
+    Or1,
+    Xor1,
+    Not1,
+    Shl1,
+    Shr1,
+    LogNot1,
+    RedOr1,
+    LogAnd1,
+    LogOr1,
+    CmpEq1,
+    CmpNe1,
+    CmpLt1,
+    CmpLe1,
+    CmpGt1,
+    CmpGe1,
+    Select1,
+    SliceGet1,  ///< any source width; kept bits within one word
+    BitGet1,
+    /** Element of a memory of <= 64-bit elements: a = element 0's
+     *  offset, c = element count, aux2 = the index's address mask. */
+    ArrGet1,
+    WriteTemp1, ///< the part lands inside one destination word
+    ClearTemp1,
+    Jz1,
+    Jnz1,
+    /** stores[aux] to a whole non-memory signal of <= 64 bits: a = the
+     *  value slot, d = the signal slot, w = the signal width. */
+    Store1,
 };
 
 struct Op
@@ -149,6 +186,9 @@ struct Program
     std::vector<Chunk> assignChunks;  ///< one per design assign
     std::vector<Chunk> combChunks;    ///< one per comb process
     std::vector<Chunk> clockedChunks; ///< one per clocked process
+    /** Every assign chunk then every comb chunk, back to back: one
+     *  settle pass when no per-chunk profile is taken. */
+    Chunk settleChunk;
 
     /** Initial slab image: state region zeroed, constants preloaded. */
     std::vector<Word> slabInit;

@@ -139,6 +139,10 @@ Lowerer::resizeTo(const Slot &s, uint32_t w)
 {
     if (s.width == w)
         return s;
+    // Slots are canonical, so a one-word slot already reads as its
+    // zero extension to any width that fits one word.
+    if (s.width < w && w <= 64)
+        return Slot{s.off, w};
     Slot dst = temp(w);
     Op &op = emitDst(Opc::Copy, dst);
     op.a = s.off;
@@ -404,6 +408,98 @@ Lowerer::lowerExpr(const ExprPtr &e, uint32_t cw)
       }
     }
     panic("lowerExpr: unreachable");
+}
+
+/**
+ * Rewrite @p op into its single-word form when every word it touches
+ * is one. Selection is by width only: the destination and each operand
+ * fit in 64 bits. The exceptions are operands the kernels read through
+ * one word at any width: shift amounts and BitGet/ArrGet indexes (word
+ * 0, like the generic ops), a SliceGet source (the kept bits fit one
+ * word) and a WriteTemp destination (the part lands in one word).
+ */
+void
+narrowOp(Op &op, const Program &prog, const LoweredDesign &design)
+{
+    auto fits = [](uint32_t width) { return width <= 64; };
+    bool dst = fits(op.w);
+    bool ab = fits(op.wa) && fits(op.wb);
+    Opc to = op.opc;
+    switch (op.opc) {
+      case Opc::Copy: to = Opc::Copy1; break;
+      case Opc::Add: to = Opc::Add1; break;
+      case Opc::Sub: to = Opc::Sub1; break;
+      case Opc::And: to = Opc::And1; break;
+      case Opc::Or: to = Opc::Or1; break;
+      case Opc::Xor: to = Opc::Xor1; break;
+      case Opc::Not: to = Opc::Not1; break;
+      case Opc::LogNot: to = Opc::LogNot1; break;
+      case Opc::RedOr: to = Opc::RedOr1; break;
+      case Opc::LogAnd: to = Opc::LogAnd1; break;
+      case Opc::LogOr: to = Opc::LogOr1; break;
+      case Opc::CmpEq: to = Opc::CmpEq1; break;
+      case Opc::CmpNe: to = Opc::CmpNe1; break;
+      case Opc::CmpLt: to = Opc::CmpLt1; break;
+      case Opc::CmpLe: to = Opc::CmpLe1; break;
+      case Opc::CmpGt: to = Opc::CmpGt1; break;
+      case Opc::CmpGe: to = Opc::CmpGe1; break;
+      case Opc::Shl:
+      case Opc::Shr:
+        ab = fits(op.wa);
+        to = op.opc == Opc::Shl ? Opc::Shl1 : Opc::Shr1;
+        break;
+      case Opc::Select:
+        ab = ab && fits(static_cast<uint32_t>(op.aux2));
+        to = Opc::Select1;
+        break;
+      case Opc::SliceGet:
+        ab = fits(static_cast<uint32_t>(op.aux2));
+        to = Opc::SliceGet1;
+        break;
+      case Opc::BitGet:
+        ab = fits(op.wa);
+        to = Opc::BitGet1;
+        break;
+      case Opc::WriteTemp:
+        dst = true;
+        ab = static_cast<uint32_t>(op.aux) % 64 + op.wa <= 64;
+        to = Opc::WriteTemp1;
+        break;
+      case Opc::ArrGet: {
+        const SignalInfo &info = design.info(op.aux);
+        if (!dst || !fits(info.width))
+            return;
+        // The hardware-overflow index mapping, precomputed: mask the
+        // index to the address bits, then drop an index past the end.
+        uint32_t addr_bits = 0;
+        while ((uint64_t(1) << addr_bits) < info.arraySize)
+            ++addr_bits;
+        op.opc = Opc::ArrGet1;
+        op.a = prog.arrOff[op.aux];
+        op.c = info.arraySize;
+        op.aux2 = static_cast<int32_t>((uint64_t(1) << addr_bits) - 1);
+        return;
+      }
+      case Opc::ClearTemp: to = Opc::ClearTemp1; break;
+      case Opc::Jz: to = Opc::Jz1; break;
+      case Opc::Jnz: to = Opc::Jnz1; break;
+      case Opc::Store: {
+        const StoreDesc &sd = prog.stores[static_cast<size_t>(op.aux)];
+        const SignalInfo &info = design.info(sd.sig);
+        if (sd.kind != StoreDesc::Whole || info.arraySize != 0 ||
+            !fits(info.width))
+            return;
+        op.opc = Opc::Store1;
+        op.a = sd.valSlot;
+        op.d = prog.sigOff[sd.sig];
+        op.w = info.width;
+        return;
+      }
+      default:
+        return;
+    }
+    if (dst && ab)
+        op.opc = to;
 }
 
 /** One store/NBA part target for a simple (non-concat) lvalue. */
@@ -737,12 +833,16 @@ Lowerer::run()
         chunk.end = here();
         prog_.combChunks.push_back(chunk);
     }
+    prog_.settleChunk = Program::Chunk{0, here()};
     for (const auto *proc : design_.clockedProcs()) {
         Program::Chunk chunk{here(), 0};
         lowerStmt(proc->body, true);
         chunk.end = here();
         prog_.clockedChunks.push_back(chunk);
     }
+
+    for (Op &op : prog_.ops)
+        narrowOp(op, prog_, design_);
 
     prog_.slabInit.assign(slabTop_, 0);
     for (const auto &[off, value] : constImage_) {

@@ -82,11 +82,31 @@ Simulator::Simulator(ModulePtr elaborated)
                                      primClockSigs_.end()),
                          primClockSigs_.end());
 
+    std::vector<std::string> names;
     for (const auto *proc : design_.clockedProcs())
         for (const auto &sens : proc->sens)
-            prevClocks_[sens.signal] = false;
+            names.push_back(sens.signal);
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    for (const auto &name : names)
+        clocks_.push_back(ClockSlot{name, design_.requireSignal(name)});
+    prevClocks_.assign(clocks_.size(), false);
+    clockNow_.assign(clocks_.size(), false);
+    for (const auto *proc : design_.clockedProcs()) {
+        sensBegin_.push_back(static_cast<uint32_t>(sens_.size()));
+        for (const auto &sens : proc->sens) {
+            auto at = std::lower_bound(names.begin(), names.end(),
+                                       sens.signal);
+            sens_.push_back(SensSlot{
+                static_cast<uint32_t>(at - names.begin()), sens.edge});
+        }
+    }
+    sensBegin_.push_back(static_cast<uint32_t>(sens_.size()));
 
     primaryClockId_ = design_.signalId("clk");
+    auto clk = std::lower_bound(names.begin(), names.end(), "clk");
+    if (clk != names.end() && *clk == "clk")
+        primaryClockSlot_ = static_cast<int>(clk - names.begin());
 
     backend_ = std::make_unique<InterpBackend>(*this);
 
@@ -284,7 +304,8 @@ Simulator::saveState() const
     snap.evalSeq = ctx_.evalSeq;
     snap.finished = ctx_.finished;
     snap.log = ctx_.log;
-    snap.prevClocks = prevClocks_;
+    for (size_t i = 0; i < clocks_.size(); ++i)
+        snap.prevClocks.emplace(clocks_[i].name, prevClocks_[i]);
     snap.prevPrimClocks = prevPrimClocks_;
     snap.primaryClockRaw = primaryClockRaw_;
     backend_->exportNba(snap.nba);
@@ -309,7 +330,10 @@ Simulator::restoreState(const SimSnapshot &snap)
     ctx_.log = snap.log;
     ctx_.pendingLog.clear();
     ctx_.valuesChanged = false;
-    prevClocks_ = snap.prevClocks;
+    for (size_t i = 0; i < clocks_.size(); ++i) {
+        auto it = snap.prevClocks.find(clocks_[i].name);
+        prevClocks_[i] = it != snap.prevClocks.end() && it->second;
+    }
     prevPrimClocks_ = snap.prevPrimClocks;
     primaryClockRaw_ = snap.primaryClockRaw;
     backend_->importNba(snap.nba);
@@ -493,22 +517,19 @@ Simulator::eval()
     backend_->settleComb();
 
     // Detect clock edges on clocked processes.
-    std::map<std::string, std::pair<bool, bool>> edges; // old -> new
-    for (auto &[name, prev] : prevClocks_) {
-        bool now = backend_->signalBool(design_.requireSignal(name));
-        edges[name] = {prev, now};
-    }
+    for (size_t i = 0; i < clocks_.size(); ++i)
+        clockNow_[i] = backend_->signalBool(clocks_[i].sig);
 
-    std::vector<size_t> triggered;
-    const auto &clocked = design_.clockedProcs();
-    for (size_t pi = 0; pi < clocked.size(); ++pi) {
-        const auto *proc = clocked[pi];
-        for (const auto &sens : proc->sens) {
-            auto [before, after] = edges[sens.signal];
+    std::vector<size_t> &triggered = triggered_;
+    triggered.clear();
+    for (size_t pi = 0; pi + 1 < sensBegin_.size(); ++pi) {
+        for (uint32_t k = sensBegin_[pi]; k < sensBegin_[pi + 1]; ++k) {
+            bool before = prevClocks_[sens_[k].slot];
+            bool after = clockNow_[sens_[k].slot];
             bool rising = !before && after;
             bool falling = before && !after;
-            if ((sens.edge == EdgeKind::Posedge && rising) ||
-                (sens.edge == EdgeKind::Negedge && falling)) {
+            if ((sens_[k].edge == EdgeKind::Posedge && rising) ||
+                (sens_[k].edge == EdgeKind::Negedge && falling)) {
                 triggered.push_back(pi);
                 break;
             }
@@ -519,22 +540,21 @@ Simulator::eval()
     // publish the signals they reference first.
     for (int sig : primClockSigs_)
         backend_->flushSignal(sig);
-    std::vector<std::pair<size_t, std::string>> prim_triggered;
+    std::vector<size_t> prim_triggered;
     for (size_t i = 0; i < primClocks_.size(); ++i) {
         bool now = !evalExpr(primClocks_[i].expr, ctx_).isZero();
         bool before = prevPrimClocks_[i];
         if (!before && now)
-            prim_triggered.emplace_back(primClocks_[i].prim,
-                                        primClocks_[i].port);
+            prim_triggered.push_back(i);
         prevPrimClocks_[i] = now;
     }
 
     bool primary_rose = false;
     if (primaryClockId_ >= 0) {
-        auto it = prevClocks_.find("clk");
         bool now = backend_->signalBool(primaryClockId_);
-        bool before =
-            it != prevClocks_.end() ? it->second : primaryClockRaw_;
+        bool before = primaryClockSlot_ >= 0
+                          ? prevClocks_[primaryClockSlot_]
+                          : primaryClockRaw_;
         primary_rose = !before && now;
         primaryClockRaw_ = now;
     }
@@ -543,8 +563,7 @@ Simulator::eval()
         HWDBG_STAT_INC("sim.cycles", 1);
     }
 
-    for (auto &[name, prev] : prevClocks_)
-        prev = edges[name].second;
+    prevClocks_ = clockNow_;
 
     if (triggered.empty() && prim_triggered.empty()) {
         if (cover_) {
@@ -584,8 +603,9 @@ Simulator::eval()
         // Primitives read and write the shared context; reconcile the
         // backend's state around them.
         backend_->flush();
-        for (const auto &[idx, port] : prim_triggered)
-            prims_[idx]->clockEdge(port, ctx_);
+        for (size_t i : prim_triggered)
+            prims_[primClocks_[i].prim]->clockEdge(primClocks_[i].port,
+                                                   ctx_);
         backend_->load();
     }
     backend_->commitNba();

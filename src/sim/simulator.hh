@@ -276,8 +276,29 @@ class Simulator
 
     std::vector<std::unique_ptr<Primitive>> prims_;
 
-    /** Previous values of clock signals (per clocked proc sens items). */
-    std::map<std::string, bool> prevClocks_;
+    /** The clock signals of the clocked processes' sensitivity items,
+     *  one slot each, in name order (the snapshot's prevClocks keys). */
+    struct ClockSlot
+    {
+        std::string name;
+        int sig;
+    };
+    std::vector<ClockSlot> clocks_;
+    /** Level of each clock slot at the previous eval. */
+    std::vector<bool> prevClocks_;
+    /** Per sensitivity item: its clock slot and edge. */
+    struct SensSlot
+    {
+        uint32_t slot;
+        hdl::EdgeKind edge;
+    };
+    /** Sensitivity items of clocked process pi: sens_[sensBegin_[pi]]
+     *  up to sens_[sensBegin_[pi + 1]]. */
+    std::vector<SensSlot> sens_;
+    std::vector<uint32_t> sensBegin_;
+    /** Per-eval scratch: clock levels now, and triggered processes. */
+    std::vector<bool> clockNow_;
+    std::vector<size_t> triggered_;
     /** Clock port expressions of primitives: (prim index, port). */
     struct PrimClock
     {
@@ -294,6 +315,9 @@ class Simulator
     std::vector<size_t> procOrder_;
 
     int primaryClockId_ = -1;
+    /** Clock slot of the primary clock, or -1 when it drives no
+     *  process. */
+    int primaryClockSlot_ = -1;
     /** Last seen level of the primary clock when it drives no process. */
     bool primaryClockRaw_ = false;
 };

@@ -36,7 +36,7 @@ TEST_P(RoundtripTest, ParsePrintParseIsFixpoint)
     const auto &bug = bugs::bugById(bug_id);
     std::map<std::string, std::string> defines;
     if (buggy)
-        defines[bug.bugDefine] = "1";
+        defines.emplace(bug.bugDefine, "1");
     std::string text = hdl::preprocess(
         bugs::designSource(bug.designName), defines, bug.designName);
 

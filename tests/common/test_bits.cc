@@ -516,3 +516,108 @@ TEST(BitsWide, CompareAndAllOnesAcrossWords)
     }
     EXPECT_THROW(Bits(4, 1).replicate(0), HdlError);
 }
+
+// Storage: values of up to 128 bits keep their words inline, wider ones
+// on the heap. The inline words and the heap pointer share storage, so
+// a Bits is no larger than the std::vector it replaced plus its width.
+static_assert(sizeof(Bits) <= 32, "Bits grew past its 32-byte layout");
+
+namespace
+{
+
+/** A @p width-bit value whose every word differs. */
+Bits
+patterned(uint32_t width, uint64_t salt)
+{
+    std::vector<uint64_t> words((width + 63) / 64);
+    for (size_t i = 0; i < words.size(); ++i)
+        words[i] = (0x9E3779B97F4A7C15ULL * (i + 1)) ^ salt;
+    return Bits::fromWords(width, words.data(), words.size());
+}
+
+const uint32_t kStorageWidths[] = {64, 128, 129, 4096};
+
+} // namespace
+
+TEST(BitsStorage, CopyAndMoveAcrossTheInlineHeapBoundary)
+{
+    for (uint32_t from : kStorageWidths) {
+        for (uint32_t to : kStorageWidths) {
+            Bits src = patterned(from, 1);
+            const std::string want = src.toHexString();
+
+            Bits copied(src);
+            EXPECT_EQ(copied, src) << from;
+            EXPECT_NE(copied.rawWords(), src.rawWords()) << from;
+
+            Bits assigned = patterned(to, 2);
+            assigned = src;
+            EXPECT_EQ(assigned.width(), from) << from << "<-" << to;
+            EXPECT_EQ(assigned.toHexString(), want) << from << "<-" << to;
+
+            // The copies are independent of the source.
+            src.setBit(0, !src.bit(0));
+            EXPECT_EQ(copied.toHexString(), want) << from;
+            EXPECT_EQ(assigned.toHexString(), want) << from;
+
+            Bits moved(std::move(copied));
+            EXPECT_EQ(moved.toHexString(), want) << from;
+            Bits moveAssigned = patterned(to, 3);
+            moveAssigned = std::move(moved);
+            EXPECT_EQ(moveAssigned.width(), from) << from << "<-" << to;
+            EXPECT_EQ(moveAssigned.toHexString(), want) << from;
+            // A moved-from value stays usable: assign over it.
+            moved = patterned(to, 4);
+            EXPECT_EQ(moved, patterned(to, 4)) << from << "<-" << to;
+        }
+    }
+}
+
+TEST(BitsStorage, SelfAssignmentKeepsTheValue)
+{
+    for (uint32_t width : kStorageWidths) {
+        Bits b = patterned(width, 5);
+        const std::string want = b.toHexString();
+        Bits &alias = b;
+        b = alias;
+        EXPECT_EQ(b.toHexString(), want) << width;
+        b = std::move(alias);
+        EXPECT_EQ(b.width(), width);
+        EXPECT_EQ(b.toHexString(), want) << width;
+    }
+}
+
+TEST(BitsStorage, VectorGrowthRelocatesEveryWidth)
+{
+    std::vector<Bits> values;
+    std::vector<std::string> want;
+    for (uint64_t i = 0; i < 64; ++i) {
+        uint32_t width = kStorageWidths[i % 4];
+        values.push_back(patterned(width, i));
+        want.push_back(values.back().toHexString());
+    }
+    ASSERT_GT(values.capacity(), 4u);
+    for (size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(values[i].width(), kStorageWidths[i % 4]) << i;
+        EXPECT_EQ(values[i].toHexString(), want[i]) << i;
+    }
+    // Erasing from the front shifts every element by move assignment.
+    values.erase(values.begin(), values.begin() + 3);
+    for (size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(values[i].toHexString(), want[i + 3]) << i;
+}
+
+TEST(BitsStorage, ResizedAcrossTheBoundaryBothWays)
+{
+    Bits narrow = patterned(128, 6);
+    Bits wide = narrow.resized(129);
+    EXPECT_EQ(wide.width(), 129u);
+    EXPECT_FALSE(wide.bit(128));
+    EXPECT_EQ(wide.slice(127, 0), narrow);
+    Bits full = Bits::allOnes(129);
+    Bits back = full.resized(128);
+    EXPECT_EQ(back, Bits::allOnes(128));
+    EXPECT_EQ(full.resized(4096).resized(129), full);
+    EXPECT_EQ(patterned(4096, 7).resized(64), patterned(64, 7));
+    EXPECT_EQ(patterned(4096, 7).resized(128), patterned(128, 7));
+}

@@ -9,20 +9,27 @@
  * without defaults, concatenation lvalues, nonblocking swap ordering,
  * $display logs and $finish, non-power-of-two memories (index masking
  * plus out-of-range drops), the read/write asymmetry of scalar bit
- * indexing, the known-bits folding statistics, and wide division
- * against literal values (both engines share its kernel).
+ * indexing, the known-bits folding statistics, wide division against
+ * literal values (both engines share its kernel), and the single-word
+ * op forms: each at operand widths 1, 63, 64 and 65, with the profiler
+ * and coverage attached, the widths that select them, and the value
+ * mutations each one must keep checking.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "common/testhooks.hh"
 #include "compile/backend.hh"
 #include "compile/bytecode.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
+#include "sim/coverage.hh"
+#include "sim/profiler.hh"
 #include "sim/simulator.hh"
 
 using namespace hwdbg;
@@ -38,6 +45,11 @@ struct Pair
     std::unique_ptr<Simulator> interp;
     std::unique_ptr<Simulator> bytecode;
 
+    /** Optional instruments (instrument()), one set per engine. */
+    CoverageItems items;
+    SimCounters profA, profB;
+    std::unique_ptr<CoverageCollector> covA, covB;
+
     explicit Pair(const std::string &src, const std::string &top = "m")
     {
         hdl::Design design = hdl::parse(src);
@@ -46,6 +58,22 @@ struct Pair
         bytecode = std::make_unique<Simulator>(mod);
         bytecode->setBackend(compile::makeBytecodeBackend());
         check();
+    }
+
+    /** Attach a profiler, and a coverage collector when @p coverage,
+     *  to both engines; check() then also compares toggle counts and
+     *  coverage marks. */
+    void instrument(bool coverage)
+    {
+        interp->enableProfiling(&profA);
+        bytecode->enableProfiling(&profB);
+        if (!coverage)
+            return;
+        items = buildCoverageItems(interp->design());
+        covA = std::make_unique<CoverageCollector>(items);
+        covB = std::make_unique<CoverageCollector>(items);
+        interp->enableCoverage(covA.get());
+        bytecode->enableCoverage(covB.get());
     }
 
     void poke(const std::string &name, const Bits &value)
@@ -113,8 +141,42 @@ struct Pair
             EXPECT_EQ(interp->log()[i].cycle, bytecode->log()[i].cycle);
             EXPECT_EQ(interp->log()[i].text, bytecode->log()[i].text);
         }
+        EXPECT_EQ(profA.toggles, profB.toggles);
+        if (covA) {
+            // events() counts onStore calls along with the marks.
+            EXPECT_EQ(covA->events(), covB->events());
+            EXPECT_EQ(covA->stmtWords(), covB->stmtWords());
+            EXPECT_EQ(covA->armWords(), covB->armWords());
+            EXPECT_EQ(covA->riseWords(), covB->riseWords());
+            EXPECT_EQ(covA->fallWords(), covB->fallWords());
+        }
     }
 };
+
+/** Flips a mutation on for one scope; never leaks into other tests. */
+struct MutationGuard
+{
+    explicit MutationGuard(int id) { activeMutation = id; }
+    ~MutationGuard() { activeMutation = MUT_NONE; }
+};
+
+/** "[width-1:0]" */
+std::string
+vectorRange(uint32_t width)
+{
+    std::string out(1, '[');
+    out += std::to_string(width - 1);
+    out += ":0]";
+    return out;
+}
+
+/** A @p width-bit value from @p rng (fromWords truncates). */
+Bits
+randomBits(std::mt19937_64 &rng, uint32_t width)
+{
+    uint64_t words[3] = {rng(), rng(), rng()};
+    return Bits::fromWords(width, words, 3);
+}
 
 compile::Program
 lower(const std::string &src, bool fold, const std::string &top = "m")
@@ -499,4 +561,276 @@ TEST(BytecodeTest, WideDivisionMatchesLiteralValues)
               "000000000000000030123456789abcdda");
     EXPECT_EQ(p.peek("rm").toHexString(),
               "00000000000000000f6e5d4c3b2a1911a");
+}
+
+namespace
+{
+
+/**
+ * Every op with a single-word form at operand width @p w, next to fixed
+ * 64- and 65-bit operands, a 65-bit condition and a 130-bit slice
+ * source, so one design crosses each form's width boundary.
+ */
+std::string
+boundaryDesign(uint32_t w)
+{
+    std::string v = vectorRange(w);
+    std::string cat = vectorRange(2 * w + 3);
+    std::string parts = vectorRange(5 * w);
+    return "module m(input wire clk, input wire " + v + " a,\n"
+           "  input wire " + v + " b, input wire c,\n"
+           "  input wire [64:0] c65, input wire [63:0] x64,\n"
+           "  input wire [64:0] x65, input wire [39:0] i,\n"
+           "  input wire [7:0] n, input wire [129:0] wide,\n"
+           "  output wire " + v + " o_add, output wire " + v + " o_sub,\n"
+           "  output wire " + v + " o_and, output wire " + v + " o_or,\n"
+           "  output wire " + v + " o_xor, output wire " + v + " o_not,\n"
+           "  output wire " + v + " o_shl, output wire " + v + " o_shr,\n"
+           "  output wire " + v + " o_sel, output wire " + v + " o_sel65,\n"
+           "  output wire [63:0] o_copy, output wire [7:0] o_trunc,\n"
+           "  output wire o_lnot, output wire o_ror, output wire o_land,\n"
+           "  output wire o_lor, output wire o_eq, output wire o_ne,\n"
+           "  output wire o_lt, output wire o_le, output wire o_gt,\n"
+           "  output wire o_ge, output wire o_bit,\n"
+           "  output wire [64:0] o_mix, output wire o_mixlt,\n"
+           "  output wire [30:0] o_hi, output wire [63:0] o_hi64,\n"
+           "  output wire [63:0] o_al, output wire " + cat + " o_cat,\n"
+           "  output reg " + v + " r, output reg " + v + " rb,\n"
+           "  output reg [63:0] r64, output reg [7:0] r8,\n"
+           "  output wire " + v + " o_mem, output wire " + v + " o_half,\n"
+           "  output wire " + parts + " o_parts,\n"
+           "  output wire o_land65, output wire o_lor65);\n"
+           "reg " + v + " mem[0:5];\n"
+           "assign o_mem = mem[i];\n"
+           // Results above their width would show in these consumers.
+           "assign o_half = (a - b) >> 1;\n"
+           "assign o_parts = {a - b, ~a, a + b, a << n, a};\n"
+           "assign o_land65 = a && c65;\n"
+           "assign o_lor65 = b || c65;\n"
+           "assign o_add = a + b;\n"
+           "assign o_sub = a - b;\n"
+           "assign o_and = a & b;\n"
+           "assign o_or = a | b;\n"
+           "assign o_xor = a ^ b;\n"
+           "assign o_not = ~a;\n"
+           "assign o_shl = a << n;\n"
+           "assign o_shr = a >> n;\n"
+           "assign o_sel = c ? a : b;\n"
+           "assign o_sel65 = c65 ? a : b;\n"
+           "assign o_copy = a;\n"
+           "assign o_trunc = a + b;\n"
+           "assign o_lnot = !a;\n"
+           "assign o_ror = |a;\n"
+           "assign o_land = a && b;\n"
+           "assign o_lor = a || b;\n"
+           "assign o_eq = a == b;\n"
+           "assign o_ne = a != b;\n"
+           "assign o_lt = a < b;\n"
+           "assign o_le = a <= b;\n"
+           "assign o_gt = a > b;\n"
+           "assign o_ge = a >= b;\n"
+           "assign o_bit = a[i];\n"
+           "assign o_mix = x64 + x65;\n"
+           "assign o_mixlt = x64 < x65;\n"
+           "assign o_hi = wide[100:70];\n"
+           "assign o_hi64 = wide[129:66];\n"
+           "assign o_al = wide[127:64];\n"
+           "assign o_cat = {3'b101, a, b};\n"
+           "always @(posedge clk) begin\n"
+           "  if (a) r <= a ^ b; else r <= b + 1'b1;\n"
+           "  if (c65) r64 <= x65; else r64 <= x64;\n"
+           "  case (c)\n"
+           "    1'b0: rb <= a;\n"
+           "    default: rb <= ~b;\n"
+           "  endcase\n"
+           "  r8 = a - b;\n"
+           "  mem[n[2:0]] <= a;\n"
+           "  $display(\"%d %h %b\", a, r, o_bit);\n"
+           "end\n"
+           "endmodule";
+}
+
+/** Drive boundaryDesign(@p w) through edge and random values. */
+void
+driveBoundary(Pair &p, uint32_t w)
+{
+    std::mt19937_64 rng(w);
+    const uint64_t ones = ~uint64_t(0);
+    const uint64_t top64 = uint64_t(1) << 63;
+    const uint64_t edges[][2] = {
+        {0, 0}, {ones, ones}, {ones, 1}, {1, ones}, {top64, top64},
+        {top64, 0}, {0, 1}};
+    for (int step = 0; step < 40; ++step) {
+        if (step < 7) {
+            uint64_t wa[2] = {edges[step][0], edges[step][0]};
+            uint64_t wb[2] = {edges[step][1], 0};
+            p.poke("a", Bits::fromWords(w, wa, 2));
+            p.poke("b", Bits::fromWords(w, wb, 2));
+        } else {
+            p.poke("a", randomBits(rng, w));
+            p.poke("b", step % 5 ? randomBits(rng, w) : Bits(w, 7));
+        }
+        p.poke("c", uint64_t(step & 1));
+        // Only bit 64 set: a single-word test of c65 would read zero.
+        uint64_t hi[2] = {0, 1};
+        p.poke("c65", step % 3 ? randomBits(rng, 65)
+                               : Bits::fromWords(65, hi, 2));
+        p.poke("x64", randomBits(rng, 64));
+        p.poke("x65", step % 4 ? randomBits(rng, 65)
+                               : Bits::fromWords(65, hi, 2));
+        // Indexes at and above 2^32 truncate to their low 32 bits.
+        uint64_t index = step % 2 ? (uint64_t(1) << 32) + step % 70
+                                  : rng() % 80;
+        p.poke("i", index);
+        p.poke("n", rng() % 80);
+        p.poke("wide", randomBits(rng, 130));
+        p.tick();
+    }
+}
+
+} // namespace
+
+TEST(BytecodeTest, SingleWordFormsMatchAtWidthBoundaries)
+{
+    for (uint32_t w : {1u, 63u, 64u, 65u}) {
+        SCOPED_TRACE("width " + std::to_string(w));
+        Pair p(boundaryDesign(w));
+        driveBoundary(p, w);
+        EXPECT_GT(p.interp->log().size(), 0u);
+    }
+}
+
+TEST(BytecodeTest, SingleWordFormsMatchWithProfilerAndCoverage)
+{
+    // The single-word store hands a changing store to the generic path
+    // when coverage is attached, so onStore sees both values, and
+    // counts the toggle itself when only the profiler is.
+    for (bool coverage : {false, true}) {
+        for (uint32_t w : {1u, 63u, 64u, 65u}) {
+            SCOPED_TRACE("width " + std::to_string(w) +
+                         (coverage ? " with coverage" : ""));
+            Pair p(boundaryDesign(w));
+            p.instrument(coverage);
+            driveBoundary(p, w);
+            if (coverage) {
+                EXPECT_GT(p.covB->events(), 0u);
+            }
+            uint64_t toggles = 0;
+            for (uint64_t t : p.profB.toggles)
+                toggles += t;
+            EXPECT_GT(toggles, 0u);
+        }
+    }
+}
+
+TEST(BytecodeTest, SingleWordDesignsLowerToNoWideArithmeticCompareOrStore)
+{
+    auto design = [](uint32_t w) {
+        std::string v = vectorRange(w);
+        return "module m(input wire clk, input wire " + v + " a,\n"
+               "  input wire " + v + " b, output wire " + v + " s,\n"
+               "  output wire " + v + " d, output wire " + v + " x,\n"
+               "  output wire " + v + " y, output wire " + v + " z,\n"
+               "  output wire " + v + " t, output wire e,\n"
+               "  output wire l, output reg " + v + " q);\n"
+               "assign s = a + b;\n"
+               "assign d = a - b;\n"
+               "assign x = a & b;\n"
+               "assign y = a | b;\n"
+               "assign z = a ^ b;\n"
+               "assign t = ~a;\n"
+               "assign e = a == b;\n"
+               "assign l = a < b;\n"
+               "always @(posedge clk) if (a >= b) q = a; else q = b;\n"
+               "endmodule";
+    };
+    auto wideOps = [](const compile::Program &prog) {
+        using compile::Opc;
+        size_t n = 0;
+        for (const compile::Op &op : prog.ops)
+            switch (op.opc) {
+              case Opc::Add: case Opc::Sub: case Opc::And:
+              case Opc::Or: case Opc::Xor: case Opc::Not:
+              case Opc::CmpEq: case Opc::CmpNe: case Opc::CmpLt:
+              case Opc::CmpLe: case Opc::CmpGt: case Opc::CmpGe:
+              case Opc::Store:
+                ++n;
+                break;
+              default:
+                break;
+            }
+        return n;
+    };
+    for (bool fold : {false, true}) {
+        compile::Program narrow = lower(design(64), fold);
+        EXPECT_EQ(wideOps(narrow), 0u) << fold;
+        size_t stores = 0;
+        for (const compile::Op &op : narrow.ops)
+            stores += op.opc == compile::Opc::Store1;
+        EXPECT_EQ(stores, 10u) << fold;
+        EXPECT_GT(wideOps(lower(design(65), fold)), 0u) << fold;
+    }
+}
+
+TEST(BytecodeTest, ValueMutationsReachEverySingleWordKernel)
+{
+    // A kernel that dropped its mutation check would disagree with the
+    // interpreter here. Arming the mutation before both simulators are
+    // built turns constant folding off, so the kernels really run.
+    struct Case
+    {
+        int mutation;
+        const char *expr;
+    };
+    const Case cases[] = {
+        {MUT_SIM_ADD_AS_SUB, "a + b"},
+        {MUT_SIM_XOR_AS_OR, "a ^ b"},
+        {MUT_SIM_LT_AS_LE, "{{W{1'b0}}, a < b}"},
+        {MUT_SIM_SHR_OFF_BY_ONE, "a >> b[3:0]"},
+        {MUT_SIM_TERNARY_SWAP, "b[0] ? a : b"},
+    };
+    for (uint32_t w : {8u, 65u}) {
+        for (const Case &c : cases) {
+            std::string expr = c.expr;
+            size_t at = expr.find('W');
+            if (at != std::string::npos)
+                expr.replace(at, 1, std::to_string(w - 1));
+            std::string v = vectorRange(w);
+            SCOPED_TRACE(expr + " at width " + std::to_string(w));
+            MutationGuard guard(c.mutation);
+            Pair p("module m(input wire " + v + " a, input wire " + v +
+                   " b,\n  output wire " + v + " o);\n"
+                   "assign o = " + expr + ";\nendmodule");
+            std::mt19937_64 rng(w * 31 + c.mutation);
+            bool differs = false;
+            for (int step = 0; step < 24; ++step) {
+                Bits a = randomBits(rng, w);
+                // Equal operands make < and <= differ.
+                Bits b = step % 3 ? randomBits(rng, w) : a;
+                p.poke("a", a);
+                p.poke("b", b);
+                p.eval();
+                Bits o = p.peek("o");
+                activeMutation = MUT_NONE;
+                Bits want = a.add(b);
+                switch (c.mutation) {
+                  case MUT_SIM_XOR_AS_OR: want = a.bitXor(b); break;
+                  case MUT_SIM_LT_AS_LE:
+                    want = Bits(w, a.compare(b) < 0);
+                    break;
+                  case MUT_SIM_SHR_OFF_BY_ONE:
+                    want = a.shr(b.toU64() & 15);
+                    break;
+                  case MUT_SIM_TERNARY_SWAP:
+                    want = b.bit(0) ? a : b;
+                    break;
+                  default: break;
+                }
+                activeMutation = c.mutation;
+                differs = differs || o != want;
+            }
+            // The stimulus shows the mutation; Pair showed agreement.
+            EXPECT_TRUE(differs);
+        }
+    }
 }

@@ -59,7 +59,7 @@ fromSource(const char *src, std::vector<StimulusPort> inputs,
 {
     GeneratedDesign gd;
     gd.design = hdl::parse(src, "<order-test>");
-    gd.top = "m";
+    gd.top = std::string("m");
     gd.inputs = std::move(inputs);
     gd.outputs = std::move(outputs);
     return gd;

@@ -155,9 +155,10 @@ TEST(ServeServerTest, EightSessionsShareOneBuildAndDedup)
     for (int i = 0; i < 8; ++i)
         script += "open debug bug=D4\n";
     for (int sid = 1; sid <= 8; ++sid) {
-        script += "@" + std::to_string(sid) + " step 2\n";
-        script += "@" + std::to_string(sid) + " info breakpoints\n";
-        script += "@" + std::to_string(sid) + " cover\n";
+        std::string at = '@' + std::to_string(sid);
+        script += at + " step 2\n";
+        script += at + " info breakpoints\n";
+        script += at + " cover\n";
     }
     script += "quit\n";
 
@@ -253,7 +254,7 @@ TEST(ServeServerTest, ConcurrentTcpClientsGetByteIdenticalSessions)
             }
             auto sid = static_cast<int64_t>(
                 root->get("payload")->get("session")->number);
-            std::string at = "@" + std::to_string(sid) + " ";
+            std::string at = '@' + std::to_string(sid) + ' ';
             for (const char *cmd :
                  {"step 3", "info checkpoints", "cover", "step 2"}) {
                 writeAll(fd, at + cmd + "\n");

@@ -157,7 +157,7 @@ loadedServerStats(Server &server, int clients, int steps)
     std::atomic<int> failures{0};
     for (size_t c = 0; c < fds.size(); ++c)
         workers.emplace_back([&, c] {
-            std::string at = "@" + std::to_string(sids[c]) + " ";
+            std::string at = '@' + std::to_string(sids[c]) + ' ';
             std::string line;
             for (int i = 0; i < steps; ++i) {
                 if (!writeAll(fds[c], at + "step 2\n") ||
@@ -483,7 +483,7 @@ TEST(ServeTelemetryTest, CheckerRejectsMalformedStatsDocuments)
     EXPECT_NE(checkServeStatsJson("{\"version\":1}"), "");
 
     // Quantiles must be monotone p50 <= p95 <= p99 <= max.
-    std::string bad = doc("1", "[" + cmdRow("run", 9, 5, 9, 9) + "]",
+    std::string bad = doc("1", '[' + cmdRow("run", 9, 5, 9, 9) + ']',
                           "[]");
     EXPECT_NE(checkServeStatsJson(bad).find("not monotone"),
               std::string::npos);
@@ -491,8 +491,8 @@ TEST(ServeTelemetryTest, CheckerRejectsMalformedStatsDocuments)
     // Command rows must be strictly sorted by name.
     std::string unsorted =
         doc("1",
-            "[" + cmdRow("run", 1, 1, 1, 1) + "," +
-                cmdRow("open", 1, 1, 1, 1) + "]",
+            '[' + cmdRow("run", 1, 1, 1, 1) + ',' +
+                cmdRow("open", 1, 1, 1, 1) + ']',
             "[]");
     EXPECT_NE(checkServeStatsJson(unsorted).find("not sorted"),
               std::string::npos);
