@@ -31,20 +31,6 @@ using sim::SignalInfo;
 namespace
 {
 
-/** Verbatim replica of eval.cc's hardware-overflow address mapping. */
-int64_t
-effectiveIndex(uint64_t index, uint32_t size)
-{
-    uint32_t addr_bits = 0;
-    while ((uint64_t(1) << addr_bits) < size)
-        ++addr_bits;
-    uint64_t effective =
-        addr_bits >= 64 ? index : index & ((uint64_t(1) << addr_bits) - 1);
-    if (effective >= size)
-        return -1;
-    return static_cast<int64_t>(effective);
-}
-
 /** Zero-extended word read: beyond an operand's words reads zero. */
 inline Word
 ldw(const Word *s, uint32_t off, uint32_t opnw, uint32_t i)
@@ -398,7 +384,7 @@ BytecodeBackend::run(const Program::Chunk &chunk)
           case Opc::ArrGet: {
             int sig = static_cast<int>(op.aux);
             const SignalInfo &info = design().info(sig);
-            int64_t elem = effectiveIndex(s[op.b], info.arraySize);
+            int64_t elem = sim::effectiveIndex(s[op.b], info.arraySize);
             if (elem < 0) {
                 for (uint32_t i = 0; i < op.nw; ++i)
                     s[op.d + i] = 0;
@@ -446,7 +432,7 @@ BytecodeBackend::run(const Program::Chunk &chunk)
               case StoreDesc::Elem: {
                 const SignalInfo &info = design().info(nd.sig);
                 t.element =
-                    effectiveIndex(s[nd.idxSlot], info.arraySize);
+                    sim::effectiveIndex(s[nd.idxSlot], info.arraySize);
                 t.dropped = t.element < 0;
                 break;
               }
@@ -549,18 +535,6 @@ BytecodeBackend::run(const Program::Chunk &chunk)
           case Opc::Not1:
             s[op.d] = ~s[op.a] & topWordMask(op.w);
             break;
-          case Opc::Shl1: {
-            uint64_t amt = s[op.b];
-            s[op.d] =
-                amt >= op.wa ? 0 : (s[op.a] << amt) & topWordMask(op.w);
-            break;
-          }
-          case Opc::Shr1: {
-            uint64_t amt = s[op.b] +
-                           (mutationOn(MUT_SIM_SHR_OFF_BY_ONE) ? 1 : 0);
-            s[op.d] = amt >= op.wa ? 0 : s[op.a] >> amt;
-            break;
-          }
           case Opc::LogNot1:
             s[op.d] = s[op.a] == 0;
             break;
@@ -596,7 +570,7 @@ BytecodeBackend::run(const Program::Chunk &chunk)
             bool taken = s[op.c] != 0;
             if (mutationOn(MUT_SIM_TERNARY_SWAP))
                 taken = !taken;
-            // Both arms are lowered at the destination width.
+            // narrowOp admits no arm wider than the destination.
             s[op.d] = s[taken ? op.a : op.b];
             break;
           }
@@ -672,7 +646,7 @@ BytecodeBackend::doStore(const StoreDesc &sd)
         break;
       case StoreDesc::Elem: {
         const SignalInfo &info = design().info(sd.sig);
-        t.element = effectiveIndex(s[sd.idxSlot], info.arraySize);
+        t.element = sim::effectiveIndex(s[sd.idxSlot], info.arraySize);
         t.dropped = t.element < 0;
         break;
       }

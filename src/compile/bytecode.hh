@@ -104,8 +104,6 @@ enum class Opc : uint8_t {
     Or1,
     Xor1,
     Not1,
-    Shl1,
-    Shr1,
     LogNot1,
     RedOr1,
     LogAnd1,

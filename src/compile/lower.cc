@@ -24,6 +24,7 @@
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "compile/bytecode.hh"
+#include "sim/eval.hh"
 
 namespace hwdbg::compile
 {
@@ -414,9 +415,9 @@ Lowerer::lowerExpr(const ExprPtr &e, uint32_t cw)
  * Rewrite @p op into its single-word form when every word it touches
  * is one. Selection is by width only: the destination and each operand
  * fit in 64 bits. The exceptions are operands the kernels read through
- * one word at any width: shift amounts and BitGet/ArrGet indexes (word
- * 0, like the generic ops), a SliceGet source (the kept bits fit one
- * word) and a WriteTemp destination (the part lands in one word).
+ * one word at any width: BitGet/ArrGet indexes (word 0, like the
+ * generic ops), a SliceGet source (the kept bits fit one word) and a
+ * WriteTemp destination (the part lands in one word).
  */
 void
 narrowOp(Op &op, const Program &prog, const LoweredDesign &design)
@@ -443,13 +444,11 @@ narrowOp(Op &op, const Program &prog, const LoweredDesign &design)
       case Opc::CmpLe: to = Opc::CmpLe1; break;
       case Opc::CmpGt: to = Opc::CmpGt1; break;
       case Opc::CmpGe: to = Opc::CmpGe1; break;
-      case Opc::Shl:
-      case Opc::Shr:
-        ab = fits(op.wa);
-        to = op.opc == Opc::Shl ? Opc::Shl1 : Opc::Shr1;
-        break;
       case Opc::Select:
-        ab = ab && fits(static_cast<uint32_t>(op.aux2));
+        // Select1 copies the chosen arm's word unmasked, so no arm may
+        // be wider than the destination.
+        ab = op.wa <= op.w && op.wb <= op.w &&
+             fits(static_cast<uint32_t>(op.aux2));
         to = Opc::Select1;
         break;
       case Opc::SliceGet:
@@ -469,15 +468,10 @@ narrowOp(Op &op, const Program &prog, const LoweredDesign &design)
         const SignalInfo &info = design.info(op.aux);
         if (!dst || !fits(info.width))
             return;
-        // The hardware-overflow index mapping, precomputed: mask the
-        // index to the address bits, then drop an index past the end.
-        uint32_t addr_bits = 0;
-        while ((uint64_t(1) << addr_bits) < info.arraySize)
-            ++addr_bits;
         op.opc = Opc::ArrGet1;
         op.a = prog.arrOff[op.aux];
         op.c = info.arraySize;
-        op.aux2 = static_cast<int32_t>((uint64_t(1) << addr_bits) - 1);
+        op.aux2 = static_cast<int32_t>(sim::addressMask(info.arraySize));
         return;
       }
       case Opc::ClearTemp: to = Opc::ClearTemp1; break;

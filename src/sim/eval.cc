@@ -36,29 +36,23 @@ EvalContext::drainLog()
     pendingLog.clear();
 }
 
-namespace
-{
-
-/**
- * Hardware-overflow address mapping: indices are truncated to the
- * physical address width. The result is the effective element, or -1 if
- * the access must be dropped (effective index beyond a non-power-of-two
- * memory).
- */
-int64_t
-effectiveIndex(uint64_t index, uint32_t size)
+uint32_t
+addressMask(uint32_t size)
 {
     uint32_t addr_bits = 0;
     while ((uint64_t(1) << addr_bits) < size)
         ++addr_bits;
-    uint64_t effective =
-        addr_bits >= 64 ? index : index & ((uint64_t(1) << addr_bits) - 1);
+    return static_cast<uint32_t>((uint64_t(1) << addr_bits) - 1);
+}
+
+int64_t
+effectiveIndex(uint64_t index, uint32_t size)
+{
+    uint64_t effective = index & addressMask(size);
     if (effective >= size)
         return -1;
     return static_cast<int64_t>(effective);
 }
-
-} // namespace
 
 Bits
 evalExpr(const ExprPtr &expr, EvalContext &ctx, uint32_t ctx_width)

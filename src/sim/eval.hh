@@ -102,6 +102,20 @@ Bits evalExpr(const hdl::ExprPtr &expr, EvalContext &ctx,
 bool evalBool(const hdl::ExprPtr &expr, EvalContext &ctx);
 
 /**
+ * Hardware-overflow address mapping: an index into a memory of @p size
+ * elements is truncated to the physical address width, the low
+ * ceil(log2(size)) bits; this is their mask.
+ */
+uint32_t addressMask(uint32_t size);
+
+/**
+ * The element an index into a memory of @p size elements addresses, or
+ * -1 if the access must be dropped (the truncated index is beyond a
+ * non-power-of-two memory).
+ */
+int64_t effectiveIndex(uint64_t index, uint32_t size);
+
+/**
  * A store target resolved against current state (index expressions are
  * evaluated at resolution time, which gives nonblocking assignments their
  * sample-then-commit semantics).
