@@ -86,74 +86,28 @@ renderAnalyzeJson(const std::vector<std::string> &passes,
 std::string
 checkAnalyzeJson(const std::string &text)
 {
-    auto fail = [](const std::string &why) { return why; };
-    std::string parse_error;
-    obs::JsonPtr root = obs::parseJson(text, &parse_error);
-    if (!root)
-        return fail(parse_error);
-    if (!root->isObject())
-        return fail("root is not an object");
-
-    const auto *format = root->get("format");
-    if (!format || !format->isString() ||
-        format->text != "hwdbg-analyze")
-        return fail("\"format\" must be \"hwdbg-analyze\"");
-    const auto *version = root->get("version");
-    if (!version || !version->isNumber() || version->number != 1)
-        return fail("unsupported analyze format version");
-
-    const auto *build = root->get("build");
-    if (!build || !build->isObject())
-        return fail("missing \"build\" object");
-    for (const char *key : {"tool", "version", "git", "type"}) {
-        const auto *member = build->get(key);
-        if (!member || !member->isString())
-            return fail(std::string("build.") + key +
-                        " must be a string");
-    }
-    if (build->get("tool")->text != "hwdbg")
-        return fail("build.tool must be \"hwdbg\"");
-
-    const auto *passes = root->get("passes");
-    if (!passes || !passes->isArray())
-        return fail("missing \"passes\" array");
-    for (const auto &elem : passes->elems) {
-        if (!elem->isString())
-            return fail("passes must be strings");
-        if (!passById(elem->text))
-            return fail("unknown pass \"" + elem->text + "\"");
-    }
-
-    const auto *diags = root->get("diagnostics");
-    if (!diags || !diags->isArray())
-        return fail("missing \"diagnostics\" array");
-    for (const auto &elem : diags->elems) {
-        if (!elem->isObject())
-            return fail("diagnostics must be objects");
-        for (const char *key :
-             {"rule", "severity", "subclass", "file", "message"}) {
-            const auto *member = elem->get(key);
-            if (!member || !member->isString())
-                return fail(std::string("diagnostic ") + key +
-                            " must be a string");
-        }
-        const std::string &sev = elem->get("severity")->text;
-        if (sev != "info" && sev != "warning" && sev != "error")
-            return fail("bad severity \"" + sev + "\"");
-        for (const char *key : {"line", "col"}) {
-            const auto *member = elem->get(key);
-            if (!member || !member->isNumber())
-                return fail(std::string("diagnostic ") + key +
-                            " must be a number");
-        }
-        const auto *signals = elem->get("signals");
-        if (!signals || !signals->isArray())
-            return fail("diagnostic signals must be an array");
-        for (const auto &sig : signals->elems)
-            if (!sig->isString())
-                return fail("diagnostic signals must be strings");
-    }
-    return "";
+    static const obs::Schema schema = obs::ordered({
+        {"format", obs::oneOf({"hwdbg-analyze"})},
+        {"version", obs::exactly(1)},
+        {"build", obs::buildSchema()},
+        {"passes",
+         obs::arrayOf(obs::string([](const obs::JsonValue &id) {
+             return passById(id.text) ? std::string()
+                                      : "unknown pass \"" + id.text + "\"";
+         }))},
+        {"diagnostics",
+         obs::arrayOf(obs::ordered({
+             {"rule", obs::string()},
+             {"severity", obs::oneOf({"info", "warning", "error"})},
+             {"subclass", obs::string()},
+             {"file", obs::string()},
+             {"line", obs::number()},
+             {"col", obs::number()},
+             {"message", obs::string()},
+             {"signals", obs::arrayOf(obs::string())},
+         }))},
+    });
+    return obs::checkJson(schema, text);
 }
 
 } // namespace hwdbg::analyze

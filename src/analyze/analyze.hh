@@ -73,8 +73,9 @@ std::string renderAnalyzeJson(const std::vector<std::string> &passes,
                               const std::vector<Diagnostic> &diags);
 
 /**
- * Validate an hwdbg-analyze JSON report (`hwdbg obscheck`). Returns ""
- * when valid, else the first violation.
+ * Check an hwdbg-analyze report against its schema (`hwdbg obscheck`):
+ * exact field order, known pass ids, build provenance. Returns "" when
+ * valid, else the first violation.
  */
 std::string checkAnalyzeJson(const std::string &text);
 

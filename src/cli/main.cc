@@ -820,6 +820,56 @@ cmdHelp(const Args &args)
     return 0;
 }
 
+/**
+ * The formats `hwdbg obscheck` knows, in sniffing order. A format is
+ * recognised by a member of its first line's root (a JSON-lines
+ * transcript's hello), else of the whole document's root: with
+ * @c value, that member's string value; without, its presence. The
+ * entry with no key catches everything else.
+ */
+struct ObsFormat
+{
+    const char *kind;
+    const char *key;
+    const char *value;
+    std::string (*check)(const std::string &text);
+};
+
+const ObsFormat kObsFormats[] = {
+    {"debug transcript", "proto", "hwdbg-debug",
+     debug::checkDebugTranscript},
+    {"serve transcript", "proto", "hwdbg-serve",
+     serve::checkServeTranscript},
+    {"trace", "traceEvents", nullptr, obs::checkTraceJson},
+    {"coverage", "format", "hwdbg-cover", cover::checkCoverageJson},
+    {"analyze report", "format", "hwdbg-analyze",
+     analyze::checkAnalyzeJson},
+    {"signal trace", "format", "hwdbg-trace", trace::checkTraceDumpJson},
+    {"serve stats", "format", "hwdbg-serve-stats",
+     serve::checkServeStatsJson},
+    {"metrics", nullptr, nullptr, obs::checkMetricsJson},
+};
+
+const ObsFormat &
+sniffFormat(const std::string &text)
+{
+    std::string error;
+    obs::JsonPtr root = obs::parseJson(text.substr(0, text.find('\n')),
+                                       &error);
+    if (!root)
+        root = obs::parseJson(text, &error);
+    for (const ObsFormat &format : kObsFormats) {
+        const obs::JsonValue *id =
+            format.key && root && root->isObject() ? root->get(format.key)
+                                                   : nullptr;
+        if (!format.key ||
+            (id && (!format.value ||
+                    (id->isString() && id->text == format.value))))
+            return format;
+    }
+    return kObsFormats[std::size(kObsFormats) - 1];
+}
+
 int
 cmdObscheck(const Args &args)
 {
@@ -831,67 +881,10 @@ cmdObscheck(const Args &args)
     int rc = 0;
     for (const auto &path : files) {
         std::string text = readFileOrFatal(path);
-        // Sniff the snapshot kind from the content so one command
-        // covers --trace, --metrics, and debug --machine output.
-        // Debug transcripts are JSON-lines: detect them by the hello
-        // object on the first line before whole-file parsing.
-        std::string firstLine = text.substr(0, text.find('\n'));
-        std::string error;
-        std::string verdict;
-        const char *kind = "metrics";
-        obs::JsonPtr hello = obs::parseJson(firstLine, &error);
-        std::string proto;
-        if (hello && hello->isObject() && hello->get("proto") &&
-            hello->get("proto")->isString())
-            proto = hello->get("proto")->text;
-        if (proto == "hwdbg-debug" || proto == "hwdbg-serve") {
-            if (proto == "hwdbg-debug") {
-                kind = "debug transcript";
-                verdict = debug::checkDebugTranscript(text);
-            } else {
-                kind = "serve transcript";
-                verdict = serve::checkServeTranscript(text);
-            }
-            if (verdict.empty()) {
-                std::printf("%s: ok (%s)\n", path.c_str(), kind);
-            } else {
-                std::printf("%s: INVALID: %s\n", path.c_str(),
-                            verdict.c_str());
-                rc = 1;
-            }
-            continue;
-        }
-        obs::JsonPtr root = obs::parseJson(text, &error);
-        if (!root) {
-            verdict = error;
-        } else if (root->isObject() && root->get("traceEvents")) {
-            kind = "trace";
-            verdict = obs::checkTraceJson(text);
-        } else if (root->isObject() && root->get("format") &&
-                   root->get("format")->isString() &&
-                   root->get("format")->text == "hwdbg-cover") {
-            kind = "coverage";
-            verdict = cover::checkCoverageJson(text);
-        } else if (root->isObject() && root->get("format") &&
-                   root->get("format")->isString() &&
-                   root->get("format")->text == "hwdbg-analyze") {
-            kind = "analyze report";
-            verdict = analyze::checkAnalyzeJson(text);
-        } else if (root->isObject() && root->get("format") &&
-                   root->get("format")->isString() &&
-                   root->get("format")->text == "hwdbg-trace") {
-            kind = "signal trace";
-            verdict = trace::checkTraceDumpJson(text);
-        } else if (root->isObject() && root->get("format") &&
-                   root->get("format")->isString() &&
-                   root->get("format")->text == "hwdbg-serve-stats") {
-            kind = "serve stats";
-            verdict = serve::checkServeStatsJson(text);
-        } else {
-            verdict = obs::checkMetricsJson(text);
-        }
+        const ObsFormat &format = sniffFormat(text);
+        std::string verdict = format.check(text);
         if (verdict.empty()) {
-            std::printf("%s: ok (%s)\n", path.c_str(), kind);
+            std::printf("%s: ok (%s)\n", path.c_str(), format.kind);
         } else {
             std::printf("%s: INVALID: %s\n", path.c_str(),
                         verdict.c_str());

@@ -4,8 +4,12 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/json.hh"
+
 namespace hwdbg::cover
 {
+
+using obs::hexU64;
 
 namespace
 {
@@ -17,14 +21,6 @@ popAll(const std::vector<uint64_t> &words)
     for (uint64_t word : words)
         n += static_cast<uint64_t>(__builtin_popcountll(word));
     return n;
-}
-
-std::string
-hexU64(uint64_t value)
-{
-    std::ostringstream out;
-    out << "0x" << std::hex << value;
-    return out.str();
 }
 
 void

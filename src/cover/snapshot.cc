@@ -11,6 +11,7 @@
 namespace hwdbg::cover
 {
 
+using obs::hexU64;
 using obs::jsonEscape;
 
 const char *
@@ -32,89 +33,12 @@ namespace
 {
 
 std::string
-hexU64(uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
-
-std::string
 hexFingerprint(uint64_t value)
 {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "0x%016llx",
                   static_cast<unsigned long long>(value));
     return buf;
-}
-
-/** Hex string (MSB first) of @p width packed bits. A nibble never
- *  straddles a word: 4 divides 64. */
-std::string
-wordsToHex(const std::vector<uint64_t> &words, uint32_t width)
-{
-    uint32_t nibbles = std::max<uint32_t>(1, (width + 3) / 4);
-    std::string out = "0x";
-    out.reserve(2 + nibbles);
-    for (uint32_t n = nibbles; n-- > 0;) {
-        uint32_t bit = n * 4;
-        uint64_t word =
-            bit / 64 < words.size() ? words[bit / 64] : 0;
-        uint32_t nib = (word >> (bit % 64)) & 0xf;
-        out.push_back("0123456789abcdef"[nib]);
-    }
-    return out;
-}
-
-bool
-hexToWords(const std::string &text, uint32_t width,
-           std::vector<uint64_t> *words)
-{
-    uint32_t nibbles = std::max<uint32_t>(1, (width + 3) / 4);
-    if (text.size() != 2 + nibbles || text[0] != '0' || text[1] != 'x')
-        return false;
-    words->assign((width + 63) / 64, 0);
-    if (words->empty())
-        words->assign(1, 0);
-    for (uint32_t n = 0; n < nibbles; ++n) {
-        char c = text[2 + (nibbles - 1 - n)];
-        uint32_t nib;
-        if (c >= '0' && c <= '9')
-            nib = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            nib = c - 'a' + 10;
-        else
-            return false;
-        uint32_t bit = n * 4;
-        if (bit / 64 < words->size())
-            (*words)[bit / 64] |= uint64_t(nib) << (bit % 64);
-        else if (nib)
-            return false;
-    }
-    return true;
-}
-
-bool
-hexToU64(const std::string &text, uint64_t *out)
-{
-    if (text.size() < 3 || text.size() > 18 || text[0] != '0' ||
-        text[1] != 'x')
-        return false;
-    uint64_t value = 0;
-    for (size_t i = 2; i < text.size(); ++i) {
-        char c = text[i];
-        uint32_t nib;
-        if (c >= '0' && c <= '9')
-            nib = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            nib = c - 'a' + 10;
-        else
-            return false;
-        value = (value << 4) | nib;
-    }
-    *out = value;
-    return true;
 }
 
 uint64_t
@@ -124,6 +48,14 @@ popAll(const std::vector<uint64_t> &words)
     for (uint64_t word : words)
         n += static_cast<uint64_t>(__builtin_popcountll(word));
     return n;
+}
+
+template <typename T>
+void
+sortUnique(std::vector<T> &items)
+{
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
 }
 
 } // namespace
@@ -332,8 +264,10 @@ toJson(const Snapshot &snap)
         out << (i ? ",\n " : "\n ") << "{\"name\": \""
             << jsonEscape(sig.name) << "\", \"width\": " << sig.width
             << ", \"scope\": \"" << jsonEscape(sig.scope)
-            << "\", \"rise\": \"" << wordsToHex(sig.rise, sig.width)
-            << "\", \"fall\": \"" << wordsToHex(sig.fall, sig.width)
+            << "\", \"rise\": \""
+            << obs::hexWords(sig.rise.data(), sig.rise.size(), sig.width)
+            << "\", \"fall\": \""
+            << obs::hexWords(sig.fall.data(), sig.fall.size(), sig.width)
             << "\"}";
     }
     out << "],\n";
@@ -428,39 +362,97 @@ toJson(const Snapshot &snap)
 namespace
 {
 
-/** Integer member helper: non-negative integral numbers only. */
-bool
-getUint(const obs::JsonValue &obj, const char *key, uint64_t *out)
+std::string
+bitmapsRule(const obs::JsonValue &sig)
 {
-    const auto *val = obj.get(key);
-    if (!val || !val->isNumber() || val->number < 0)
-        return false;
-    auto value = static_cast<uint64_t>(val->number);
-    if (static_cast<double>(value) != val->number)
-        return false;
-    *out = value;
-    return true;
+    auto width = static_cast<uint32_t>(sig["width"].asUint());
+    std::vector<uint64_t> words;
+    if (obs::parseHexWords(sig["rise"].text, width, &words) &&
+        obs::parseHexWords(sig["fall"].text, width, &words))
+        return "";
+    return "rise/fall must be " + std::to_string((width + 3) / 4) +
+           "-digit hex strings";
 }
 
-bool
-getBool(const obs::JsonValue &obj, const char *key, bool *out)
+std::string
+fsmRule(const obs::JsonValue &fsm)
 {
-    const auto *val = obj.get(key);
-    if (!val || val->kind != obs::JsonValue::Kind::Bool)
-        return false;
-    *out = val->boolean;
-    return true;
+    if (fsm["states"].elems.size() != fsm["seen"].elems.size())
+        return ".seen: must be as long as states";
+    const auto &arcs = fsm["unexpected_transitions"].elems;
+    for (size_t i = 0; i < arcs.size(); ++i)
+        if (arcs[i]->elems.size() != 2)
+            return ".unexpected_transitions[" + std::to_string(i) +
+                   "]: must be a [from, to] pair";
+    return "";
 }
 
-bool
-getString(const obs::JsonValue &obj, const char *key,
-          std::string *out)
+std::string
+armsRule(const obs::JsonValue &root)
 {
-    const auto *val = obj.get(key);
-    if (!val || !val->isString())
-        return false;
-    *out = val->text;
-    return true;
+    const auto &arms = root["arms"].elems;
+    size_t stmts = root["statements"].elems.size();
+    for (size_t i = 0; i < arms.size(); ++i)
+        if ((*arms[i])["stmt"].asUint() >= stmts)
+            return ".arms[" + std::to_string(i) +
+                   "].stmt: refers past the " + std::to_string(stmts) +
+                   " statements";
+    return "";
+}
+
+const obs::Schema &
+coverSchema()
+{
+    using obs::string;
+    const obs::Schema &hex = obs::hexU64Schema();
+    static const obs::Schema schema = obs::ordered(
+        {
+            {"format", obs::oneOf({"hwdbg-cover"})},
+            {"version", obs::exactly(1)},
+            {"build", obs::buildSchema(), false},
+            {"design", obs::ordered({{"top", string()},
+                                     {"fingerprint", hex}})},
+            {"workloads", obs::arrayOf(string())},
+            {"signals",
+             obs::arrayOf(obs::ordered({{"name", string()},
+                                        {"width", obs::integer(1, 1u << 24)},
+                                        {"scope", string()},
+                                        {"rise", string()},
+                                        {"fall", string()}},
+                                       bitmapsRule))},
+            {"statements",
+             obs::arrayOf(obs::ordered({{"kind", string()},
+                                        {"loc", string()},
+                                        {"scope", string()},
+                                        {"hit", obs::boolean()}}))},
+            {"arms", obs::arrayOf(obs::ordered({{"stmt", obs::integer(0)},
+                                                {"label", string()},
+                                                {"taken", obs::boolean()}}))},
+            {"fsms",
+             obs::arrayOf(obs::ordered(
+                 {{"state_var", string()},
+                  {"states", obs::arrayOf(hex)},
+                  {"seen", obs::arrayOf(obs::boolean())},
+                  {"transitions",
+                   obs::arrayOf(obs::ordered({{"from", hex, false},
+                                              {"to", hex},
+                                              {"seen", obs::boolean()}}))},
+                  {"unexpected_states", obs::arrayOf(hex)},
+                  {"unexpected_transitions",
+                   obs::arrayOf(obs::arrayOf(hex))}},
+                 fsmRule))},
+            {"summary", obs::anyValue(), false},
+        },
+        armsRule);
+    return schema;
+}
+
+uint64_t
+hexValue(const obs::JsonValue &value)
+{
+    uint64_t out = 0;
+    obs::parseHexU64(value.text, &out);
+    return out;
 }
 
 } // namespace
@@ -469,213 +461,74 @@ bool
 parseSnapshot(const std::string &text, Snapshot *out,
               std::string *error)
 {
-    auto fail = [&](const std::string &why) {
-        *error = why;
-        return false;
-    };
-    std::string parse_error;
-    obs::JsonPtr root = obs::parseJson(text, &parse_error);
+    obs::JsonPtr root = obs::parseChecked(coverSchema(), text, error);
     if (!root)
-        return fail(parse_error);
-    if (!root->isObject())
-        return fail("root is not an object");
-
-    std::string format;
-    if (!getString(*root, "format", &format) ||
-        format != "hwdbg-cover")
-        return fail("\"format\" must be \"hwdbg-cover\"");
-    uint64_t version = 0;
-    if (!getUint(*root, "version", &version) || version != 1)
-        return fail("unsupported coverage format version");
+        return false;
 
     *out = Snapshot{};
-    if (const auto *build = root->get("build");
-        build && build->isObject()) {
-        getString(*build, "version", &out->buildVersion);
-        getString(*build, "git", &out->buildGit);
-        getString(*build, "type", &out->buildType);
+    if (const auto *build = root->get("build")) {
+        out->buildVersion = (*build)["version"].text;
+        out->buildGit = (*build)["git"].text;
+        out->buildType = (*build)["type"].text;
     }
-
-    const auto *design = root->get("design");
-    if (!design || !design->isObject())
-        return fail("missing \"design\" object");
-    if (!getString(*design, "top", &out->top))
-        return fail("design.top must be a string");
-    std::string fp;
-    if (!getString(*design, "fingerprint", &fp) ||
-        !hexToU64(fp, &out->fingerprint))
-        return fail("design.fingerprint must be a hex string");
-
-    const auto *workloads = root->get("workloads");
-    if (!workloads || !workloads->isArray())
-        return fail("missing \"workloads\" array");
-    for (const auto &elem : workloads->elems) {
-        if (!elem->isString())
-            return fail("workloads must be strings");
+    out->top = (*root)["design"]["top"].text;
+    out->fingerprint = hexValue((*root)["design"]["fingerprint"]);
+    for (const auto &elem : (*root)["workloads"].elems)
         out->workloads.push_back(elem->text);
-    }
-    std::sort(out->workloads.begin(), out->workloads.end());
-    out->workloads.erase(std::unique(out->workloads.begin(),
-                                     out->workloads.end()),
-                         out->workloads.end());
+    sortUnique(out->workloads);
 
-    const auto *signals = root->get("signals");
-    if (!signals || !signals->isArray())
-        return fail("missing \"signals\" array");
-    for (const auto &elem : signals->elems) {
-        if (!elem->isObject())
-            return fail("signal entries must be objects");
+    for (const auto &elem : (*root)["signals"].elems) {
         Snapshot::Signal sig;
-        uint64_t width = 0;
-        std::string rise, fall;
-        if (!getString(*elem, "name", &sig.name) ||
-            !getUint(*elem, "width", &width) || width < 1 ||
-            width > (1u << 24) ||
-            !getString(*elem, "scope", &sig.scope) ||
-            !getString(*elem, "rise", &rise) ||
-            !getString(*elem, "fall", &fall))
-            return fail("malformed signal entry");
-        sig.width = static_cast<uint32_t>(width);
-        if (!hexToWords(rise, sig.width, &sig.rise) ||
-            !hexToWords(fall, sig.width, &sig.fall))
-            return fail("signal \"" + sig.name +
-                        "\": rise/fall must be " +
-                        std::to_string((sig.width + 3) / 4) +
-                        "-digit hex strings");
+        sig.name = (*elem)["name"].text;
+        sig.width = static_cast<uint32_t>((*elem)["width"].asUint());
+        sig.scope = (*elem)["scope"].text;
+        obs::parseHexWords((*elem)["rise"].text, sig.width, &sig.rise);
+        obs::parseHexWords((*elem)["fall"].text, sig.width, &sig.fall);
         out->signals.push_back(std::move(sig));
     }
+    for (const auto &elem : (*root)["statements"].elems)
+        out->statements.push_back({(*elem)["kind"].text,
+                                   (*elem)["loc"].text,
+                                   (*elem)["scope"].text,
+                                   (*elem)["hit"].boolean});
+    for (const auto &elem : (*root)["arms"].elems)
+        out->arms.push_back(
+            {static_cast<uint32_t>((*elem)["stmt"].asUint()),
+             (*elem)["label"].text, (*elem)["taken"].boolean});
 
-    const auto *statements = root->get("statements");
-    if (!statements || !statements->isArray())
-        return fail("missing \"statements\" array");
-    for (const auto &elem : statements->elems) {
-        if (!elem->isObject())
-            return fail("statement entries must be objects");
-        Snapshot::Stmt stmt;
-        if (!getString(*elem, "kind", &stmt.kind) ||
-            !getString(*elem, "loc", &stmt.loc) ||
-            !getString(*elem, "scope", &stmt.scope) ||
-            !getBool(*elem, "hit", &stmt.hit))
-            return fail("malformed statement entry");
-        out->statements.push_back(std::move(stmt));
-    }
-
-    const auto *arms = root->get("arms");
-    if (!arms || !arms->isArray())
-        return fail("missing \"arms\" array");
-    for (const auto &elem : arms->elems) {
-        if (!elem->isObject())
-            return fail("arm entries must be objects");
-        Snapshot::Arm arm;
-        uint64_t stmt = 0;
-        if (!getUint(*elem, "stmt", &stmt) ||
-            !getString(*elem, "label", &arm.label) ||
-            !getBool(*elem, "taken", &arm.taken))
-            return fail("malformed arm entry");
-        if (stmt >= out->statements.size())
-            return fail("arm refers to statement " +
-                        std::to_string(stmt) + " of " +
-                        std::to_string(out->statements.size()));
-        arm.stmt = static_cast<uint32_t>(stmt);
-        out->arms.push_back(std::move(arm));
-    }
-
-    const auto *fsms = root->get("fsms");
-    if (!fsms || !fsms->isArray())
-        return fail("missing \"fsms\" array");
-    for (const auto &elem : fsms->elems) {
-        if (!elem->isObject())
-            return fail("fsm entries must be objects");
+    for (const auto &elem : (*root)["fsms"].elems) {
         Snapshot::Fsm fsm;
-        if (!getString(*elem, "state_var", &fsm.stateVar))
-            return fail("fsm.state_var must be a string");
-        const auto *states = elem->get("states");
-        const auto *seen = elem->get("seen");
-        if (!states || !states->isArray() || !seen ||
-            !seen->isArray() ||
-            states->elems.size() != seen->elems.size())
-            return fail("fsm states/seen must be same-length arrays");
-        for (const auto &state : states->elems) {
-            uint64_t value = 0;
-            if (!state->isString() || !hexToU64(state->text, &value))
-                return fail("fsm states must be hex strings");
-            fsm.states.push_back(value);
-        }
-        for (const auto &flag : seen->elems) {
-            if (flag->kind != obs::JsonValue::Kind::Bool)
-                return fail("fsm seen flags must be booleans");
+        fsm.stateVar = (*elem)["state_var"].text;
+        for (const auto &state : (*elem)["states"].elems)
+            fsm.states.push_back(hexValue(*state));
+        for (const auto &flag : (*elem)["seen"].elems)
             fsm.seen.push_back(flag->boolean);
-        }
-        const auto *transitions = elem->get("transitions");
-        if (!transitions || !transitions->isArray())
-            return fail("fsm transitions must be an array");
-        for (const auto &entry : transitions->elems) {
-            if (!entry->isObject())
-                return fail("fsm transitions must be objects");
+        for (const auto &entry : (*elem)["transitions"].elems) {
             Snapshot::FsmTrans trans;
-            std::string to;
-            if (!getString(*entry, "to", &to) ||
-                !hexToU64(to, &trans.to) ||
-                !getBool(*entry, "seen", &trans.seen))
-                return fail("malformed fsm transition");
-            std::string from;
-            if (getString(*entry, "from", &from)) {
-                if (!hexToU64(from, &trans.from))
-                    return fail("malformed fsm transition source");
+            if (const auto *from = entry->get("from")) {
                 trans.hasFrom = true;
+                trans.from = hexValue(*from);
             }
+            trans.to = hexValue((*entry)["to"]);
+            trans.seen = (*entry)["seen"].boolean;
             fsm.transitions.push_back(trans);
         }
-        const auto *unexpected = elem->get("unexpected_states");
-        if (!unexpected || !unexpected->isArray())
-            return fail("fsm unexpected_states must be an array");
-        for (const auto &entry : unexpected->elems) {
-            uint64_t value = 0;
-            if (!entry->isString() || !hexToU64(entry->text, &value))
-                return fail("unexpected states must be hex strings");
-            fsm.unexpectedStates.push_back(value);
-        }
-        const auto *arcs = elem->get("unexpected_transitions");
-        if (!arcs || !arcs->isArray())
-            return fail("fsm unexpected_transitions must be an array");
-        for (const auto &entry : arcs->elems) {
-            uint64_t from = 0, to = 0;
-            if (!entry->isArray() || entry->elems.size() != 2 ||
-                !entry->elems[0]->isString() ||
-                !hexToU64(entry->elems[0]->text, &from) ||
-                !entry->elems[1]->isString() ||
-                !hexToU64(entry->elems[1]->text, &to))
-                return fail("unexpected transitions must be "
-                            "[from, to] hex pairs");
-            fsm.unexpectedTransitions.emplace_back(from, to);
-        }
-        std::sort(fsm.unexpectedStates.begin(),
-                  fsm.unexpectedStates.end());
-        fsm.unexpectedStates.erase(
-            std::unique(fsm.unexpectedStates.begin(),
-                        fsm.unexpectedStates.end()),
-            fsm.unexpectedStates.end());
-        std::sort(fsm.unexpectedTransitions.begin(),
-                  fsm.unexpectedTransitions.end());
-        fsm.unexpectedTransitions.erase(
-            std::unique(fsm.unexpectedTransitions.begin(),
-                        fsm.unexpectedTransitions.end()),
-            fsm.unexpectedTransitions.end());
+        for (const auto &state : (*elem)["unexpected_states"].elems)
+            fsm.unexpectedStates.push_back(hexValue(*state));
+        for (const auto &arc : (*elem)["unexpected_transitions"].elems)
+            fsm.unexpectedTransitions.emplace_back(
+                hexValue(*arc->elems[0]), hexValue(*arc->elems[1]));
+        sortUnique(fsm.unexpectedStates);
+        sortUnique(fsm.unexpectedTransitions);
         out->fsms.push_back(std::move(fsm));
     }
-
-    error->clear();
     return true;
 }
 
 std::string
 checkCoverageJson(const std::string &text)
 {
-    Snapshot snap;
-    std::string error;
-    if (!parseSnapshot(text, &snap, &error))
-        return error;
-    return "";
+    return obs::checkJson(coverSchema(), text);
 }
 
 std::string
@@ -696,10 +549,7 @@ mergeInto(Snapshot &dst, const Snapshot &src)
 
     dst.workloads.insert(dst.workloads.end(), src.workloads.begin(),
                          src.workloads.end());
-    std::sort(dst.workloads.begin(), dst.workloads.end());
-    dst.workloads.erase(std::unique(dst.workloads.begin(),
-                                    dst.workloads.end()),
-                        dst.workloads.end());
+    sortUnique(dst.workloads);
 
     for (size_t i = 0; i < dst.signals.size(); ++i) {
         auto &a = dst.signals[i];
@@ -728,22 +578,12 @@ mergeInto(Snapshot &dst, const Snapshot &src)
         a.unexpectedStates.insert(a.unexpectedStates.end(),
                                   b.unexpectedStates.begin(),
                                   b.unexpectedStates.end());
-        std::sort(a.unexpectedStates.begin(),
-                  a.unexpectedStates.end());
-        a.unexpectedStates.erase(
-            std::unique(a.unexpectedStates.begin(),
-                        a.unexpectedStates.end()),
-            a.unexpectedStates.end());
+        sortUnique(a.unexpectedStates);
         a.unexpectedTransitions.insert(
             a.unexpectedTransitions.end(),
             b.unexpectedTransitions.begin(),
             b.unexpectedTransitions.end());
-        std::sort(a.unexpectedTransitions.begin(),
-                  a.unexpectedTransitions.end());
-        a.unexpectedTransitions.erase(
-            std::unique(a.unexpectedTransitions.begin(),
-                        a.unexpectedTransitions.end()),
-            a.unexpectedTransitions.end());
+        sortUnique(a.unexpectedTransitions);
     }
     return "";
 }

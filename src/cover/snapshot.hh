@@ -5,9 +5,9 @@
  *
  * A Snapshot is built either live (from the sim layer's CoverageItems
  * + CoverageCollector after a run) or by parsing a coverage file.
- * Everything downstream — reports, merging, `hwdbg obscheck`
- * validation — operates on the Snapshot, so there is exactly one
- * serialization path and one parse path.
+ * Reports and merging operate on the Snapshot, so there is exactly
+ * one serialization path and one parse path; the parse path and
+ * `hwdbg obscheck` check the file against one schema first.
  *
  * File format (format "hwdbg-cover", version 1):
  *
@@ -131,8 +131,9 @@ Snapshot snapshotFrom(const sim::CoverageItems &items,
 std::string toJson(const Snapshot &snap);
 
 /**
- * Parse and validate a coverage file. Returns true on success; on
- * failure sets @p error and leaves @p out unspecified.
+ * Validate a coverage file against its schema, then read it. Returns
+ * true on success; on failure sets @p error and leaves @p out
+ * unspecified.
  */
 bool parseSnapshot(const std::string &text, Snapshot *out,
                    std::string *error);

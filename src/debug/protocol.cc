@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
 
@@ -94,39 +93,43 @@ parseRequestLine(const std::string &line)
         return req; // empty; caller skips empty cmd
 
     if (line[first] == '{') {
+        // Integers are vetted before any cast: an id of 1e300 or 1.5
+        // is an error, not a reply a client matches to the wrong
+        // request. A valid id, session and cmd are taken before the
+        // rest is checked, so a malformed request still echoes them.
+        static const obs::Schema id = obs::nullable(obs::integer());
+        static const obs::Schema session = obs::integer();
+        static const obs::Schema request = obs::object({
+            {"id", id, false},
+            {"session", session, false},
+            {"cmd", obs::string()},
+            {"args", obs::arrayOf(obs::string()), false},
+        });
         std::string error;
         obs::JsonPtr root = obs::parseJson(line, &error);
-        if (!root || !root->isObject()) {
+        if (root) {
+            if (const auto *v = root->get("id");
+                v && v->isNumber() && obs::checkJson(id, *v).empty()) {
+                req.hasId = true;
+                req.id = static_cast<int64_t>(v->number);
+            }
+            if (const auto *v = root->get("session");
+                v && obs::checkJson(session, *v).empty()) {
+                req.hasSession = true;
+                req.session = static_cast<int64_t>(v->number);
+            }
+            if (const auto *v = root->get("cmd"); v && v->isString())
+                req.cmd = v->text;
+            error = obs::checkJson(request, *root);
+        }
+        if (!error.empty()) {
             req.error = "bad JSON request: " + error;
             return req;
         }
-        if (const auto *id = root->get("id"); id && id->isNumber()) {
-            req.hasId = true;
-            req.id = static_cast<int64_t>(id->number);
-        }
-        if (const auto *sess = root->get("session");
-            sess && sess->isNumber()) {
-            req.hasSession = true;
-            req.session = static_cast<int64_t>(sess->number);
-        }
-        const auto *cmd = root->get("cmd");
-        if (!cmd || !cmd->isString()) {
-            req.error = "request is missing a string \"cmd\"";
-            return req;
-        }
-        req.cmd = cmd->text;
         if (const auto *args = root->get("args")) {
-            if (!args->isArray()) {
-                req.error = "\"args\" must be an array of strings";
-                return req;
-            }
+            // Multi-word argument strings normalize to the same token
+            // stream a bare command line produces.
             for (const auto &elem : args->elems) {
-                if (!elem->isString()) {
-                    req.error = "\"args\" must be an array of strings";
-                    return req;
-                }
-                // Multi-word argument strings normalize to the same
-                // token stream a bare command line produces.
                 std::istringstream toks(elem->text);
                 std::string tok;
                 while (toks >> tok)
@@ -146,7 +149,8 @@ parseRequestLine(const std::string &line)
         bool digits = true;
         for (size_t i = 1; i < req.cmd.size(); ++i)
             digits = digits && req.cmd[i] >= '0' && req.cmd[i] <= '9';
-        if (!digits) {
+        // At most 15 digits: the id stays an exact JSON integer.
+        if (!digits || req.cmd.size() > 16) {
             req.error = "bad session prefix '" + req.cmd + "'";
             req.cmd.clear();
             return req;
@@ -170,127 +174,59 @@ namespace
 {
 
 std::string
-checkStateObject(const obs::JsonValue &state)
+errorIffFailed(const obs::JsonValue &resp)
 {
-    if (state.kind != obs::JsonValue::Kind::Object)
-        return "\"state\" is not an object";
-    static const char *keys[] = {"cycle", "step", "finished", "end"};
-    if (state.members.size() != 4)
-        return "\"state\" must have exactly cycle/step/finished/end";
-    for (size_t i = 0; i < 4; ++i) {
-        if (state.members[i].first != keys[i])
-            return csprintf("state field %zu must be \"%s\"", i, keys[i]);
-        const auto &val = *state.members[i].second;
-        bool wantBool = i >= 2;
-        if (wantBool && val.kind != obs::JsonValue::Kind::Bool)
-            return csprintf("state.%s must be a boolean", keys[i]);
-        if (!wantBool && !val.isNumber())
-            return csprintf("state.%s must be a number", keys[i]);
-    }
+    bool ok = resp["ok"].boolean;
+    if (ok && resp.get("error"))
+        return ".error: only allowed when ok is false";
+    if (!ok && !resp.get("error"))
+        return ".error: failed responses must carry \"error\"";
     return "";
+}
+
+obs::Schema
+makeResponseSchema(bool serve)
+{
+    std::vector<obs::Schema::Member> members = {
+        {"id", obs::nullable(obs::integer())},
+        {"ok", obs::boolean()},
+        {"error", obs::string(), false},
+        {"cmd", obs::string()},
+        {"payload", obs::object({}), false},
+        {"state",
+         obs::ordered({{"cycle", obs::number()},
+                       {"step", obs::number()},
+                       {"finished", obs::boolean()},
+                       {"end", obs::boolean()}}),
+         !serve},
+    };
+    if (serve)
+        members.insert(members.begin(), {"session", obs::integer()});
+    return obs::ordered(std::move(members), errorIffFailed);
 }
 
 } // namespace
 
-std::string
-checkResponseMembers(const obs::JsonValue &obj, size_t from,
-                     bool stateOptional)
+const obs::Schema &
+responseSchema(bool serve)
 {
-    const auto &m = obj.members;
-    size_t i = from;
-    auto has = [&](const char *k) {
-        return i < m.size() && m[i].first == k;
-    };
-
-    if (!has("id"))
-        return "first field must be \"id\"";
-    if (!m[i].second->isNumber() &&
-        m[i].second->kind != obs::JsonValue::Kind::Null)
-        return "\"id\" must be a number or null";
-    ++i;
-
-    if (!has("ok"))
-        return "second field must be \"ok\"";
-    if (m[i].second->kind != obs::JsonValue::Kind::Bool)
-        return "\"ok\" must be a boolean";
-    bool ok = m[i].second->boolean;
-    ++i;
-
-    if (has("error")) {
-        if (ok)
-            return "\"error\" is only allowed when ok is false";
-        if (!m[i].second->isString())
-            return "\"error\" must be a string";
-        ++i;
-    } else if (!ok) {
-        return "failed responses must carry \"error\"";
-    }
-
-    if (!has("cmd"))
-        return "expected \"cmd\" after ok/error";
-    if (!m[i].second->isString())
-        return "\"cmd\" must be a string";
-    ++i;
-
-    if (has("payload")) {
-        if (m[i].second->kind != obs::JsonValue::Kind::Object)
-            return "\"payload\" must be an object";
-        ++i;
-    }
-
-    if (has("state")) {
-        std::string err = checkStateObject(*m[i].second);
-        if (!err.empty())
-            return err;
-        ++i;
-    } else if (!stateOptional) {
-        return "expected \"state\" as the final field";
-    }
-
-    if (i != m.size())
-        return "unexpected field \"" + m[i].first + "\" after state";
-    return "";
+    static const obs::Schema debug = makeResponseSchema(false);
+    static const obs::Schema served = makeResponseSchema(true);
+    return serve ? served : debug;
 }
 
 std::string
 checkDebugTranscript(const std::string &text)
 {
-    std::istringstream in(text);
-    std::string line;
-    int lineno = 0;
-    bool sawHello = false;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            return csprintf("line %d: empty line", lineno);
-        std::string error;
-        obs::JsonPtr root = obs::parseJson(line, &error);
-        if (!root)
-            return csprintf("line %d: %s", lineno, error.c_str());
-        if (root->kind != obs::JsonValue::Kind::Object)
-            return csprintf("line %d: not a JSON object", lineno);
-        if (!sawHello) {
-            const auto &m = root->members;
-            if (m.size() < 2 || m[0].first != "proto" ||
-                !m[0].second->isString() ||
-                m[0].second->text != "hwdbg-debug")
-                return csprintf(
-                    "line %d: first line must be the hwdbg-debug hello",
-                    lineno);
-            if (m[1].first != "version" || !m[1].second->isNumber())
-                return csprintf("line %d: hello must carry a version",
-                                lineno);
-            sawHello = true;
-            continue;
-        }
-        std::string err =
-            checkResponseMembers(*root, 0, /*stateOptional=*/false);
-        if (!err.empty())
-            return csprintf("line %d: %s", lineno, err.c_str());
-    }
-    if (!sawHello)
-        return "transcript is empty";
-    return "";
+    static const obs::Schema hello = obs::ordered({
+        {"proto", obs::oneOf({"hwdbg-debug"})},
+        {"version", obs::exactly(1)},
+        {"design", obs::string()},
+        {"steps", obs::number()},
+        {"signals", obs::number()},
+        {"build", obs::buildSchema()},
+    });
+    return obs::checkJsonLines(hello, responseSchema(), text);
 }
 
 } // namespace hwdbg::debug

@@ -10,13 +10,14 @@
  * tests/cli_debug.cmake relies on).
  *
  *   hello     {"proto":"hwdbg-debug","version":1,"design":...,
- *              "steps":N,"signals":N}
+ *              "steps":N,"signals":N,"build":{...}}
  *   response  {"id":<n|null>,"ok":true,["error":...,]"cmd":...,
  *              ["payload":{...},]
  *              "state":{"cycle":N,"step":N,"finished":b,"end":b}}
  *
  * Field order is fixed exactly as above; checkDebugTranscript()
- * enforces it (the obscheck-style schema validation for this format).
+ * enforces it through the hello and response schemas (the format
+ * table `hwdbg obscheck` uses for this format).
  * Requests are either JSON objects {"id":1,"cmd":"break",
  * "args":["state == 3"]} or bare REPL command lines ("break state ==
  * 3") — both forms normalize to the same Request, so the same script
@@ -32,7 +33,7 @@
 
 namespace hwdbg::obs
 {
-struct JsonValue;
+struct Schema;
 }
 
 namespace hwdbg::debug
@@ -84,22 +85,19 @@ class JsonObject
 std::string jsonArray(const std::vector<std::string> &elems);
 
 /**
- * Validate a machine-mode transcript: hello line first, then response
- * objects with the exact field order and state shape documented above.
- * Returns "" when valid, else "line N: reason".
+ * Schema of one response line: id/ok/[error]/cmd/[payload]/state in
+ * exactly that order, "error" present exactly when ok is false. With
+ * @p serve the line leads with a numeric "session" and the state may
+ * be absent (serve's server-level responses); the debug and serve
+ * transcripts share every other field.
  */
-std::string checkDebugTranscript(const std::string &text);
+const obs::Schema &responseSchema(bool serve = false);
 
 /**
- * Validate response members of a parsed JSON object starting at member
- * index @p from: id/ok/[error]/cmd/[payload]/state in exactly that
- * order. With @p stateOptional the trailing state object may be absent
- * (serve's server-level responses); when present it is still fully
- * validated. Returns "" when valid, else a reason. Serve prepends a
- * "session" member and validates the rest with from = 1.
+ * Validate a machine-mode transcript: the hello line first, then
+ * response lines. Returns "" when valid, else "line N: reason".
  */
-std::string checkResponseMembers(const obs::JsonValue &obj, size_t from,
-                                 bool stateOptional);
+std::string checkDebugTranscript(const std::string &text);
 
 } // namespace hwdbg::debug
 

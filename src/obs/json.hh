@@ -13,7 +13,10 @@
 #ifndef HWDBG_OBS_JSON_HH
 #define HWDBG_OBS_JSON_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace hwdbg::obs
 {
@@ -42,6 +45,20 @@ const BuildInfo &buildInfo();
  * within one build, so double-run byte-diff tests stay valid.
  */
 std::string buildInfoJson();
+
+/**
+ * Hex text for values JSON numbers cannot carry exactly. hexU64()
+ * writes "0x" and lowercase digits with no leading zeros;
+ * hexWords() writes the low @p width bits of @p words (LSB word first)
+ * as exactly one digit per 4 bits, at least one. Each parser accepts
+ * exactly its writer's output (for parseHexWords: no bit set at or
+ * above @p width) and fills @p words LSB first.
+ */
+std::string hexU64(uint64_t value);
+std::string hexWords(const uint64_t *words, size_t count, uint32_t width);
+bool parseHexU64(const std::string &text, uint64_t *out);
+bool parseHexWords(const std::string &text, uint32_t width,
+                   std::vector<uint64_t> *words);
 
 } // namespace hwdbg::obs
 

@@ -1,8 +1,12 @@
 #include "obs/jsoncheck.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
-#include <map>
+
+#include "common/logging.hh"
+#include "obs/json.hh"
 
 namespace hwdbg::obs
 {
@@ -89,10 +93,16 @@ class JsonParser
             return nullptr;
         }
         char c = text_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            if (++depth_ > kMaxJsonDepth) {
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth));
+                return nullptr;
+            }
+            JsonPtr out = c == '{' ? object() : array();
+            --depth_;
+            return out;
+        }
         if (c == '"')
             return string();
         if (c == 't' || c == 'f' || c == 'n')
@@ -268,6 +278,7 @@ class JsonParser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0;
     std::string error_;
 };
 
@@ -279,162 +290,202 @@ parseJson(const std::string &text, std::string *error)
     return JsonParser(text).run(error);
 }
 
-std::string
-checkTraceJson(const std::string &text)
-{
-    std::string error;
-    JsonPtr root = parseJson(text, &error);
-    if (!root)
-        return "not JSON: " + error;
-    if (!root->isObject())
-        return "trace root is not an object";
-    const JsonValue *events = root->get("traceEvents");
-    if (!events || !events->isArray())
-        return "missing \"traceEvents\" array";
+// ---------------------------------------------------------- schema nodes
 
-    struct TidState
-    {
-        int depth = 0;
-        double lastTs = -1;
-    };
-    std::map<double, TidState> perTid;
-    size_t spans = 0;
-    for (size_t i = 0; i < events->elems.size(); ++i) {
-        const JsonValue &event = *events->elems[i];
-        std::string at = "event " + std::to_string(i) + ": ";
-        if (!event.isObject())
-            return at + "not an object";
-        const JsonValue *ph = event.get("ph");
-        if (!ph || !ph->isString() || ph->text.size() != 1)
-            return at + "missing one-character \"ph\"";
-        const JsonValue *name = event.get("name");
-        if (!name || !name->isString())
-            return at + "missing \"name\" string";
-        if (ph->text == "M") {
-            if (name->text == "thread_name") {
-                const JsonValue *args = event.get("args");
-                if (!args || !args->isObject() || !args->get("name") ||
-                    !args->get("name")->isString())
-                    return at + "thread_name without args.name";
-            }
-            continue;
-        }
-        if (ph->text != "B" && ph->text != "E")
-            return at + "unexpected ph \"" + ph->text + "\"";
-        const JsonValue *ts = event.get("ts");
-        const JsonValue *pid = event.get("pid");
-        const JsonValue *tid = event.get("tid");
-        if (!ts || !ts->isNumber())
-            return at + "missing numeric \"ts\"";
-        if (!pid || !pid->isNumber() || !tid || !tid->isNumber())
-            return at + "missing numeric \"pid\"/\"tid\"";
-        TidState &state = perTid[tid->number];
-        if (ts->number < state.lastTs)
-            return at + "timestamps not monotonic on tid " +
-                   std::to_string(static_cast<long long>(tid->number));
-        state.lastTs = ts->number;
-        if (ph->text == "B") {
-            ++state.depth;
-            ++spans;
-            if (name->text.empty())
-                return at + "B event with empty name";
-        } else {
-            if (--state.depth < 0)
-                return at + "E event without a matching B on tid " +
-                       std::to_string(static_cast<long long>(tid->number));
-        }
-    }
-    for (const auto &[tid, state] : perTid)
-        if (state.depth != 0)
-            return "unbalanced spans on tid " +
-                   std::to_string(static_cast<long long>(tid)) + " (" +
-                   std::to_string(state.depth) + " unclosed)";
-    if (spans == 0)
-        return "trace contains no spans";
-    return "";
+const Schema &
+buildSchema()
+{
+    static const Schema node = ordered({
+        {"tool", oneOf({"hwdbg"})},
+        {"version", string()},
+        {"git", string()},
+        {"type", string()},
+    });
+    return node;
 }
+
+const Schema &
+hexU64Schema()
+{
+    static const Schema node =
+        string([](const JsonValue &value) -> std::string {
+            uint64_t parsed;
+            if (parseHexU64(value.text, &parsed))
+                return "";
+            return "expected \"0x\" and 1-16 lowercase hex digits";
+        });
+    return node;
+}
+
+// ---------------------------------------------------------------- engine
 
 namespace
 {
 
-std::string
-checkNumberMap(const JsonValue *group, const char *what)
+const char *const kTypeNames[] = {"null",    "boolean", "number",
+                                  "integer", "string",  "array",
+                                  "object",  "any value"};
+
+bool
+hasType(Schema::Type type, const JsonValue &value)
 {
-    if (!group || !group->isObject())
-        return std::string("missing \"") + what + "\" object";
-    for (const auto &[name, value] : group->members) {
-        if (!value->isNumber())
-            return std::string(what) + "." + name + " is not a number";
-        if (value->number < 0)
-            return std::string(what) + "." + name + " is negative";
+    using T = Schema::Type;
+    // Indexed by JsonValue::Kind.
+    constexpr T kKindTypes[] = {T::Null,   T::Bool,  T::Number,
+                                T::String, T::Array, T::Object};
+    return type == T::Any || type == kKindTypes[int(value.kind)] ||
+           (type == T::Integer && value.isNumber() &&
+            std::floor(value.number) == value.number);
+}
+
+std::string
+numberText(double value)
+{
+    return csprintf("%.16g", value);
+}
+
+// Errors travel up as "<relative path>: <message>", each level
+// prepending its ".key" or "[i]"; checkJson() drops the leading dot.
+std::string checkNode(const Schema &node, const JsonValue &value);
+
+std::string
+checkObject(const Schema &node, const JsonValue &value)
+{
+    const auto &decl = node.members;
+    size_t last = 0;
+    for (size_t i = 0; i < value.members.size(); ++i) {
+        const auto &[key, member] = value.members[i];
+        size_t at = 0;
+        while (at < decl.size() && decl[at].key != key)
+            ++at;
+        if (at < decl.size()) {
+            if (node.ordered && i && at <= last)
+                return "." + key + ": out of order";
+            last = at;
+        } else if (node.ordered) {
+            return "." + key + ": unexpected member";
+        } else if (node.element) {
+            if (std::string err = checkNode(*node.element, *member);
+                !err.empty())
+                return "." + key + err;
+        }
+    }
+    for (const auto &member : decl) {
+        const JsonValue *found = value.get(member.key);
+        if (!found && member.required)
+            return "." + member.key + ": missing";
+        if (!found)
+            continue;
+        if (std::string err = checkNode(member.node, *found); !err.empty())
+            return "." + member.key + err;
     }
     return "";
+}
+
+std::string
+checkNode(const Schema &node, const JsonValue &value)
+{
+    if (node.nullable && value.kind == JsonValue::Kind::Null)
+        return "";
+    if (!hasType(node.type, value))
+        return std::string(": expected ") + kTypeNames[int(node.type)] +
+               (node.nullable ? " or null" : "");
+    switch (node.type) {
+      case Schema::Type::Number:
+      case Schema::Type::Integer:
+        if (node.min == node.max && value.number != node.min)
+            return ": expected " + numberText(node.min);
+        if (value.number < node.min || value.number > node.max)
+            return ": " + numberText(value.number) + " out of range [" +
+                   numberText(node.min) + ", " + numberText(node.max) +
+                   "]";
+        break;
+      case Schema::Type::String:
+        if (!node.oneOf.empty() &&
+            std::find(node.oneOf.begin(), node.oneOf.end(),
+                      value.text) == node.oneOf.end()) {
+            std::string want;
+            for (const auto &allowed : node.oneOf)
+                want += (want.empty() ? "\"" : ", \"") + allowed + "\"";
+            return (node.oneOf.size() == 1 ? ": expected "
+                                           : ": expected one of ") +
+                   want;
+        }
+        break;
+      case Schema::Type::Array:
+        if (node.element)
+            for (size_t i = 0; i < value.elems.size(); ++i)
+                if (std::string err =
+                        checkNode(*node.element, *value.elems[i]);
+                    !err.empty()) {
+                    std::string at = "[";
+                    at += std::to_string(i);
+                    at += ']';
+                    return at + err;
+                }
+        break;
+      case Schema::Type::Object:
+        if (std::string err = checkObject(node, value); !err.empty())
+            return err;
+        break;
+      default:
+        break;
+    }
+    if (!node.rule)
+        return "";
+    std::string err = node.rule(value);
+    if (err.empty() || err[0] == '.' || err[0] == '[')
+        return err;
+    return ": " + err;
 }
 
 } // namespace
 
 std::string
-checkMetricsJson(const std::string &text)
+checkJson(const Schema &schema, const JsonValue &value)
+{
+    std::string err = checkNode(schema, value);
+    if (!err.empty())
+        err.erase(0, err[0] == '.' ? 1 : err[0] == ':' ? 2 : 0);
+    return err;
+}
+
+JsonPtr
+parseChecked(const Schema &schema, const std::string &text,
+             std::string *error)
+{
+    JsonPtr root = parseJson(text, error);
+    if (root)
+        *error = checkJson(schema, *root);
+    return error->empty() ? root : nullptr;
+}
+
+std::string
+checkJson(const Schema &schema, const std::string &text)
 {
     std::string error;
-    JsonPtr root = parseJson(text, &error);
-    if (!root)
-        return "not JSON: " + error;
-    if (!root->isObject())
-        return "metrics root is not an object";
-    if (std::string err = checkNumberMap(root->get("counters"),
-                                         "counters");
-        !err.empty())
-        return err;
-    if (std::string err = checkNumberMap(root->get("gauges"), "gauges");
-        !err.empty())
-        return err;
-    const JsonValue *hists = root->get("histograms");
-    if (!hists || !hists->isObject())
-        return "missing \"histograms\" object";
-    for (const auto &[name, hist] : hists->members) {
-        std::string at = "histograms." + name + ": ";
-        if (!hist->isObject())
-            return at + "not an object";
-        const JsonValue *buckets = hist->get("buckets");
-        const JsonValue *count = hist->get("count");
-        if (!buckets || !buckets->isArray())
-            return at + "missing \"buckets\" array";
-        if (!count || !count->isNumber())
-            return at + "missing numeric \"count\"";
-        for (const char *field : {"sum", "min", "max"}) {
-            const JsonValue *v = hist->get(field);
-            if (!v || !v->isNumber())
-                return at + "missing numeric \"" + field + "\"";
-        }
-        double total = 0;
-        double lastBound = -1;
-        for (size_t i = 0; i < buckets->elems.size(); ++i) {
-            const JsonValue &pair = *buckets->elems[i];
-            if (!pair.isArray() || pair.elems.size() != 2)
-                return at + "bucket " + std::to_string(i) +
-                       " is not a [bound, count] pair";
-            const JsonValue &bound = *pair.elems[0];
-            const JsonValue &n = *pair.elems[1];
-            bool lastBucket = i + 1 == buckets->elems.size();
-            if (lastBucket) {
-                if (bound.kind != JsonValue::Kind::Null)
-                    return at + "final bucket bound must be null (+inf)";
-            } else {
-                if (!bound.isNumber())
-                    return at + "bucket bound is not a number";
-                if (bound.number <= lastBound)
-                    return at + "bucket bounds not increasing";
-                lastBound = bound.number;
-            }
-            if (!n.isNumber() || n.number < 0)
-                return at + "bucket count invalid";
-            total += n.number;
-        }
-        if (total != count->number)
-            return at + "bucket counts do not sum to \"count\"";
+    parseChecked(schema, text, &error);
+    return error;
+}
+
+std::string
+checkJsonLines(const Schema &hello, const Schema &response,
+               const std::string &text)
+{
+    int lineno = 0;
+    for (size_t start = 0; start < text.size();) {
+        size_t end = std::min(text.find('\n', start), text.size());
+        ++lineno;
+        if (end == start)
+            return csprintf("line %d: empty line", lineno);
+        std::string error;
+        parseChecked(lineno == 1 ? hello : response,
+                     text.substr(start, end - start), &error);
+        if (!error.empty())
+            return csprintf("line %d: %s", lineno, error.c_str());
+        start = end + 1;
     }
-    return "";
+    return lineno ? "" : "transcript is empty";
 }
 
 } // namespace hwdbg::obs

@@ -10,6 +10,7 @@
 
 #include "common/logging.hh"
 #include "obs/json.hh"
+#include "obs/jsoncheck.hh"
 
 namespace hwdbg::obs
 {
@@ -229,6 +230,60 @@ metricsJson()
     }
     out << (first ? "" : "\n  ") << "}\n}\n";
     return out.str();
+}
+
+namespace
+{
+
+/** [bound, count] buckets: increasing bounds, a final null (+inf)
+ *  bound, and counts that sum to the histogram's "count". */
+std::string
+histogramRule(const JsonValue &hist)
+{
+    const auto &buckets = hist["buckets"].elems;
+    double total = 0;
+    double lastBound = -1;
+    for (size_t i = 0; i < buckets.size(); ++i) {
+        const auto &pair = buckets[i]->elems;
+        std::string at = ".buckets[" + std::to_string(i) + "]: ";
+        if (pair.size() != 2)
+            return at + "not a [bound, count] pair";
+        bool last = i + 1 == buckets.size();
+        bool unbounded = pair[0]->kind == JsonValue::Kind::Null;
+        if (last && !unbounded)
+            return at + "final bucket bound must be null (+inf)";
+        if (!last && unbounded)
+            return at + "bucket bound is not a number";
+        if (!last && pair[0]->number <= lastBound)
+            return at + "bucket bounds not increasing";
+        lastBound = pair[0]->number;
+        if (!pair[1]->isNumber() || pair[1]->number < 0)
+            return at + "bucket count invalid";
+        total += pair[1]->number;
+    }
+    if (total != hist["count"].number)
+        return ".count: bucket counts do not sum to \"count\"";
+    return "";
+}
+
+} // namespace
+
+std::string
+checkMetricsJson(const std::string &text)
+{
+    static const Schema schema = ordered({
+        {"build", buildSchema()},
+        {"counters", mapOf(number(0))},
+        {"gauges", mapOf(number(0))},
+        {"histograms",
+         mapOf(ordered({{"buckets", arrayOf(arrayOf(nullable(number())))},
+                        {"count", number()},
+                        {"sum", number()},
+                        {"min", number()},
+                        {"max", number()}},
+                       histogramRule))},
+    });
+    return checkJson(schema, text);
 }
 
 std::string

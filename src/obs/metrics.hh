@@ -132,6 +132,14 @@ std::string metricsJson();
 std::string metricsText();
 
 /**
+ * Check @p text against the schema of metricsJson(): non-negative
+ * numeric counters and gauges, and histograms whose bucket bounds
+ * increase and whose bucket counts sum to "count". Returns "" when
+ * valid, else the first violation.
+ */
+std::string checkMetricsJson(const std::string &text);
+
+/**
  * Write a snapshot to @p path: JSON when it ends in ".json", text
  * otherwise. Returns false (and warns) when the file cannot be written.
  */

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -12,6 +13,7 @@
 
 #include "common/logging.hh"
 #include "obs/json.hh"
+#include "obs/jsoncheck.hh"
 
 namespace hwdbg::obs
 {
@@ -192,6 +194,88 @@ stopTrace()
     }
     out << "\n], \"displayTimeUnit\": \"ms\"}\n";
     return out.str();
+}
+
+namespace
+{
+
+/** Metadata events need a thread name; B/E events a time and track. */
+std::string
+eventRule(const JsonValue &event)
+{
+    if (event["ph"].text == "M") {
+        const JsonValue *args = event.get("args");
+        if (event["name"].text == "thread_name" &&
+            !(args && args->get("name")))
+            return "thread_name without args.name";
+        return "";
+    }
+    for (const char *key : {"ts", "pid", "tid"})
+        if (!event.get(key))
+            return std::string(".") + key + ": missing";
+    if (event["ph"].text == "B" && event["name"].text.empty())
+        return ".name: B event with empty name";
+    return "";
+}
+
+/** Per-tid B/E balance and non-decreasing timestamps. */
+std::string
+spanRule(const JsonValue &events)
+{
+    struct TidState
+    {
+        int depth = 0;
+        double lastTs = -1;
+    };
+    std::map<double, TidState> perTid;
+    size_t spans = 0;
+    for (size_t i = 0; i < events.elems.size(); ++i) {
+        const JsonValue &event = *events.elems[i];
+        if (event["ph"].text == "M")
+            continue;
+        auto tid = static_cast<long long>(event["tid"].number);
+        TidState &state = perTid[event["tid"].number];
+        if (event["ts"].number < state.lastTs)
+            return csprintf("[%zu]: timestamps not monotonic on tid %lld",
+                            i, tid);
+        state.lastTs = event["ts"].number;
+        if (event["ph"].text == "B") {
+            ++state.depth;
+            ++spans;
+        } else if (--state.depth < 0) {
+            return csprintf("[%zu]: E event without a matching B on "
+                            "tid %lld",
+                            i, tid);
+        }
+    }
+    for (const auto &[tid, state] : perTid)
+        if (state.depth != 0)
+            return csprintf("unbalanced spans on tid %lld (%d unclosed)",
+                            static_cast<long long>(tid), state.depth);
+    return spans ? "" : "trace contains no spans";
+}
+
+} // namespace
+
+std::string
+checkTraceJson(const std::string &text)
+{
+    static const Schema schema = ordered({
+        {"build", buildSchema()},
+        {"traceEvents",
+         arrayOf(ordered({{"name", string()},
+                          {"cat", string(), false},
+                          {"ph", oneOf({"M", "B", "E"})},
+                          {"ts", number(), false},
+                          {"pid", number(), false},
+                          {"tid", number(), false},
+                          {"args", object({{"name", string(), false}}),
+                           false}},
+                         eventRule),
+                 spanRule)},
+        {"displayTimeUnit", string(), false},
+    });
+    return checkJson(schema, text);
 }
 
 bool

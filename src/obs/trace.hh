@@ -48,6 +48,14 @@ std::string stopTrace();
 /** stopTrace() straight to a file; false (and a warning) on IO error. */
 bool writeTrace(const std::string &path);
 
+/**
+ * Check @p text against the schema of stopTrace()'s output: a `name`
+ * on every event, B/E events with ts/pid/tid, per-tid B/E balance,
+ * non-decreasing per-tid timestamps, and at least one span. Returns ""
+ * when valid, else the first violation.
+ */
+std::string checkTraceJson(const std::string &text);
+
 /** Label the calling thread's track (e.g. "fuzz-worker-3"). */
 void setTraceThreadName(const std::string &name);
 

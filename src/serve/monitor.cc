@@ -12,45 +12,23 @@
 #include "common/logging.hh"
 #include "obs/jsoncheck.hh"
 #include "serve/server.hh"
+#include "serve/stats.hh"
 
 namespace hwdbg::serve
 {
-
-namespace
-{
-
-double
-num(const obs::JsonValue *obj, const char *key)
-{
-    if (!obj)
-        return 0;
-    const auto *v = obj->get(key);
-    return v && v->isNumber() ? v->number : 0;
-}
-
-std::string
-str(const obs::JsonValue *obj, const char *key)
-{
-    if (!obj)
-        return "";
-    const auto *v = obj->get(key);
-    return v && v->isString() ? v->text : "";
-}
-
-} // namespace
 
 std::string
 renderTopFrame(const std::string &statsJson)
 {
     std::string error;
-    obs::JsonPtr root = obs::parseJson(statsJson, &error);
-    if (!root || !root->isObject())
-        return "stats: " + (error.empty() ? "not an object" : error) +
-               "\n";
+    obs::JsonPtr root =
+        obs::parseChecked(serveStatsSchema(), statsJson, &error);
+    if (!root)
+        return "stats: " + error + "\n";
 
-    const auto *server = root->get("server");
-    const auto *cache = root->get("cache");
-    const auto *snaps = root->get("snapshots");
+    const obs::JsonValue &server = (*root)["server"];
+    const obs::JsonValue &cache = (*root)["cache"];
+    const obs::JsonValue &snaps = (*root)["snapshots"];
 
     std::ostringstream out;
     char line[256];
@@ -58,65 +36,62 @@ renderTopFrame(const std::string &statsJson)
                   "hwdbg serve — up %.1fs | sessions %.0f (opened %.0f)"
                   " | channels %.0f/%.0f | requests %.0f err %.0f"
                   " slow %.0f\n",
-                  num(server, "uptime_us") / 1e6,
-                  num(server, "sessions"), num(server, "opened"),
-                  num(server, "channels_active"),
-                  num(server, "channels"), num(server, "requests"),
-                  num(server, "errors"), num(server, "slow"));
+                  server["uptime_us"].number / 1e6,
+                  server["sessions"].number, server["opened"].number,
+                  server["channels_active"].number,
+                  server["channels"].number, server["requests"].number,
+                  server["errors"].number, server["slow"].number);
     out << line;
     std::snprintf(line, sizeof line,
                   "cache entries %.0f hits %.0f misses %.0f "
                   "builds %.0f (%.1fms) | snapshots stored %.0f "
                   "dedup %.0f%%\n",
-                  num(cache, "entries"), num(cache, "hits"),
-                  num(cache, "misses"), num(cache, "builds"),
-                  num(cache, "build_us") / 1e3, num(snaps, "stored"),
-                  num(snaps, "dedup_ratio_pct"));
+                  cache["entries"].number, cache["hits"].number,
+                  cache["misses"].number, cache["builds"].number,
+                  cache["build_us"].number / 1e3, snaps["stored"].number,
+                  snaps["dedup_ratio_pct"].number);
     out << line;
 
-    const auto *cmds = root->get("commands");
-    if (cmds && cmds->isArray() && !cmds->elems.empty()) {
+    const auto &cmds = (*root)["commands"].elems;
+    if (!cmds.empty()) {
         std::snprintf(line, sizeof line,
                       "%-14s %7s %5s %8s %8s %8s %8s\n", "COMMAND",
                       "COUNT", "ERR", "P50us", "P95us", "P99us",
                       "MAXus");
         out << line;
-        for (const auto &entry : cmds->elems) {
+        for (const auto &entry : cmds) {
             std::snprintf(line, sizeof line,
                           "%-14s %7.0f %5.0f %8.0f %8.0f %8.0f %8.0f\n",
-                          str(entry.get(), "cmd").c_str(),
-                          num(entry.get(), "count"),
-                          num(entry.get(), "errors"),
-                          num(entry.get(), "p50_us"),
-                          num(entry.get(), "p95_us"),
-                          num(entry.get(), "p99_us"),
-                          num(entry.get(), "max_us"));
+                          (*entry)["cmd"].text.c_str(),
+                          (*entry)["count"].number,
+                          (*entry)["errors"].number,
+                          (*entry)["p50_us"].number,
+                          (*entry)["p95_us"].number,
+                          (*entry)["p99_us"].number,
+                          (*entry)["max_us"].number);
             out << line;
         }
     }
 
-    const auto *sessions = root->get("sessions");
-    if (sessions && sessions->isArray() && !sessions->elems.empty()) {
+    const auto &sessions = (*root)["sessions"].elems;
+    if (!sessions.empty()) {
         std::snprintf(line, sizeof line,
                       "%4s %-8s %-16s %-5s %6s %4s %9s\n", "SID",
                       "KIND", "DESIGN", "CACHE", "CMDS", "ERR",
                       "CYCLE");
         out << line;
-        for (const auto &entry : sessions->elems) {
+        for (const auto &entry : sessions) {
             const auto *cycle = entry->get("cycle");
-            std::string cycleText =
-                cycle && cycle->isNumber()
-                    ? std::to_string(
-                          static_cast<uint64_t>(cycle->number))
-                    : std::string("-");
+            std::string cycleText = cycle ? std::to_string(cycle->asUint())
+                                          : std::string("-");
             std::snprintf(line, sizeof line,
                           "%4.0f %-8s %-16s %-5s %6.0f %4.0f %9s\n",
-                          num(entry.get(), "session"),
-                          str(entry.get(), "kind").c_str(),
-                          str(entry.get(), "design").c_str(),
-                          str(entry.get(), "cache").c_str(),
-                          num(entry.get(), "cmds"),
-                          num(entry.get(), "errors"),
+                          (*entry)["session"].number,
+                          (*entry)["kind"].text.c_str(),
+                          (*entry)["design"].text.c_str(),
+                          (*entry)["cache"].text.c_str(),
+                          (*entry)["cmds"].number,
+                          (*entry)["errors"].number,
                           cycleText.c_str());
             out << line;
         }

@@ -795,53 +795,12 @@ runClient(uint16_t port, std::istream &script, std::ostream &out)
 std::string
 checkServeTranscript(const std::string &text)
 {
-    std::istringstream in(text);
-    std::string line;
-    int lineno = 0;
-    bool sawHello = false;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            return csprintf("line %d: empty line", lineno);
-        std::string error;
-        obs::JsonPtr root = obs::parseJson(line, &error);
-        if (!root)
-            return csprintf("line %d: %s", lineno, error.c_str());
-        if (!root->isObject())
-            return csprintf("line %d: not a JSON object", lineno);
-        const auto &m = root->members;
-        if (!sawHello) {
-            if (m.size() < 2 || m[0].first != "proto" ||
-                !m[0].second->isString() ||
-                m[0].second->text != "hwdbg-serve")
-                return csprintf(
-                    "line %d: first line must be the hwdbg-serve hello",
-                    lineno);
-            if (m[1].first != "version" || !m[1].second->isNumber())
-                return csprintf("line %d: hello must carry a version",
-                                lineno);
-            if (m.size() < 3 || m[2].first != "build" ||
-                !m[2].second->isObject())
-                return csprintf(
-                    "line %d: hello must carry build provenance",
-                    lineno);
-            sawHello = true;
-            continue;
-        }
-        if (m.empty() || m[0].first != "session" ||
-            !m[0].second->isNumber())
-            return csprintf(
-                "line %d: first field must be a numeric \"session\"",
-                lineno);
-        std::string err =
-            debug::checkResponseMembers(*root, 1,
-                                        /*stateOptional=*/true);
-        if (!err.empty())
-            return csprintf("line %d: %s", lineno, err.c_str());
-    }
-    if (!sawHello)
-        return "transcript is empty";
-    return "";
+    static const obs::Schema hello = obs::ordered({
+        {"proto", obs::oneOf({"hwdbg-serve"})},
+        {"version", obs::exactly(1)},
+        {"build", obs::buildSchema()},
+    });
+    return obs::checkJsonLines(hello, debug::responseSchema(true), text);
 }
 
 } // namespace hwdbg::serve

@@ -11,136 +11,93 @@ namespace hwdbg::serve
 namespace
 {
 
-/** Require numeric member @p key on @p obj; appends to @p error. */
-bool
-needNumber(const obs::JsonValue &obj, const char *where, const char *key,
-           std::string *error)
+std::string
+monotoneQuantiles(const obs::JsonValue &row)
 {
-    const auto *v = obj.get(key);
-    if (!v || !v->isNumber()) {
-        *error = csprintf("%s: missing numeric \"%s\"", where, key);
-        return false;
-    }
-    return true;
+    if (row["p50_us"].number <= row["p95_us"].number &&
+        row["p95_us"].number <= row["p99_us"].number &&
+        row["p99_us"].number <= row["max_us"].number)
+        return "";
+    return "quantiles not monotone (" + row["cmd"].text + ")";
 }
 
-bool
-needString(const obs::JsonValue &obj, const char *where, const char *key,
-           std::string *error)
+std::string
+sortedByCmd(const obs::JsonValue &rows)
 {
-    const auto *v = obj.get(key);
-    if (!v || !v->isString()) {
-        *error = csprintf("%s: missing string \"%s\"", where, key);
-        return false;
-    }
-    return true;
+    for (size_t i = 1; i < rows.elems.size(); ++i)
+        if ((*rows.elems[i])["cmd"].text <= (*rows.elems[i - 1])["cmd"].text)
+            return csprintf("[%zu]: not sorted by cmd", i);
+    return "";
 }
 
-double
-num(const obs::JsonValue &obj, const char *key)
+std::string
+sortedById(const obs::JsonValue &rows)
 {
-    return obj.get(key)->number;
+    for (size_t i = 1; i < rows.elems.size(); ++i)
+        if ((*rows.elems[i])["session"].number <=
+            (*rows.elems[i - 1])["session"].number)
+            return csprintf("[%zu]: not sorted by id", i);
+    return "";
 }
 
 } // namespace
 
+const obs::Schema &
+serveStatsSchema()
+{
+    using obs::number;
+    static const obs::Schema schema = obs::ordered({
+        {"format", obs::oneOf({"hwdbg-serve-stats"})},
+        {"version", obs::exactly(1)},
+        {"build", obs::buildSchema()},
+        {"server", obs::ordered({{"sessions", number()},
+                                 {"opened", number()},
+                                 {"channels", number()},
+                                 {"channels_active", number()},
+                                 {"requests", number()},
+                                 {"errors", number()},
+                                 {"slow", number()},
+                                 {"slow_threshold_us", number()},
+                                 {"dispatched", number()},
+                                 {"retired_cmds", number()},
+                                 {"uptime_us", number()}})},
+        {"cache", obs::ordered({{"entries", number()},
+                                {"hits", number()},
+                                {"misses", number()},
+                                {"builds", number()},
+                                {"build_us", number()}})},
+        {"snapshots", obs::ordered({{"stored", number()},
+                                    {"stored_bytes", number()},
+                                    {"dedup_hits", number()},
+                                    {"dedup_bytes", number()},
+                                    {"dedup_ratio_pct", number()}})},
+        {"commands", obs::arrayOf(obs::ordered({{"cmd", obs::string()},
+                                                {"count", number()},
+                                                {"errors", number()},
+                                                {"p50_us", number()},
+                                                {"p95_us", number()},
+                                                {"p99_us", number()},
+                                                {"max_us", number()}},
+                                               monotoneQuantiles),
+                                  sortedByCmd)},
+        {"sessions",
+         obs::arrayOf(obs::ordered({{"session", number()},
+                                    {"kind", obs::string()},
+                                    {"design", obs::string()},
+                                    {"cache", obs::oneOf({"hit", "miss"})},
+                                    {"cmds", number()},
+                                    {"errors", number()},
+                                    {"cycle", obs::integer(0), false},
+                                    {"uptime_us", number()}}),
+                      sortedById)},
+    });
+    return schema;
+}
+
 std::string
 checkServeStatsJson(const std::string &text)
 {
-    std::string error;
-    obs::JsonPtr root = obs::parseJson(text, &error);
-    if (!root)
-        return error;
-    if (!root->isObject())
-        return "root is not an object";
-    const auto &m = root->members;
-    if (m.size() < 2 || m[0].first != "format" ||
-        !m[0].second->isString() ||
-        m[0].second->text != "hwdbg-serve-stats")
-        return "first member must be \"format\":\"hwdbg-serve-stats\"";
-    if (m[1].first != "version" || !m[1].second->isNumber() ||
-        m[1].second->number != 1)
-        return "second member must be \"version\":1";
-
-    const auto *build = root->get("build");
-    if (!build || !build->isObject())
-        return "missing \"build\" object";
-
-    const auto *server = root->get("server");
-    if (!server || !server->isObject())
-        return "missing \"server\" object";
-    for (const char *key :
-         {"sessions", "opened", "channels", "channels_active",
-          "requests", "errors", "slow", "slow_threshold_us",
-          "dispatched", "retired_cmds", "uptime_us"})
-        if (!needNumber(*server, "server", key, &error))
-            return error;
-
-    const auto *cache = root->get("cache");
-    if (!cache || !cache->isObject())
-        return "missing \"cache\" object";
-    for (const char *key :
-         {"entries", "hits", "misses", "builds", "build_us"})
-        if (!needNumber(*cache, "cache", key, &error))
-            return error;
-
-    const auto *snaps = root->get("snapshots");
-    if (!snaps || !snaps->isObject())
-        return "missing \"snapshots\" object";
-    for (const char *key : {"stored", "stored_bytes", "dedup_hits",
-                            "dedup_bytes", "dedup_ratio_pct"})
-        if (!needNumber(*snaps, "snapshots", key, &error))
-            return error;
-
-    const auto *cmds = root->get("commands");
-    if (!cmds || !cmds->isArray())
-        return "missing \"commands\" array";
-    std::string prevCmd;
-    for (size_t i = 0; i < cmds->elems.size(); ++i) {
-        const auto &entry = *cmds->elems[i];
-        if (!entry.isObject())
-            return csprintf("commands[%zu]: not an object", i);
-        if (!needString(entry, "commands", "cmd", &error))
-            return error;
-        for (const char *key : {"count", "errors", "p50_us", "p95_us",
-                                "p99_us", "max_us"})
-            if (!needNumber(entry, "commands", key, &error))
-                return error;
-        if (num(entry, "p50_us") > num(entry, "p95_us") ||
-            num(entry, "p95_us") > num(entry, "p99_us") ||
-            num(entry, "p99_us") > num(entry, "max_us"))
-            return csprintf(
-                "commands[%zu] (%s): quantiles not monotone", i,
-                entry.get("cmd")->text.c_str());
-        if (i && entry.get("cmd")->text <= prevCmd)
-            return csprintf("commands[%zu]: not sorted by cmd", i);
-        prevCmd = entry.get("cmd")->text;
-    }
-
-    const auto *sessions = root->get("sessions");
-    if (!sessions || !sessions->isArray())
-        return "missing \"sessions\" array";
-    double prevId = -1;
-    for (size_t i = 0; i < sessions->elems.size(); ++i) {
-        const auto &entry = *sessions->elems[i];
-        if (!entry.isObject())
-            return csprintf("sessions[%zu]: not an object", i);
-        for (const char *key : {"session", "cmds", "errors", "uptime_us"})
-            if (!needNumber(entry, "sessions", key, &error))
-                return error;
-        for (const char *key : {"kind", "design", "cache"})
-            if (!needString(entry, "sessions", key, &error))
-                return error;
-        const std::string &hit = entry.get("cache")->text;
-        if (hit != "hit" && hit != "miss")
-            return csprintf(
-                "sessions[%zu]: cache must be \"hit\" or \"miss\"", i);
-        if (num(entry, "session") <= prevId)
-            return csprintf("sessions[%zu]: not sorted by id", i);
-        prevId = num(entry, "session");
-    }
-
-    return "";
+    return obs::checkJson(serveStatsSchema(), text);
 }
 
 std::string

@@ -28,14 +28,23 @@
 
 #include <string>
 
+namespace hwdbg::obs
+{
+struct Schema;
+}
+
 namespace hwdbg::serve
 {
 
 /**
- * Validate a hwdbg-serve-stats v1 document. Returns "" when valid,
- * else the first violation. Quantiles must be monotone
- * (p50 <= p95 <= p99 <= max) per command.
+ * The hwdbg-serve-stats v1 schema: exact field order, quantiles
+ * monotone (p50 <= p95 <= p99 <= max) per command, commands sorted by
+ * name and sessions by id, cache attribution "hit" or "miss".
  */
+const obs::Schema &serveStatsSchema();
+
+/** "" when @p text is a valid stats document, else the first
+ *  violation. */
 std::string checkServeStatsJson(const std::string &text);
 
 /**

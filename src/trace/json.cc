@@ -1,7 +1,5 @@
 #include "trace/json.hh"
 
-#include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/json.hh"
@@ -10,128 +8,97 @@
 namespace hwdbg::trace
 {
 
+using obs::hexU64;
 using obs::jsonEscape;
 
 namespace
 {
 
+/**
+ * Window geometry adds up, a fired trigger was armed, at least one
+ * signal is declared, and the rows fit the window with strictly
+ * increasing seq and one fixed-width hex value per declared signal.
+ */
 std::string
-hexU64(uint64_t value)
+dumpRule(const obs::JsonValue &root)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
-
-/** Fixed-width hex of a Bits value: one nibble per 4 declared bits. */
-std::string
-bitsToHex(const Bits &value)
-{
-    uint32_t nibbles = std::max<uint32_t>(1, (value.width() + 3) / 4);
-    std::string out = "0x";
-    out.reserve(2 + nibbles);
-    for (uint32_t n = nibbles; n-- > 0;) {
-        uint32_t bit = n * 4;
-        uint64_t word = bit / 64 < value.numWords()
-                            ? value.rawWords()[bit / 64]
-                            : 0;
-        out.push_back("0123456789abcdef"[(word >> (bit % 64)) & 0xf]);
+    const obs::JsonValue &window = root["window"];
+    if (window["pre_depth"].asUint() + window["post_depth"].asUint() !=
+        window["depth"].asUint())
+        return ".window: pre_depth + post_depth != depth";
+    if (root["trigger"]["fired"].boolean && !root["trigger"]["armed"].boolean)
+        return ".trigger: fired without being armed";
+    const auto &signals = root["signals"].elems;
+    if (signals.empty())
+        return ".signals: a trace must declare at least one signal";
+    const auto &rows = root["rows"].elems;
+    if (rows.size() > window["depth"].asUint())
+        return ".rows: more rows than the window depth allows";
+    uint64_t prevSeq = 0;
+    std::vector<uint64_t> words;
+    for (size_t r = 0; r < rows.size(); ++r) {
+        const obs::JsonValue &row = *rows[r];
+        std::string at = ".rows[" + std::to_string(r) + "]";
+        uint64_t seq = 0;
+        obs::parseHexU64(row["seq"].text, &seq);
+        if (r && seq <= prevSeq)
+            return at + ".seq: must be strictly increasing";
+        prevSeq = seq;
+        const auto &values = row["values"].elems;
+        if (values.size() != signals.size())
+            return at + ".values: must match the signal list";
+        for (size_t v = 0; v < values.size(); ++v) {
+            auto width =
+                static_cast<uint32_t>((*signals[v])["width"].asUint());
+            if (!obs::parseHexWords(values[v]->text, width, &words))
+                return at + ".values[" + std::to_string(v) +
+                       "]: must be " + std::to_string((width + 3) / 4) +
+                       "-digit hex";
+        }
     }
-    return out;
+    return "";
 }
 
-bool
-hexToBits(const std::string &text, uint32_t width, Bits *out)
+const obs::Schema &
+traceDumpSchema()
 {
-    uint32_t nibbles = std::max<uint32_t>(1, (width + 3) / 4);
-    if (text.size() != 2 + nibbles || text[0] != '0' || text[1] != 'x')
-        return false;
-    std::vector<uint64_t> words((width + 63) / 64, 0);
-    if (words.empty())
-        words.assign(1, 0);
-    for (uint32_t n = 0; n < nibbles; ++n) {
-        char c = text[2 + (nibbles - 1 - n)];
-        uint32_t nib;
-        if (c >= '0' && c <= '9')
-            nib = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            nib = c - 'a' + 10;
-        else
-            return false;
-        uint32_t bit = n * 4;
-        if (bit / 64 < words.size())
-            words[bit / 64] |= uint64_t(nib) << (bit % 64);
-        else if (nib)
-            return false;
-    }
-    *out = Bits::fromWords(width, words.data(), words.size());
-    // Reject values with bits above the declared width.
-    if (bitsToHex(*out) != text)
-        return false;
-    return true;
-}
-
-bool
-hexToU64(const std::string &text, uint64_t *out)
-{
-    if (text.size() < 3 || text.size() > 18 || text[0] != '0' ||
-        text[1] != 'x')
-        return false;
-    uint64_t value = 0;
-    for (size_t i = 2; i < text.size(); ++i) {
-        char c = text[i];
-        uint32_t nib;
-        if (c >= '0' && c <= '9')
-            nib = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            nib = c - 'a' + 10;
-        else
-            return false;
-        value = (value << 4) | nib;
-    }
-    *out = value;
-    return true;
-}
-
-bool
-getUint(const obs::JsonValue &obj, const char *key, uint64_t *out)
-{
-    const auto *val = obj.get(key);
-    if (!val || !val->isNumber() || val->number < 0)
-        return false;
-    auto value = static_cast<uint64_t>(val->number);
-    if (static_cast<double>(value) != val->number)
-        return false;
-    *out = value;
-    return true;
-}
-
-bool
-getBool(const obs::JsonValue &obj, const char *key, bool *out)
-{
-    const auto *val = obj.get(key);
-    if (!val || val->kind != obs::JsonValue::Kind::Bool)
-        return false;
-    *out = val->boolean;
-    return true;
-}
-
-bool
-getString(const obs::JsonValue &obj, const char *key, std::string *out)
-{
-    const auto *val = obj.get(key);
-    if (!val || !val->isString())
-        return false;
-    *out = val->text;
-    return true;
-}
-
-bool
-getHexU64(const obs::JsonValue &obj, const char *key, uint64_t *out)
-{
-    std::string text;
-    return getString(obj, key, &text) && hexToU64(text, out);
+    using obs::integer;
+    static const obs::Schema schema = obs::ordered(
+        {
+            {"format", obs::oneOf({"hwdbg-trace"})},
+            {"version", obs::exactly(1)},
+            {"build", obs::buildSchema()},
+            {"design", obs::ordered({{"top", obs::string()}})},
+            {"workload", obs::string()},
+            {"backend", obs::string()},
+            {"config",
+             obs::ordered({{"signals", obs::arrayOf(obs::string())},
+                           {"trigger", obs::string()},
+                           {"budget_bytes", integer(0)},
+                           {"pre_pct", integer(0, 100)}})},
+            {"window", obs::ordered({{"row_bytes", integer(0)},
+                                     {"depth", integer(0)},
+                                     {"pre_depth", integer(0)},
+                                     {"post_depth", integer(0)}})},
+            {"trigger", obs::ordered({{"armed", obs::boolean()},
+                                      {"fired", obs::boolean()},
+                                      {"seq", obs::hexU64Schema()},
+                                      {"cycle", obs::hexU64Schema()},
+                                      {"fires", integer(0)}})},
+            {"stats", obs::ordered({{"samples", integer(0)},
+                                    {"drops", integer(0)}})},
+            {"signals",
+             obs::arrayOf(obs::ordered({{"name", obs::string()},
+                                        {"width", integer(1, 1u << 24)},
+                                        {"loc", obs::string()}}))},
+            {"rows",
+             obs::arrayOf(obs::ordered(
+                 {{"seq", obs::hexU64Schema()},
+                  {"cycle", obs::hexU64Schema()},
+                  {"values", obs::arrayOf(obs::string())}}))},
+        },
+        dumpRule);
+    return schema;
 }
 
 } // namespace
@@ -189,7 +156,10 @@ toJson(const TraceDump &dump)
             << hexU64(row.seq) << "\", \"cycle\": \""
             << hexU64(row.cycle) << "\", \"values\": [";
         for (size_t v = 0; v < row.values.size(); ++v)
-            out << (v ? ", " : "") << "\"" << bitsToHex(row.values[v])
+            out << (v ? ", " : "") << "\""
+                << obs::hexWords(row.values[v].rawWords(),
+                                 row.values[v].numWords(),
+                                 row.values[v].width())
                 << "\"";
         out << "]}";
     }
@@ -201,145 +171,63 @@ bool
 parseTraceDump(const std::string &text, TraceDump *out,
                std::string *error)
 {
-    auto fail = [&](const std::string &why) {
-        *error = why;
-        return false;
-    };
-    std::string parse_error;
-    obs::JsonPtr root = obs::parseJson(text, &parse_error);
+    obs::JsonPtr root = obs::parseChecked(traceDumpSchema(), text, error);
     if (!root)
-        return fail(parse_error);
-    if (!root->isObject())
-        return fail("root is not an object");
-
-    std::string format;
-    if (!getString(*root, "format", &format) ||
-        format != "hwdbg-trace")
-        return fail("\"format\" must be \"hwdbg-trace\"");
-    uint64_t version = 0;
-    if (!getUint(*root, "version", &version) || version != 1)
-        return fail("unsupported trace format version");
+        return false;
+    const obs::JsonValue &config = (*root)["config"];
+    const obs::JsonValue &window = (*root)["window"];
+    const obs::JsonValue &trigger = (*root)["trigger"];
+    const obs::JsonValue &stats = (*root)["stats"];
 
     *out = TraceDump{};
-    const auto *design = root->get("design");
-    if (!design || !design->isObject() ||
-        !getString(*design, "top", &out->top))
-        return fail("missing \"design\" object with string \"top\"");
-    if (!getString(*root, "workload", &out->workload))
-        return fail("\"workload\" must be a string");
-    if (!getString(*root, "backend", &out->backend))
-        return fail("\"backend\" must be a string");
+    out->top = (*root)["design"]["top"].text;
+    out->workload = (*root)["workload"].text;
+    out->backend = (*root)["backend"].text;
+    for (const auto &glob : config["signals"].elems)
+        out->config.signals.push_back(glob->text);
+    out->config.trigger = config["trigger"].text;
+    out->config.budgetBytes = config["budget_bytes"].asUint();
+    out->config.prePct = static_cast<uint32_t>(config["pre_pct"].asUint());
+    out->rowBytes = window["row_bytes"].asUint();
+    out->depth = window["depth"].asUint();
+    out->preDepth = window["pre_depth"].asUint();
+    out->postDepth = window["post_depth"].asUint();
+    out->armed = trigger["armed"].boolean;
+    out->fired = trigger["fired"].boolean;
+    obs::parseHexU64(trigger["seq"].text, &out->triggerSeq);
+    obs::parseHexU64(trigger["cycle"].text, &out->triggerCycle);
+    out->triggerFires = trigger["fires"].asUint();
+    out->samples = stats["samples"].asUint();
+    out->drops = stats["drops"].asUint();
 
-    const auto *config = root->get("config");
-    if (!config || !config->isObject())
-        return fail("missing \"config\" object");
-    const auto *globs = config->get("signals");
-    if (!globs || !globs->isArray())
-        return fail("config.signals must be an array");
-    for (const auto &elem : globs->elems) {
-        if (!elem->isString())
-            return fail("config.signals entries must be strings");
-        out->config.signals.push_back(elem->text);
-    }
-    uint64_t pre_pct = 0;
-    if (!getString(*config, "trigger", &out->config.trigger) ||
-        !getUint(*config, "budget_bytes", &out->config.budgetBytes) ||
-        !getUint(*config, "pre_pct", &pre_pct) || pre_pct > 100)
-        return fail("malformed \"config\" object");
-    out->config.prePct = static_cast<uint32_t>(pre_pct);
-
-    const auto *window = root->get("window");
-    if (!window || !window->isObject() ||
-        !getUint(*window, "row_bytes", &out->rowBytes) ||
-        !getUint(*window, "depth", &out->depth) ||
-        !getUint(*window, "pre_depth", &out->preDepth) ||
-        !getUint(*window, "post_depth", &out->postDepth))
-        return fail("malformed \"window\" object");
-    if (out->preDepth + out->postDepth != out->depth)
-        return fail("window pre_depth + post_depth != depth");
-
-    const auto *trigger = root->get("trigger");
-    if (!trigger || !trigger->isObject() ||
-        !getBool(*trigger, "armed", &out->armed) ||
-        !getBool(*trigger, "fired", &out->fired) ||
-        !getHexU64(*trigger, "seq", &out->triggerSeq) ||
-        !getHexU64(*trigger, "cycle", &out->triggerCycle) ||
-        !getUint(*trigger, "fires", &out->triggerFires))
-        return fail("malformed \"trigger\" object");
-    if (out->fired && !out->armed)
-        return fail("trigger fired without being armed");
-
-    const auto *stats = root->get("stats");
-    if (!stats || !stats->isObject() ||
-        !getUint(*stats, "samples", &out->samples) ||
-        !getUint(*stats, "drops", &out->drops))
-        return fail("malformed \"stats\" object");
-
-    const auto *signals = root->get("signals");
-    if (!signals || !signals->isArray())
-        return fail("missing \"signals\" array");
-    for (const auto &elem : signals->elems) {
-        if (!elem->isObject())
-            return fail("signal entries must be objects");
+    for (const auto &elem : (*root)["signals"].elems) {
         TracedSignal sig;
-        uint64_t width = 0;
-        if (!getString(*elem, "name", &sig.name) ||
-            !getUint(*elem, "width", &width) || width < 1 ||
-            width > (1u << 24) || !getString(*elem, "loc", &sig.loc))
-            return fail("malformed signal entry");
-        sig.width = static_cast<uint32_t>(width);
+        sig.name = (*elem)["name"].text;
+        sig.width = static_cast<uint32_t>((*elem)["width"].asUint());
+        sig.loc = (*elem)["loc"].text;
         out->signals.push_back(std::move(sig));
     }
-    if (out->signals.empty())
-        return fail("a trace must declare at least one signal");
-
-    const auto *rows = root->get("rows");
-    if (!rows || !rows->isArray())
-        return fail("missing \"rows\" array");
-    if (rows->elems.size() > out->depth)
-        return fail("more rows than the window depth allows");
-    uint64_t prev_seq = 0;
-    for (const auto &elem : rows->elems) {
-        if (!elem->isObject())
-            return fail("row entries must be objects");
+    std::vector<uint64_t> words;
+    for (const auto &elem : (*root)["rows"].elems) {
         TraceDump::Row row;
-        if (!getHexU64(*elem, "seq", &row.seq) ||
-            !getHexU64(*elem, "cycle", &row.cycle))
-            return fail("malformed row entry");
-        if (!out->rows.empty() && row.seq <= prev_seq)
-            return fail("row seq must be strictly increasing");
-        prev_seq = row.seq;
-        const auto *values = elem->get("values");
-        if (!values || !values->isArray() ||
-            values->elems.size() != out->signals.size())
-            return fail("row values must match the signal list");
-        for (size_t v = 0; v < values->elems.size(); ++v) {
-            const auto &value = values->elems[v];
-            Bits bits;
-            if (!value->isString() ||
-                !hexToBits(value->text, out->signals[v].width, &bits))
-                return fail("row value " + std::to_string(v) +
-                            " must be " +
-                            std::to_string(
-                                (out->signals[v].width + 3) / 4) +
-                            "-digit hex");
-            row.values.push_back(std::move(bits));
+        obs::parseHexU64((*elem)["seq"].text, &row.seq);
+        obs::parseHexU64((*elem)["cycle"].text, &row.cycle);
+        const auto &values = (*elem)["values"].elems;
+        for (size_t v = 0; v < values.size(); ++v) {
+            uint32_t width = out->signals[v].width;
+            obs::parseHexWords(values[v]->text, width, &words);
+            row.values.push_back(
+                Bits::fromWords(width, words.data(), words.size()));
         }
         out->rows.push_back(std::move(row));
     }
-
-    error->clear();
     return true;
 }
 
 std::string
 checkTraceDumpJson(const std::string &text)
 {
-    TraceDump dump;
-    std::string error;
-    if (!parseTraceDump(text, &dump, &error))
-        return error;
-    return "";
+    return obs::checkJson(traceDumpSchema(), text);
 }
 
 } // namespace hwdbg::trace

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "hdl/parser.hh"
+#include "obs/jsoncheck.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/eval.hh"
@@ -105,6 +106,13 @@ TraceRecorder::TraceRecorder(sim::Simulator &sim,
                              const TraceConfig &cfg)
     : sim_(sim), cfg_(cfg), signals_(resolveSignals(sim.design(), cfg))
 {
+    // The dump records the budget as a JSON integer, which stays
+    // exact only up to 2^53 - 1.
+    if (cfg_.budgetBytes > static_cast<uint64_t>(obs::kMaxSafeInteger))
+        fatal("trace: budget %llu is above the largest a trace dump "
+              "holds (%llu)",
+              static_cast<unsigned long long>(cfg_.budgetBytes),
+              static_cast<unsigned long long>(obs::kMaxSafeInteger));
     std::string trigger_text = cfg_.trigger;
     if (trigger_text.rfind("change:", 0) == 0) {
         trigChange_ = true;

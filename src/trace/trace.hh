@@ -56,7 +56,8 @@ struct TraceConfig
     std::string trigger;
 
     /** Capacity budget in bytes; ring depth = budget / bytes-per-row.
-     *  A budget smaller than one row records nothing (drops count). */
+     *  A budget smaller than one row records nothing (drops count);
+     *  one above 2^53 - 1 is refused. */
     uint64_t budgetBytes = 4096;
 
     /** Percent of the ring reserved for pre-trigger history (the rest

@@ -26,6 +26,7 @@
 #include "bugbase/testbed.hh"
 #include "common/logging.hh"
 #include "cover/run.hh"
+#include "obs/json.hh"
 #include "obs/jsoncheck.hh"
 #include "serve/server.hh"
 #include "serve/stats.hh"
@@ -286,6 +287,72 @@ TEST(ServeServerTest, ConcurrentTcpClientsGetByteIdenticalSessions)
     writeAll(fd, "shutdown\n");
     readLine(fd, &line);
     ::close(fd);
+    acceptor.join();
+}
+
+TEST(ServeServerTest, HostileLineOnOneChannelLeavesOtherSessionsServing)
+{
+    Server server;
+    uint16_t port = 0;
+    try {
+        port = server.listenTcp(0);
+    } catch (const HdlError &e) {
+        GTEST_SKIP() << "no loopback TCP in this environment: "
+                     << e.what();
+    }
+    std::thread acceptor([&server] { server.acceptLoop(); });
+
+    // Two clients, each with its own debug session.
+    int fds[2];
+    std::string at[2];
+    std::string line;
+    for (int c = 0; c < 2; ++c) {
+        fds[c] = connectLoopback(port);
+        ASSERT_GE(fds[c], 0);
+        readLine(fds[c], &line); // hello
+        writeAll(fds[c], "open debug bug=D4\n");
+        readLine(fds[c], &line);
+        std::string error;
+        auto root = obs::parseJson(line, &error);
+        ASSERT_TRUE(root && root->get("payload")) << line;
+        at[c] = '@' +
+                std::to_string(static_cast<int64_t>(
+                    (*root)["payload"]["session"].number)) +
+                ' ';
+    }
+
+    // Client 0 sends a line nested far past the parser's limit and an
+    // id no double holds exactly: both are ok:false errors.
+    std::string deep = "{\"session\":1,\"cmd\":";
+    for (int i = 0; i < 200000; ++i)
+        deep += '[';
+    writeAll(fds[0], deep + "\n");
+    readLine(fds[0], &line);
+    EXPECT_NE(line.find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(line.find("nesting deeper than"), std::string::npos)
+        << line.substr(0, 200);
+    writeAll(fds[0], "{\"id\":1e300,\"cmd\":\"sessions\"}\n");
+    readLine(fds[0], &line);
+    EXPECT_NE(line.find("\"id\":null,\"ok\":false"), std::string::npos)
+        << line;
+
+    // The other session's next request, and the hostile channel's own,
+    // are served as usual.
+    for (int c : {1, 0}) {
+        writeAll(fds[c], at[c] + "step 2\n");
+        readLine(fds[c], &line);
+        EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+        EXPECT_EQ(checkServeTranscript(
+                      "{\"proto\":\"hwdbg-serve\",\"version\":1,"
+                      "\"build\":" + obs::buildInfoJson() + "}\n" +
+                      line + "\n"),
+                  "");
+    }
+
+    writeAll(fds[1], "shutdown\n");
+    readLine(fds[1], &line);
+    for (int fd : fds)
+        ::close(fd);
     acceptor.join();
 }
 

@@ -447,7 +447,9 @@ TEST(ServeTelemetryTest, CheckerRejectsMalformedStatsDocuments)
         std::string out = "{\"format\":\"hwdbg-serve-stats\","
                           "\"version\":";
         out += version;
-        out += ",\"build\":{},\"server\":{\"sessions\":0,"
+        out += ",\"build\":{\"tool\":\"hwdbg\",\"version\":\"0\","
+               "\"git\":\"unknown\",\"type\":\"Debug\"},"
+               "\"server\":{\"sessions\":0,"
                "\"opened\":0,\"channels\":0,\"channels_active\":0,"
                "\"requests\":0,\"errors\":0,\"slow\":0,"
                "\"slow_threshold_us\":0,\"dispatched\":0,"

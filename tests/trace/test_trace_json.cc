@@ -11,6 +11,7 @@
 
 #include <memory>
 
+#include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 #include "sim/simulator.hh"
@@ -25,7 +26,7 @@ namespace
 
 /** A small real capture: counter, a dozen change rows. */
 TraceDump
-makeDump()
+makeDump(uint64_t budgetBytes = 1 << 10)
 {
     hdl::Design design = hdl::parse(
         "module m(input wire clk, input wire rst,\n"
@@ -37,7 +38,7 @@ makeDump()
     TraceConfig cfg;
     cfg.signals = {"count"};
     cfg.trigger = "count == 8'h4";
-    cfg.budgetBytes = 1 << 10;
+    cfg.budgetBytes = budgetBytes;
     TraceRecorder rec(sim, cfg);
     rec.attach();
     for (int t = 0; t < 16; ++t) {
@@ -77,6 +78,17 @@ TEST(TraceJsonTest, RoundTripIsByteStable)
     EXPECT_EQ(parsed.rows.size(), dump.rows.size());
     EXPECT_EQ(parsed.triggerSeq, dump.triggerSeq);
     EXPECT_EQ(toJson(parsed), text);
+}
+
+TEST(TraceJsonTest, BudgetStopsAtTheLargestExactJsonInteger)
+{
+    // The ring grows lazily, so any budget the dump can record runs;
+    // one past 2^53 - 1 would write a dump its own schema refuses.
+    const uint64_t largest = (uint64_t(1) << 53) - 1;
+    TraceDump dump = makeDump(largest);
+    EXPECT_EQ(dump.config.budgetBytes, largest);
+    EXPECT_EQ(checkTraceDumpJson(toJson(dump)), "");
+    EXPECT_THROW(makeDump(largest + 1), HdlError);
 }
 
 TEST(TraceJsonTest, RejectsWrongFormatTag)
