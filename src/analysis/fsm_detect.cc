@@ -6,7 +6,7 @@
 
 #include "analysis/exprutil.hh"
 #include "common/logging.hh"
-#include "sim/design.hh"
+#include "elab/elaborate.hh"
 
 namespace hwdbg::analysis
 {
@@ -16,100 +16,23 @@ using namespace hdl;
 namespace
 {
 
-/** Visit every expression node in a tree. */
-void
-forEachExprNode(const ExprPtr &expr,
-                const std::function<void(const ExprPtr &)> &fn)
-{
-    if (!expr)
-        return;
-    fn(expr);
-    switch (expr->kind) {
-      case ExprKind::Unary:
-        forEachExprNode(expr->as<UnaryExpr>()->arg, fn);
-        break;
-      case ExprKind::Binary:
-        forEachExprNode(expr->as<BinaryExpr>()->lhs, fn);
-        forEachExprNode(expr->as<BinaryExpr>()->rhs, fn);
-        break;
-      case ExprKind::Ternary:
-        forEachExprNode(expr->as<TernaryExpr>()->cond, fn);
-        forEachExprNode(expr->as<TernaryExpr>()->thenExpr, fn);
-        forEachExprNode(expr->as<TernaryExpr>()->elseExpr, fn);
-        break;
-      case ExprKind::Concat:
-        for (const auto &part : expr->as<ConcatExpr>()->parts)
-            forEachExprNode(part, fn);
-        break;
-      case ExprKind::Repeat:
-        forEachExprNode(expr->as<RepeatExpr>()->count, fn);
-        forEachExprNode(expr->as<RepeatExpr>()->inner, fn);
-        break;
-      case ExprKind::Index:
-        forEachExprNode(expr->as<IndexExpr>()->index, fn);
-        break;
-      case ExprKind::Range:
-        forEachExprNode(expr->as<RangeExpr>()->msb, fn);
-        forEachExprNode(expr->as<RangeExpr>()->lsb, fn);
-        break;
-      default:
-        break;
-    }
-}
-
-void
-forEachExprInStmt(const StmtPtr &stmt,
-                  const std::function<void(const ExprPtr &)> &fn)
-{
-    if (!stmt)
-        return;
-    switch (stmt->kind) {
-      case StmtKind::Block:
-        for (const auto &sub : stmt->as<BlockStmt>()->stmts)
-            forEachExprInStmt(sub, fn);
-        break;
-      case StmtKind::If:
-        forEachExprNode(stmt->as<IfStmt>()->cond, fn);
-        forEachExprInStmt(stmt->as<IfStmt>()->thenStmt, fn);
-        forEachExprInStmt(stmt->as<IfStmt>()->elseStmt, fn);
-        break;
-      case StmtKind::Case:
-        forEachExprNode(stmt->as<CaseStmt>()->selector, fn);
-        for (const auto &item : stmt->as<CaseStmt>()->items) {
-            for (const auto &label : item.labels)
-                forEachExprNode(label, fn);
-            forEachExprInStmt(item.body, fn);
-        }
-        break;
-      case StmtKind::Assign:
-        forEachExprNode(stmt->as<AssignStmt>()->lhs, fn);
-        forEachExprNode(stmt->as<AssignStmt>()->rhs, fn);
-        break;
-      case StmtKind::Display:
-        for (const auto &arg : stmt->as<DisplayStmt>()->args)
-            forEachExprNode(arg, fn);
-        break;
-      default:
-        break;
-    }
-}
-
+/** Visit every expression node of the module's logic. */
 void
 forEachExprInModule(const Module &mod,
-                    const std::function<void(const ExprPtr &)> &fn)
+                    const std::function<void(ExprPtr &)> &fn)
 {
     for (const auto &item : mod.items) {
         switch (item->kind) {
           case ItemKind::ContAssign:
-            forEachExprNode(item->as<ContAssignItem>()->lhs, fn);
-            forEachExprNode(item->as<ContAssignItem>()->rhs, fn);
+            forEachExpr(item->as<ContAssignItem>()->lhs, fn);
+            forEachExpr(item->as<ContAssignItem>()->rhs, fn);
             break;
           case ItemKind::Always:
-            forEachExprInStmt(item->as<AlwaysItem>()->body, fn);
+            forEachExpr(item->as<AlwaysItem>()->body, fn);
             break;
           case ItemKind::Instance:
-            for (const auto &conn : item->as<InstanceItem>()->conns)
-                forEachExprNode(conn.actual, fn);
+            for (auto &conn : item->as<InstanceItem>()->conns)
+                forEachExpr(conn.actual, fn);
             break;
           default:
             break;
@@ -249,11 +172,7 @@ detectFsms(const Module &mod, const FsmDetectOptions &opts)
         if (item->kind != ItemKind::Net)
             continue;
         const auto *net = item->as<NetItem>();
-        uint32_t width = 1;
-        if (net->range)
-            width = static_cast<uint32_t>(
-                        sim::constU64(net->range->msb)) + 1;
-        widths[net->name] = width;
+        widths[net->name] = elab::netWidth(*net);
     }
 
     std::vector<FsmInfo> out;

@@ -1,11 +1,9 @@
 #include "analysis/relations.hh"
 
-#include <functional>
-
 #include "analysis/exprutil.hh"
 #include "common/logging.hh"
+#include "elab/elaborate.hh"
 #include "elab/ip_models.hh"
-#include "sim/design.hh"
 
 namespace hwdbg::analysis
 {
@@ -20,44 +18,12 @@ ExprPtr
 findMemoryRead(const ExprPtr &expr, const std::string &mem)
 {
     ExprPtr found;
-    std::function<void(const ExprPtr &)> walk =
-        [&](const ExprPtr &node) {
-            if (!node || found)
-                return;
-            switch (node->kind) {
-              case ExprKind::Index: {
-                const auto *idx = node->as<IndexExpr>();
-                if (idx->base == mem) {
-                    found = idx->index;
-                    return;
-                }
-                walk(idx->index);
-                break;
-              }
-              case ExprKind::Unary:
-                walk(node->as<UnaryExpr>()->arg);
-                break;
-              case ExprKind::Binary:
-                walk(node->as<BinaryExpr>()->lhs);
-                walk(node->as<BinaryExpr>()->rhs);
-                break;
-              case ExprKind::Ternary:
-                walk(node->as<TernaryExpr>()->cond);
-                walk(node->as<TernaryExpr>()->thenExpr);
-                walk(node->as<TernaryExpr>()->elseExpr);
-                break;
-              case ExprKind::Concat:
-                for (const auto &part : node->as<ConcatExpr>()->parts)
-                    walk(part);
-                break;
-              case ExprKind::Repeat:
-                walk(node->as<RepeatExpr>()->inner);
-                break;
-              default:
-                break;
-            }
-        };
-    walk(expr);
+    ExprPtr root = expr;
+    forEachExpr(root, [&](ExprPtr &node) {
+        if (!found && node->kind == ExprKind::Index &&
+            node->as<IndexExpr>()->base == mem)
+            found = node->as<IndexExpr>()->index;
+    });
     return found;
 }
 
@@ -70,8 +36,7 @@ RelationTable::RelationTable(const Module &mod) : graph_(mod)
             continue;
         const auto *net = item->as<NetItem>();
         if (net->array)
-            memories_[net->name] =
-                sim::constU64(net->array->msb) + 1;
+            memories_[net->name] = elab::memoryDepth(*net);
     }
 
     for (const auto &ga : collectAssigns(mod)) {

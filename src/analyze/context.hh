@@ -11,7 +11,7 @@
  * the facts its selected checks read:
  *
  *   signals()     declarations: widths, kinds, directions, locations,
- *                 declaration order, resolved parameters
+ *                 declaration order
  *   graph()       the signal dependency graph
  *   assigns()     every guarded assignment, in module order
  *   fsms()        detected state machines

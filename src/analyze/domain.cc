@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "elab/elaborate.hh"
+
 namespace hwdbg::analyze
 {
 
@@ -17,6 +19,19 @@ KnownBits
 unknownAt(uint32_t width)
 {
     return KnownBits::unknown(std::min(width, kMaxWidth));
+}
+
+/**
+ * @p expr folded by the shared folder, as a 64-bit fact: unknown when
+ * it is not constant or is wider than kMaxWidth.
+ */
+std::optional<uint64_t>
+constFact(const ExprPtr &expr)
+{
+    auto value = elab::tryEvalConst(expr);
+    if (!value || value->width() > kMaxWidth)
+        return std::nullopt;
+    return value->toU64();
 }
 
 /** One bit whose value may be known. */
@@ -63,19 +78,6 @@ joinKnown(const KnownBits &a, const KnownBits &b)
 SignalTable::SignalTable(const Module &mod)
 {
     for (const auto &item : mod.items) {
-        if (item->kind == ItemKind::Param) {
-            const auto *param = item->as<ParamItem>();
-            if (auto val = constEval(param->value)) {
-                uint32_t width =
-                    std::min<uint32_t>(param->value->width
-                                           ? param->value->width
-                                           : 32,
-                                       kMaxWidth);
-                params_.emplace(param->name,
-                                KnownBits::constant(width, *val));
-            }
-            continue;
-        }
         if (item->kind != ItemKind::Net)
             continue;
         const auto *net = item->as<NetItem>();
@@ -84,14 +86,7 @@ SignalTable::SignalTable(const Module &mod)
         info.isArray = net->array.has_value();
         info.dir = net->dir;
         info.loc = net->loc;
-        if (net->range) {
-            auto msb = constEval(net->range->msb);
-            auto lsb = constEval(net->range->lsb);
-            if (msb && lsb && *msb >= *lsb)
-                info.width = static_cast<uint32_t>(*msb - *lsb) + 1;
-            else
-                info.width = 0; // unsizable: treated as unknown
-        }
+        info.width = elab::netWidth(*net);
         if (!sigs_.count(net->name))
             order_.push_back(net->name);
         sigs_[net->name] = info;
@@ -103,84 +98,6 @@ SignalTable::find(const std::string &name) const
 {
     auto it = sigs_.find(name);
     return it == sigs_.end() ? nullptr : &it->second;
-}
-
-const KnownBits *
-SignalTable::param(const std::string &name) const
-{
-    auto it = params_.find(name);
-    return it == params_.end() ? nullptr : &it->second;
-}
-
-// ---------------------------------------------------------------- constEval
-
-std::optional<uint64_t>
-constEval(const ExprPtr &expr)
-{
-    if (!expr)
-        return std::nullopt;
-    switch (expr->kind) {
-      case ExprKind::Number: {
-        const auto *num = expr->as<NumberExpr>();
-        if (num->value.width() > kMaxWidth)
-            return std::nullopt;
-        return num->value.toU64();
-      }
-      case ExprKind::Unary: {
-        const auto *un = expr->as<UnaryExpr>();
-        auto arg = constEval(un->arg);
-        if (!arg)
-            return std::nullopt;
-        switch (un->op) {
-          case UnaryOp::Neg:
-            return ~*arg + 1;
-          case UnaryOp::BitNot:
-            return ~*arg;
-          case UnaryOp::LogNot:
-            return *arg == 0 ? 1 : 0;
-          default:
-            return std::nullopt;
-        }
-      }
-      case ExprKind::Binary: {
-        const auto *bin = expr->as<BinaryExpr>();
-        auto lhs = constEval(bin->lhs);
-        auto rhs = constEval(bin->rhs);
-        if (!lhs || !rhs)
-            return std::nullopt;
-        switch (bin->op) {
-          case BinaryOp::Add: return *lhs + *rhs;
-          case BinaryOp::Sub: return *lhs - *rhs;
-          case BinaryOp::Mul: return *lhs * *rhs;
-          case BinaryOp::Div:
-            return *rhs == 0 ? std::nullopt
-                             : std::optional<uint64_t>(*lhs / *rhs);
-          case BinaryOp::Mod:
-            return *rhs == 0 ? std::nullopt
-                             : std::optional<uint64_t>(*lhs % *rhs);
-          case BinaryOp::BitAnd: return *lhs & *rhs;
-          case BinaryOp::BitOr: return *lhs | *rhs;
-          case BinaryOp::BitXor: return *lhs ^ *rhs;
-          case BinaryOp::Shl:
-            return *rhs >= 64 ? 0 : *lhs << *rhs;
-          case BinaryOp::Shr:
-            return *rhs >= 64 ? 0 : *lhs >> *rhs;
-          case BinaryOp::Eq: return *lhs == *rhs ? 1 : 0;
-          case BinaryOp::Ne: return *lhs != *rhs ? 1 : 0;
-          case BinaryOp::Lt: return *lhs < *rhs ? 1 : 0;
-          case BinaryOp::Le: return *lhs <= *rhs ? 1 : 0;
-          case BinaryOp::Gt: return *lhs > *rhs ? 1 : 0;
-          case BinaryOp::Ge: return *lhs >= *rhs ? 1 : 0;
-          case BinaryOp::LogAnd:
-            return (*lhs != 0 && *rhs != 0) ? 1 : 0;
-          case BinaryOp::LogOr:
-            return (*lhs != 0 || *rhs != 0) ? 1 : 0;
-        }
-        return std::nullopt;
-      }
-      default:
-        return std::nullopt;
-    }
 }
 
 // ---------------------------------------------------------------- selfWidth
@@ -198,11 +115,8 @@ selfWidth(const ExprPtr &expr, const SignalTable &sigs)
       }
       case ExprKind::Id: {
         const auto *id = expr->as<IdExpr>();
-        if (const auto *info = sigs.find(id->name))
-            return info->isArray ? 0 : info->width;
-        if (const auto *param = sigs.param(id->name))
-            return param->width;
-        return 0;
+        const auto *info = sigs.find(id->name);
+        return info && !info->isArray ? info->width : 0;
       }
       case ExprKind::Unary: {
         const auto *un = expr->as<UnaryExpr>();
@@ -250,7 +164,7 @@ selfWidth(const ExprPtr &expr, const SignalTable &sigs)
       }
       case ExprKind::Repeat: {
         const auto *rep = expr->as<RepeatExpr>();
-        auto count = constEval(rep->count);
+        auto count = constFact(rep->count);
         uint32_t inner = selfWidth(rep->inner, sigs);
         if (!count || !inner)
             return 0;
@@ -265,8 +179,8 @@ selfWidth(const ExprPtr &expr, const SignalTable &sigs)
       }
       case ExprKind::Range: {
         const auto *range = expr->as<RangeExpr>();
-        auto msb = constEval(range->msb);
-        auto lsb = constEval(range->lsb);
+        auto msb = constFact(range->msb);
+        auto lsb = constFact(range->lsb);
         if (!msb || !lsb || *lsb > *msb)
             return 0;
         return static_cast<uint32_t>(*msb - *lsb) + 1;
@@ -515,8 +429,6 @@ kbEvalImpl(const ExprPtr &expr, uint32_t ctx_width,
                 return std::nullopt; // bottom propagates
             return it->second->resized(w);
         }
-        if (const auto *param = sigs.param(id->name))
-            return param->resized(w);
         return unknownAt(w);
       }
       case ExprKind::Unary: {
@@ -653,8 +565,8 @@ kbEvalImpl(const ExprPtr &expr, uint32_t ctx_width,
       case ExprKind::Range: {
         const auto *range = expr->as<RangeExpr>();
         const auto *info = sigs.find(range->base);
-        auto msb = constEval(range->msb);
-        auto lsb = constEval(range->lsb);
+        auto msb = constFact(range->msb);
+        auto lsb = constFact(range->lsb);
         if (!info || info->isArray || !msb || !lsb || *lsb > *msb ||
             *msb >= kMaxWidth)
             return unknownAt(w);

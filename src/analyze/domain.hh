@@ -91,9 +91,9 @@ KnownBits joinKnown(const KnownBits &a, const KnownBits &b);
 enum class Tri { False, True, Unknown };
 
 /**
- * Signal declarations of one elaborated module: widths, kinds,
- * declaration locations and order, and resolved parameter constants,
- * computed without mutating the AST.
+ * Signal declarations of one elaborated module (where elaboration has
+ * already folded every parameter away): widths, kinds, declaration
+ * locations and order, computed without mutating the AST.
  */
 class SignalTable
 {
@@ -113,8 +113,6 @@ class SignalTable
 
     /** Declaration info, or nullptr for unknown names. */
     const Info *find(const std::string &name) const;
-    /** Resolved parameter value, or nullptr. */
-    const KnownBits *param(const std::string &name) const;
     /** Every signal, in name order. */
     const std::map<std::string, Info> &all() const { return sigs_; }
     /** Every signal name, in declaration order. */
@@ -123,7 +121,6 @@ class SignalTable
   private:
     std::map<std::string, Info> sigs_;
     std::vector<std::string> order_;
-    std::map<std::string, KnownBits> params_;
 };
 
 /**
@@ -131,13 +128,6 @@ class SignalTable
  * no fact computed yet, used by the optimistic global fixpoint.
  */
 using Env = std::map<std::string, std::optional<KnownBits>>;
-
-/**
- * Evaluate a constant expression (numbers and operators only).
- * Returns std::nullopt when the expression references any signal or is
- * wider than 64 bits.
- */
-std::optional<uint64_t> constEval(const hdl::ExprPtr &expr);
 
 /**
  * Self-determined width of @p expr under @p sigs, mirroring

@@ -64,6 +64,7 @@
 #include "debug/protocol.hh"
 #include "debug/repl.hh"
 #include "debug/workload.hh"
+#include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 #include "hdl/preproc.hh"
 #include "fuzz/runner.hh"
@@ -153,7 +154,13 @@ usage()
         "  --define NAME    preprocessor define (repeatable)\n"
         "  --trace FILE     write a Chrome/Perfetto trace of this run\n"
         "  --metrics FILE   write a metrics snapshot (.json or text)\n"
-        "  --quiet          silence warn()/inform() messages\n");
+        "  --quiet          silence warn()/inform() messages\n"
+        "\n"
+        "design limits (every command rejects a design past one):\n"
+        "  vectors of up to %u bits, replications of up to %u copies,\n"
+        "  memories of up to %u words, nesting up to %d levels deep\n",
+        elab::kMaxVectorWidth, elab::kMaxReplication,
+        elab::kMaxMemoryDepth, hdl::kMaxNesting);
     std::exit(2);
 }
 

@@ -3,9 +3,9 @@
 #include "analysis/depgraph.hh"
 #include "common/logging.hh"
 #include "core/instrument.hh"
+#include "elab/elaborate.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/design.hh"
 
 namespace hwdbg::core
 {
@@ -38,13 +38,8 @@ applyDepMonitor(const Module &mod, const DepMonitorOptions &opts)
             continue; // IP-internal endpoint
         if (net->array)
             continue; // memories are tracked through their read ports
-        uint32_t width = 1;
-        if (net->range)
-            width = static_cast<uint32_t>(
-                        sim::constU64(net->range->msb)) + 1;
-
         std::string prev = "__dep_prev_" + reg;
-        builder.addReg(prev, width);
+        builder.addReg(prev, elab::netWidth(*net));
 
         auto disp = std::make_shared<DisplayStmt>();
         disp->format = "[DepMonitor] " + reg + " = %h (dist " +

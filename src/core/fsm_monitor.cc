@@ -7,9 +7,9 @@
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "core/instrument.hh"
+#include "elab/elaborate.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/design.hh"
 
 namespace hwdbg::core
 {
@@ -40,10 +40,7 @@ applyFsmMonitor(const Module &mod, const FsmMonitorOptions &opts)
         const NetItem *net = builder.module()->findNet(var);
         if (!net)
             fatal("FSM Monitor: no signal named '%s'", var.c_str());
-        uint32_t width = 1;
-        if (net->range)
-            width = static_cast<uint32_t>(
-                        sim::constU64(net->range->msb)) + 1;
+        uint32_t width = elab::netWidth(*net);
 
         std::string clock = default_clock;
         for (const auto &fsm : result.fsms)

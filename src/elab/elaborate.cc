@@ -1,6 +1,7 @@
 #include "elab/elaborate.hh"
 
 #include <set>
+#include <utility>
 
 #include "common/logging.hh"
 #include "elab/ip_models.hh"
@@ -18,195 +19,232 @@ isPrimitive(const std::string &module_name)
     return lookupIpModel(module_name) != nullptr;
 }
 
+namespace
+{
+
+/**
+ * The one constant folder, behind evalConst() and tryEvalConst(). It
+ * never throws: the first node it cannot fold marks the fold failed
+ * (describing the node in @p why when set) and folds as a 1-bit zero.
+ */
+class Folder
+{
+  public:
+    Folder(const std::map<std::string, Bits> &env, std::string *why)
+        : env_(env), why_(why)
+    {
+    }
+
+    /** Set once a node did not fold; the value is then meaningless. */
+    bool failed = false;
+
+    Bits
+    fold(const ExprPtr &expr)
+    {
+        if (failed)
+            return Bits();
+        if (!expr)
+            return fail(nullptr, "missing constant expression");
+        switch (expr->kind) {
+          case ExprKind::Number:
+            return expr->as<NumberExpr>()->value;
+          case ExprKind::Id: {
+            const auto &name = expr->as<IdExpr>()->name;
+            auto it = env_.find(name);
+            if (it == env_.end())
+                return fail(expr.get(), "'" + name + "' is not a constant");
+            return it->second;
+          }
+          case ExprKind::Unary: {
+            const auto *un = expr->as<UnaryExpr>();
+            Bits arg = fold(un->arg);
+            switch (un->op) {
+              case UnaryOp::Neg: return arg.negate();
+              case UnaryOp::LogNot: return Bits(1, arg.isZero() ? 1 : 0);
+              case UnaryOp::BitNot: return arg.bitNot();
+              case UnaryOp::RedAnd: return Bits(1, arg.redAnd() ? 1 : 0);
+              case UnaryOp::RedOr: return Bits(1, arg.redOr() ? 1 : 0);
+              case UnaryOp::RedXor: return Bits(1, arg.redXor() ? 1 : 0);
+            }
+            break;
+          }
+          case ExprKind::Binary: {
+            const auto *bin = expr->as<BinaryExpr>();
+            Bits lhs = fold(bin->lhs);
+            Bits rhs = fold(bin->rhs);
+            switch (bin->op) {
+              case BinaryOp::Add: return lhs.add(rhs);
+              case BinaryOp::Sub: return lhs.sub(rhs);
+              case BinaryOp::Mul: return lhs.mul(rhs);
+              case BinaryOp::Div: return lhs.divu(rhs);
+              case BinaryOp::Mod: return lhs.modu(rhs);
+              case BinaryOp::BitAnd: return lhs.bitAnd(rhs);
+              case BinaryOp::BitOr: return lhs.bitOr(rhs);
+              case BinaryOp::BitXor: return lhs.bitXor(rhs);
+              case BinaryOp::LogAnd:
+                return Bits(1, (!lhs.isZero() && !rhs.isZero()) ? 1 : 0);
+              case BinaryOp::LogOr:
+                return Bits(1, (!lhs.isZero() || !rhs.isZero()) ? 1 : 0);
+              case BinaryOp::Eq: return Bits(1, lhs.compare(rhs) == 0);
+              case BinaryOp::Ne: return Bits(1, lhs.compare(rhs) != 0);
+              case BinaryOp::Lt: return Bits(1, lhs.compare(rhs) < 0);
+              case BinaryOp::Le: return Bits(1, lhs.compare(rhs) <= 0);
+              case BinaryOp::Gt: return Bits(1, lhs.compare(rhs) > 0);
+              case BinaryOp::Ge: return Bits(1, lhs.compare(rhs) >= 0);
+              case BinaryOp::Shl: return lhs.shl(rhs.toU64());
+              case BinaryOp::Shr: return lhs.shr(rhs.toU64());
+            }
+            break;
+          }
+          case ExprKind::Ternary: {
+            const auto *tern = expr->as<TernaryExpr>();
+            Bits cond = fold(tern->cond);
+            return fold(cond.isZero() ? tern->elseExpr : tern->thenExpr);
+          }
+          case ExprKind::Concat: {
+            Bits out(0);
+            bool first = true;
+            for (const auto &part : expr->as<ConcatExpr>()->parts) {
+                Bits low = fold(part);
+                if (!first && out.width() + low.width() > kMaxVectorWidth)
+                    return fail(expr.get(),
+                                csprintf("concatenation is wider than %u "
+                                         "bits", kMaxVectorWidth));
+                out = first ? low : out.concat(low);
+                first = false;
+            }
+            return out;
+          }
+          case ExprKind::Repeat: {
+            const auto *rep = expr->as<RepeatExpr>();
+            uint32_t n = count(*rep);
+            Bits inner = fold(rep->inner);
+            if (uint64_t{inner.width()} * n > kMaxVectorWidth)
+                return fail(expr.get(),
+                            csprintf("replication is wider than %u bits",
+                                     kMaxVectorWidth));
+            return inner.replicate(n);
+          }
+          case ExprKind::Index:
+          case ExprKind::Range:
+            return fail(expr.get(),
+                        "bit/part selects are not constant expressions");
+        }
+        panic("evalConst: unreachable");
+    }
+
+    /** Count of @p rep, which must lie in 1..kMaxReplication. */
+    uint32_t
+    count(const RepeatExpr &rep)
+    {
+        Bits n = fold(rep.count);
+        if (n.isZero())
+            fail(&rep, "replication count must be positive");
+        else if (n.compare(Bits(32, kMaxReplication)) > 0)
+            fail(&rep, csprintf("replication count %s is larger than %u",
+                                n.toDecString().c_str(), kMaxReplication));
+        return failed ? 1 : static_cast<uint32_t>(n.toU64());
+    }
+
+  private:
+    Bits
+    fail(const Expr *at, const std::string &msg)
+    {
+        if (!failed && why_)
+            *why_ = at ? at->loc.str() + ": " + msg : msg;
+        failed = true;
+        return Bits();
+    }
+
+    const std::map<std::string, Bits> &env_;
+    std::string *why_;
+};
+
+/** True when a declared [@p msb:0] holds more than @p cap entries. */
+bool
+exceeds(const Bits &msb, uint32_t cap)
+{
+    return msb.compare(Bits(32, cap - 1)) > 0;
+}
+
+/** N + 1 for a declared [N:0]; 0 when N does not fold. */
+uint32_t
+extent(const AstRange &range)
+{
+    auto msb = tryEvalConst(range.msb);
+    return msb ? static_cast<uint32_t>(msb->toU64()) + 1 : 0;
+}
+
+} // namespace
+
 Bits
 evalConst(const ExprPtr &expr, const std::map<std::string, Bits> &env)
 {
-    if (!expr)
-        fatal("missing constant expression");
-    switch (expr->kind) {
-      case ExprKind::Number:
-        return expr->as<NumberExpr>()->value;
-      case ExprKind::Id: {
-        const auto &name = expr->as<IdExpr>()->name;
-        auto it = env.find(name);
-        if (it == env.end())
-            fatal("%s: '%s' is not a constant", expr->loc.str().c_str(),
-                  name.c_str());
-        return it->second;
-      }
-      case ExprKind::Unary: {
-        const auto *un = expr->as<UnaryExpr>();
-        Bits arg = evalConst(un->arg, env);
-        switch (un->op) {
-          case UnaryOp::Neg: return arg.negate();
-          case UnaryOp::LogNot: return Bits(1, arg.isZero() ? 1 : 0);
-          case UnaryOp::BitNot: return arg.bitNot();
-          case UnaryOp::RedAnd: return Bits(1, arg.redAnd() ? 1 : 0);
-          case UnaryOp::RedOr: return Bits(1, arg.redOr() ? 1 : 0);
-          case UnaryOp::RedXor: return Bits(1, arg.redXor() ? 1 : 0);
-        }
-        break;
-      }
-      case ExprKind::Binary: {
-        const auto *bin = expr->as<BinaryExpr>();
-        Bits lhs = evalConst(bin->lhs, env);
-        Bits rhs = evalConst(bin->rhs, env);
-        switch (bin->op) {
-          case BinaryOp::Add: return lhs.add(rhs);
-          case BinaryOp::Sub: return lhs.sub(rhs);
-          case BinaryOp::Mul: return lhs.mul(rhs);
-          case BinaryOp::Div: return lhs.divu(rhs);
-          case BinaryOp::Mod: return lhs.modu(rhs);
-          case BinaryOp::BitAnd: return lhs.bitAnd(rhs);
-          case BinaryOp::BitOr: return lhs.bitOr(rhs);
-          case BinaryOp::BitXor: return lhs.bitXor(rhs);
-          case BinaryOp::LogAnd:
-            return Bits(1, (!lhs.isZero() && !rhs.isZero()) ? 1 : 0);
-          case BinaryOp::LogOr:
-            return Bits(1, (!lhs.isZero() || !rhs.isZero()) ? 1 : 0);
-          case BinaryOp::Eq: return Bits(1, lhs.compare(rhs) == 0 ? 1 : 0);
-          case BinaryOp::Ne: return Bits(1, lhs.compare(rhs) != 0 ? 1 : 0);
-          case BinaryOp::Lt: return Bits(1, lhs.compare(rhs) < 0 ? 1 : 0);
-          case BinaryOp::Le: return Bits(1, lhs.compare(rhs) <= 0 ? 1 : 0);
-          case BinaryOp::Gt: return Bits(1, lhs.compare(rhs) > 0 ? 1 : 0);
-          case BinaryOp::Ge: return Bits(1, lhs.compare(rhs) >= 0 ? 1 : 0);
-          case BinaryOp::Shl: return lhs.shl(rhs.toU64());
-          case BinaryOp::Shr: return lhs.shr(rhs.toU64());
-        }
-        break;
-      }
-      case ExprKind::Ternary: {
-        const auto *tern = expr->as<TernaryExpr>();
-        Bits cond = evalConst(tern->cond, env);
-        return evalConst(cond.isZero() ? tern->elseExpr : tern->thenExpr,
-                         env);
-      }
-      case ExprKind::Concat: {
-        const auto *cat = expr->as<ConcatExpr>();
-        Bits out(0);
-        bool first = true;
-        for (const auto &part : cat->parts) {
-            Bits val = evalConst(part, env);
-            out = first ? val : out.concat(val);
-            first = false;
-        }
-        return out;
-      }
-      case ExprKind::Repeat: {
-        const auto *rep = expr->as<RepeatExpr>();
-        uint64_t count = evalConst(rep->count, env).toU64();
-        return evalConst(rep->inner, env)
-            .replicate(static_cast<uint32_t>(count));
-      }
-      case ExprKind::Index:
-      case ExprKind::Range:
-        fatal("%s: bit/part selects are not constant expressions",
-              expr->loc.str().c_str());
-    }
-    panic("evalConst: unreachable");
+    std::string why;
+    Folder folder(env, &why);
+    Bits value = folder.fold(expr);
+    if (folder.failed)
+        fatal("%s", why.c_str());
+    return value;
+}
+
+std::optional<Bits>
+tryEvalConst(const ExprPtr &expr)
+{
+    const std::map<std::string, Bits> no_params;
+    Folder folder(no_params, nullptr);
+    Bits value = folder.fold(expr);
+    if (folder.failed)
+        return std::nullopt;
+    return value;
+}
+
+uint32_t
+replicationCount(const RepeatExpr &rep,
+                 const std::map<std::string, Bits> &env)
+{
+    std::string why;
+    Folder folder(env, &why);
+    uint32_t count = folder.count(rep);
+    if (folder.failed)
+        fatal("%s", why.c_str());
+    return count;
+}
+
+uint32_t
+netWidth(const NetItem &net)
+{
+    return net.range ? extent(*net.range) : 1;
+}
+
+uint32_t
+memoryDepth(const NetItem &net)
+{
+    return net.array ? extent(*net.array) : 0;
 }
 
 namespace
 {
 
-/** Replace parameter references in @p expr with literal numbers. */
-void
-substConsts(ExprPtr &expr, const std::map<std::string, Bits> &env)
+/**
+ * A forEachExpr() visitor that replaces parameter references with
+ * literal numbers and holds every replication to the count cap.
+ */
+std::function<void(ExprPtr &)>
+substConsts(const std::map<std::string, Bits> &env)
 {
-    if (!expr)
-        return;
-    switch (expr->kind) {
-      case ExprKind::Number:
-        break;
-      case ExprKind::Id: {
-        auto it = env.find(expr->as<IdExpr>()->name);
+    return [&env](ExprPtr &node) {
+        if (node->kind == ExprKind::Repeat)
+            replicationCount(*node->as<RepeatExpr>(), env);
+        if (node->kind != ExprKind::Id)
+            return;
+        auto it = env.find(node->as<IdExpr>()->name);
         if (it != env.end()) {
-            SourceLoc loc = expr->loc;
-            expr = mkNum(it->second);
-            expr->loc = loc;
+            SourceLoc loc = node->loc;
+            node = mkNum(it->second);
+            node->loc = loc;
         }
-        break;
-      }
-      case ExprKind::Unary:
-        substConsts(
-            std::static_pointer_cast<UnaryExpr>(expr)->arg, env);
-        break;
-      case ExprKind::Binary: {
-        auto bin = std::static_pointer_cast<BinaryExpr>(expr);
-        substConsts(bin->lhs, env);
-        substConsts(bin->rhs, env);
-        break;
-      }
-      case ExprKind::Ternary: {
-        auto tern = std::static_pointer_cast<TernaryExpr>(expr);
-        substConsts(tern->cond, env);
-        substConsts(tern->thenExpr, env);
-        substConsts(tern->elseExpr, env);
-        break;
-      }
-      case ExprKind::Concat:
-        for (auto &part : std::static_pointer_cast<ConcatExpr>(expr)->parts)
-            substConsts(part, env);
-        break;
-      case ExprKind::Repeat: {
-        auto rep = std::static_pointer_cast<RepeatExpr>(expr);
-        substConsts(rep->count, env);
-        substConsts(rep->inner, env);
-        break;
-      }
-      case ExprKind::Index:
-        substConsts(std::static_pointer_cast<IndexExpr>(expr)->index, env);
-        break;
-      case ExprKind::Range: {
-        auto range = std::static_pointer_cast<RangeExpr>(expr);
-        substConsts(range->msb, env);
-        substConsts(range->lsb, env);
-        break;
-      }
-    }
-}
-
-void
-substConstsStmt(const StmtPtr &stmt, const std::map<std::string, Bits> &env)
-{
-    if (!stmt)
-        return;
-    switch (stmt->kind) {
-      case StmtKind::Block:
-        for (auto &sub : stmt->as<BlockStmt>()->stmts)
-            substConstsStmt(sub, env);
-        break;
-      case StmtKind::If: {
-        auto *branch = stmt->as<IfStmt>();
-        substConsts(branch->cond, env);
-        substConstsStmt(branch->thenStmt, env);
-        substConstsStmt(branch->elseStmt, env);
-        break;
-      }
-      case StmtKind::Case: {
-        auto *sel = stmt->as<CaseStmt>();
-        substConsts(sel->selector, env);
-        for (auto &item : sel->items) {
-            for (auto &label : item.labels)
-                substConsts(label, env);
-            substConstsStmt(item.body, env);
-        }
-        break;
-      }
-      case StmtKind::Assign: {
-        auto *assign = stmt->as<AssignStmt>();
-        substConsts(assign->lhs, env);
-        substConsts(assign->rhs, env);
-        break;
-      }
-      case StmtKind::Display:
-        for (auto &arg : stmt->as<DisplayStmt>()->args)
-            substConsts(arg, env);
-        break;
-      case StmtKind::Finish:
-      case StmtKind::Null:
-        break;
-    }
+    };
 }
 
 bool
@@ -290,25 +328,32 @@ class Elaborator
                         fatal("%s: only [N:0] vector ranges are supported "
                               "(signal '%s')", net->loc.str().c_str(),
                               net->name.c_str());
+                    if (exceeds(msb, kMaxVectorWidth))
+                        fatal("%s: '%s' is wider than %u bits",
+                              net->loc.str().c_str(), net->name.c_str(),
+                              kMaxVectorWidth);
                     net->range = AstRange{mkNum(msb.resized(32), false),
                                           mkNum(lsb.resized(32), false)};
                 }
                 if (src->array) {
                     // Normalize memory bounds to [size-1:0] regardless of
                     // the declaration order ([0:N] or [N:0]).
-                    uint64_t bound_a =
-                        evalConst(src->array->msb, env).toU64();
-                    uint64_t bound_b =
-                        evalConst(src->array->lsb, env).toU64();
-                    uint64_t hi = std::max(bound_a, bound_b);
-                    if (std::min(bound_a, bound_b) != 0)
+                    Bits hi = evalConst(src->array->msb, env);
+                    Bits lo = evalConst(src->array->lsb, env);
+                    if (hi.compare(lo) < 0)
+                        std::swap(hi, lo);
+                    if (!lo.isZero())
                         fatal("%s: memory bounds must start at 0 "
                               "(signal '%s')", net->loc.str().c_str(),
                               net->name.c_str());
                     if (net->net != NetKind::Reg)
                         fatal("%s: memories must be regs ('%s')",
                               net->loc.str().c_str(), net->name.c_str());
-                    net->array = AstRange{mkNum(Bits(32, hi), false),
+                    if (exceeds(hi, kMaxMemoryDepth))
+                        fatal("%s: memory '%s' is deeper than %u words",
+                              net->loc.str().c_str(), net->name.c_str(),
+                              kMaxMemoryDepth);
+                    net->array = AstRange{mkNum(hi.resized(32), false),
                                           mkNum(Bits(32, 0), false)};
                 }
                 result_.mod->items.push_back(net);
@@ -319,8 +364,8 @@ class Elaborator
               case ItemKind::ContAssign: {
                 auto assign = std::static_pointer_cast<ContAssignItem>(
                     cloneItem(item));
-                substConsts(assign->lhs, env);
-                substConsts(assign->rhs, env);
+                forEachExpr(assign->lhs, substConsts(env));
+                forEachExpr(assign->rhs, substConsts(env));
                 if (!prefix.empty()) {
                     renameIdents(assign->lhs, flatten);
                     renameIdents(assign->rhs, flatten);
@@ -331,7 +376,7 @@ class Elaborator
               case ItemKind::Always: {
                 auto always = std::static_pointer_cast<AlwaysItem>(
                     cloneItem(item));
-                substConstsStmt(always->body, env);
+                forEachExpr(always->body, substConsts(env));
                 if (!prefix.empty()) {
                     renameIdents(always->body, flatten);
                     for (auto &sens : always->sens)
@@ -379,7 +424,7 @@ class Elaborator
                 out.formal = conn.formal;
                 if (conn.actual) {
                     out.actual = cloneExpr(conn.actual);
-                    substConsts(out.actual, env);
+                    forEachExpr(out.actual, substConsts(env));
                     if (!prefix.empty())
                         renameIdents(out.actual, flatten);
                 }
@@ -420,7 +465,7 @@ class Elaborator
             ExprPtr actual;
             if (conn.actual) {
                 actual = cloneExpr(conn.actual);
-                substConsts(actual, env);
+                forEachExpr(actual, substConsts(env));
                 if (!prefix.empty())
                     renameIdents(actual, flatten);
             }

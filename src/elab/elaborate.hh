@@ -17,6 +17,7 @@
 #define HWDBG_ELAB_ELABORATE_HH
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "hdl/ast.hh"
@@ -27,16 +28,49 @@ namespace hwdbg::elab
 /** True for blackbox IPs understood by the simulator. */
 bool isPrimitive(const std::string &module_name);
 
+// Size caps on a design's shape. Elaboration rejects a design past any
+// of them with an HdlError, so every command accepts the same designs
+// and no width computation downstream can overflow.
+
+/** Widest vector a design may declare or build, in bits (also the
+ *  widest sized literal Bits::parseVerilog reads). */
+inline constexpr uint32_t kMaxVectorWidth = 1u << 16;
+/** Largest replication count {N{...}}. */
+inline constexpr uint32_t kMaxReplication = 1u << 16;
+/** Deepest memory, in words. */
+inline constexpr uint32_t kMaxMemoryDepth = 1u << 20;
+
 /**
- * Evaluate a constant expression.
+ * Evaluate a constant expression: the one constant folder of hwdbg.
  *
  * @param expr Expression made of literals, parameters in @p env, and
  *             operators.
  * @param env Name -> value bindings (parameters).
- * @return The value; raises HdlError for non-constant expressions.
+ * @return The value; raises HdlError for non-constant expressions and
+ *         for replications past the caps.
  */
 Bits evalConst(const hdl::ExprPtr &expr,
                const std::map<std::string, Bits> &env);
+
+/**
+ * evalConst() with no parameters, for callers that treat a non-constant
+ * expression as unknown: std::nullopt wherever evalConst() would raise.
+ */
+std::optional<Bits> tryEvalConst(const hdl::ExprPtr &expr);
+
+/**
+ * Declared shape, read from the [N:0] form that elaboration (and
+ * InstrumentBuilder) writes: a net's width in bits (1 for a scalar)
+ * and a memory's word count (0 for a non-memory). Either is 0, unknown,
+ * when N does not fold, which only a module straight from the parser
+ * can hold.
+ */
+uint32_t netWidth(const hdl::NetItem &net);
+uint32_t memoryDepth(const hdl::NetItem &net);
+
+/** Count of @p rep, folded; an HdlError outside 1..kMaxReplication. */
+uint32_t replicationCount(const hdl::RepeatExpr &rep,
+                          const std::map<std::string, Bits> &env = {});
 
 /** Result of elaboration. */
 struct ElabResult

@@ -374,139 +374,133 @@ cloneModule(const Module &mod)
 }
 
 void
-forEachIdent(const ExprPtr &expr,
-             const std::function<void(const std::string &)> &fn)
+forEachExpr(ExprPtr &expr, const std::function<void(ExprPtr &)> &fn)
 {
     if (!expr)
         return;
+    fn(expr);
     switch (expr->kind) {
       case ExprKind::Number:
-        break;
       case ExprKind::Id:
-        fn(expr->as<IdExpr>()->name);
         break;
       case ExprKind::Unary:
-        forEachIdent(expr->as<UnaryExpr>()->arg, fn);
+        forEachExpr(expr->as<UnaryExpr>()->arg, fn);
         break;
       case ExprKind::Binary:
-        forEachIdent(expr->as<BinaryExpr>()->lhs, fn);
-        forEachIdent(expr->as<BinaryExpr>()->rhs, fn);
+        forEachExpr(expr->as<BinaryExpr>()->lhs, fn);
+        forEachExpr(expr->as<BinaryExpr>()->rhs, fn);
         break;
       case ExprKind::Ternary:
-        forEachIdent(expr->as<TernaryExpr>()->cond, fn);
-        forEachIdent(expr->as<TernaryExpr>()->thenExpr, fn);
-        forEachIdent(expr->as<TernaryExpr>()->elseExpr, fn);
+        forEachExpr(expr->as<TernaryExpr>()->cond, fn);
+        forEachExpr(expr->as<TernaryExpr>()->thenExpr, fn);
+        forEachExpr(expr->as<TernaryExpr>()->elseExpr, fn);
         break;
       case ExprKind::Concat:
-        for (const auto &part : expr->as<ConcatExpr>()->parts)
-            forEachIdent(part, fn);
+        for (auto &part : expr->as<ConcatExpr>()->parts)
+            forEachExpr(part, fn);
         break;
       case ExprKind::Repeat:
-        forEachIdent(expr->as<RepeatExpr>()->count, fn);
-        forEachIdent(expr->as<RepeatExpr>()->inner, fn);
+        forEachExpr(expr->as<RepeatExpr>()->count, fn);
+        forEachExpr(expr->as<RepeatExpr>()->inner, fn);
         break;
       case ExprKind::Index:
-        fn(expr->as<IndexExpr>()->base);
-        forEachIdent(expr->as<IndexExpr>()->index, fn);
+        forEachExpr(expr->as<IndexExpr>()->index, fn);
         break;
       case ExprKind::Range:
-        fn(expr->as<RangeExpr>()->base);
-        forEachIdent(expr->as<RangeExpr>()->msb, fn);
-        forEachIdent(expr->as<RangeExpr>()->lsb, fn);
+        forEachExpr(expr->as<RangeExpr>()->msb, fn);
+        forEachExpr(expr->as<RangeExpr>()->lsb, fn);
         break;
     }
 }
 
 void
-renameIdents(const ExprPtr &expr,
-             const std::function<std::string(const std::string &)> &map)
-{
-    if (!expr)
-        return;
-    switch (expr->kind) {
-      case ExprKind::Number:
-        break;
-      case ExprKind::Id: {
-        auto *id = expr->as<IdExpr>();
-        id->name = map(id->name);
-        break;
-      }
-      case ExprKind::Unary:
-        renameIdents(expr->as<UnaryExpr>()->arg, map);
-        break;
-      case ExprKind::Binary:
-        renameIdents(expr->as<BinaryExpr>()->lhs, map);
-        renameIdents(expr->as<BinaryExpr>()->rhs, map);
-        break;
-      case ExprKind::Ternary:
-        renameIdents(expr->as<TernaryExpr>()->cond, map);
-        renameIdents(expr->as<TernaryExpr>()->thenExpr, map);
-        renameIdents(expr->as<TernaryExpr>()->elseExpr, map);
-        break;
-      case ExprKind::Concat:
-        for (const auto &part : expr->as<ConcatExpr>()->parts)
-            renameIdents(part, map);
-        break;
-      case ExprKind::Repeat:
-        renameIdents(expr->as<RepeatExpr>()->count, map);
-        renameIdents(expr->as<RepeatExpr>()->inner, map);
-        break;
-      case ExprKind::Index: {
-        auto *idx = expr->as<IndexExpr>();
-        idx->base = map(idx->base);
-        renameIdents(idx->index, map);
-        break;
-      }
-      case ExprKind::Range: {
-        auto *range = expr->as<RangeExpr>();
-        range->base = map(range->base);
-        renameIdents(range->msb, map);
-        renameIdents(range->lsb, map);
-        break;
-      }
-    }
-}
-
-void
-renameIdents(const StmtPtr &stmt,
-             const std::function<std::string(const std::string &)> &map)
+forEachExpr(const StmtPtr &stmt, const std::function<void(ExprPtr &)> &fn)
 {
     if (!stmt)
         return;
     switch (stmt->kind) {
       case StmtKind::Block:
         for (const auto &sub : stmt->as<BlockStmt>()->stmts)
-            renameIdents(sub, map);
+            forEachExpr(sub, fn);
         break;
       case StmtKind::If: {
         auto *branch = stmt->as<IfStmt>();
-        renameIdents(branch->cond, map);
-        renameIdents(branch->thenStmt, map);
-        renameIdents(branch->elseStmt, map);
+        forEachExpr(branch->cond, fn);
+        forEachExpr(branch->thenStmt, fn);
+        forEachExpr(branch->elseStmt, fn);
         break;
       }
       case StmtKind::Case: {
         auto *sel = stmt->as<CaseStmt>();
-        renameIdents(sel->selector, map);
-        for (const auto &item : sel->items) {
-            for (const auto &label : item.labels)
-                renameIdents(label, map);
-            renameIdents(item.body, map);
+        forEachExpr(sel->selector, fn);
+        for (auto &item : sel->items) {
+            for (auto &label : item.labels)
+                forEachExpr(label, fn);
+            forEachExpr(item.body, fn);
         }
         break;
       }
       case StmtKind::Assign:
-        renameIdents(stmt->as<AssignStmt>()->lhs, map);
-        renameIdents(stmt->as<AssignStmt>()->rhs, map);
+        forEachExpr(stmt->as<AssignStmt>()->lhs, fn);
+        forEachExpr(stmt->as<AssignStmt>()->rhs, fn);
         break;
       case StmtKind::Display:
-        for (const auto &arg : stmt->as<DisplayStmt>()->args)
-            renameIdents(arg, map);
+        for (auto &arg : stmt->as<DisplayStmt>()->args)
+            forEachExpr(arg, fn);
         break;
       case StmtKind::Finish:
       case StmtKind::Null:
         break;
     }
+}
+
+namespace
+{
+
+/** The identifier @p node names (a select names its base), or null. */
+std::string *
+identOf(Expr &node)
+{
+    switch (node.kind) {
+      case ExprKind::Id: return &node.as<IdExpr>()->name;
+      case ExprKind::Index: return &node.as<IndexExpr>()->base;
+      case ExprKind::Range: return &node.as<RangeExpr>()->base;
+      default: return nullptr;
+    }
+}
+
+} // namespace
+
+void
+forEachIdent(const ExprPtr &expr,
+             const std::function<void(const std::string &)> &fn)
+{
+    ExprPtr root = expr;
+    forEachExpr(root, [&fn](ExprPtr &node) {
+        if (const std::string *name = identOf(*node))
+            fn(*name);
+    });
+}
+
+void
+renameIdents(const ExprPtr &expr,
+             const std::function<std::string(const std::string &)> &map)
+{
+    ExprPtr root = expr;
+    forEachExpr(root, [&map](ExprPtr &node) {
+        if (std::string *name = identOf(*node))
+            *name = map(*name);
+    });
+}
+
+void
+renameIdents(const StmtPtr &stmt,
+             const std::function<std::string(const std::string &)> &map)
+{
+    forEachExpr(stmt, [&map](ExprPtr &node) {
+        if (std::string *name = identOf(*node))
+            *name = map(*name);
+    });
 }
 
 bool

@@ -466,6 +466,14 @@ StmtPtr cloneStmt(const StmtPtr &stmt);
 ItemPtr cloneItem(const ItemPtr &item);
 ModulePtr cloneModule(const Module &mod);
 
+/**
+ * Invoke @p fn on every expression of the tree, each node before its
+ * operands, by reference: @p fn may replace the node it is given.
+ */
+void forEachExpr(ExprPtr &expr, const std::function<void(ExprPtr &)> &fn);
+void forEachExpr(const StmtPtr &stmt,
+                 const std::function<void(ExprPtr &)> &fn);
+
 /** Invoke @p fn on every identifier referenced by @p expr (incl. bases). */
 void forEachIdent(const ExprPtr &expr,
                   const std::function<void(const std::string &)> &fn);

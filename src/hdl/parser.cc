@@ -1,6 +1,7 @@
 #include "hdl/parser.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "hdl/lexer.hh"
@@ -67,6 +68,31 @@ class Parser
         }
         return advance();
     }
+
+    [[noreturn]] void
+    tooDeep()
+    {
+        fatal("%s: nesting deeper than %d", peek().loc.str().c_str(),
+              kMaxNesting);
+    }
+
+    /** One level of nesting for as long as it lives. */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser &parser) : parser_(parser)
+        {
+            if (++parser.depth_ > kMaxNesting)
+                parser.tooDeep();
+            parser.peak_ = std::max(parser.peak_, parser.depth_);
+        }
+        ~Nest() { --parser_.depth_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+      private:
+        Parser &parser_;
+    };
 
     [[noreturn]] void
     errorHere(const std::string &msg)
@@ -366,6 +392,7 @@ class Parser
     StmtPtr
     parseStmt()
     {
+        Nest nest(*this);
         const Token &tok = peek();
         switch (tok.kind) {
           case TokKind::KwBegin: {
@@ -474,6 +501,7 @@ class Parser
     ExprPtr
     parseLValue()
     {
+        Nest nest(*this);
         const Token &tok = peek();
         if (tok.is(TokKind::LBrace)) {
             advance();
@@ -521,6 +549,7 @@ class Parser
     ExprPtr
     parseTernary()
     {
+        Nest nest(*this);
         ExprPtr cond = parseBinary(0);
         if (!accept(TokKind::Question))
             return cond;
@@ -565,20 +594,34 @@ class Parser
         }
     }
 
+    /**
+     * A left-leaning chain a+b+c... is parsed in a loop, yet each
+     * operator deepens the tree by one: peak_ carries the height of
+     * each operand up so the chain counts against kMaxNesting too.
+     */
     ExprPtr
     parseBinary(int min_prec)
     {
+        int base = depth_;
+        int outer_peak = std::exchange(peak_, depth_);
         ExprPtr lhs = parseUnary();
+        int height = peak_ - base;
         while (true) {
             auto info = binaryOp();
             if (!info || info->prec < min_prec)
-                return lhs;
+                break;
             advance();
+            peak_ = depth_;
             ExprPtr rhs = parseBinary(info->prec + 1);
+            height = std::max(height, peak_ - base) + 1;
+            if (base + height > kMaxNesting)
+                tooDeep();
             auto expr = mkBinary(info->op, lhs, rhs);
             expr->loc = lhs->loc;
             lhs = expr;
         }
+        peak_ = std::max(outer_peak, base + height);
+        return lhs;
     }
 
     ExprPtr
@@ -597,6 +640,7 @@ class Parser
             return parsePrimary();
         }
         advance();
+        Nest nest(*this);
         auto expr = mkUnary(op, parseUnary());
         expr->loc = tok.loc;
         return expr;
@@ -654,6 +698,10 @@ class Parser
 
     std::vector<Token> tokens_;
     size_t pos_ = 0;
+    /** Nesting levels open now, and the deepest reached by the
+     *  expression being measured (see parseBinary). */
+    int depth_ = 0;
+    int peak_ = 0;
 };
 
 } // namespace

@@ -14,6 +14,15 @@
 namespace hwdbg::hdl
 {
 
+/**
+ * Deepest nesting the parser accepts: begin/end blocks and nested
+ * statements, parentheses, operators and the height of operator
+ * chains, counted together. Every later pass recurses on this tree;
+ * deeper input fails with "nesting deeper than" instead of exhausting
+ * the stack.
+ */
+inline constexpr int kMaxNesting = 256;
+
 /** Parse preprocessed Verilog text into a Design. */
 Design parse(const std::string &source,
              const std::string &file = "<input>");

@@ -11,8 +11,8 @@
 
 #include "analysis/exprutil.hh"
 #include "common/logging.hh"
+#include "elab/elaborate.hh"
 #include "lint/rules.hh"
-#include "sim/design.hh"
 
 namespace hwdbg::lint
 {
@@ -68,13 +68,8 @@ checkHandshakeDrop(Context &ctx)
             if (!ga.lhs || ga.lhs->kind != ExprKind::Id ||
                 ga.lhs->as<IdExpr>()->name != valid)
                 continue;
-            std::optional<uint64_t> value;
-            try {
-                value = sim::constU64(ga.rhs);
-            } catch (const HdlError &) {
-                value = std::nullopt;
-            }
-            bool is_clear = value && *value == 0;
+            auto value = elab::tryEvalConst(ga.rhs);
+            bool is_clear = value && value->toU64() == 0;
             if (is_clear || ctx.isResetBranchGuard(ga.guard))
                 continue;
             any_set = true;
@@ -90,13 +85,8 @@ checkHandshakeDrop(Context &ctx)
                 continue;
             if (!ga.proc || ga.proc->isComb || !ga.stmt)
                 continue;
-            std::optional<uint64_t> value;
-            try {
-                value = sim::constU64(ga.rhs);
-            } catch (const HdlError &) {
-                continue;
-            }
-            if (*value != 0)
+            auto value = elab::tryEvalConst(ga.rhs);
+            if (!value || value->toU64() != 0)
                 continue;
             if (ctx.isResetBranchGuard(ga.guard))
                 continue;

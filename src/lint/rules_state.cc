@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "elab/elaborate.hh"
 #include "lint/rules.hh"
-#include "sim/design.hh"
 
 namespace hwdbg::lint
 {
@@ -60,11 +60,8 @@ flagAssigns(Context &ctx, const std::string &name)
             return std::nullopt;
         FlagAssign fa;
         fa.ga = &ga;
-        try {
-            fa.value = sim::constU64(ga.rhs);
-        } catch (const HdlError &) {
-            fa.value = std::nullopt;
-        }
+        if (auto value = elab::tryEvalConst(ga.rhs))
+            fa.value = value->toU64();
         fa.resetBranch = ctx.isResetBranchGuard(ga.guard);
         out.push_back(fa);
     }

@@ -15,7 +15,7 @@
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "lint/rules.hh"
-#include "sim/design.hh"
+#include "elab/elaborate.hh"
 
 namespace hwdbg::lint
 {
@@ -24,19 +24,6 @@ using namespace hdl;
 
 namespace
 {
-
-/** Constant value of @p expr, or nullopt for non-constant trees. */
-std::optional<uint64_t>
-tryConstU64(const ExprPtr &expr)
-{
-    if (!expr)
-        return std::nullopt;
-    try {
-        return sim::constU64(expr);
-    } catch (const HdlError &) {
-        return std::nullopt;
-    }
-}
 
 /**
  * Self-determined width of an explicit-width expression: sized
@@ -64,10 +51,10 @@ explicitWidth(const ExprPtr &expr, const analyze::SignalTable &sigs)
       }
       case ExprKind::Range: {
         const auto *range = expr->as<RangeExpr>();
-        auto msb = tryConstU64(range->msb);
-        auto lsb = tryConstU64(range->lsb);
-        if (msb && lsb && *msb >= *lsb)
-            return static_cast<uint32_t>(*msb - *lsb + 1);
+        auto msb = elab::tryEvalConst(range->msb);
+        auto lsb = elab::tryEvalConst(range->lsb);
+        if (msb && lsb && msb->toU64() >= lsb->toU64())
+            return static_cast<uint32_t>(msb->toU64() - lsb->toU64() + 1);
         return 0;
       }
       case ExprKind::Concat: {
@@ -82,11 +69,11 @@ explicitWidth(const ExprPtr &expr, const analyze::SignalTable &sigs)
       }
       case ExprKind::Repeat: {
         const auto *rep = expr->as<RepeatExpr>();
-        auto count = tryConstU64(rep->count);
+        auto count = elab::tryEvalConst(rep->count);
         uint32_t inner = explicitWidth(rep->inner, sigs);
         if (!count || inner == 0)
             return 0;
-        return static_cast<uint32_t>(*count) * inner;
+        return static_cast<uint32_t>(count->toU64()) * inner;
       }
       default:
         return 0;

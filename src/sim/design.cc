@@ -10,11 +10,20 @@ namespace hwdbg::sim
 
 using namespace hdl;
 
-uint64_t
-constU64(const ExprPtr &expr)
+namespace
 {
-    return elab::evalConst(expr, {}).toU64();
+
+/** @p width, or an HdlError when it is past the vector width cap. */
+uint32_t
+cappedWidth(const Expr &expr, uint64_t width)
+{
+    if (width > elab::kMaxVectorWidth)
+        fatal("%s: expression is wider than %u bits", expr.loc.str().c_str(),
+              elab::kMaxVectorWidth);
+    return static_cast<uint32_t>(width);
 }
+
+} // namespace
 
 LoweredDesign::LoweredDesign(ModulePtr mod) : mod_(std::move(mod))
 {
@@ -86,11 +95,8 @@ LoweredDesign::collectSignals()
         sig.dir = net->dir;
         // Elaboration has checked the declaration: vectors are [N:0],
         // memories are regs based at 0, names are unique.
-        if (net->range)
-            sig.width = static_cast<uint32_t>(constU64(net->range->msb)) + 1;
-        if (net->array)
-            sig.arraySize =
-                static_cast<uint32_t>(constU64(net->array->msb)) + 1;
+        sig.width = elab::netWidth(*net);
+        sig.arraySize = elab::memoryDepth(*net);
         byName_[sig.name] = static_cast<int>(signals_.size());
         signals_.push_back(std::move(sig));
     }
@@ -186,22 +192,17 @@ LoweredDesign::annotateExpr(const ExprPtr &expr) const
         break;
       }
       case ExprKind::Concat: {
-        auto *cat = expr->as<ConcatExpr>();
-        uint32_t total = 0;
-        for (const auto &part : cat->parts)
+        uint64_t total = 0;
+        for (const auto &part : expr->as<ConcatExpr>()->parts)
             total += annotateExpr(part);
-        expr->width = total;
+        expr->width = cappedWidth(*expr, total);
         break;
       }
       case ExprKind::Repeat: {
         auto *rep = expr->as<RepeatExpr>();
-        uint64_t count = constU64(rep->count);
-        if (count == 0)
-            fatal("%s: replication count must be positive",
-                  expr->loc.str().c_str());
+        uint64_t count = elab::replicationCount(*rep);
         annotateExpr(rep->count);
-        uint32_t inner = annotateExpr(rep->inner);
-        expr->width = inner * static_cast<uint32_t>(count);
+        expr->width = cappedWidth(*expr, annotateExpr(rep->inner) * count);
         break;
       }
       case ExprKind::Index: {
@@ -225,13 +226,17 @@ LoweredDesign::annotateExpr(const ExprPtr &expr) const
             fatal("%s: part select of memory '%s' is not supported",
                   expr->loc.str().c_str(), range->base.c_str());
         range->resolved = sig;
-        uint64_t msb = constU64(range->msb);
-        uint64_t lsb = constU64(range->lsb);
-        if (msb < lsb)
+        Bits msb = elab::evalConst(range->msb, {});
+        Bits lsb = elab::evalConst(range->lsb, {});
+        if (msb.compare(lsb) < 0)
             fatal("%s: reversed part select on '%s'",
                   expr->loc.str().c_str(), range->base.c_str());
-        range->msbConst = static_cast<uint32_t>(msb);
-        range->lsbConst = static_cast<uint32_t>(lsb);
+        if (msb.compare(Bits(32, elab::kMaxVectorWidth)) >= 0)
+            fatal("%s: part select of '%s' reaches past the %u-bit limit",
+                  expr->loc.str().c_str(), range->base.c_str(),
+                  elab::kMaxVectorWidth);
+        range->msbConst = static_cast<uint32_t>(msb.toU64());
+        range->lsbConst = static_cast<uint32_t>(lsb.toU64());
         expr->width = range->msbConst - range->lsbConst + 1;
         break;
       }

@@ -81,9 +81,6 @@ class LoweredDesign
     std::vector<hdl::InstanceItem *> prims_;
 };
 
-/** Constant value of an already-annotated constant expression. */
-uint64_t constU64(const hdl::ExprPtr &expr);
-
 } // namespace hwdbg::sim
 
 #endif // HWDBG_SIM_DESIGN_HH

@@ -8,7 +8,6 @@
 #include "elab/elaborate.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/design.hh"
 
 namespace hwdbg::synth
 {
@@ -86,25 +85,19 @@ exprWidth(const ExprPtr &expr,
       }
       case ExprKind::Repeat: {
         const auto *rep = expr->as<RepeatExpr>();
-        uint64_t count = 1;
-        try {
-            count = sim::constU64(rep->count);
-        } catch (const HdlError &) {
-        }
-        return static_cast<uint32_t>(count) *
+        auto count = elab::tryEvalConst(rep->count);
+        return static_cast<uint32_t>(count ? count->toU64() : 1) *
                exprWidth(rep->inner, widths);
       }
       case ExprKind::Index:
         return 1; // bit select (element select handled by caller width)
       case ExprKind::Range: {
         const auto *range = expr->as<RangeExpr>();
-        try {
-            uint64_t msb = sim::constU64(range->msb);
-            uint64_t lsb = sim::constU64(range->lsb);
-            return static_cast<uint32_t>(msb - lsb + 1);
-        } catch (const HdlError &) {
+        auto msb = elab::tryEvalConst(range->msb);
+        auto lsb = elab::tryEvalConst(range->lsb);
+        if (!msb || !lsb)
             return 1;
-        }
+        return static_cast<uint32_t>(msb->toU64() - lsb->toU64() + 1);
       }
     }
     return 1;
@@ -252,15 +245,12 @@ estimateResources(const Module &mod)
         if (item->kind != ItemKind::Net)
             continue;
         const auto *net = item->as<NetItem>();
-        uint32_t width = 1;
-        if (net->range)
-            width = static_cast<uint32_t>(sim::constU64(net->range->msb)) +
-                    1;
+        uint32_t width = elab::netWidth(*net);
         widths[net->name] = width;
         if (net->net != NetKind::Reg)
             continue;
         if (net->array) {
-            uint64_t size = sim::constU64(net->array->msb) + 1;
+            uint64_t size = elab::memoryDepth(*net);
             uint64_t bits = size * width;
             if (bits >= bramThreshold) {
                 usage.bramBits += static_cast<double>(bits);
@@ -304,7 +294,7 @@ estimateResources(const Module &mod)
         const auto *inst = item->as<InstanceItem>();
         std::map<std::string, uint64_t> params;
         for (const auto &[name, value] : inst->paramOverrides)
-            params[name] = sim::constU64(value);
+            params[name] = elab::evalConst(value, {}).toU64();
         auto param = [&](const char *name, uint64_t def) {
             auto it = params.find(name);
             return it == params.end() ? def : it->second;

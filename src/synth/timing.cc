@@ -9,7 +9,7 @@
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/design.hh"
+#include "elab/elaborate.hh"
 
 namespace hwdbg::synth
 {
@@ -32,9 +32,7 @@ uint32_t
 widthOfNet(const Module &mod, const std::string &name)
 {
     const NetItem *net = mod.findNet(name);
-    if (!net || !net->range)
-        return 1;
-    return static_cast<uint32_t>(sim::constU64(net->range->msb)) + 1;
+    return net ? elab::netWidth(*net) : 1;
 }
 
 struct DelayModel
@@ -76,13 +74,11 @@ struct DelayModel
                             width(expr->as<TernaryExpr>()->elseExpr));
           case ExprKind::Range: {
             const auto *range = expr->as<RangeExpr>();
-            try {
-                return static_cast<uint32_t>(
-                    sim::constU64(range->msb) - sim::constU64(range->lsb) +
-                    1);
-            } catch (const HdlError &) {
+            auto msb = elab::tryEvalConst(range->msb);
+            auto lsb = elab::tryEvalConst(range->lsb);
+            if (!msb || !lsb)
                 return 1;
-            }
+            return static_cast<uint32_t>(msb->toU64() - lsb->toU64() + 1);
           }
           default:
             return 8;

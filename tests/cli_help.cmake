@@ -24,6 +24,10 @@ endforeach()
 if(NOT usage MATCHES "--trace FILE")
     message(FATAL_ERROR "usage() lost the common options:\n${usage}")
 endif()
+if(NOT usage MATCHES "vectors of up to 65536 bits" OR
+   NOT usage MATCHES "nesting up to 256 levels")
+    message(FATAL_ERROR "usage() lost the design limits:\n${usage}")
+endif()
 
 # Every command has non-empty `hwdbg help <cmd>` output carrying its
 # synopsis line.

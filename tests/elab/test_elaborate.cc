@@ -9,7 +9,6 @@
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 #include "hdl/printer.hh"
-#include "sim/design.hh"
 
 using namespace hwdbg;
 using namespace hwdbg::hdl;
@@ -47,6 +46,85 @@ TEST(EvalConstTest, NonConstantThrows)
     EXPECT_THROW(elaborate(d, "m"), HdlError);
 }
 
+TEST(EvalConstTest, NonThrowingFormTreatsIdentifierAsUnknown)
+{
+    EXPECT_FALSE(tryEvalConst(mkId("x")).has_value());
+    EXPECT_THROW(evalConst(mkId("x"), {}), HdlError);
+    EXPECT_EQ(evalConst(mkId("x"), {{"x", Bits(8, 5)}}).toU64(), 5u);
+    EXPECT_EQ(tryEvalConst(parseExprText("3 + 4"))->toU64(), 7u);
+}
+
+namespace
+{
+
+/** The message elaborate() raises on a one-line body, or "" if none. */
+std::string
+elabError(const std::string &body)
+{
+    Design d = parse("module m();\n" + body + "\nendmodule");
+    try {
+        elaborate(d, "m");
+    } catch (const HdlError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(ElaborateCapsTest, WidthCapIsInclusive)
+{
+    std::string cap = std::to_string(kMaxVectorWidth);
+    EXPECT_EQ(elabError("reg [" + std::to_string(kMaxVectorWidth - 1) +
+                        ":0] w;"),
+              "");
+    EXPECT_EQ(elabError("reg [" + cap + ":0] w;"),
+              "<input>:2:15: 'w' is wider than " + cap + " bits");
+    // A bound past 32 bits must not wrap to a narrow vector.
+    EXPECT_NE(elabError("reg [4294967296:0] w;"), "");
+}
+
+TEST(ElaborateCapsTest, ReplicationCountCapIsInclusive)
+{
+    std::string cap = std::to_string(kMaxReplication);
+    EXPECT_EQ(elabError("wire w;\nassign w = {" + cap + "{1'b1}};"), "");
+    EXPECT_EQ(elabError("wire w;\nassign w = {" +
+                        std::to_string(kMaxReplication + 1) + "{1'b1}};"),
+              "<input>:3:12: replication count " +
+                  std::to_string(kMaxReplication + 1) + " is larger than " +
+                  cap);
+    // Division by zero folds to all ones: a count, not a crash.
+    EXPECT_EQ(elabError("wire w;\nassign w = {(8/0){1'b1}};"),
+              "<input>:3:12: replication count 4294967295 is larger than " +
+                  cap);
+    EXPECT_EQ(elabError("wire w;\nassign w = {0{1'b1}};"),
+              "<input>:3:12: replication count must be positive");
+    // Counts are folded in full, not truncated to their low 32 bits.
+    EXPECT_NE(elabError("wire w;\nassign w = {64'h100000001{1'b1}};"), "");
+}
+
+TEST(ElaborateCapsTest, MemoryDepthCapIsInclusive)
+{
+    std::string cap = std::to_string(kMaxMemoryDepth);
+    EXPECT_EQ(elabError("reg [7:0] m [0:" +
+                        std::to_string(kMaxMemoryDepth - 1) + "];"),
+              "");
+    EXPECT_EQ(elabError("reg [7:0] m [0:" + cap + "];"),
+              "<input>:2:11: memory 'm' is deeper than " + cap + " words");
+    EXPECT_NE(elabError("reg [7:0] m [4294967296:0];"), "");
+}
+
+TEST(ElaborateCapsTest, ShapeHelperReadsDeclaredForm)
+{
+    Design d = parse("module m();\nreg [7:0] mem [0:3];\nwire s;\n"
+                     "endmodule");
+    ElabResult result = elaborate(d, "m");
+    EXPECT_EQ(netWidth(*result.mod->findNet("mem")), 8u);
+    EXPECT_EQ(memoryDepth(*result.mod->findNet("mem")), 4u);
+    EXPECT_EQ(netWidth(*result.mod->findNet("s")), 1u);
+    EXPECT_EQ(memoryDepth(*result.mod->findNet("s")), 0u);
+}
+
 TEST(ElaborateTest, TopParamOverride)
 {
     Design d = parse(
@@ -54,7 +132,7 @@ TEST(ElaborateTest, TopParamOverride)
     ElabResult result = elaborate(d, "m", {{"W", Bits(32, 16)}});
     NetItem *a = result.mod->findNet("a");
     ASSERT_NE(a, nullptr);
-    EXPECT_EQ(sim::constU64(a->range->msb), 15u);
+    EXPECT_EQ(evalConst(a->range->msb, {}).toU64(), 15u);
 }
 
 TEST(ElaborateTest, LocalparamIgnoresOverride)
@@ -71,8 +149,8 @@ TEST(ElaborateTest, RangesFoldedToConstants)
         "endmodule");
     ElabResult result = elaborate(d, "m");
     NetItem *mem = result.mod->findNet("mem");
-    EXPECT_EQ(sim::constU64(mem->range->msb), 7u);
-    EXPECT_EQ(sim::constU64(mem->array->msb), 15u);
+    EXPECT_EQ(evalConst(mem->range->msb, {}).toU64(), 7u);
+    EXPECT_EQ(evalConst(mem->array->msb, {}).toU64(), 15u);
 }
 
 TEST(ElaborateTest, InstanceFlattening)
@@ -116,7 +194,7 @@ TEST(ElaborateTest, ParamOverrideAtInstance)
     ElabResult result = elaborate(d, "top");
     NetItem *o = result.mod->findNet("u_c__o");
     ASSERT_NE(o, nullptr);
-    EXPECT_EQ(sim::constU64(o->range->msb), 7u);
+    EXPECT_EQ(evalConst(o->range->msb, {}).toU64(), 7u);
 }
 
 TEST(ElaborateTest, PositionalConnections)
@@ -146,10 +224,10 @@ TEST(ElaborateTest, PrimitiveRetainedWithFoldedParams)
     EXPECT_EQ(prim->instName, "u_f");
     for (const auto &[name, value] : prim->paramOverrides) {
         if (name == "WIDTH") {
-            EXPECT_EQ(sim::constU64(value), 8u);
+            EXPECT_EQ(evalConst(value, {}).toU64(), 8u);
         }
         if (name == "DEPTH") {
-            EXPECT_EQ(sim::constU64(value), 8u);
+            EXPECT_EQ(evalConst(value, {}).toU64(), 8u);
         }
     }
 }

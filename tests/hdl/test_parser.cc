@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/logging.hh"
 #include "hdl/parser.hh"
 
@@ -322,4 +325,76 @@ TEST(ParserTest, RejectsUnsupportedSystemTask)
     EXPECT_THROW(parse("module m(input wire clk);\n"
                        "always @(posedge clk) $stop;\nendmodule"),
                  HdlError);
+}
+
+namespace
+{
+
+std::string
+repeat(const std::string &text, int count)
+{
+    std::string out;
+    for (int i = 0; i < count; ++i)
+        out += text;
+    return out;
+}
+
+/** The parse error of @p body inside a module, or "" when it parses. */
+std::string
+parseError(const std::string &body)
+{
+    try {
+        parse("module m(input wire x, output wire y);\nreg r;\n" + body +
+              "\nendmodule");
+    } catch (const HdlError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+bool
+endsWithNestingError(const std::string &msg)
+{
+    std::string tail = "nesting deeper than " + std::to_string(kMaxNesting);
+    return msg.size() >= tail.size() &&
+           msg.compare(msg.size() - tail.size(), tail.size(), tail) == 0;
+}
+
+} // namespace
+
+TEST(ParserTest, NestingLimitIsInclusive)
+{
+    // The assignment's expression is one level; each parenthesis or
+    // chained operator adds one.
+    int inner = kMaxNesting - 1;
+    EXPECT_EQ(parseError("assign y = " + repeat("(", inner) + "x" +
+                         repeat(")", inner) + ";"),
+              "");
+    EXPECT_TRUE(endsWithNestingError(
+        parseError("assign y = " + repeat("(", inner + 1) + "x" +
+                   repeat(")", inner + 1) + ";")));
+    EXPECT_EQ(parseError("assign y = x" + repeat(" + x", inner) + ";"), "");
+    EXPECT_TRUE(endsWithNestingError(
+        parseError("assign y = x" + repeat(" + x", inner + 1) + ";")));
+}
+
+TEST(ParserTest, DeepInputFailsInsteadOfExhaustingTheStack)
+{
+    const std::vector<std::string> bodies = {
+        "assign y = " + repeat("(", 20000) + "x" + repeat(")", 20000) +
+            ";",
+        "assign y = x" + repeat(" + x", 100000) + ";",
+        "assign y = " + repeat("~", 100000) + "x;",
+        "always @(posedge x) " + repeat("begin ", 100000) + "r <= 1;" +
+            repeat(" end", 100000),
+        "always @(posedge x) " + repeat("if (x) r <= 1; else ", 10000) +
+            "r <= 0;",
+        // Parenthesised chains nest: their heights add up.
+        "assign y = " + repeat("(", 100) + "x" +
+            repeat(" + x", 10) + repeat(")" + repeat(" + x", 10), 100) +
+            ";",
+    };
+    for (const auto &body : bodies)
+        EXPECT_TRUE(endsWithNestingError(parseError(body)))
+            << body.substr(0, 60);
 }

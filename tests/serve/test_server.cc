@@ -218,6 +218,36 @@ TEST(ServeServerTest, RoutedQuitRetiresTheSessionNotTheChannel)
     EXPECT_EQ(server.sessions().count(), 0u);
 }
 
+TEST(ServeServerTest, HostileDesignFailsItsOpenNotTheServer)
+{
+    // A replication count that folds to 2^32-1 fails elaboration: the
+    // open that names it fails, and the other session keeps serving.
+    std::string stem = ::testing::TempDir() + "hwdbg_hostile_rep";
+    writeFileOrFatal(stem + ".v",
+                     "module m(input wire clk, output wire [7:0] z);\n"
+                     "assign z = {(8/0){1'b1}};\nendmodule\n");
+    writeFileOrFatal(stem + ".stim", "clk=0\nclk=1\n");
+    Server server;
+    std::string transcript = runScript(
+        server, "open debug bug=D4\n"
+                "open cover file=" + stem + ".v stimulus=" + stem +
+                    ".stim\n"
+                    "@1 step\n"
+                    "quit\n");
+    EXPECT_EQ(checkServeTranscript(transcript), "");
+    auto all = lines(transcript);
+    ASSERT_EQ(all.size(), 5u); // hello + 4 responses
+    EXPECT_NE(all[1].find("\"ok\":true"), std::string::npos) << all[1];
+    EXPECT_NE(all[2].find("\"ok\":false"), std::string::npos) << all[2];
+    EXPECT_NE(all[2].find("replication count 4294967295 is larger than "
+                          "65536"),
+              std::string::npos)
+        << all[2];
+    EXPECT_NE(all[3].find("\"ok\":true"), std::string::npos) << all[3];
+    std::remove((stem + ".v").c_str());
+    std::remove((stem + ".stim").c_str());
+}
+
 TEST(ServeServerTest, ConcurrentTcpClientsGetByteIdenticalSessions)
 {
     Server server;

@@ -471,3 +471,25 @@ TEST(SimTest, NoPhantomEdgeOnInvertedClocks)
     sim->eval();
     EXPECT_EQ(sim->peekU64("q"), 9u);
 }
+
+TEST(SimTest, ExpressionsWiderThanTheCapAreRejected)
+{
+    // Each count and bound is within its own cap; the widths they build
+    // are not, and lowering must refuse them before sizing any value.
+    std::string cap = std::to_string(elab::kMaxVectorWidth);
+    for (const char *rhs : {"{65536{2'b11}}", "{{65536{1'b1}}, a}",
+                            "a[65536:0]"}) {
+        try {
+            makeSim(std::string("module m(input wire [7:0] a, "
+                                "output wire [7:0] z);\nassign z = ") +
+                    rhs + ";\nendmodule");
+            ADD_FAILURE() << rhs << " was accepted";
+        } catch (const HdlError &e) {
+            EXPECT_NE(std::string(e.what()).find(cap), std::string::npos)
+                << e.what();
+        }
+    }
+    // At the cap itself the design lowers.
+    makeSim("module m(output wire [7:0] z);\n"
+            "assign z = {65536{1'b1}};\nendmodule");
+}
