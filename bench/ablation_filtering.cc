@@ -65,7 +65,9 @@ main()
                                     ? "memd" : bug.expectedLossSite;
         auto elaborated = buildDesign(bug, true);
         LossCheckResult inst =
-            applyLossCheck(*elaborated.mod, *bug.lossCheck);
+            applyLossCheck(*elaborated.mod,
+                           analyze::Context(*elaborated.mod),
+                           *bug.lossCheck);
 
         auto run = [&](bool trigger) {
             auto sim = simulateModule(inst.module);

@@ -14,7 +14,7 @@
 #include <set>
 #include <string>
 
-#include "analysis/fsm_detect.hh"
+#include "analyze/context.hh"
 #include "bugbase/designs.hh"
 #include "bugbase/fsm_zoo.hh"
 #include "elab/elaborate.hh"
@@ -22,7 +22,7 @@
 
 using namespace hwdbg;
 using namespace hwdbg::bugs;
-using namespace hwdbg::analysis;
+using namespace hwdbg::analyze;
 
 namespace
 {
@@ -49,7 +49,7 @@ scoreCorpus(const FsmDetectOptions &opts)
             hdl::parseWithDefines(source, {}, top + ".v");
         auto mod = elab::elaborate(design, top).mod;
         std::set<std::string> found;
-        for (const auto &fsm : detectFsms(*mod, opts))
+        for (const auto &fsm : detectFsms(Context(*mod), opts))
             found.insert(fsm.stateVar);
         for (const auto &var : found)
             if (!truth.count(var))

@@ -23,12 +23,14 @@
 namespace hwdbg::bench
 {
 
-/** Apply the bug's configured monitors (FSM/Stat/Dep) to @p mod. */
+/** Apply the bug's configured monitors (FSM/Stat/Dep) to @p mod, each
+ *  reading its facts from @p facts, a Context over the base design. */
 inline hdl::ModulePtr
-applyMonitors(const bugs::TestbedBug &bug, hdl::ModulePtr mod)
+applyMonitors(const bugs::TestbedBug &bug, hdl::ModulePtr mod,
+              const analyze::Context &facts)
 {
     if (bug.monitors.fsm)
-        mod = core::applyFsmMonitor(*mod).module;
+        mod = core::applyFsmMonitor(*mod, facts).module;
     if (!bug.monitors.statEvents.empty()) {
         core::StatsMonitorOptions opts;
         for (const auto &[name, signal] : bug.monitors.statEvents)
@@ -40,7 +42,7 @@ applyMonitors(const bugs::TestbedBug &bug, hdl::ModulePtr mod)
         core::DepMonitorOptions opts;
         opts.variable = bug.monitors.depVariable;
         opts.cycles = bug.monitors.depCycles;
-        mod = core::applyDepMonitor(*mod, opts).module;
+        mod = core::applyDepMonitor(*mod, facts, opts).module;
     }
     return mod;
 }
@@ -55,9 +57,11 @@ applyFullInstrumentation(const bugs::TestbedBug &bug, hdl::ModulePtr mod,
                          uint32_t buffer_depth,
                          bool with_losscheck = false)
 {
-    mod = applyMonitors(bug, mod);
+    const hdl::ModulePtr base = mod;
+    const analyze::Context facts(*base);
+    mod = applyMonitors(bug, mod, facts);
     if (with_losscheck && bug.lossCheck)
-        mod = core::applyLossCheck(*mod, *bug.lossCheck).module;
+        mod = core::applyLossCheck(*mod, facts, *bug.lossCheck).module;
     core::SignalCatOptions opts;
     opts.bufferDepth = buffer_depth;
     return core::applySignalCat(*mod, opts).module;

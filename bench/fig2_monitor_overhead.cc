@@ -45,13 +45,15 @@ main()
                 continue;
 
             ResourceUsage base =
-                estimateResources(*buildDesign(bug, true).mod);
+                estimateResources(
+                    analyze::Context(*buildDesign(bug, true).mod));
             std::vector<ResourceUsage> overheads;
             for (uint32_t depth : depths) {
                 auto mod = applyFullInstrumentation(
                     bug, buildDesign(bug, true).mod, depth);
                 overheads.push_back(
-                    estimateResources(*mod).overheadVs(base));
+                    estimateResources(analyze::Context(*mod))
+                        .overheadVs(base));
             }
 
             std::printf("%-4s |", bug.id.c_str());

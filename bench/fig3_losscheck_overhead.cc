@@ -32,12 +32,13 @@ main()
         const TestbedBug &bug = bugById(id);
         const Platform &platform = platformByName(bug.platform);
 
-        ResourceUsage base =
-            estimateResources(*buildDesign(bug, true).mod);
-        auto inst =
-            applyLossCheck(*buildDesign(bug, true).mod, *bug.lossCheck);
+        auto mod = buildDesign(bug, true).mod;
+        analyze::Context facts(*mod);
+        ResourceUsage base = estimateResources(facts);
+        auto inst = applyLossCheck(*mod, facts, *bug.lossCheck);
         ResourceUsage overhead =
-            estimateResources(*inst.module).overheadVs(base);
+            estimateResources(analyze::Context(*inst.module))
+                .overheadVs(base);
         NormalizedUsage pct = normalize(overhead, platform);
 
         std::printf("%-4s %-9s %14llu %14llu %11.4f%% %11.4f%%\n", id,

@@ -10,7 +10,7 @@
 #include <set>
 #include <string>
 
-#include "analysis/fsm_detect.hh"
+#include "analyze/context.hh"
 #include "bugbase/designs.hh"
 #include "bugbase/fsm_zoo.hh"
 #include "elab/elaborate.hh"
@@ -28,7 +28,8 @@ detect(const std::string &source, const std::string &top)
     hdl::Design design = hdl::parseWithDefines(source, {}, top + ".v");
     auto mod = elab::elaborate(design, top).mod;
     std::set<std::string> found;
-    for (const auto &fsm : analysis::detectFsms(*mod))
+    const analyze::Context facts(*mod);
+    for (const auto &fsm : facts.fsms())
         found.insert(fsm.stateVar);
     return found;
 }

@@ -33,9 +33,11 @@ main()
 
     for (const auto &bug : testbedBugs()) {
         int fsm_lines = 0, stat_lines = 0, dep_lines = 0;
-        hdl::ModulePtr mod = buildDesign(bug, true).mod;
+        const hdl::ModulePtr base = buildDesign(bug, true).mod;
+        const analyze::Context facts(*base);
+        hdl::ModulePtr mod = base;
         if (bug.monitors.fsm) {
-            auto result = applyFsmMonitor(*mod);
+            auto result = applyFsmMonitor(*mod, facts);
             fsm_lines = result.generatedLines;
             mod = result.module;
         }
@@ -52,7 +54,7 @@ main()
             DepMonitorOptions opts;
             opts.variable = bug.monitors.depVariable;
             opts.cycles = bug.monitors.depCycles;
-            auto result = applyDepMonitor(*mod, opts);
+            auto result = applyDepMonitor(*mod, facts, opts);
             dep_lines = result.generatedLines;
             mod = result.module;
         }
@@ -64,8 +66,8 @@ main()
 
         int lc_lines = 0;
         if (bug.lossCheck) {
-            auto inst = applyLossCheck(*buildDesign(bug, true).mod,
-                                       *bug.lossCheck);
+            auto inst =
+                applyLossCheck(*base, facts, *bug.lossCheck);
             SignalCatResult lc_cat = applySignalCat(*inst.module);
             lc_lines = inst.generatedLines + lc_cat.generatedLines;
             lc_min = std::min(lc_min, lc_lines);

@@ -35,8 +35,8 @@ runOn(const TestbedBug &bug)
         driveGroundTruth(bug, *sim);
         return sim->log();
     };
-    return runLossCheck(*elaborated.mod, *bug.lossCheck, run_gt,
-                        run_trigger);
+    return runLossCheck(analyze::Context(*elaborated.mod), *bug.lossCheck,
+                        run_gt, run_trigger);
 }
 
 std::string

@@ -7,8 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "analysis/fsm_detect.hh"
-#include "analysis/relations.hh"
+#include "analyze/context.hh"
 #include "bugbase/designs.hh"
 #include "bugbase/testbed.hh"
 #include "bugbase/workloads.hh"
@@ -162,7 +161,7 @@ BM_FsmDetection(benchmark::State &state)
 {
     auto mod = buildDesign(bugById("D2"), true).mod;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analysis::detectFsms(*mod));
+        benchmark::DoNotOptimize(analyze::Context(*mod).fsms().size());
 }
 BENCHMARK(BM_FsmDetection);
 
@@ -172,7 +171,7 @@ BM_RelationTable(benchmark::State &state)
     auto mod = buildDesign(bugById("D4"), true).mod;
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            std::make_unique<analysis::RelationTable>(*mod));
+            analyze::Context(*mod).relations().relations().size());
 }
 BENCHMARK(BM_RelationTable);
 
@@ -182,8 +181,8 @@ BM_LossCheckInstrument(benchmark::State &state)
     const TestbedBug &bug = bugById("D4");
     auto mod = buildDesign(bug, true).mod;
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            core::applyLossCheck(*mod, *bug.lossCheck));
+        benchmark::DoNotOptimize(core::applyLossCheck(
+            *mod, analyze::Context(*mod), *bug.lossCheck));
 }
 BENCHMARK(BM_LossCheckInstrument);
 
@@ -191,8 +190,9 @@ void
 BM_SignalCatInstrument(benchmark::State &state)
 {
     const TestbedBug &bug = bugById("D2");
-    auto inst = core::applyLossCheck(*buildDesign(bug, true).mod,
-                                     *bug.lossCheck);
+    auto mod = buildDesign(bug, true).mod;
+    auto inst =
+        core::applyLossCheck(*mod, analyze::Context(*mod), *bug.lossCheck);
     for (auto _ : state)
         benchmark::DoNotOptimize(core::applySignalCat(*inst.module));
 }
@@ -203,7 +203,8 @@ BM_ResourceEstimate(benchmark::State &state)
 {
     auto mod = buildDesign(bugById("D3"), true).mod;
     for (auto _ : state)
-        benchmark::DoNotOptimize(synth::estimateResources(*mod));
+        benchmark::DoNotOptimize(
+            synth::estimateResources(analyze::Context(*mod)));
 }
 BENCHMARK(BM_ResourceEstimate);
 
@@ -212,7 +213,8 @@ BM_TimingEstimate(benchmark::State &state)
 {
     auto mod = buildDesign(bugById("D3"), true).mod;
     for (auto _ : state)
-        benchmark::DoNotOptimize(synth::estimateTiming(*mod));
+        benchmark::DoNotOptimize(
+            synth::estimateTiming(analyze::Context(*mod)));
 }
 BENCHMARK(BM_TimingEstimate);
 

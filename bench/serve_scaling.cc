@@ -68,7 +68,8 @@ attachSession(const std::shared_ptr<const serve::CachedDesign> &design)
     debug::EngineOptions eopts;
     eopts.constants = design->constants;
     return std::make_unique<debug::Engine>(
-        hdl::cloneModule(*design->instrumented), design->tape, eopts);
+        hdl::cloneModule(*design->instrumented), design->instrumentedFacts,
+        design->tape, eopts);
 }
 
 struct Row

@@ -31,10 +31,10 @@ main()
     bool sha_ok = true, optimus_dropped = true;
     for (const auto &bug : testbedBugs()) {
         TimingReport base =
-            estimateTiming(*buildDesign(bug, true).mod);
+            estimateTiming(analyze::Context(*buildDesign(bug, true).mod));
         auto inst_mod = applyFullInstrumentation(
             bug, buildDesign(bug, true).mod, 8192, true);
-        TimingReport inst = estimateTiming(*inst_mod);
+        TimingReport inst = estimateTiming(analyze::Context(*inst_mod));
 
         bool base_meets = meetsTarget(base, bug.targetMhz);
         bool inst_meets = meetsTarget(inst, bug.targetMhz);

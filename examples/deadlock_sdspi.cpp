@@ -40,7 +40,8 @@ main()
     }
 
     // FSM Monitor: the command FSM never moves.
-    FsmMonitorResult fsm_mon = applyFsmMonitor(*elaborated.mod);
+    const analyze::Context facts(*elaborated.mod);
+    FsmMonitorResult fsm_mon = applyFsmMonitor(*elaborated.mod, facts);
     {
         hdl::Design d = hdl::parse(hdl::printModule(*fsm_mon.module));
         sim::Simulator sim(elab::elaborate(d, "sdspi").mod);
@@ -55,7 +56,8 @@ main()
         DepMonitorOptions opts;
         opts.variable = var;
         opts.cycles = 2;
-        DepMonitorResult mon = applyDepMonitor(*elaborated.mod, opts);
+        DepMonitorResult mon =
+            applyDepMonitor(*elaborated.mod, facts, opts);
         std::printf("Dependency Monitor: %s depends on {", var);
         bool first = true;
         for (const auto &[reg, dist] : mon.chain) {

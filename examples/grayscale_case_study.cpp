@@ -58,7 +58,8 @@ main()
 
     // Step 1: FSM Monitor.
     std::printf("\nStep 1: FSM Monitor\n");
-    FsmMonitorResult fsm_mon = applyFsmMonitor(*elaborated.mod);
+    const analyze::Context facts(*elaborated.mod);
+    FsmMonitorResult fsm_mon = applyFsmMonitor(*elaborated.mod, facts);
     std::printf("  detected FSMs:");
     for (const auto &var : fsm_mon.monitored)
         std::printf(" %s", var.c_str());
@@ -109,7 +110,7 @@ main()
         return sim.log();
     };
     LossCheckReport report = runLossCheck(
-        *elaborated.mod, *bug.lossCheck,
+        facts, *bug.lossCheck,
         [&](hdl::ModulePtr mod) { return run(mod, false); },
         [&](hdl::ModulePtr mod) { return run(mod, true); });
     std::printf("  LossCheck generated %d lines of checking logic\n",

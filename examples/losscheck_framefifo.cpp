@@ -32,8 +32,9 @@ main()
                 bug.lossCheck->sourceValid.c_str(),
                 bug.lossCheck->sink.c_str());
 
+    const analyze::Context facts(*elaborated.mod);
     LossCheckResult inst =
-        applyLossCheck(*elaborated.mod, *bug.lossCheck);
+        applyLossCheck(*elaborated.mod, facts, *bug.lossCheck);
     std::printf("Propagation path:");
     for (const auto &name : inst.onPath)
         std::printf(" %s", name.c_str());
@@ -62,7 +63,7 @@ main()
             elab::elaborate(design, "frame_fifo").mod);
     };
     LossCheckReport report = runLossCheck(
-        *elaborated.mod, *bug.lossCheck,
+        facts, *bug.lossCheck,
         [&](hdl::ModulePtr mod) {
             auto sim = simulate(mod);
             driveGroundTruth(bug, sim);

@@ -80,7 +80,7 @@ main()
             hdl::parseWithDefines(design_src, defines, "checksum.v");
         auto elaborated = elab::elaborate(design, "checksum");
         core::ValidCheckResult inst =
-            core::applyValidCheck(*elaborated.mod, opts);
+            core::applyValidCheck(analyze::Context(*elaborated.mod), opts);
 
         std::printf("=== %s design ===\n", fixed ? "fixed" : "buggy");
         std::printf("unguarded uses of 'data': %d\n",

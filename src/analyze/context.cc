@@ -4,7 +4,7 @@
 #include <cctype>
 #include <sstream>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/ip_models.hh"
 #include "obs/metrics.hh"
@@ -34,7 +34,7 @@ addSignals(const ExprPtr &expr, std::set<std::string> &out)
 {
     if (!expr)
         return;
-    for (const auto &name : analysis::collectSignals(expr))
+    for (const auto &name : collectSignals(expr))
         out.insert(name);
 }
 
@@ -149,48 +149,72 @@ mentions(const ExprPtr &expr, const std::string &name)
 
 Context::Context(const Module &mod) : mod_(&mod) {}
 
+template <typename T, typename Build>
+const T &
+Context::get(Fact<T> &fact, const char *name, Build build) const
+{
+    std::call_once(fact.once, [&] {
+        fact.value.emplace(build());
+        if (obs::metricsEnabled())
+            obs::counter(csprintf("analyze.fact.%s.builds", name)).inc();
+    });
+    return *fact.value;
+}
+
 const SignalTable &
-Context::signals()
+Context::signals() const
 {
-    if (!sigs_)
-        sigs_.emplace(*mod_);
-    return *sigs_;
+    return get(sigs_, "signals", [&] { return SignalTable(*mod_); });
 }
 
-const analysis::DepGraph &
-Context::graph()
+const std::vector<GuardedAssign> &
+Context::assigns() const
 {
-    if (!graph_)
-        graph_.emplace(*mod_);
-    return *graph_;
+    return get(assigns_, "assigns", [&] { return collectAssigns(*mod_); });
 }
 
-const std::vector<analysis::GuardedAssign> &
-Context::assigns()
+const std::vector<GuardedDisplay> &
+Context::displays() const
 {
-    if (!assigns_)
-        assigns_ = analysis::collectAssigns(*mod_);
-    return *assigns_;
+    return get(displays_, "displays",
+               [&] { return collectDisplays(*mod_); });
 }
 
-const std::vector<analysis::FsmInfo> &
-Context::fsms()
+const DepGraph &
+Context::graph() const
 {
-    if (!fsms_)
-        fsms_ = analysis::detectFsms(*mod_);
-    return *fsms_;
+    return get(graph_, "graph", [&] { return DepGraph(*this); });
+}
+
+const std::vector<FsmInfo> &
+Context::fsms() const
+{
+    return get(fsms_, "fsms", [&] { return detectFsms(*this); });
+}
+
+const RelationTable &
+Context::relations() const
+{
+    return get(relations_, "relations",
+               [&] { return RelationTable(*this); });
 }
 
 const ConstFixpoint &
-Context::fixpoint()
+Context::fixpoint() const
 {
-    if (!fix_)
-        fix_ = solveConstants(*mod_, signals(), assigns());
-    return *fix_;
+    return get(fix_, "fixpoint", [&] {
+        return solveConstants(*mod_, signals(), assigns());
+    });
+}
+
+const std::map<std::string, ExprPtr> &
+Context::wires() const
+{
+    return get(wires_, "wires", [&] { return wireDefinitions(*mod_); });
 }
 
 SourceLoc
-Context::declLoc(const std::string &name)
+Context::declLoc(const std::string &name) const
 {
     if (const auto *info = signals().find(name))
         return info->loc;
@@ -204,7 +228,7 @@ Context::census()
         return *census_;
     Census &census = census_.emplace();
     auto add_driver = [&](const ExprPtr &lhs, const Item *item) {
-        for (const auto &target : analysis::lvalueTargets(lhs)) {
+        for (const auto &target : lvalueTargets(lhs)) {
             auto &sites = census.drivers[target];
             if (!sites.empty() && sites.back().item == item)
                 continue; // one site per (signal, item)

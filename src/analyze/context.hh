@@ -1,25 +1,40 @@
 /**
  * @file
- * The one static-analysis context shared by `hwdbg lint` and
- * `hwdbg analyze`: a lazily built fact store over an elaborated module,
- * the diagnostic sink, the check registry type, and the run loop.
+ * The one fact store per module, and the static-analysis run loop
+ * `hwdbg lint` and `hwdbg analyze` share.
  *
- * Lint rules and analyze passes are both Checks, entries of a preset
- * table (lint::lintRules(), analyze::analyzePasses()) that runChecks()
- * executes over one Context. Every fact is built on its first use and
- * then shared by the later checks of the run, so a run pays only for
- * the facts its selected checks read:
+ * A Context is built over one elaborated module. Every static fact any
+ * tool reads about that module comes from it, built on first use and
+ * then shared by every later reader: the lint rules and analyze passes
+ * of one run, the monitors instrumenting the module, the debugger's
+ * coverage goals and backtraces, serve sessions on a cached design,
+ * the resource and timing estimators, and the bytecode lowerer.
  *
  *   signals()     declarations: widths, kinds, directions, locations,
  *                 declaration order
- *   graph()       the signal dependency graph
  *   assigns()     every guarded assignment, in module order
- *   fsms()        detected state machines
+ *   displays()    every $display in a clocked process, with its guard
+ *   graph()       the signal dependency graph, over assigns()
+ *   fsms()        detected state machines, over assigns()
+ *   relations()   register propagation relations, over assigns() and
+ *                 graph()
  *   fixpoint()    the known-bits constant fixpoint over assigns()
- *   isRead() / driversOf()   the module-wide read/drive census
- *   procReads()   per-process read sets
- *   isResetName() / isClockName() / isResetBranchGuard()
- *                 reset and clock names and the reset polarity
+ *   wires()       each singly driven wire's defining expression
+ *
+ * A module is never changed once a Context exists over it:
+ * instrumentation makes a new module, with its own Context. So facts
+ * are never invalidated. The fact accessors are const and safe to call
+ * from several threads at once: each fact is built under its own
+ * std::once_flag, and later reads take no lock. Each build counts in
+ * the "analyze.fact.<name>.builds" metric.
+ *
+ * The non-const rest (the read/drive census, reset and clock names,
+ * the diagnostic sink) serves one runChecks() run and is
+ * single-threaded.
+ *
+ * Lint rules and analyze passes are both Checks, entries of a preset
+ * table (lint::lintRules(), analyze::analyzePasses()) that runChecks()
+ * executes over one Context.
  */
 
 #ifndef HWDBG_ANALYZE_CONTEXT_HH
@@ -27,17 +42,19 @@
 
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "analysis/depgraph.hh"
-#include "analysis/fsm_detect.hh"
-#include "analysis/guards.hh"
+#include "analyze/depgraph.hh"
 #include "analyze/diagnostic.hh"
 #include "analyze/domain.hh"
 #include "analyze/fixpoint.hh"
+#include "analyze/fsm_detect.hh"
+#include "analyze/guards.hh"
+#include "analyze/relations.hh"
 #include "hdl/ast.hh"
 
 namespace hwdbg::analyze
@@ -106,17 +123,23 @@ class Context
 {
   public:
     explicit Context(const hdl::Module &mod);
+    Context(const Context &) = delete;
+    Context &operator=(const Context &) = delete;
 
     const hdl::Module &module() const { return *mod_; }
-    const SignalTable &signals();
-    const analysis::DepGraph &graph();
-    const std::vector<analysis::GuardedAssign> &assigns();
-    const std::vector<analysis::FsmInfo> &fsms();
+    const SignalTable &signals() const;
+    const std::vector<GuardedAssign> &assigns() const;
+    const std::vector<GuardedDisplay> &displays() const;
+    const DepGraph &graph() const;
+    const std::vector<FsmInfo> &fsms() const;
+    const RelationTable &relations() const;
     /** Known-bits fixpoint; its per-assign vectors index assigns(). */
-    const ConstFixpoint &fixpoint();
+    const ConstFixpoint &fixpoint() const;
+    /** Wire name -> its single driving expression (wireDefinitions). */
+    const std::map<std::string, hdl::ExprPtr> &wires() const;
 
     /** Declaration location of @p name (module location fallback). */
-    hdl::SourceLoc declLoc(const std::string &name);
+    hdl::SourceLoc declLoc(const std::string &name) const;
 
     /** True when the signal's value is read anywhere in the module
      *  (expressions, guards, lvalue indices, instance inputs, or a
@@ -154,6 +177,16 @@ class Context
     std::vector<Diagnostic> take();
 
   private:
+    /** One lazily built fact: built once, under its flag. */
+    template <typename T>
+    struct Fact
+    {
+        std::once_flag once;
+        std::optional<T> value;
+    };
+    template <typename T, typename Build>
+    const T &get(Fact<T> &fact, const char *name, Build build) const;
+
     struct Census
     {
         std::set<std::string> reads;
@@ -164,12 +197,16 @@ class Context
     const std::set<std::string> &clocks();
 
     const hdl::Module *mod_;
+    mutable Fact<SignalTable> sigs_;
+    mutable Fact<std::vector<GuardedAssign>> assigns_;
+    mutable Fact<std::vector<GuardedDisplay>> displays_;
+    mutable Fact<DepGraph> graph_;
+    mutable Fact<std::vector<FsmInfo>> fsms_;
+    mutable Fact<RelationTable> relations_;
+    mutable Fact<ConstFixpoint> fix_;
+    mutable Fact<std::map<std::string, hdl::ExprPtr>> wires_;
+
     const Check *current_ = nullptr;
-    std::optional<SignalTable> sigs_;
-    std::optional<analysis::DepGraph> graph_;
-    std::optional<std::vector<analysis::GuardedAssign>> assigns_;
-    std::optional<std::vector<analysis::FsmInfo>> fsms_;
-    std::optional<ConstFixpoint> fix_;
     std::optional<Census> census_;
     std::map<const hdl::AlwaysItem *, std::set<std::string>> procReads_;
     std::optional<std::set<std::string>> resets_;

@@ -1,20 +1,22 @@
-#include "analysis/depgraph.hh"
+#include "analyze/depgraph.hh"
 
 #include <algorithm>
 #include <queue>
 
-#include "analysis/exprutil.hh"
+#include "analyze/context.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "elab/ip_models.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 using namespace hdl;
 
-DepGraph::DepGraph(const Module &mod) : mod_(mod)
+DepGraph::DepGraph(const Context &facts)
 {
+    const Module &mod = facts.module();
     for (const auto &item : mod.items) {
         if (item->kind != ItemKind::Net)
             continue;
@@ -42,7 +44,7 @@ DepGraph::DepGraph(const Module &mod) : mod_(mod)
         }
     }
 
-    for (const auto &ga : collectAssigns(mod))
+    for (const auto &ga : facts.assigns())
         addAssignEdges(ga);
     for (const auto &item : mod.items)
         if (item->kind == ItemKind::Instance)
@@ -309,4 +311,4 @@ DepGraph::backwardSlice(const std::string &name, int cycles,
     return result;
 }
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze

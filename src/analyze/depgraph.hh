@@ -12,19 +12,21 @@
  * §4.5.1).
  */
 
-#ifndef HWDBG_ANALYSIS_DEPGRAPH_HH
-#define HWDBG_ANALYSIS_DEPGRAPH_HH
+#ifndef HWDBG_ANALYZE_DEPGRAPH_HH
+#define HWDBG_ANALYZE_DEPGRAPH_HH
 
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "analysis/guards.hh"
+#include "analyze/guards.hh"
 #include "hdl/ast.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
+
+class Context;
 
 enum class DepKind { Comb, Seq };
 
@@ -45,7 +47,8 @@ struct DepEdge
 class DepGraph
 {
   public:
-    explicit DepGraph(const hdl::Module &mod);
+    /** Built by Context::graph(), over the Context's assigns(). */
+    explicit DepGraph(const Context &facts);
 
     const std::vector<DepEdge> &edges() const { return edges_; }
     std::vector<const DepEdge *> edgesInto(const std::string &name) const;
@@ -94,7 +97,6 @@ class DepGraph
     void addAssignEdges(const GuardedAssign &ga);
     void addIpEdges(const hdl::InstanceItem &inst);
 
-    const hdl::Module &mod_;
     std::vector<DepEdge> edges_;
     std::map<std::string, std::vector<size_t>> into_;
     std::map<std::string, std::vector<size_t>> outOf_;
@@ -103,6 +105,6 @@ class DepGraph
     std::set<std::string> ipOutputs_;
 };
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze
 
-#endif // HWDBG_ANALYSIS_DEPGRAPH_HH
+#endif // HWDBG_ANALYZE_DEPGRAPH_HH

@@ -1,8 +1,8 @@
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 
 #include "common/logging.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 using namespace hdl;
@@ -135,4 +135,4 @@ inlineWires(const ExprPtr &expr, const std::map<std::string, ExprPtr> &defs)
     return inlineWiresRec(expr, defs, expanding);
 }
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze

@@ -1,11 +1,11 @@
 /**
  * @file
- * Expression utilities shared by the analysis passes: signal collection,
- * wire inlining, and lvalue target extraction.
+ * Expression utilities shared by the fact builders and passes: signal
+ * collection, wire inlining, and lvalue target extraction.
  */
 
-#ifndef HWDBG_ANALYSIS_EXPRUTIL_HH
-#define HWDBG_ANALYSIS_EXPRUTIL_HH
+#ifndef HWDBG_ANALYZE_EXPRUTIL_HH
+#define HWDBG_ANALYZE_EXPRUTIL_HH
 
 #include <map>
 #include <set>
@@ -13,7 +13,7 @@
 
 #include "hdl/ast.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 /** All signal names referenced by @p expr. */
@@ -26,6 +26,7 @@ std::set<std::string> lvalueTargets(const hdl::ExprPtr &lhs);
  * Map from wire name to its single driving expression, built from the
  * module's continuous assignments. Wires driven through part selects,
  * concat lvalues, or multiple assigns are omitted (treated as opaque).
+ * Read it through Context::wires().
  */
 std::map<std::string, hdl::ExprPtr>
 wireDefinitions(const hdl::Module &mod);
@@ -40,6 +41,6 @@ hdl::ExprPtr
 inlineWires(const hdl::ExprPtr &expr,
             const std::map<std::string, hdl::ExprPtr> &defs);
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze
 
-#endif // HWDBG_ANALYSIS_EXPRUTIL_HH
+#endif // HWDBG_ANALYZE_EXPRUTIL_HH

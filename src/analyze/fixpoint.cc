@@ -4,7 +4,7 @@
 #include <deque>
 #include <map>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "analyze/solver.hh"
 
 namespace hwdbg::analyze
@@ -33,7 +33,7 @@ MustAssignDomain::transfer(const CfgNode &node, Value in)
     if (node.kind == CfgNode::Kind::Stmt && node.stmt &&
         node.stmt->kind == StmtKind::Assign) {
         const auto *assign = node.stmt->as<AssignStmt>();
-        for (const auto &target : analysis::lvalueTargets(assign->lhs))
+        for (const auto &target : lvalueTargets(assign->lhs))
             in.insert(target);
     }
     return in;
@@ -68,7 +68,7 @@ primitiveConnections(const Module &mod)
         for (const auto &conn : item->as<InstanceItem>()->conns)
             if (conn.actual)
                 for (const auto &sig :
-                     analysis::collectSignals(conn.actual))
+                     collectSignals(conn.actual))
                     out.insert(sig);
     }
     return out;
@@ -90,7 +90,7 @@ ConstFixpoint::factOf(const std::string &name,
 
 ConstFixpoint
 solveConstants(const Module &mod, const SignalTable &sigs,
-               const std::vector<analysis::GuardedAssign> &assigns)
+               const std::vector<GuardedAssign> &assigns)
 {
     ConstFixpoint fix;
     fix.primConnected = primitiveConnections(mod);
@@ -104,7 +104,7 @@ solveConstants(const Module &mod, const SignalTable &sigs,
     std::map<std::string, bool> hasNonCombAssign;
     for (size_t i = 0; i < assigns.size(); ++i) {
         const auto &ga = assigns[i];
-        for (const auto &target : analysis::lvalueTargets(ga.lhs)) {
+        for (const auto &target : lvalueTargets(ga.lhs)) {
             assignsOf[target].push_back(i);
             if (ga.proc && ga.proc->isComb) {
                 auto &procs = combProcsOf[target];
@@ -155,15 +155,15 @@ solveConstants(const Module &mod, const SignalTable &sigs,
     // Reverse dependency map: reading signal -> assignments to re-run.
     std::map<std::string, std::set<std::string>> dependents;
     for (const auto &ga : assigns) {
-        std::set<std::string> reads = analysis::collectSignals(ga.rhs);
-        for (const auto &sig : analysis::collectSignals(ga.guard))
+        std::set<std::string> reads = collectSignals(ga.rhs);
+        for (const auto &sig : collectSignals(ga.guard))
             reads.insert(sig);
         // Part-select / concat lvalues read their index expressions.
-        for (const auto &sig : analysis::collectSignals(ga.lhs))
+        for (const auto &sig : collectSignals(ga.lhs))
             reads.insert(sig);
         // Self-dependencies stay in: q <= q + 1 must re-run until the
         // join over successive values stabilizes.
-        for (const auto &target : analysis::lvalueTargets(ga.lhs))
+        for (const auto &target : lvalueTargets(ga.lhs))
             for (const auto &read : reads)
                 dependents[read].insert(target);
     }

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/guards.hh"
+#include "analyze/guards.hh"
 #include "analyze/cfg.hh"
 #include "analyze/domain.hh"
 
@@ -54,7 +54,7 @@ struct MustAssignDomain
 /** Signals assigned on every activation path of @p proc. */
 std::set<std::string> mustAssignAtExit(const hdl::AlwaysItem &proc);
 
-/** Fixpoint over a module's assignments (analysis::collectAssigns);
+/** Fixpoint over a module's assignments (Context::assigns());
  *  the per-assign vectors are indexed like that list. */
 struct ConstFixpoint
 {
@@ -74,9 +74,10 @@ struct ConstFixpoint
                      const SignalTable &sigs) const;
 };
 
+/** Read it through Context::fixpoint(). */
 ConstFixpoint solveConstants(
     const hdl::Module &mod, const SignalTable &sigs,
-    const std::vector<analysis::GuardedAssign> &assigns);
+    const std::vector<GuardedAssign> &assigns);
 
 } // namespace hwdbg::analyze
 

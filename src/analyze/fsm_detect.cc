@@ -1,14 +1,15 @@
-#include "analysis/fsm_detect.hh"
+#include "analyze/fsm_detect.hh"
 
 #include <algorithm>
 #include <map>
 #include <set>
 
-#include "analysis/exprutil.hh"
+#include "analyze/context.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 using namespace hdl;
@@ -89,18 +90,6 @@ findStateTest(const ExprPtr &guard, const std::string &state_var)
     return std::nullopt;
 }
 
-/** True when @p guard references @p name anywhere. */
-bool
-guardMentions(const ExprPtr &guard, const std::string &name)
-{
-    bool found = false;
-    forEachIdent(guard, [&](const std::string &id) {
-        if (id == name)
-            found = true;
-    });
-    return found;
-}
-
 struct BitsLess
 {
     bool
@@ -113,8 +102,9 @@ struct BitsLess
 } // namespace
 
 std::vector<FsmInfo>
-detectFsms(const Module &mod, const FsmDetectOptions &opts)
+detectFsms(const Context &facts, const FsmDetectOptions &opts)
 {
+    const Module &mod = facts.module();
     // Registers excluded because the design does arithmetic on them or
     // selects their bits.
     std::set<std::string> excluded;
@@ -153,7 +143,7 @@ detectFsms(const Module &mod, const FsmDetectOptions &opts)
     // Group assignments by whole-register target.
     std::map<std::string, std::vector<GuardedAssign>> by_target;
     std::set<std::string> disqualified;
-    for (const auto &ga : collectAssigns(mod)) {
+    for (const auto &ga : facts.assigns()) {
         auto targets = lvalueTargets(ga.lhs);
         if (ga.lhs->kind == ExprKind::Id && ga.sequential) {
             by_target[ga.lhs->as<IdExpr>()->name].push_back(ga);
@@ -191,7 +181,7 @@ detectFsms(const Module &mod, const FsmDetectOptions &opts)
                 ok = false;
                 break;
             }
-            if (guardMentions(ga.guard, name))
+            if (mentions(ga.guard, name))
                 tests_self = true;
         }
         if (!ok || (opts.requireSelfTest && !tests_self))
@@ -223,4 +213,4 @@ detectFsms(const Module &mod, const FsmDetectOptions &opts)
     return out;
 }
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze

@@ -19,18 +19,20 @@
  * negatives on 32 FSMs.
  */
 
-#ifndef HWDBG_ANALYSIS_FSM_DETECT_HH
-#define HWDBG_ANALYSIS_FSM_DETECT_HH
+#ifndef HWDBG_ANALYZE_FSM_DETECT_HH
+#define HWDBG_ANALYZE_FSM_DETECT_HH
 
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/guards.hh"
+#include "analyze/guards.hh"
 #include "common/bits.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
+
+class Context;
 
 /** One detected state transition: fromState --cond--> toState. */
 struct FsmTransition
@@ -71,10 +73,14 @@ struct FsmDetectOptions
     bool minWidthTwo = true;
 };
 
-/** Detect FSM state variables in an elaborated module. */
-std::vector<FsmInfo> detectFsms(const hdl::Module &mod,
+/**
+ * Detect FSM state variables in the Context's module, over its
+ * assigns(). Context::fsms() is this with the default options; other
+ * options serve the heuristic ablation and accuracy benches.
+ */
+std::vector<FsmInfo> detectFsms(const Context &facts,
                                 const FsmDetectOptions &opts = {});
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze
 
-#endif // HWDBG_ANALYSIS_FSM_DETECT_HH
+#endif // HWDBG_ANALYZE_FSM_DETECT_HH

@@ -1,8 +1,8 @@
-#include "analysis/guards.hh"
+#include "analyze/guards.hh"
 
 #include "common/logging.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 using namespace hdl;
@@ -158,4 +158,4 @@ collectDisplays(const Module &mod)
     return out;
 }
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze

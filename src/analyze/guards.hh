@@ -10,15 +10,15 @@
  * and LossCheck uses for propagation-relation conditions (§4.5.1).
  */
 
-#ifndef HWDBG_ANALYSIS_GUARDS_HH
-#define HWDBG_ANALYSIS_GUARDS_HH
+#ifndef HWDBG_ANALYZE_GUARDS_HH
+#define HWDBG_ANALYZE_GUARDS_HH
 
 #include <string>
 #include <vector>
 
 #include "hdl/ast.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 /** An assignment together with its structural path constraint. */
@@ -49,15 +49,17 @@ struct GuardedDisplay
     const hdl::AlwaysItem *proc = nullptr;
 };
 
-/** Every assignment in the module (procedural and continuous). */
+/** Every assignment in the module (procedural and continuous); read
+ *  it through Context::assigns(). */
 std::vector<GuardedAssign> collectAssigns(const hdl::Module &mod);
 
-/** Every $display in a clocked process. */
+/** Every $display in a clocked process; read it through
+ *  Context::displays(). */
 std::vector<GuardedDisplay> collectDisplays(const hdl::Module &mod);
 
 /** Clock of a clocked process (first posedge sensitivity item). */
 std::string processClock(const hdl::AlwaysItem &proc);
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze
 
-#endif // HWDBG_ANALYSIS_GUARDS_HH
+#endif // HWDBG_ANALYZE_GUARDS_HH

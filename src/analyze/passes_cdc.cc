@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"
@@ -56,7 +56,7 @@ passCdc(Context &ctx)
     for (const auto &ga : assigns) {
         if (!ga.proc || ga.proc->isComb || ga.clock.empty())
             continue;
-        for (const auto &target : analysis::lvalueTargets(ga.lhs))
+        for (const auto &target : lvalueTargets(ga.lhs))
             domainsOf[target].insert(ga.clock);
     }
 
@@ -81,8 +81,8 @@ passCdc(Context &ctx)
         if (!ga.proc || ga.proc->isComb || ga.clock.empty())
             continue;
         std::set<std::string> reads =
-            analysis::collectSignals(ga.rhs);
-        for (const auto &sig : analysis::collectSignals(ga.guard))
+            collectSignals(ga.rhs);
+        for (const auto &sig : collectSignals(ga.guard))
             reads.insert(sig);
         for (const auto &sig : reads) {
             for (const auto &src : graph.statefulSources(sig)) {

@@ -10,7 +10,7 @@
 #include <functional>
 #include <sstream>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"
@@ -24,7 +24,7 @@ namespace
 {
 
 SourceLoc
-assignLoc(const analysis::GuardedAssign &ga, const Module &mod)
+assignLoc(const GuardedAssign &ga, const Module &mod)
 {
     if (ga.stmt)
         return ga.stmt->loc;
@@ -62,7 +62,7 @@ observableSinks(const Module &mod)
             for (const auto &conn : item->as<InstanceItem>()->conns)
                 if (conn.actual)
                     for (const auto &sig :
-                         analysis::collectSignals(conn.actual))
+                         collectSignals(conn.actual))
                         sinks.insert(sig);
             break;
           case ItemKind::Always: {
@@ -101,18 +101,18 @@ observableSinks(const Module &mod)
                         for (const auto &arg :
                              stmt->as<DisplayStmt>()->args)
                             for (const auto &sig :
-                                 analysis::collectSignals(arg))
+                                 collectSignals(arg))
                                 sinks.insert(sig);
                         for (const auto &cond : conds)
                             for (const auto &sig :
-                                 analysis::collectSignals(cond))
+                                 collectSignals(cond))
                                 sinks.insert(sig);
                         break;
                       }
                       case StmtKind::Finish:
                         for (const auto &cond : conds)
                             for (const auto &sig :
-                                 analysis::collectSignals(cond))
+                                 collectSignals(cond))
                                 sinks.insert(sig);
                         break;
                       default:
@@ -144,10 +144,10 @@ passConst(Context &ctx)
         const auto &ga = assigns[i];
         if (!fix.deadGuard[i] && !fix.trueGuard[i])
             continue;
-        auto targets = analysis::lvalueTargets(ga.lhs);
+        auto targets = lvalueTargets(ga.lhs);
         std::vector<std::string> signals(targets.begin(),
                                          targets.end());
-        for (const auto &sig : analysis::collectSignals(ga.guard))
+        for (const auto &sig : collectSignals(ga.guard))
             if (!targets.count(sig))
                 signals.push_back(sig);
         std::string target_list;

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"
@@ -69,7 +69,7 @@ passRace(Context &ctx)
         cw.clock = ga.clock;
         cw.blocking = !ga.sequential;
         cw.loc = ga.stmt ? ga.stmt->loc : mod.loc;
-        for (const auto &target : analysis::lvalueTargets(ga.lhs))
+        for (const auto &target : lvalueTargets(ga.lhs))
             writes[target].push_back(cw);
     }
 
@@ -98,7 +98,7 @@ passRace(Context &ctx)
             for (const auto *proc : clockedProcs) {
                 if (proc == blocking->proc)
                     continue;
-                if (analysis::processClock(*proc) != blocking->clock)
+                if (processClock(*proc) != blocking->clock)
                     continue;
                 bool uses = ctx.procReads(proc).count(name) != 0;
                 for (const auto &site : sites)

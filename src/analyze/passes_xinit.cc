@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "analyze/solver.hh"
@@ -55,7 +55,7 @@ passXinit(Context &ctx)
         for (const auto &ga : assigns)
             if (ga.proc == proc)
                 for (const auto &target :
-                     analysis::lvalueTargets(ga.lhs))
+                     lvalueTargets(ga.lhs))
                     written.insert(target);
         if (written.empty())
             continue;
@@ -91,7 +91,7 @@ passXinit(Context &ctx)
     // --- read-uninitialized: every assignment to a register is dead.
     std::map<std::string, std::vector<size_t>> assignsOf;
     for (size_t i = 0; i < assigns.size(); ++i)
-        for (const auto &target : analysis::lvalueTargets(assigns[i].lhs))
+        for (const auto &target : lvalueTargets(assigns[i].lhs))
             assignsOf[target].push_back(i);
 
     const auto &graph = ctx.graph();

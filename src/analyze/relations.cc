@@ -1,11 +1,12 @@
-#include "analysis/relations.hh"
+#include "analyze/relations.hh"
 
-#include "analysis/exprutil.hh"
+#include "analyze/context.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "elab/ip_models.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
 
 using namespace hdl;
@@ -29,8 +30,10 @@ findMemoryRead(const ExprPtr &expr, const std::string &mem)
 
 } // namespace
 
-RelationTable::RelationTable(const Module &mod) : graph_(mod)
+RelationTable::RelationTable(const Context &facts)
 {
+    const Module &mod = facts.module();
+    const DepGraph &graph = facts.graph();
     for (const auto &item : mod.items) {
         if (item->kind != ItemKind::Net)
             continue;
@@ -39,7 +42,7 @@ RelationTable::RelationTable(const Module &mod) : graph_(mod)
             memories_[net->name] = elab::memoryDepth(*net);
     }
 
-    for (const auto &ga : collectAssigns(mod)) {
+    for (const auto &ga : facts.assigns()) {
         if (!ga.sequential)
             continue;
         // Memory element write index, when the target is mem[i].
@@ -51,7 +54,7 @@ RelationTable::RelationTable(const Module &mod) : graph_(mod)
         for (const auto &dst : lvalueTargets(ga.lhs)) {
             std::set<std::string> srcs;
             for (const auto &sig : collectSignals(ga.rhs)) {
-                auto stateful = graph_.statefulSources(sig);
+                auto stateful = graph.statefulSources(sig);
                 srcs.insert(stateful.begin(), stateful.end());
             }
             for (const auto &src : srcs) {
@@ -71,7 +74,7 @@ RelationTable::RelationTable(const Module &mod) : graph_(mod)
 
     for (const auto &item : mod.items)
         if (item->kind == ItemKind::Instance)
-            addIpRelations(*item->as<InstanceItem>());
+            addIpRelations(*item->as<InstanceItem>(), graph);
 }
 
 uint64_t
@@ -82,7 +85,8 @@ RelationTable::memorySize(const std::string &name) const
 }
 
 void
-RelationTable::addIpRelations(const InstanceItem &inst)
+RelationTable::addIpRelations(const InstanceItem &inst,
+                              const DepGraph &graph)
 {
     std::map<std::string, ExprPtr> actuals;
     for (const auto &conn : inst.conns)
@@ -100,7 +104,7 @@ RelationTable::addIpRelations(const InstanceItem &inst)
             return;
         std::set<std::string> srcs;
         for (const auto &sig : collectSignals(in_expr)) {
-            auto stateful = graph_.statefulSources(sig);
+            auto stateful = graph.statefulSources(sig);
             srcs.insert(stateful.begin(), stateful.end());
         }
         for (const auto &dst : lvalueTargets(out_expr)) {
@@ -185,4 +189,4 @@ RelationTable::propagationPath(const std::string &src,
     return path;
 }
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze

@@ -10,17 +10,19 @@
  * propagates to its q output when wrreq && !full).
  */
 
-#ifndef HWDBG_ANALYSIS_RELATIONS_HH
-#define HWDBG_ANALYSIS_RELATIONS_HH
+#ifndef HWDBG_ANALYZE_RELATIONS_HH
+#define HWDBG_ANALYZE_RELATIONS_HH
 
 #include <set>
 #include <string>
 #include <vector>
 
-#include "analysis/depgraph.hh"
+#include "analyze/depgraph.hh"
 
-namespace hwdbg::analysis
+namespace hwdbg::analyze
 {
+
+class Context;
 
 struct PropRelation
 {
@@ -40,10 +42,11 @@ struct PropRelation
 class RelationTable
 {
   public:
-    explicit RelationTable(const hdl::Module &mod);
+    /** Built by Context::relations(), over the Context's assigns()
+     *  and graph(). */
+    explicit RelationTable(const Context &facts);
 
     const std::vector<PropRelation> &relations() const { return rels_; }
-    const DepGraph &graph() const { return graph_; }
 
     std::vector<const PropRelation *> into(const std::string &dst) const;
     std::vector<const PropRelation *> outOf(const std::string &src) const;
@@ -65,13 +68,13 @@ class RelationTable
     uint64_t memorySize(const std::string &name) const;
 
   private:
-    void addIpRelations(const hdl::InstanceItem &inst);
+    void addIpRelations(const hdl::InstanceItem &inst,
+                        const DepGraph &graph);
 
-    DepGraph graph_;
     std::vector<PropRelation> rels_;
     std::map<std::string, uint64_t> memories_;
 };
 
-} // namespace hwdbg::analysis
+} // namespace hwdbg::analyze
 
-#endif // HWDBG_ANALYSIS_RELATIONS_HH
+#endif // HWDBG_ANALYZE_RELATIONS_HH

@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fsm_detect.hh"
 #include "analyze/analyze.hh"
 #include "bugbase/designs.hh"
 #include "bugbase/testbed.hh"
@@ -340,7 +339,7 @@ int
 cmdFsm(const Args &args)
 {
     auto elaborated = load(args);
-    auto fsms = analysis::detectFsms(*elaborated.base);
+    const auto &fsms = elaborated.baseFacts->fsms();
     if (fsms.empty()) {
         std::printf("no state machines detected\n");
         return 0;
@@ -375,7 +374,8 @@ cmdDeps(const Args &args)
     if (opts.variable.empty())
         fatal("deps requires --var");
     opts.cycles = std::atoi(args.opt("cycles", "4").c_str());
-    auto result = core::applyDepMonitor(*elaborated.base, opts);
+    auto result = core::applyDepMonitor(*elaborated.base,
+                                        *elaborated.baseFacts, opts);
     std::printf("dependency chain of %s (within %d cycles):\n",
                 opts.variable.c_str(), opts.cycles);
     for (const auto &[reg, dist] : result.chain)
@@ -418,7 +418,8 @@ cmdLosscheck(const Args &args)
     if (opts.source.empty() || opts.sourceValid.empty() ||
         opts.sink.empty())
         fatal("losscheck requires --source, --valid, and --sink");
-    auto result = core::applyLossCheck(*elaborated.base, opts);
+    auto result = core::applyLossCheck(*elaborated.base,
+                                       *elaborated.baseFacts, opts);
     std::fprintf(stderr, "losscheck: path {");
     for (const auto &name : result.onPath)
         std::fprintf(stderr, " %s", name.c_str());
@@ -434,7 +435,7 @@ cmdResources(const Args &args)
 {
     auto elaborated = load(args);
     synth::ResourceUsage usage =
-        synth::estimateResources(*elaborated.base);
+        synth::estimateResources(*elaborated.baseFacts);
     const synth::Platform &platform =
         synth::platformByName(args.opt("platform", "KC705"));
     synth::NormalizedUsage pct = synth::normalize(usage, platform);
@@ -452,7 +453,7 @@ cmdTiming(const Args &args)
 {
     auto elaborated = load(args);
     synth::TimingReport report =
-        synth::estimateTiming(*elaborated.base);
+        synth::estimateTiming(*elaborated.baseFacts);
     std::printf("critical path : %.3f ns (through %s)\n",
                 report.criticalPathNs, report.criticalSignal.c_str());
     std::printf("Fmax          : %.1f MHz\n", report.fmaxMhz);
@@ -612,7 +613,8 @@ cmdDebug(const Args &args)
                  "--checkpoint-capacity"));
     eopts.constants = w.constants;
     eopts.backend = backendOf(args);
-    debug::Engine engine(w.instrumented, w.tape, eopts);
+    debug::Engine engine(w.instrumented, w.instrumentedFacts, w.tape,
+                         eopts);
 
     debug::SessionOptions sopts;
     sopts.machine = args.flag("machine");

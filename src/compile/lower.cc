@@ -19,8 +19,7 @@
 #include <algorithm>
 #include <map>
 
-#include "analyze/domain.hh"
-#include "analyze/fixpoint.hh"
+#include "analyze/context.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "compile/bytecode.hh"
@@ -40,14 +39,10 @@ class Lowerer
 {
   public:
     Lowerer(const LoweredDesign &design, bool fold)
-        : design_(design), fold_(fold), sigs_(design.module())
+        : design_(design), fold_(fold), facts_(design.module())
     {
-        if (fold_) {
-            fix_ = analyze::solveConstants(
-                design_.module(), sigs_,
-                analysis::collectAssigns(design_.module()));
-            env_ = &fix_.env;
-        }
+        if (fold_)
+            env_ = &facts_.fixpoint().env;
     }
 
     Program run();
@@ -108,8 +103,7 @@ class Lowerer
 
     const LoweredDesign &design_;
     bool fold_;
-    analyze::SignalTable sigs_;
-    analyze::ConstFixpoint fix_;
+    analyze::Context facts_;
     const analyze::Env *env_ = nullptr;
 
     Program prog_;
@@ -169,7 +163,7 @@ Lowerer::lowerExpr(const ExprPtr &e, uint32_t cw)
     // slot. The conservative width check skips the rare nodes whose
     // natural width exceeds w (wide-operand bitwise/shift chains).
     if (fold_ && w <= 64 && e->kind != ExprKind::Id) {
-        auto kb = analyze::kbEval(e, cw, sigs_, *env_);
+        auto kb = analyze::kbEval(e, cw, facts_.signals(), *env_);
         if (kb && kb->fullyKnown() && kb->width == w) {
             ++prog_.foldedConsts;
             return constSlot(Bits(w, kb->value));
@@ -648,7 +642,8 @@ Lowerer::lowerStmt(const StmtPtr &stmt, bool clocked)
       case StmtKind::If: {
         const auto *branch = stmt->as<IfStmt>();
         if (fold_) {
-            auto kb = analyze::kbEval(branch->cond, 0, sigs_, *env_);
+            auto kb = analyze::kbEval(branch->cond, 0, facts_.signals(),
+                                      *env_);
             if (kb && kb->knownZero()) {
                 ++prog_.deadArms;
                 Op &arm = emit(Opc::CoverArm);

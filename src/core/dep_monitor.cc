@@ -1,6 +1,5 @@
 #include "core/dep_monitor.hh"
 
-#include "analysis/depgraph.hh"
 #include "common/logging.hh"
 #include "core/instrument.hh"
 #include "elab/elaborate.hh"
@@ -13,21 +12,21 @@ namespace hwdbg::core
 using namespace hdl;
 
 DepMonitorResult
-applyDepMonitor(const Module &mod, const DepMonitorOptions &opts)
+applyDepMonitor(const Module &mod, const analyze::Context &facts,
+                const DepMonitorOptions &opts)
 {
     obs::ObsSpan span("instrument.dep_monitor");
     HWDBG_STAT_INC("instrument.dep_monitor.runs", 1);
     if (opts.variable.empty())
         fatal("Dependency Monitor: no variable specified");
-    if (!mod.findNet(opts.variable))
+    if (!facts.module().findNet(opts.variable))
         fatal("Dependency Monitor: no signal named '%s'",
               opts.variable.c_str());
 
-    analysis::DepGraph graph(mod);
     DepMonitorResult result;
-    result.chain = graph.backwardSlice(opts.variable, opts.cycles,
-                                       opts.followData,
-                                       opts.followControl);
+    result.chain =
+        facts.graph().backwardSlice(opts.variable, opts.cycles,
+                                    opts.followData, opts.followControl);
 
     InstrumentBuilder builder(mod);
     std::string clock = designClock(mod);

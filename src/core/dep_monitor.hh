@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "hdl/ast.hh"
+#include "analyze/context.hh"
 #include "sim/eval.hh"
 
 namespace hwdbg::core
@@ -41,7 +41,11 @@ struct DepMonitorResult
     int generatedLines = 0;
 };
 
+/** Instrument @p mod with the chain of opts.variable in the dependency
+ *  graph of @p facts (a Context over @p mod or over the base design it
+ *  was instrumented from, as for applyFsmMonitor). */
 DepMonitorResult applyDepMonitor(const hdl::Module &mod,
+                                 const analyze::Context &facts,
                                  const DepMonitorOptions &opts);
 
 /** One observed update of a monitored dependency. */

@@ -17,12 +17,13 @@ namespace hwdbg::core
 using namespace hdl;
 
 FsmMonitorResult
-applyFsmMonitor(const Module &mod, const FsmMonitorOptions &opts)
+applyFsmMonitor(const Module &mod, const analyze::Context &facts,
+                const FsmMonitorOptions &opts)
 {
     obs::ObsSpan span("instrument.fsm_monitor");
     HWDBG_STAT_INC("instrument.fsm_monitor.runs", 1);
     FsmMonitorResult result;
-    result.fsms = analysis::detectFsms(mod);
+    result.fsms = facts.fsms();
 
     std::vector<std::string> monitored;
     for (const auto &fsm : result.fsms)

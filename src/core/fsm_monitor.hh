@@ -2,7 +2,7 @@
  * @file
  * FSM Monitor: automatic state-machine tracing (§4.2).
  *
- * Statically detects FSM state variables (analysis/fsm_detect) and
+ * Statically detects FSM state variables (analyze::Context::fsms()) and
  * instruments the design with logic that emits a log message on every
  * state change. After execution, fsmTrace() reconstructs per-FSM
  * state-transition traces from the log — a user-friendly abstraction of
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fsm_detect.hh"
+#include "analyze/context.hh"
 #include "sim/eval.hh"
 
 namespace hwdbg::core
@@ -42,13 +42,20 @@ struct FsmMonitorOptions
 struct FsmMonitorResult
 {
     hdl::ModulePtr module;
-    std::vector<analysis::FsmInfo> fsms;
+    std::vector<analyze::FsmInfo> fsms;
     /** Monitored variables (detected + forced - excluded). */
     std::vector<std::string> monitored;
     int generatedLines = 0;
 };
 
+/**
+ * Instrument @p mod, monitoring the FSMs of @p facts: a Context over
+ * @p mod, or over the base design an earlier monitor instrumented into
+ * @p mod (monitors read the facts of the design under debug, not of
+ * each other's output).
+ */
 FsmMonitorResult applyFsmMonitor(const hdl::Module &mod,
+                                 const analyze::Context &facts,
                                  const FsmMonitorOptions &opts = {});
 
 /** One observed transition of a monitored FSM. */

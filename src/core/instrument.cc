@@ -2,7 +2,7 @@
 
 #include "common/testhooks.hh"
 
-#include "analysis/guards.hh"
+#include "analyze/guards.hh"
 #include "common/logging.hh"
 #include "hdl/printer.hh"
 
@@ -20,7 +20,7 @@ designClock(const Module &mod)
         const auto *proc = item->as<AlwaysItem>();
         if (proc->isComb)
             continue;
-        std::string clock = analysis::processClock(*proc);
+        std::string clock = analyze::processClock(*proc);
         if (!clock.empty())
             return clock;
     }

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "analysis/relations.hh"
 #include "common/logging.hh"
 #include "core/instrument.hh"
 #include "obs/metrics.hh"
@@ -15,20 +14,22 @@ namespace hwdbg::core
 using namespace hdl;
 
 LossCheckResult
-applyLossCheck(const Module &mod, const LossCheckOptions &opts)
+applyLossCheck(const Module &mod, const analyze::Context &facts,
+               const LossCheckOptions &opts)
 {
     obs::ObsSpan span("instrument.losscheck");
     HWDBG_STAT_INC("instrument.losscheck.runs", 1);
-    if (!mod.findNet(opts.source))
+    const Module &base = facts.module();
+    if (!base.findNet(opts.source))
         fatal("LossCheck: no signal named '%s'", opts.source.c_str());
-    if (!mod.findNet(opts.sink))
+    if (!base.findNet(opts.sink))
         fatal("LossCheck: no signal named '%s'", opts.sink.c_str());
-    if (!mod.findNet(opts.sourceValid))
+    if (!base.findNet(opts.sourceValid))
         fatal("LossCheck: no valid signal named '%s'",
               opts.sourceValid.c_str());
 
-    analysis::RelationTable table(mod);
-    const analysis::DepGraph &graph = table.graph();
+    const analyze::RelationTable &table = facts.relations();
+    const analyze::DepGraph &graph = facts.graph();
 
     LossCheckResult result;
     result.onPath = table.propagationPath(opts.source, opts.sink);
@@ -98,7 +99,7 @@ applyLossCheck(const Module &mod, const LossCheckOptions &opts)
         };
 
         // Reads clear their slot's bit.
-        std::vector<const analysis::PropRelation *> reads;
+        std::vector<const analyze::PropRelation *> reads;
         for (const auto *rel : rels_out) {
             if (!result.onPath.count(rel->dst) || !rel->srcIndex)
                 continue;
@@ -119,7 +120,7 @@ applyLossCheck(const Module &mod, const LossCheckOptions &opts)
 
         // Writes: group relations by (condition, index) so multiple RHS
         // sources of one assignment form a single checked write.
-        std::map<std::string, std::pair<const analysis::PropRelation *,
+        std::map<std::string, std::pair<const analyze::PropRelation *,
                                         ExprPtr>> writes;
         for (const auto *rel : rels_in) {
             if (!rel->dstIndex)
@@ -290,13 +291,13 @@ lossRegisters(const std::vector<sim::EvalContext::LogLine> &log)
 
 LossCheckReport
 runLossCheck(
-    const Module &mod, const LossCheckOptions &opts,
+    const analyze::Context &facts, const LossCheckOptions &opts,
     const std::function<std::vector<sim::EvalContext::LogLine>(
         ModulePtr)> &ground_truth_workload,
     const std::function<std::vector<sim::EvalContext::LogLine>(
         ModulePtr)> &failing_workload)
 {
-    LossCheckResult inst = applyLossCheck(mod, opts);
+    LossCheckResult inst = applyLossCheck(facts.module(), facts, opts);
 
     LossCheckReport report;
     report.generatedLines = inst.generatedLines;

@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "hdl/ast.hh"
+#include "analyze/context.hh"
 #include "sim/eval.hh"
 
 namespace hwdbg::core
@@ -61,7 +61,11 @@ struct LossCheckResult
     int generatedLines = 0;
 };
 
+/** Instrument @p mod over the relations and dependency graph of
+ *  @p facts (a Context over @p mod or over the base design it was
+ *  instrumented from, as for applyFsmMonitor). */
 LossCheckResult applyLossCheck(const hdl::Module &mod,
+                               const analyze::Context &facts,
                                const LossCheckOptions &opts);
 
 /** Registers reported as lossy in a log (deduplicated). */
@@ -79,14 +83,14 @@ struct LossCheckReport
 };
 
 /**
- * Run the full LossCheck flow: instrument @p mod, execute the
- * ground-truth workload (a passing test) to learn intentional drops,
- * then execute the failing workload and report the remaining loss
- * sites. Each workload callback receives the instrumented module,
+ * Run the full LossCheck flow: instrument the module of @p facts,
+ * execute the ground-truth workload (a passing test) to learn
+ * intentional drops, then execute the failing workload and report the
+ * remaining loss sites. Each workload callback receives the instrumented module,
  * simulates it, and returns the log.
  */
 LossCheckReport runLossCheck(
-    const hdl::Module &mod, const LossCheckOptions &opts,
+    const analyze::Context &facts, const LossCheckOptions &opts,
     const std::function<std::vector<sim::EvalContext::LogLine>(
         hdl::ModulePtr)> &ground_truth_workload,
     const std::function<std::vector<sim::EvalContext::LogLine>(

@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "analysis/guards.hh"
+#include "analyze/context.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "core/instrument.hh"
@@ -67,7 +67,7 @@ stripDisplays(const StmtPtr &stmt)
 
 /** Edge on which a display's process samples its clock. */
 EdgeKind
-displayEdge(const analysis::GuardedDisplay &gd)
+displayEdge(const analyze::GuardedDisplay &gd)
 {
     for (const auto &sens : gd.proc->sens)
         if (sens.signal == gd.clock)
@@ -171,7 +171,8 @@ displaysRaceBlocking(const Module &mod)
 bool
 signalCatSupported(const Module &mod)
 {
-    auto displays = analysis::collectDisplays(mod);
+    analyze::Context facts(mod);
+    const auto &displays = facts.displays();
     if (displays.empty())
         return true;
     if (displays[0].clock.empty())
@@ -195,7 +196,8 @@ applySignalCat(const Module &mod, const SignalCatOptions &opts)
     // sizes (lowering mutates only annotations, not structure).
     sim::LoweredDesign annotate(work);
 
-    auto displays = analysis::collectDisplays(*work);
+    analyze::Context facts(*work);
+    const auto &displays = facts.displays();
 
     SignalCatResult result;
     result.plan.recorderInstance = opts.recorderInstance;

@@ -2,8 +2,7 @@
 
 #include <map>
 
-#include "analysis/exprutil.hh"
-#include "analysis/guards.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "core/instrument.hh"
 #include "obs/metrics.hh"
@@ -15,8 +14,10 @@ namespace hwdbg::core
 using namespace hdl;
 
 ValidCheckResult
-applyValidCheck(const Module &mod, const ValidCheckOptions &opts)
+applyValidCheck(const analyze::Context &facts,
+                const ValidCheckOptions &opts)
 {
+    const Module &mod = facts.module();
     obs::ObsSpan span("instrument.validcheck");
     HWDBG_STAT_INC("instrument.validcheck.runs", 1);
     for (const auto &pair : opts.pairs) {
@@ -31,20 +32,19 @@ applyValidCheck(const Module &mod, const ValidCheckOptions &opts)
     std::string clock = designClock(mod);
     ValidCheckResult result;
 
-    auto assigns = analysis::collectAssigns(mod);
     for (const auto &pair : opts.pairs) {
         int uses = 0;
-        for (const auto &ga : assigns) {
+        for (const auto &ga : facts.assigns()) {
             if (!ga.sequential)
                 continue; // combinational uses fire at the consumer reg
-            if (!analysis::collectSignals(ga.rhs).count(pair.data))
+            if (!analyze::collectSignals(ga.rhs).count(pair.data))
                 continue;
             // Skip uses already qualified by the valid signal: the
             // guard mentioning the valid is the §3.3.4 fix pattern.
-            if (analysis::collectSignals(ga.guard).count(pair.valid))
+            if (analyze::collectSignals(ga.guard).count(pair.valid))
                 continue;
             for (const auto &target :
-                 analysis::lvalueTargets(ga.lhs)) {
+                 analyze::lvalueTargets(ga.lhs)) {
                 auto disp = std::make_shared<DisplayStmt>();
                 disp->format = "[ValidCheck] " + pair.data +
                                " used without " + pair.valid +

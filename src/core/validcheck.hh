@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "hdl/ast.hh"
+#include "analyze/context.hh"
 #include "sim/eval.hh"
 
 namespace hwdbg::core
@@ -52,7 +52,8 @@ struct ValidCheckResult
     int generatedLines = 0;
 };
 
-ValidCheckResult applyValidCheck(const hdl::Module &mod,
+/** Instrument the module of @p facts, over its assigns(). */
+ValidCheckResult applyValidCheck(const analyze::Context &facts,
                                  const ValidCheckOptions &opts);
 
 /** One reported use-without-valid occurrence. */

@@ -3,7 +3,7 @@
  * Coverage run driver: attach a collector to an elaborated design,
  * drive it with a sim::Stimulus, and return the resulting Snapshot.
  *
- * The driver detects FSMs first (analysis::detectFsms) so FSM
+ * The driver detects FSMs first (analyze::detectFsms) so FSM
  * state/arc coverage rides along automatically.
  */
 

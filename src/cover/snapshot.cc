@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "analysis/fsm_detect.hh"
+#include "analyze/context.hh"
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
 
@@ -95,10 +95,10 @@ Snapshot::totals() const
 }
 
 std::vector<sim::FsmCoverSpec>
-fsmSpecsFor(const hdl::Module &mod)
+fsmSpecs(const std::vector<analyze::FsmInfo> &fsms)
 {
     std::vector<sim::FsmCoverSpec> specs;
-    for (const auto &info : analysis::detectFsms(mod)) {
+    for (const auto &info : fsms) {
         sim::FsmCoverSpec spec;
         spec.stateVar = info.stateVar;
         for (const auto &state : info.states)
@@ -114,6 +114,12 @@ fsmSpecsFor(const hdl::Module &mod)
         specs.push_back(std::move(spec));
     }
     return specs;
+}
+
+std::vector<sim::FsmCoverSpec>
+fsmSpecsFor(const hdl::Module &mod)
+{
+    return fsmSpecs(analyze::Context(mod).fsms());
 }
 
 Snapshot

@@ -40,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "analyze/fsm_detect.hh"
 #include "sim/coverage.hh"
 
 namespace hwdbg::cover
@@ -118,7 +119,13 @@ std::vector<ScopeTotals> scopeRollups(const Snapshot &snap);
 /** "87.5"-style fixed-point percentage (deterministic rendering). */
 std::string coverPct(uint64_t covered, uint64_t total);
 
-/** Convert detected FSMs into sim-layer coverage specs. */
+/** Convert detected FSMs (analyze::Context::fsms()) into sim-layer
+ *  coverage specs. */
+std::vector<sim::FsmCoverSpec>
+fsmSpecs(const std::vector<analyze::FsmInfo> &fsms);
+
+/** fsmSpecs() of the FSMs of @p mod, for a caller without a Context
+ *  over it. */
 std::vector<sim::FsmCoverSpec> fsmSpecsFor(const hdl::Module &mod);
 
 /** Capture @p collector's state into a Snapshot. */

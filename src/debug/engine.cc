@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/depgraph.hh"
 #include "common/logging.hh"
 #include "core/dep_monitor.hh"
 #include "core/fsm_monitor.hh"
@@ -23,11 +22,13 @@ instrumentForDebug(const hdl::Module &mod, const InstrumentConfig &cfg)
     InstrumentResult result;
     const hdl::Module *cur = &mod;
     hdl::ModulePtr owned;
+    result.baseFacts = std::make_shared<const analyze::Context>(mod);
+    const analyze::Context &facts = *result.baseFacts;
 
     if (cfg.fsm) {
         core::FsmMonitorOptions opts;
         opts.constants = cfg.constants;
-        auto fsm = core::applyFsmMonitor(*cur, opts);
+        auto fsm = core::applyFsmMonitor(*cur, facts, opts);
         result.generatedLines += fsm.generatedLines;
         owned = fsm.module;
         cur = owned.get();
@@ -36,13 +37,13 @@ instrumentForDebug(const hdl::Module &mod, const InstrumentConfig &cfg)
         core::DepMonitorOptions opts;
         opts.variable = cfg.depVariable;
         opts.cycles = cfg.depCycles;
-        auto dep = core::applyDepMonitor(*cur, opts);
+        auto dep = core::applyDepMonitor(*cur, facts, opts);
         result.generatedLines += dep.generatedLines;
         owned = dep.module;
         cur = owned.get();
     }
     if (cfg.lossCheck) {
-        auto lc = core::applyLossCheck(*cur, *cfg.lossCheck);
+        auto lc = core::applyLossCheck(*cur, facts, *cfg.lossCheck);
         result.generatedLines += lc.generatedLines;
         owned = lc.module;
         cur = owned.get();
@@ -96,10 +97,11 @@ loadStimulusFile(const std::string &path)
 }
 
 Engine::Engine(hdl::ModulePtr module,
+               std::shared_ptr<const analyze::Context> facts,
                std::shared_ptr<const sim::StimulusTape> tape,
                EngineOptions opts)
     : sim_(std::move(module)), tape_(std::move(tape)),
-      opts_(std::move(opts)),
+      opts_(std::move(opts)), facts_(std::move(facts)),
       ring_(opts_.checkpointInterval, opts_.checkpointCapacity,
             opts_.snapshots)
 {
@@ -108,15 +110,15 @@ Engine::Engine(hdl::ModulePtr module,
     if (opts_.backend)
         sim_.setBackend(opts_.backend);
     ring_.saveInitial(sim_);
-    coverItems_ = sim::buildCoverageItems(
-        sim_.design(), cover::fsmSpecsFor(sim_.design().module()));
+    coverItems_ = sim::buildCoverageItems(sim_.design(),
+                                          cover::fsmSpecs(facts_->fsms()));
     cover_ = std::make_unique<sim::CoverageCollector>(coverItems_);
     sim_.enableCoverage(cover_.get());
 }
 
 Engine::Engine(hdl::ModulePtr module, sim::StimulusTape tape,
                EngineOptions opts)
-    : Engine(std::move(module),
+    : Engine(module, std::make_shared<const analyze::Context>(*module),
              std::make_shared<const sim::StimulusTape>(std::move(tape)),
              std::move(opts))
 {
@@ -383,10 +385,7 @@ std::vector<Engine::BacktraceEntry>
 Engine::backtrace(const std::string &reg, int k)
 {
     sim_.design().requireSignal(reg);
-    if (!depGraph_)
-        depGraph_ =
-            std::make_unique<analysis::DepGraph>(sim_.design().module());
-    auto slice = depGraph_->backwardSlice(reg, k, true, true);
+    auto slice = facts_->graph().backwardSlice(reg, k, true, true);
     std::vector<BacktraceEntry> entries;
     for (const auto &[name, dist] : slice) {
         BacktraceEntry e;

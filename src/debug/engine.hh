@@ -30,17 +30,13 @@
 #include <string>
 #include <vector>
 
+#include "analyze/context.hh"
 #include "core/losscheck.hh"
 #include "debug/breakpoint.hh"
 #include "debug/checkpoint.hh"
 #include "sim/coverage.hh"
 #include "sim/simulator.hh"
 #include "trace/trace.hh"
-
-namespace hwdbg::analysis
-{
-class DepGraph;
-}
 
 namespace hwdbg::debug
 {
@@ -61,6 +57,9 @@ struct InstrumentResult
 {
     hdl::ModulePtr module;
     int generatedLines = 0;
+    /** The Context over the input module every monitor read its facts
+     *  from, for callers that read more facts of that module. */
+    std::shared_ptr<const analyze::Context> baseFacts;
 };
 
 /** Apply the configured monitors to @p mod (behavior-preserving). */
@@ -115,13 +114,17 @@ class Engine
         std::vector<DebugEvent> events;
     };
 
-    /** Shared-tape form: many sessions replaying the same recorded
-     *  stimulus reference one immutable tape (the serve layer's design
-     *  cache hands every session the same pointer). */
+    /** Shared form: many sessions replaying the same recorded stimulus
+     *  reference one immutable tape and one Context (the serve layer's
+     *  design cache hands every session the same pointers). @p facts
+     *  is over @p module or over the master @p module was cloned
+     *  from; the FSM coverage goals and backtrace() read it. */
     Engine(hdl::ModulePtr module,
+           std::shared_ptr<const analyze::Context> facts,
            std::shared_ptr<const sim::StimulusTape> tape,
            EngineOptions opts = {});
-    /** Owning convenience form for single-session use. */
+    /** Owning convenience form for single-session use: the engine
+     *  builds its own Context over @p module. */
     Engine(hdl::ModulePtr module, sim::StimulusTape tape,
            EngineOptions opts = {});
     ~Engine();
@@ -246,6 +249,7 @@ class Engine
     sim::Simulator sim_;
     std::shared_ptr<const sim::StimulusTape> tape_;
     EngineOptions opts_;
+    std::shared_ptr<const analyze::Context> facts_;
     BreakpointSet bps_;
     CheckpointRing ring_;
     sim::CoverageItems coverItems_;
@@ -260,9 +264,6 @@ class Engine
      *  first visit; replay revisits reproduce the same values). */
     std::vector<uint64_t> cycleAt_;
     uint64_t replayedSteps_ = 0;
-
-    /** Lazily-built dependency graph for backtrace. */
-    std::unique_ptr<analysis::DepGraph> depGraph_;
 };
 
 const char *stopReasonName(Engine::StopReason reason);

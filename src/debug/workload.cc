@@ -51,8 +51,10 @@ buildWorkload(const WorkloadSpec &spec)
             w.stimulus->tape = w.tape;
         }
     }
-    if (!spec.instrument)
+    if (!spec.instrument) {
+        w.baseFacts = std::make_shared<const analyze::Context>(*w.base);
         return w;
+    }
 
     icfg.fsm = icfg.fsm || spec.fsm;
     if (!spec.depVariable.empty())
@@ -62,7 +64,11 @@ buildWorkload(const WorkloadSpec &spec)
     if (spec.lossCheck)
         icfg.lossCheck = spec.lossCheck;
     icfg.constants = w.constants;
-    w.instrumented = instrumentForDebug(*w.base, icfg).module;
+    auto instr = instrumentForDebug(*w.base, icfg);
+    w.instrumented = instr.module;
+    w.baseFacts = instr.baseFacts;
+    w.instrumentedFacts =
+        std::make_shared<const analyze::Context>(*w.instrumented);
 
     if (!w.tape) {
         auto tape = std::make_shared<sim::StimulusTape>();

@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 
+#include "analyze/context.hh"
 #include "common/bits.hh"
 #include "core/losscheck.hh"
 #include "hdl/ast.hh"
@@ -64,6 +65,11 @@ struct Workload
     hdl::ModulePtr base;
     /** Monitor-instrumented design (null unless spec.instrument). */
     hdl::ModulePtr instrumented;
+    /** The one Context over each module: every reader of the workload
+     *  (the monitors, the debugger, serve sessions sharing a cached
+     *  design) takes that module's facts from it. */
+    std::shared_ptr<const analyze::Context> baseFacts;
+    std::shared_ptr<const analyze::Context> instrumentedFacts;
     std::map<std::string, Bits> constants;
     /** Debug tape: the stimulus file, else the recorded bug workload,
      *  else empty (null when neither spec.instrument nor a file). */

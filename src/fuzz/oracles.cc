@@ -642,12 +642,16 @@ runInstrument(const GeneratedDesign &gd, uint64_t seed, uint32_t cycles,
             return fail("signalcat: " + *diff);
     }
 
+    // The passes below each instrument the flat design, reading its
+    // facts from one Context.
+    analyze::Context facts(*flat);
+
     // --- FSM monitor: reported transitions must match the state series
     // recorded from the uninstrumented run.
     if (!gd.fsmStateVar.empty()) {
         core::FsmMonitorOptions opts;
         opts.forceInclude.insert(gd.fsmStateVar);
-        auto result = core::applyFsmMonitor(*flat, opts);
+        auto result = core::applyFsmMonitor(*flat, facts, opts);
         sim::Simulator *fsmSim = nullptr;
         RunTrace tr;
         if (auto diff =
@@ -726,7 +730,7 @@ runInstrument(const GeneratedDesign &gd, uint64_t seed, uint32_t cycles,
         core::DepMonitorOptions opts;
         opts.variable = "q0";
         opts.cycles = 3;
-        auto result = core::applyDepMonitor(*flat, opts);
+        auto result = core::applyDepMonitor(*flat, facts, opts);
         if (auto diff =
                 checkPreserved(result.module, "dep-monitor", nullptr,
                                nullptr))
@@ -740,7 +744,7 @@ runInstrument(const GeneratedDesign &gd, uint64_t seed, uint32_t cycles,
             opts.source = "q0";
             opts.sourceValid = gd.eventSignals[0];
             opts.sink = "q1";
-            auto result = core::applyLossCheck(*flat, opts);
+            auto result = core::applyLossCheck(*flat, facts, opts);
             if (auto diff = checkPreserved(result.module, "losscheck",
                                            nullptr, nullptr))
                 return fail(*diff);
@@ -750,7 +754,7 @@ runInstrument(const GeneratedDesign &gd, uint64_t seed, uint32_t cycles,
             core::ValidCheckOptions opts;
             opts.pairs.push_back(core::ValidPair{gd.inputs[0].name,
                                                  gd.eventSignals[0]});
-            auto result = core::applyValidCheck(*flat, opts);
+            auto result = core::applyValidCheck(facts, opts);
             if (auto diff = checkPreserved(result.module, "validcheck",
                                            nullptr, nullptr))
                 return fail(*diff);

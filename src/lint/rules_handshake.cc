@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "lint/rules.hh"

@@ -36,7 +36,7 @@ stateName(const Bits &bits)
 /** One classified assignment to a one-bit flag register. */
 struct FlagAssign
 {
-    const analysis::GuardedAssign *ga = nullptr;
+    const analyze::GuardedAssign *ga = nullptr;
     /** Constant RHS value; nullopt when not constant. */
     std::optional<uint64_t> value;
     bool resetBranch = false;
@@ -208,7 +208,7 @@ checkEnableDeadlock(Context &ctx)
     // ever set to constant 1 outside reset.
     struct Candidate
     {
-        std::vector<const analysis::GuardedAssign *> sets;
+        std::vector<const analyze::GuardedAssign *> sets;
     };
     std::map<std::string, Candidate> candidates;
     for (const auto &name : flagRegs(ctx)) {

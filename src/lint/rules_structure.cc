@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "elab/ip_models.hh"
@@ -122,7 +122,7 @@ combFanin(const ExprPtr &expr,
 {
     std::set<std::string> fanin;
     std::vector<std::string> work;
-    for (const auto &name : analysis::collectSignals(expr)) {
+    for (const auto &name : analyze::collectSignals(expr)) {
         if (fanin.insert(name).second)
             work.push_back(name);
     }
@@ -132,7 +132,7 @@ combFanin(const ExprPtr &expr,
         auto it = defs.find(cur);
         if (it == defs.end())
             continue;
-        for (const auto &name : analysis::collectSignals(it->second)) {
+        for (const auto &name : analyze::collectSignals(it->second)) {
             if (fanin.insert(name).second)
                 work.push_back(name);
         }
@@ -157,7 +157,6 @@ checkFifoNoBackpressure(Context &ctx)
             {"dcfifo", {{"wrreq", "wrfull"}, {"rdreq", "rdempty"}}},
         };
 
-    const auto defs = analysis::wireDefinitions(ctx.module());
     for (const auto &item : ctx.module().items) {
         if (item->kind != ItemKind::Instance)
             continue;
@@ -187,17 +186,17 @@ checkFifoNoBackpressure(Context &ctx)
                 continue;
             }
             // The request must combinationally depend on the flag.
-            const auto fanin = combFanin(req_it->second, defs);
+            const auto fanin = combFanin(req_it->second, ctx.wires());
             bool consulted = false;
             for (const auto &flag_sig :
-                 analysis::lvalueTargets(flag_it->second))
+                 analyze::lvalueTargets(flag_it->second))
                 if (fanin.count(flag_sig))
                     consulted = true;
             if (consulted)
                 continue;
             std::vector<std::string> sigs;
             for (const auto &name :
-                 analysis::collectSignals(req_it->second))
+                 analyze::collectSignals(req_it->second))
                 sigs.push_back(name);
             ctx.report(inst->loc,
                        csprintf("'%s' of %s '%s' does not consult the "

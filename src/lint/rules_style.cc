@@ -11,7 +11,7 @@
 #include <set>
 #include <string>
 
-#include "analysis/exprutil.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "lint/rules.hh"
@@ -126,7 +126,7 @@ assignsOnAllPaths(const StmtPtr &stmt, const std::string &name)
         return has_default && !sel->items.empty();
       }
       case StmtKind::Assign:
-        return analysis::lvalueTargets(stmt->as<AssignStmt>()->lhs)
+        return analyze::lvalueTargets(stmt->as<AssignStmt>()->lhs)
             .count(name) != 0;
       default:
         return false;
@@ -187,7 +187,7 @@ checkInferredLatch(Context &ctx)
             if (stmt.kind != StmtKind::Assign)
                 return;
             for (const auto &t :
-                 analysis::lvalueTargets(stmt.as<AssignStmt>()->lhs))
+                 analyze::lvalueTargets(stmt.as<AssignStmt>()->lhs))
                 targets.insert(t);
         });
         for (const auto &target : targets) {
@@ -211,7 +211,7 @@ checkBlockingInSeq(Context &ctx)
             continue;
         if (ga.stmt->nonblocking)
             continue;
-        const auto targets = analysis::lvalueTargets(ga.stmt->lhs);
+        const auto targets = analyze::lvalueTargets(ga.stmt->lhs);
         ctx.report(ga.stmt->loc,
                    "blocking assignment in clocked process "
                    "(use '<=')",
@@ -227,7 +227,7 @@ checkNonblockingInComb(Context &ctx)
             continue;
         if (!ga.stmt->nonblocking)
             continue;
-        const auto targets = analysis::lvalueTargets(ga.stmt->lhs);
+        const auto targets = analyze::lvalueTargets(ga.stmt->lhs);
         ctx.report(ga.stmt->loc,
                    "nonblocking assignment in combinational process "
                    "(use '=')",
@@ -249,7 +249,7 @@ checkWidthTruncation(Context &ctx)
             continue;
         SourceLoc loc = ga.stmt ? ga.stmt->loc
                                 : (ga.cont ? ga.cont->loc : SourceLoc{});
-        const auto targets = analysis::lvalueTargets(ga.lhs);
+        const auto targets = analyze::lvalueTargets(ga.lhs);
         ctx.report(loc,
                    csprintf("assignment truncates a %u-bit value to "
                             "%u bits",

@@ -256,8 +256,8 @@ Server::openSession(const std::vector<std::string> &args)
             eopts.backend = backend;
             eopts.snapshots = &snapshots_;
             sess->engine = std::make_unique<debug::Engine>(
-                hdl::cloneModule(*design->instrumented), design->tape,
-                eopts);
+                hdl::cloneModule(*design->instrumented),
+                design->instrumentedFacts, design->tape, eopts);
             sess->handler = std::make_unique<debug::ProtocolHandler>(
                 *sess->engine);
             sess->handler->setTraceTrack(sess->track);

@@ -22,7 +22,7 @@
  *
  * The sim layer cannot depend on analysis, so FSM enumeration arrives
  * as plain data (FsmCoverSpec) extracted by the caller, typically from
- * analysis::detectFsms().
+ * analyze::detectFsms().
  */
 
 #ifndef HWDBG_SIM_COVERAGE_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/guards.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "obs/metrics.hh"
@@ -233,8 +232,9 @@ normalize(const ResourceUsage &usage, const Platform &platform)
 }
 
 ResourceUsage
-estimateResources(const Module &mod)
+estimateResources(const analyze::Context &facts)
 {
+    const Module &mod = facts.module();
     obs::ObsSpan span("synth.resources");
     HWDBG_STAT_INC("synth.resource_estimates", 1);
     ResourceUsage usage;
@@ -267,7 +267,7 @@ estimateResources(const Module &mod)
     }
 
     // Logic: continuous assigns and processes.
-    for (const auto &ga : analysis::collectAssigns(mod)) {
+    for (const auto &ga : facts.assigns()) {
         usage.logic += logicCost(ga.rhs, widths);
         // Write-enable / priority mux on the target for guarded
         // procedural assignments.

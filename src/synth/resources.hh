@@ -29,7 +29,7 @@
 
 #include <cstdint>
 
-#include "hdl/ast.hh"
+#include "analyze/context.hh"
 #include "synth/platform.hh"
 
 namespace hwdbg::synth
@@ -57,8 +57,9 @@ struct NormalizedUsage
 NormalizedUsage normalize(const ResourceUsage &usage,
                           const Platform &platform);
 
-/** Estimate the resources of an elaborated (flat) module. */
-ResourceUsage estimateResources(const hdl::Module &mod);
+/** Estimate the resources of the elaborated (flat) module of @p facts,
+ *  over its assigns(). */
+ResourceUsage estimateResources(const analyze::Context &facts);
 
 } // namespace hwdbg::synth
 

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "analysis/exprutil.hh"
-#include "analysis/guards.hh"
+#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -185,15 +184,16 @@ struct DelayModel
 } // namespace
 
 TimingReport
-estimateTiming(const Module &mod)
+estimateTiming(const analyze::Context &facts)
 {
+    const Module &mod = facts.module();
     obs::ObsSpan span("synth.timing");
     HWDBG_STAT_INC("synth.timing_estimates", 1);
     DelayModel model{mod, {}, {}};
 
     // Fanout census: every identifier occurrence in an expression is a
     // reader of that signal.
-    for (const auto &ga : analysis::collectAssigns(mod)) {
+    for (const auto &ga : facts.assigns()) {
         forEachIdent(ga.rhs, [&](const std::string &name) {
             ++model.fanout[name];
         });
@@ -213,10 +213,9 @@ estimateTiming(const Module &mod)
 
     // Settle wire arrival times by fixpoint over continuous assigns
     // (combinational loops stop improving and are truncated).
-    auto defs = analysis::wireDefinitions(mod);
     for (int iter = 0; iter < 64; ++iter) {
         bool changed = false;
-        for (const auto &[name, def] : defs) {
+        for (const auto &[name, def] : facts.wires()) {
             double arrival = model.delay(def);
             auto it = model.wireDelay.find(name);
             if (it == model.wireDelay.end() ||
@@ -239,9 +238,9 @@ estimateTiming(const Module &mod)
         }
     };
 
-    for (const auto &ga : analysis::collectAssigns(mod)) {
+    for (const auto &ga : facts.assigns()) {
         std::string target = "?";
-        auto targets = analysis::lvalueTargets(ga.lhs);
+        auto targets = analyze::lvalueTargets(ga.lhs);
         if (!targets.empty())
             target = *targets.begin();
         double data = model.delay(ga.rhs);

@@ -15,7 +15,7 @@
 
 #include <string>
 
-#include "hdl/ast.hh"
+#include "analyze/context.hh"
 
 namespace hwdbg::synth
 {
@@ -30,7 +30,8 @@ struct TimingReport
     std::string criticalSignal;
 };
 
-TimingReport estimateTiming(const hdl::Module &mod);
+/** Estimate the module of @p facts, over its assigns() and wires(). */
+TimingReport estimateTiming(const analyze::Context &facts);
 
 /** True when the design closes timing at @p target_mhz. */
 bool meetsTarget(const TimingReport &report, double target_mhz);

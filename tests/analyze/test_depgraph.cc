@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/relations.hh"
+#include "analyze/context.hh"
 #include "elab/elaborate.hh"
 #include "elab/ip_models.hh"
 #include "hdl/parser.hh"
@@ -13,7 +13,7 @@
 
 using namespace hwdbg;
 using namespace hwdbg::hdl;
-using namespace hwdbg::analysis;
+using namespace hwdbg::analyze;
 
 namespace
 {
@@ -32,7 +32,8 @@ TEST(DepGraphTest, DataAndControlEdges)
         "module m(input wire clk, input wire en, input wire [3:0] d);\n"
         "reg [3:0] q;\n"
         "always @(posedge clk) if (en) q <= d;\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     bool data_edge = false, ctrl_edge = false;
     for (const auto &edge : graph.edges()) {
         if (edge.src == "d" && edge.dst == "q" && edge.isData &&
@@ -52,7 +53,8 @@ TEST(DepGraphTest, StatefulClassification)
         "reg [3:0] q;\nwire [3:0] w;\n"
         "assign w = d + 1;\n"
         "always @(posedge clk) q <= w;\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     EXPECT_TRUE(graph.isReg("q"));
     EXPECT_TRUE(graph.isInput("d"));
     EXPECT_FALSE(graph.isStateful("w"));
@@ -67,7 +69,8 @@ TEST(DepGraphTest, StatefulSourcesThroughWireChain)
         "reg [3:0] r1, r2;\nwire [3:0] w1, w2;\n"
         "assign w1 = r1 ^ a;\nassign w2 = w1 + 1;\n"
         "always @(posedge clk) begin r1 <= a; r2 <= w2; end\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     auto sources = graph.statefulSources("w2");
     EXPECT_TRUE(sources.count("r1"));
     EXPECT_TRUE(sources.count("a"));
@@ -82,7 +85,8 @@ TEST(DepGraphTest, BackwardSliceRespectsCycleBudget)
         "reg [3:0] r1, r2, r3;\n"
         "always @(posedge clk) begin\n"
         "  r1 <= a;\n  r2 <= r1;\n  r3 <= r2;\nend\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     auto one = graph.backwardSlice("r3", 1, true, true);
     EXPECT_TRUE(one.count("r3"));
     EXPECT_TRUE(one.count("r2"));
@@ -100,7 +104,8 @@ TEST(DepGraphTest, ControlOnlySliceExcludesDataDeps)
         "reg [3:0] q;\nreg e1;\n"
         "always @(posedge clk) begin\n"
         "  e1 <= en;\n  if (e1) q <= d;\nend\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     auto ctrl = graph.backwardSlice("q", 2, false, true);
     EXPECT_TRUE(ctrl.count("e1"));
     auto data = graph.backwardSlice("q", 2, true, false);
@@ -116,7 +121,8 @@ TEST(DepGraphTest, IpModelEdges)
         "scfifo #(.WIDTH(8), .DEPTH(4)) u_f (.clock(clk), .data(din),\n"
         "  .wrreq(push), .rdreq(pop), .q(q), .empty(empty),\n"
         "  .full(full));\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     EXPECT_TRUE(graph.isIpOutput("q"));
     EXPECT_TRUE(graph.isIpOutput("empty"));
     bool data_edge = false;
@@ -139,7 +145,8 @@ TEST(RelationsTest, SimpleChain)
         "  if (cond_a) out <= a;\n"
         "  else if (cond_b) out <= b;\n"
         "  if (in_valid) b <= in;\nend\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
 
     // Expected relations: a ~>[cond_a] out, b ~>[!cond_a && cond_b] out,
     // in ~>[in_valid] b.
@@ -172,7 +179,8 @@ TEST(RelationsTest, WiresCollapsedToStatefulSources)
         "assign w = mid + 1;\n"
         "always @(posedge clk) begin mid <= in; out <= w; end\n"
         "endmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     bool mid_out = false;
     for (const auto &rel : table.relations())
         if (rel.src == "mid" && rel.dst == "out")
@@ -193,7 +201,8 @@ TEST(RelationsTest, FifoRelationsCarryBackpressureCondition)
         "  .full(full));\n"
         "always @(posedge clk) begin\n"
         "  staged <= in;\n  out <= q;\nend\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     bool fifo_rel = false;
     for (const auto &rel : table.relations()) {
         if (rel.src == "staged" && rel.dst == "q" && rel.viaIp) {
@@ -250,7 +259,8 @@ TEST(IpModelTest, UserRegisteredModelDrivesAnalysis)
         "always @(posedge clk) begin\n"
         "  staged <= in;\n  out <= delayed;\nend\nendmodule");
 
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     EXPECT_TRUE(graph.isIpOutput("delayed"));
     bool data_edge = false, ctrl_edge = false;
     for (const auto &edge : graph.edges()) {
@@ -263,7 +273,7 @@ TEST(IpModelTest, UserRegisteredModelDrivesAnalysis)
     EXPECT_TRUE(data_edge);
     EXPECT_TRUE(ctrl_edge);
 
-    RelationTable table(*mod);
+    const RelationTable &table = facts.relations();
     bool rel = false;
     for (const auto &r : table.relations())
         if (r.src == "staged" && r.dst == "delayed" && r.viaIp) {
@@ -284,7 +294,8 @@ TEST(DepGraphTest, CombCycles)
         "wire a;\nwire b;\nreg q;\n"
         "assign a = b & d;\nassign b = a;\nassign y = a;\n"
         "always @(posedge clk) q <= y;\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     auto cycles = graph.combCycles();
     ASSERT_EQ(cycles.size(), 1u);
     EXPECT_EQ(cycles[0], (std::vector<std::string>{"a", "b"}));
@@ -300,7 +311,8 @@ TEST(DepGraphTest, CombCyclesSelfLoopAndSeqFreedom)
         "assign a = a | d;\n"
         "always @(posedge clk) q <= q ^ d;\n"
         "assign y = a & q;\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     auto cycles = graph.combCycles();
     ASSERT_EQ(cycles.size(), 1u);
     EXPECT_EQ(cycles[0], (std::vector<std::string>{"a"}));
@@ -311,6 +323,7 @@ TEST(DepGraphTest, CombCyclesEmptyOnAcyclicDesign)
     auto mod = flat(
         "module m(input wire clk, input wire d, output wire y);\n"
         "wire a;\nassign a = d;\nassign y = a;\nendmodule");
-    DepGraph graph(*mod);
+    Context facts(*mod);
+    const DepGraph &graph = facts.graph();
     EXPECT_TRUE(graph.combCycles().empty());
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "analyze/cfg.hh"
+#include "analyze/context.hh"
 #include "analyze/domain.hh"
 #include "analyze/fixpoint.hh"
 #include "analyze/solver.hh"
@@ -270,9 +271,9 @@ TEST(FixpointTest, ProvesConstantsThroughWiresAndRegs)
                     "assign k = 4'd5;\n"
                     "always @(posedge clk) r <= k;\n"
                     "assign y = r;\nendmodule");
-    SignalTable sigs(*mod);
-    auto fix =
-        solveConstants(*mod, sigs, analysis::collectAssigns(*mod));
+    Context facts(*mod);
+    const SignalTable &sigs = facts.signals();
+    const ConstFixpoint &fix = facts.fixpoint();
     // r joins its reset value 0 with k=5: only the agreeing bits
     // survive (0b0101 vs 0b0000 -> bits 3 and 1 known zero).
     KnownBits r = fix.factOf("r", sigs);
@@ -292,9 +293,10 @@ TEST(FixpointTest, DeadGuardDetected)
                     "always @(posedge clk) begin\n"
                     "  q <= 4'd0;\n"
                     "  if (en) q <= 4'd9;\nend\nendmodule");
-    SignalTable sigs(*mod);
-    auto assigns = analysis::collectAssigns(*mod);
-    auto fix = solveConstants(*mod, sigs, assigns);
+    Context facts(*mod);
+    const SignalTable &sigs = facts.signals();
+    const auto &assigns = facts.assigns();
+    const ConstFixpoint &fix = facts.fixpoint();
     size_t dead = 0;
     for (size_t i = 0; i < assigns.size(); ++i)
         dead += fix.deadGuard[i];
@@ -312,9 +314,9 @@ TEST(FixpointTest, PrimitiveConnectionsForceUnknown)
                     "  f(.clock(clk), .data(d), .wrreq(1'b1),\n"
                     "    .rdreq(1'b1), .q(q), .full(full),\n"
                     "    .empty(empty));\nendmodule");
-    SignalTable sigs(*mod);
-    auto fix =
-        solveConstants(*mod, sigs, analysis::collectAssigns(*mod));
+    Context facts(*mod);
+    const SignalTable &sigs = facts.signals();
+    const ConstFixpoint &fix = facts.fixpoint();
     EXPECT_TRUE(fix.primConnected.count("q"));
     // Even though nothing in the module assigns q, the IP may: no
     // constant claim is allowed.

@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/fsm_detect.hh"
+#include "analyze/context.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 
 using namespace hwdbg;
 using namespace hwdbg::hdl;
-using namespace hwdbg::analysis;
+using namespace hwdbg::analyze;
 
 namespace
 {
@@ -19,7 +19,7 @@ namespace
 std::vector<FsmInfo>
 detect(const std::string &src, const std::string &top = "m")
 {
-    return detectFsms(*elab::elaborate(parse(src), top).mod);
+    return Context(*elab::elaborate(parse(src), top).mod).fsms();
 }
 
 const FsmInfo *

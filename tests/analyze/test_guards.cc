@@ -5,15 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/exprutil.hh"
-#include "analysis/guards.hh"
+#include "analyze/context.hh"
+#include "analyze/exprutil.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 #include "hdl/printer.hh"
 
 using namespace hwdbg;
 using namespace hwdbg::hdl;
-using namespace hwdbg::analysis;
+using namespace hwdbg::analyze;
 
 namespace
 {
@@ -41,7 +41,7 @@ TEST(GuardsTest, UnconditionalAssignHasTrueGuard)
 {
     auto mod = flat("module m(input wire clk);\nreg [3:0] x;\n"
                     "always @(posedge clk) x <= x;\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     const auto *ga = assignTo(assigns, "x");
     ASSERT_NE(ga, nullptr);
     EXPECT_EQ(printExpr(ga->guard), "1'h1");
@@ -59,7 +59,7 @@ TEST(GuardsTest, NestedIfGuards)
         "    if (b) x <= 1'b1;\n"
         "    else y <= 1'b1;\n"
         "  end\nend\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     EXPECT_EQ(printExpr(assignTo(assigns, "x")->guard), "a && b");
     EXPECT_EQ(printExpr(assignTo(assigns, "y")->guard), "a && !b");
 }
@@ -73,7 +73,7 @@ TEST(GuardsTest, CaseGuardsWithPriority)
         "  2'd0: a <= 1'b1;\n"
         "  2'd1: b <= 1'b1;\n"
         "  default: c <= 1'b1;\nendcase\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     EXPECT_EQ(printExpr(assignTo(assigns, "a")->guard), "s == 2'h0");
     // Later items carry the negation of earlier label matches.
     EXPECT_NE(printExpr(assignTo(assigns, "b")->guard).find("s == 2'h1"),
@@ -86,7 +86,7 @@ TEST(GuardsTest, ContinuousAssignCollected)
 {
     auto mod = flat("module m(input wire a, output wire b);\n"
                     "assign b = !a;\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     const auto *ga = assignTo(assigns, "b");
     ASSERT_NE(ga, nullptr);
     EXPECT_FALSE(ga->sequential);
@@ -97,7 +97,7 @@ TEST(GuardsTest, BlockingAssignNotSequential)
 {
     auto mod = flat("module m(input wire clk);\nreg x;\n"
                     "always @(posedge clk) x = 1'b1;\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     EXPECT_FALSE(assignTo(assigns, "x")->sequential);
 }
 
@@ -106,7 +106,7 @@ TEST(GuardsTest, DisplayGuards)
     auto mod = flat(
         "module m(input wire clk, input wire err);\n"
         "always @(posedge clk) if (err) $display(\"bad\");\nendmodule");
-    auto displays = collectDisplays(*mod);
+    auto displays = Context(*mod).displays();
     ASSERT_EQ(displays.size(), 1u);
     EXPECT_EQ(printExpr(displays[0].guard), "err");
     EXPECT_EQ(displays[0].clock, "clk");
@@ -119,7 +119,7 @@ TEST(ExprUtilTest, CollectSignals)
         "module m(input wire [3:0] a, input wire [3:0] b,\n"
         "         output wire [3:0] x);\nwire [3:0] t;\n"
         "assign t = a & b;\nassign x = t + a;\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     const auto *ga = assignTo(assigns, "x");
     auto sigs = collectSignals(ga->rhs);
     EXPECT_TRUE(sigs.count("t"));
@@ -134,7 +134,7 @@ TEST(ExprUtilTest, LValueTargets)
         "reg [7:0] mem [0:3];\nreg [1:0] i;\n"
         "always @(posedge clk) begin\n"
         "  {c, s} <= 9'd0;\n  mem[i] <= 8'd0;\nend\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     std::set<std::string> all;
     for (const auto &ga : assigns)
         for (const auto &target : lvalueTargets(ga.lhs))
@@ -151,7 +151,7 @@ TEST(ExprUtilTest, InlineWiresExpandsChains)
         "         output wire [3:0] x);\n"
         "wire [3:0] t, u;\n"
         "assign t = a & b;\nassign u = t | a;\nassign x = u;\nendmodule");
-    auto defs = wireDefinitions(*mod);
+    auto defs = Context(*mod).wires();
     ExprPtr inlined = inlineWires(mkId("x"), defs);
     auto sigs = collectSignals(inlined);
     EXPECT_TRUE(sigs.count("a"));
@@ -167,7 +167,7 @@ TEST(ExprUtilTest, InlineWiresStopsOnCycle)
     auto mod = flat(
         "module m(input wire a, output wire x);\nwire y;\n"
         "assign x = y & a;\nassign y = x;\nendmodule");
-    auto defs = wireDefinitions(*mod);
+    auto defs = Context(*mod).wires();
     ExprPtr inlined = inlineWires(mkId("x"), defs);
     EXPECT_NE(inlined, nullptr);
 }
@@ -186,7 +186,7 @@ TEST(GuardsTest, NestedCaseDefaultComposesNegations)
         "  default: case (t)\n"
         "    2'd3: b <= 1'b1;\n"
         "  endcase\nendcase\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     const auto *gb = assignTo(assigns, "b");
     ASSERT_NE(gb, nullptr);
     std::string guard = printExpr(gb->guard);
@@ -203,7 +203,7 @@ TEST(GuardsTest, DefaultOnlyCaseIsUnconditional)
         "module m(input wire clk, input wire [1:0] s);\nreg a;\n"
         "always @(posedge clk)\ncase (s)\n"
         "  default: a <= 1'b1;\nendcase\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     EXPECT_EQ(printExpr(assignTo(assigns, "a")->guard), "1'h1");
 }
 
@@ -216,7 +216,7 @@ TEST(GuardsTest, EmptyElseArmCollectsNothing)
         "always @(posedge clk) begin\n"
         "  if (c) x <= 1'b1; else ;\n"
         "  if (!c) begin end else x <= 1'b0;\nend\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     ASSERT_EQ(assigns.size(), 2u);
     EXPECT_EQ(printExpr(assigns[0].guard), "c");
     // mkNot collapses the double negation of the else-arm guard.
@@ -233,7 +233,7 @@ TEST(GuardsTest, ConstantGuardCollapse)
         "always @(posedge clk) begin\n"
         "  if (1'b1) if (a) x <= 1'b1;\n"
         "  if (1'b0) y <= 1'b1; else z <= 1'b1;\nend\nendmodule");
-    auto assigns = collectAssigns(*mod);
+    auto assigns = Context(*mod).assigns();
     EXPECT_EQ(printExpr(assignTo(assigns, "x")->guard), "a");
     // The then-arm of a constant-false condition is dead on its face.
     EXPECT_EQ(printExpr(assignTo(assigns, "y")->guard), "1'h0");

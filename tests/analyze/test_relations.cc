@@ -7,14 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/relations.hh"
+#include "analyze/context.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 #include "hdl/printer.hh"
 
 using namespace hwdbg;
 using namespace hwdbg::hdl;
-using namespace hwdbg::analysis;
+using namespace hwdbg::analyze;
 
 namespace
 {
@@ -43,7 +43,8 @@ TEST(RelationsTest, DirectRegisterToRegister)
                     "reg [3:0] a; reg [3:0] b;\n"
                     "always @(posedge clk) a <= d;\n"
                     "always @(posedge clk) b <= a;\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     const auto *rel = relation(table, "a", "b");
     ASSERT_NE(rel, nullptr);
     EXPECT_EQ(rel->clock, "clk");
@@ -59,7 +60,8 @@ TEST(RelationsTest, WireMediatedSourceIsTracedBack)
                     "assign w = a ^ k;\n"
                     "always @(posedge clk) a <= k;\n"
                     "always @(posedge clk) b <= w;\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     EXPECT_NE(relation(table, "a", "b"), nullptr);
     EXPECT_EQ(relation(table, "w", "b"), nullptr);
 }
@@ -70,7 +72,8 @@ TEST(RelationsTest, ConditionCarriesTheGuard)
                     "reg a; reg b;\n"
                     "always @(posedge clk) begin\n"
                     "  a <= en;\n  if (en) b <= a;\nend\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     const auto *rel = relation(table, "a", "b");
     ASSERT_NE(rel, nullptr);
     EXPECT_EQ(printExpr(rel->cond), "en");
@@ -85,7 +88,8 @@ TEST(RelationsTest, MemoryIndicesRecorded)
                     "always @(posedge clk) begin\n"
                     "  s <= d;\n  mem[wa] <= s;\n  q <= mem[ra];\nend\n"
                     "endmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     EXPECT_TRUE(table.isMemory("mem"));
     EXPECT_FALSE(table.isMemory("q"));
     EXPECT_EQ(table.memorySize("mem"), 4u);
@@ -105,7 +109,8 @@ TEST(RelationsTest, IntoAndOutOfFilter)
                     "reg a; reg b; reg c;\n"
                     "always @(posedge clk) begin\n"
                     "  a <= d;\n  b <= a;\n  c <= a;\nend\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     EXPECT_EQ(table.outOf("a").size(), 2u);
     EXPECT_EQ(table.into("b").size(), 1u);
     // Top-level inputs are stateful sources too: the testbench holds
@@ -122,7 +127,8 @@ TEST(RelationsTest, PropagationPathAndUnreachable)
                     "always @(posedge clk) begin\n"
                     "  a <= d;\n  b <= a;\n  c <= b;\n"
                     "  lone <= d;\nend\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     auto path = table.propagationPath("a", "c");
     EXPECT_TRUE(path.count("a"));
     EXPECT_TRUE(path.count("b"));
@@ -143,7 +149,8 @@ TEST(RelationsTest, FifoIpRelationIsConditional)
         "  f(.clock(clk), .data(src), .wrreq(wr), .rdreq(rd),\n"
         "    .q(q), .full(full), .empty(empty));\n"
         "always @(posedge clk) dst <= q;\nendmodule");
-    RelationTable table(*mod);
+    Context facts(*mod);
+    const RelationTable &table = facts.relations();
     bool found = false;
     for (const auto &rel : table.relations())
         if (rel.viaIp && rel.src == "src") {

@@ -7,7 +7,7 @@
 
 #include <set>
 
-#include "analysis/fsm_detect.hh"
+#include "analyze/context.hh"
 #include "bugbase/fsm_zoo.hh"
 #include "elab/elaborate.hh"
 #include "sim/simulator.hh"
@@ -20,14 +20,15 @@ namespace
 {
 
 std::set<std::string>
-detectZoo(const analysis::FsmDetectOptions &opts = {})
+detectZoo(const analyze::FsmDetectOptions &opts = {})
 {
     const FsmZoo &zoo = fsmZoo();
     hdl::Design design =
         hdl::parseWithDefines(zoo.source, {}, "fsm_zoo.v");
     auto mod = elab::elaborate(design, "fsm_zoo").mod;
     std::set<std::string> found;
-    for (const auto &fsm : analysis::detectFsms(*mod, opts))
+    for (const auto &fsm :
+         analyze::detectFsms(analyze::Context(*mod), opts))
         found.insert(fsm.stateVar);
     return found;
 }
@@ -86,7 +87,7 @@ TEST(FsmZooTest, NoDecoyIsDetected)
 
 TEST(FsmZooTest, DisablingWidthRuleAdmitsFlags)
 {
-    analysis::FsmDetectOptions opts;
+    analyze::FsmDetectOptions opts;
     opts.minWidthTwo = false;
     auto with_rule = detectZoo();
     auto without_rule = detectZoo(opts);

@@ -60,7 +60,7 @@ lossCheckBug(const TestbedBug &bug)
         driveGroundTruth(bug, *sim);
         return sim->log();
     };
-    return runLossCheck(*elaborated.mod, *bug.lossCheck, run_gt,
+    return runLossCheck(analyze::Context(*elaborated.mod), *bug.lossCheck, run_gt,
                         run_trigger);
 }
 
@@ -134,7 +134,7 @@ TEST(LossCheckOnBugs, GeneratedCodeVolumeIsSubstantial)
         const TestbedBug &bug = bugById(id);
         auto elaborated = buildDesign(bug, true);
         LossCheckResult inst =
-            applyLossCheck(*elaborated.mod, *bug.lossCheck);
+            applyLossCheck(*elaborated.mod, analyze::Context(*elaborated.mod), *bug.lossCheck);
         EXPECT_GT(inst.generatedLines, 10) << id;
     }
 }
@@ -147,7 +147,7 @@ TEST(FsmMonitorOnBugs, D2CaseStudyReadFinishedWriteStuck)
 {
     const TestbedBug &bug = bugById("D2");
     auto elaborated = buildDesign(bug, true);
-    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod);
+    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
 
     // Both FSMs of the case study are detected automatically.
     std::set<std::string> monitored(mon.monitored.begin(),
@@ -171,7 +171,7 @@ TEST(FsmMonitorOnBugs, D1DecoderLoopsBetweenCheckAndDone)
 {
     const TestbedBug &bug = bugById("D1");
     auto elaborated = buildDesign(bug, true);
-    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod);
+    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
     auto log = runInstrumented(bug, mon.module);
     auto trace = fsmTrace(log);
     // The decoder endlessly rescans: many CHECK<->DONE transitions.
@@ -186,7 +186,7 @@ TEST(FsmMonitorOnBugs, C1DeadlockedFsmNeverLeavesIdle)
 {
     const TestbedBug &bug = bugById("C1");
     auto elaborated = buildDesign(bug, true);
-    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod);
+    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
     std::set<std::string> monitored(mon.monitored.begin(),
                                     mon.monitored.end());
     ASSERT_TRUE(monitored.count("state"));
@@ -195,7 +195,7 @@ TEST(FsmMonitorOnBugs, C1DeadlockedFsmNeverLeavesIdle)
     EXPECT_TRUE(fsmTrace(log).empty());
     // On the fixed design the same workload produces transitions.
     auto fixed = buildDesign(bug, false);
-    FsmMonitorResult mon_fixed = applyFsmMonitor(*fixed.mod);
+    FsmMonitorResult mon_fixed = applyFsmMonitor(*fixed.mod, analyze::Context(*fixed.mod));
     auto log_fixed = runInstrumented(bug, mon_fixed.module);
     EXPECT_FALSE(fsmTrace(log_fixed).empty());
 }
@@ -206,7 +206,7 @@ TEST(FsmMonitorOnBugs, DetectsFsmsInAllFsmBugs)
         if (!bug.monitors.fsm)
             continue;
         auto elaborated = buildDesign(bug, true);
-        FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod);
+        FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
         EXPECT_FALSE(mon.monitored.empty()) << bug.id;
         EXPECT_GT(mon.generatedLines, 0) << bug.id;
     }
@@ -312,7 +312,7 @@ TEST(DepMonitorOnBugs, ChainsContainTheRootCauseRegisters)
         DepMonitorOptions opts;
         opts.variable = bug.monitors.depVariable;
         opts.cycles = bug.monitors.depCycles;
-        DepMonitorResult mon = applyDepMonitor(*elaborated.mod, opts);
+        DepMonitorResult mon = applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
         EXPECT_TRUE(mon.chain.count(expectation.mustContain))
             << expectation.bugId << ": chain of "
             << bug.monitors.depVariable << " is missing "
@@ -328,11 +328,11 @@ TEST(DepMonitorOnBugs, C1ChainShowsTheCircularDependency)
     DepMonitorOptions opts;
     opts.variable = "tx_go";
     opts.cycles = 2;
-    DepMonitorResult mon_tx = applyDepMonitor(*elaborated.mod, opts);
+    DepMonitorResult mon_tx = applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
     EXPECT_TRUE(mon_tx.chain.count("rx_go"));
     // ...and rx_go depends on tx_go: a cycle.
     opts.variable = "rx_go";
-    DepMonitorResult mon_rx = applyDepMonitor(*elaborated.mod, opts);
+    DepMonitorResult mon_rx = applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
     EXPECT_TRUE(mon_rx.chain.count("tx_go"));
 }
 
@@ -343,7 +343,7 @@ TEST(DepMonitorOnBugs, UpdateLogsFlowDuringTheWorkload)
     DepMonitorOptions opts;
     opts.variable = bug.monitors.depVariable;
     opts.cycles = bug.monitors.depCycles;
-    DepMonitorResult mon = applyDepMonitor(*elaborated.mod, opts);
+    DepMonitorResult mon = applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
     auto log = runInstrumented(bug, mon.module);
     auto updates = depUpdates(log);
     bool saw_acc = false;
@@ -363,7 +363,7 @@ TEST(SignalCatOnBugs, MonitorLogsSurviveTheFpgaRecorderPath)
     auto elaborated = buildDesign(bug, true);
 
     // Instrument with FSM Monitor + Statistics Monitor.
-    FsmMonitorResult fsm_mon = applyFsmMonitor(*elaborated.mod);
+    FsmMonitorResult fsm_mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
     StatsMonitorOptions stat_opts;
     for (const auto &[name, signal] : bug.monitors.statEvents)
         stat_opts.events.push_back(
@@ -405,7 +405,7 @@ TEST(SignalCatOnBugs, MonitorInstrumentationAveragesTensOfLines)
         hdl::ModulePtr mod = elaborated.mod;
         int lines = 0;
         if (bug.monitors.fsm) {
-            FsmMonitorResult mon = applyFsmMonitor(*mod);
+            FsmMonitorResult mon = applyFsmMonitor(*mod, analyze::Context(*mod));
             lines += mon.generatedLines;
             mod = mon.module;
         }
@@ -422,7 +422,7 @@ TEST(SignalCatOnBugs, MonitorInstrumentationAveragesTensOfLines)
             DepMonitorOptions opts;
             opts.variable = bug.monitors.depVariable;
             opts.cycles = bug.monitors.depCycles;
-            DepMonitorResult mon = applyDepMonitor(*mod, opts);
+            DepMonitorResult mon = applyDepMonitor(*mod, analyze::Context(*mod), opts);
             lines += mon.generatedLines;
             mod = mon.module;
         }

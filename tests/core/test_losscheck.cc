@@ -69,7 +69,7 @@ TEST(LossCheckTest, PathAndInstrumentationSets)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
     EXPECT_EQ(inst.onPath, (std::set<std::string>{"in", "b", "out"}));
     // The sink is excluded; the source is a top-level input, so only b
     // carries shadow state.
@@ -84,7 +84,7 @@ TEST(LossCheckTest, DetectsOverwriteLoss)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
 
     auto sim = simulate(inst.module);
     // Two valid inputs back to back, no cond_b: the first value of b is
@@ -108,7 +108,7 @@ TEST(LossCheckTest, NoLossWhenDataPropagates)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
 
     auto sim = simulate(inst.module);
     // Value arrives, then propagates via cond_b before the next value.
@@ -137,7 +137,7 @@ TEST(LossCheckTest, OverwriteWithInvalidDataIsNotLoss)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
 
     auto sim = simulate(inst.module);
     sim->poke("in_valid", uint64_t(0));
@@ -154,7 +154,7 @@ TEST(LossCheckTest, SimultaneousAssignAndPropagateIsNotLoss)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
 
     auto sim = simulate(inst.module);
     sim->poke("in_valid", uint64_t(1));
@@ -180,7 +180,7 @@ TEST(LossCheckTest, CondAMasksPropagation)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
 
     auto sim = simulate(inst.module);
     sim->poke("in_valid", uint64_t(1));
@@ -213,7 +213,7 @@ TEST(LossCheckTest, MultiStagePipelineLocalizesTheLossyStage)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
     EXPECT_TRUE(inst.instrumented.count("stage1"));
     EXPECT_TRUE(inst.instrumented.count("stage2"));
 
@@ -296,7 +296,7 @@ TEST(LossCheckTest, FalsePositiveFilteringSuppressesIntentionalDrops)
     };
 
     LossCheckReport report =
-        runLossCheck(*mod, opts, ground_truth, failing);
+        runLossCheck(analyze::Context(*mod), opts, ground_truth, failing);
     EXPECT_TRUE(report.filtered.count("hold"));
     EXPECT_EQ(report.reported, (std::set<std::string>{"fwd_reg"}));
 }
@@ -348,7 +348,7 @@ TEST(LossCheckTest, FalseNegativeWhenDropAndLossShareRegister)
     };
 
     LossCheckReport report =
-        runLossCheck(*mod, opts, ground_truth, failing);
+        runLossCheck(analyze::Context(*mod), opts, ground_truth, failing);
     EXPECT_TRUE(report.filtered.count("hold"));
     EXPECT_TRUE(report.reported.empty()); // the documented false negative
 }
@@ -376,7 +376,7 @@ TEST(LossCheckTest, LossThroughFifoBackpressure)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
     EXPECT_TRUE(inst.onPath.count("q"));
     EXPECT_TRUE(inst.instrumented.count("staged"));
 
@@ -405,7 +405,7 @@ TEST(LossCheckTest, UnreachableSinkThrows)
     opts.source = "in";
     opts.sourceValid = "v";
     opts.sink = "out";
-    EXPECT_THROW(applyLossCheck(*mod, opts), HdlError);
+    EXPECT_THROW(applyLossCheck(*mod, analyze::Context(*mod), opts), HdlError);
 }
 
 TEST(LossCheckTest, MemoryOverflowWrapDetected)
@@ -426,7 +426,7 @@ TEST(LossCheckTest, MemoryOverflowWrapDetected)
     opts.source = "in";
     opts.sourceValid = "in_valid";
     opts.sink = "out";
-    LossCheckResult inst = applyLossCheck(*mod, opts);
+    LossCheckResult inst = applyLossCheck(*mod, analyze::Context(*mod), opts);
     EXPECT_TRUE(inst.instrumented.count("mem"));
 
     // Healthy pattern: distinct slots, read before rewrite -> no loss.

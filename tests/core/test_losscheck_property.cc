@@ -101,7 +101,7 @@ TEST_P(LossCheckFaultInjection, LocalizesTheInjectedStage)
         opts.source = "in";
         opts.sourceValid = "in_valid";
         opts.sink = "out";
-        LossCheckResult inst = applyLossCheck(*elaborated.mod, opts);
+        LossCheckResult inst = applyLossCheck(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
         ASSERT_EQ(inst.instrumented.size(),
                   static_cast<size_t>(stages))
             << src;

@@ -69,7 +69,7 @@ const char *fsm_design =
 TEST(FsmMonitorTest, TracesStateTransitions)
 {
     auto elaborated = flatWithConsts(fsm_design);
-    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod);
+    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
     ASSERT_EQ(mon.monitored.size(), 1u);
     EXPECT_EQ(mon.monitored[0], "state");
     EXPECT_GT(mon.generatedLines, 0);
@@ -98,7 +98,7 @@ TEST(FsmMonitorTest, TracesStateTransitions)
 TEST(FsmMonitorTest, FinalStatesIdentifyStuckFsm)
 {
     auto elaborated = flatWithConsts(fsm_design);
-    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod);
+    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod));
     auto sim = simulate(mon.module);
     sim->poke("request_valid", uint64_t(1));
     tick(*sim);
@@ -117,12 +117,12 @@ TEST(FsmMonitorTest, ForceIncludeAndExclude)
     auto elaborated = flatWithConsts(fsm_design);
     FsmMonitorOptions opts;
     opts.exclude.insert("state");
-    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, opts);
+    FsmMonitorResult mon = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
     EXPECT_TRUE(mon.monitored.empty());
 
     FsmMonitorOptions opts2;
     opts2.forceInclude.insert("state");
-    FsmMonitorResult mon2 = applyFsmMonitor(*elaborated.mod, opts2);
+    FsmMonitorResult mon2 = applyFsmMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts2);
     EXPECT_EQ(mon2.monitored.size(), 1u);
 }
 
@@ -144,7 +144,7 @@ TEST(DepMonitorTest, ChainAndUpdateLog)
     DepMonitorOptions opts;
     opts.variable = "out";
     opts.cycles = 3;
-    DepMonitorResult mon = applyDepMonitor(*elaborated.mod, opts);
+    DepMonitorResult mon = applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
     EXPECT_EQ(mon.chain.at("out"), 0);
     EXPECT_EQ(mon.chain.at("stage2"), 1);
     EXPECT_EQ(mon.chain.at("stage1"), 2);
@@ -178,7 +178,7 @@ TEST(DepMonitorTest, CycleBudgetLimitsChain)
     DepMonitorOptions opts;
     opts.variable = "out";
     opts.cycles = 2;
-    DepMonitorResult mon = applyDepMonitor(*elaborated.mod, opts);
+    DepMonitorResult mon = applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts);
     EXPECT_TRUE(mon.chain.count("s3"));
     EXPECT_TRUE(mon.chain.count("s2"));
     EXPECT_FALSE(mon.chain.count("s1"));
@@ -191,7 +191,7 @@ TEST(DepMonitorTest, UnknownVariableThrows)
         "always @(posedge clk) x <= x;\nendmodule");
     DepMonitorOptions opts;
     opts.variable = "nope";
-    EXPECT_THROW(applyDepMonitor(*elaborated.mod, opts), HdlError);
+    EXPECT_THROW(applyDepMonitor(*elaborated.mod, analyze::Context(*elaborated.mod), opts), HdlError);
 }
 
 TEST(StatsMonitorTest, CountsEvents)

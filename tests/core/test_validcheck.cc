@@ -77,7 +77,7 @@ TEST(ValidCheckTest, FlagsThePaperPattern)
 {
     auto mod = flat(buggy_accumulator);
     ValidCheckResult inst =
-        applyValidCheck(*mod, accumulatorOptions());
+        applyValidCheck(analyze::Context(*mod), accumulatorOptions());
     EXPECT_EQ(inst.usesInstrumented.at("data"), 1);
     EXPECT_GT(inst.generatedLines, 0);
 
@@ -95,7 +95,7 @@ TEST(ValidCheckTest, GuardedUseIsStaticallyClean)
 {
     auto mod = flat(fixed_accumulator);
     ValidCheckResult inst =
-        applyValidCheck(*mod, accumulatorOptions());
+        applyValidCheck(analyze::Context(*mod), accumulatorOptions());
     // Both branches' guards mention data_valid, so no checks are
     // inserted at all (the static analysis proves the fix).
     EXPECT_EQ(inst.usesInstrumented.at("data"), 0);
@@ -111,7 +111,7 @@ TEST(ValidCheckTest, ValidUseDoesNotFire)
 {
     auto mod = flat(buggy_accumulator);
     ValidCheckResult inst =
-        applyValidCheck(*mod, accumulatorOptions());
+        applyValidCheck(analyze::Context(*mod), accumulatorOptions());
     auto sim = simulate(inst.module);
     sim->poke("data_valid", uint64_t(1));
     sim->poke("data", uint64_t(5));
@@ -133,7 +133,7 @@ TEST(ValidCheckTest, MultiplePairsAndTargets)
     ValidCheckOptions opts;
     opts.pairs.push_back(ValidPair{"a", "av"});
     opts.pairs.push_back(ValidPair{"b", "bv"});
-    ValidCheckResult inst = applyValidCheck(*mod, opts);
+    ValidCheckResult inst = applyValidCheck(analyze::Context(*mod), opts);
     EXPECT_EQ(inst.usesInstrumented.at("a"), 1);
     EXPECT_EQ(inst.usesInstrumented.at("b"), 0);
 
@@ -152,5 +152,5 @@ TEST(ValidCheckTest, UnknownSignalThrows)
     auto mod = flat(buggy_accumulator);
     ValidCheckOptions opts;
     opts.pairs.push_back(ValidPair{"nope", "data_valid"});
-    EXPECT_THROW(applyValidCheck(*mod, opts), HdlError);
+    EXPECT_THROW(applyValidCheck(analyze::Context(*mod), opts), HdlError);
 }

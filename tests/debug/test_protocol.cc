@@ -125,7 +125,7 @@ TEST(ProtocolTest, MachineSessionAnswersHostileLinesAndKeepsServing)
     Workload w = buildWorkload(spec);
     EngineOptions eopts;
     eopts.constants = w.constants;
-    Engine engine(w.instrumented, w.tape, eopts);
+    Engine engine(w.instrumented, w.instrumentedFacts, w.tape, eopts);
 
     std::string script;
     for (int i = 0; i < 200000; ++i)

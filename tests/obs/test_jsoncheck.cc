@@ -409,7 +409,8 @@ debugTranscript()
     debug::Workload w = debug::buildWorkload(spec);
     debug::EngineOptions eopts;
     eopts.constants = w.constants;
-    debug::Engine engine(w.instrumented, w.tape, eopts);
+    debug::Engine engine(w.instrumented, w.instrumentedFacts, w.tape,
+                         eopts);
     std::istringstream in("step 3\nrun\nquit\n");
     std::ostringstream out;
     debug::SessionOptions sopts;

@@ -32,7 +32,7 @@ TEST(ResourceTest, ScalarRegsCountFlipFlops)
                     "reg [7:0] a;\nreg b;\nreg [31:0] c;\n"
                     "always @(posedge clk) begin a <= a; b <= b;"
                     " c <= c; end\nendmodule");
-    ResourceUsage usage = estimateResources(*mod);
+    ResourceUsage usage = estimateResources(analyze::Context(*mod));
     EXPECT_EQ(usage.registers, 41u);
     EXPECT_EQ(usage.bramBits, 0.0);
 }
@@ -40,7 +40,7 @@ TEST(ResourceTest, ScalarRegsCountFlipFlops)
 TEST(ResourceTest, LargeMemoryMapsToBram)
 {
     auto mod = flat("module m();\nreg [31:0] mem [0:1023];\nendmodule");
-    ResourceUsage usage = estimateResources(*mod);
+    ResourceUsage usage = estimateResources(analyze::Context(*mod));
     EXPECT_EQ(usage.bramBits, 32.0 * 1024);
     EXPECT_EQ(usage.registers, 0u);
 }
@@ -48,7 +48,7 @@ TEST(ResourceTest, LargeMemoryMapsToBram)
 TEST(ResourceTest, SmallMemoryMapsToRegisters)
 {
     auto mod = flat("module m();\nreg [7:0] mem [0:3];\nendmodule");
-    ResourceUsage usage = estimateResources(*mod);
+    ResourceUsage usage = estimateResources(analyze::Context(*mod));
     EXPECT_EQ(usage.bramBits, 0.0);
     EXPECT_EQ(usage.registers, 32u);
 }
@@ -61,8 +61,8 @@ TEST(ResourceTest, WiderAdderCostsMoreLogic)
     auto wide = flat("module m(input wire [63:0] a, input wire [63:0] b,"
                      " output wire [63:0] s);\nassign s = a + b;\n"
                      "endmodule");
-    EXPECT_LT(estimateResources(*narrow).logic,
-              estimateResources(*wide).logic);
+    EXPECT_LT(estimateResources(analyze::Context(*narrow)).logic,
+              estimateResources(analyze::Context(*wide)).logic);
 }
 
 TEST(ResourceTest, RecorderBramScalesLinearlyWithDepth)
@@ -74,16 +74,16 @@ TEST(ResourceTest, RecorderBramScalesLinearlyWithDepth)
             "signal_recorder #(.WIDTH(64), .DEPTH(%d)) u_r (.clk(clk),\n"
             "  .arm(1'b1), .valid(v), .data(d));\nendmodule", depth));
     };
-    double bram_1k = estimateResources(*make(1024)).bramBits;
-    double bram_2k = estimateResources(*make(2048)).bramBits;
-    double bram_8k = estimateResources(*make(8192)).bramBits;
+    double bram_1k = estimateResources(analyze::Context(*make(1024))).bramBits;
+    double bram_2k = estimateResources(analyze::Context(*make(2048))).bramBits;
+    double bram_8k = estimateResources(analyze::Context(*make(8192))).bramBits;
     EXPECT_DOUBLE_EQ(bram_2k, 2 * bram_1k);
     EXPECT_DOUBLE_EQ(bram_8k, 8 * bram_1k);
 
     // Register/logic cost must stay (nearly) flat with depth: only the
     // write pointer grows, logarithmically.
-    auto regs_1k = estimateResources(*make(1024)).registers;
-    auto regs_8k = estimateResources(*make(8192)).registers;
+    auto regs_1k = estimateResources(analyze::Context(*make(1024))).registers;
+    auto regs_8k = estimateResources(analyze::Context(*make(8192))).registers;
     EXPECT_LE(regs_8k - regs_1k, 4u);
 }
 
@@ -133,8 +133,8 @@ TEST(TimingTest, DeeperLogicIsSlower)
         "assign t1 = a * a;\nassign t2 = t1 * a;\n"
         "assign t3 = t2 * t1;\n"
         "always @(posedge clk) r <= t3;\nendmodule");
-    TimingReport fast = estimateTiming(*shallow);
-    TimingReport slow = estimateTiming(*deep);
+    TimingReport fast = estimateTiming(analyze::Context(*shallow));
+    TimingReport slow = estimateTiming(analyze::Context(*deep));
     EXPECT_GT(fast.fmaxMhz, slow.fmaxMhz);
     // The critical path ends at the t3 -> r stage.
     EXPECT_TRUE(slow.criticalSignal == "r" || slow.criticalSignal == "t3")
@@ -147,7 +147,7 @@ TEST(TimingTest, SimpleRegisterChainMeets400MHz)
         "module m(input wire clk, input wire [7:0] a,\n"
         "         output reg [7:0] r);\n"
         "always @(posedge clk) r <= a;\nendmodule");
-    TimingReport report = estimateTiming(*mod);
+    TimingReport report = estimateTiming(analyze::Context(*mod));
     EXPECT_TRUE(meetsTarget(report, 400.0));
 }
 
@@ -159,7 +159,7 @@ TEST(TimingTest, LongMultiplyChainFails400MHz)
         "wire [63:0] t1, t2;\n"
         "assign t1 = a * a;\nassign t2 = t1 * t1;\n"
         "always @(posedge clk) r <= t2;\nendmodule");
-    TimingReport report = estimateTiming(*mod);
+    TimingReport report = estimateTiming(analyze::Context(*mod));
     EXPECT_FALSE(meetsTarget(report, 400.0));
 }
 
@@ -176,6 +176,6 @@ TEST(TimingTest, WireChainDelaysAccumulate)
         "wire [31:0] t1, t2, t3;\n"
         "assign t1 = a + 1;\nassign t2 = t1 + 1;\nassign t3 = t2 + 1;\n"
         "always @(posedge clk) r <= t3;\nendmodule");
-    EXPECT_GT(estimateTiming(*three).criticalPathNs,
-              estimateTiming(*one).criticalPathNs);
+    EXPECT_GT(estimateTiming(analyze::Context(*three)).criticalPathNs,
+              estimateTiming(analyze::Context(*one)).criticalPathNs);
 }
