@@ -7,7 +7,7 @@
  * if/case statements become a Branch node fanning out to one arm per
  * alternative and a Join node where the arms re-converge. The dataflow
  * passes (solver.hh) run forward analyses over this graph; guard
- * expressions for path feasibility come from analysis/guards.cc, which
+ * expressions for path feasibility come from analyze/guards.cc, which
  * walks the same trees.
  */
 

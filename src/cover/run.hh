@@ -3,8 +3,9 @@
  * Coverage run driver: attach a collector to an elaborated design,
  * drive it with a sim::Stimulus, and return the resulting Snapshot.
  *
- * The driver detects FSMs first (analyze::detectFsms) so FSM
- * state/arc coverage rides along automatically.
+ * The driver reads the design's FSMs from an analyze::Context first
+ * (cover::fsmSpecsFor), so FSM state/arc coverage rides along
+ * automatically.
  */
 
 #ifndef HWDBG_COVER_RUN_HH

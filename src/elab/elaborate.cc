@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "elab/ip_models.hh"
+#include "hdl/parser.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -211,6 +212,25 @@ replicationCount(const RepeatExpr &rep,
     return count;
 }
 
+std::pair<uint32_t, uint32_t>
+partSelectBounds(const RangeExpr &range, bool of_memory)
+{
+    std::string loc = range.loc.str();
+    const char *base = range.base.c_str();
+    if (of_memory)
+        fatal("%s: part select of memory '%s' is not supported",
+              loc.c_str(), base);
+    Bits msb = evalConst(range.msb, {});
+    Bits lsb = evalConst(range.lsb, {});
+    if (msb.compare(lsb) < 0)
+        fatal("%s: reversed part select on '%s'", loc.c_str(), base);
+    if (msb.compare(Bits(32, kMaxVectorWidth)) >= 0)
+        fatal("%s: part select of '%s' reaches past the %u-bit limit",
+              loc.c_str(), base, kMaxVectorWidth);
+    return {static_cast<uint32_t>(msb.toU64()),
+            static_cast<uint32_t>(lsb.toU64())};
+}
+
 uint32_t
 netWidth(const NetItem &net)
 {
@@ -265,6 +285,39 @@ isLValueExpr(const ExprPtr &expr)
     }
 }
 
+/** partSelectBounds() on every part select of flat module @p mod. */
+void
+checkPartSelects(const Module &mod)
+{
+    std::set<std::string> memories;
+    for (const auto &item : mod.items)
+        if (item->kind == ItemKind::Net && item->as<NetItem>()->array)
+            memories.insert(item->as<NetItem>()->name);
+    auto check = [&](ExprPtr &expr) {
+        if (expr->kind == ExprKind::Range) {
+            const auto *range = expr->as<RangeExpr>();
+            partSelectBounds(*range, memories.count(range->base) != 0);
+        }
+    };
+    for (const auto &item : mod.items) {
+        switch (item->kind) {
+          case ItemKind::ContAssign:
+            forEachExpr(item->as<ContAssignItem>()->lhs, check);
+            forEachExpr(item->as<ContAssignItem>()->rhs, check);
+            break;
+          case ItemKind::Always:
+            forEachExpr(item->as<AlwaysItem>()->body, check);
+            break;
+          case ItemKind::Instance:
+            for (auto &conn : item->as<InstanceItem>()->conns)
+                forEachExpr(conn.actual, check);
+            break;
+          default:
+            break;
+        }
+    }
+}
+
 class Elaborator
 {
   public:
@@ -280,6 +333,7 @@ class Elaborator
         result_.mod->name = top_mod->name;
         result_.mod->loc = top_mod->loc;
         elabModule(*top_mod, overrides, "", true);
+        checkPartSelects(*result_.mod);
         return std::move(result_);
     }
 
@@ -438,6 +492,12 @@ class Elaborator
         if (!sub)
             fatal("%s: unknown module '%s'", inst.loc.str().c_str(),
                   inst.moduleName.c_str());
+        // The instance path holds the top module and every enclosing
+        // instance; the sub-module would add one level.
+        if (instancePath_.size() >= static_cast<size_t>(kMaxNesting))
+            fatal("%s: instance '%s' nesting deeper than %d levels",
+                  inst.loc.str().c_str(), inst.instName.c_str(),
+                  kMaxNesting);
 
         std::string sub_prefix = prefix + inst.instName + "__";
 

@@ -19,6 +19,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "hdl/ast.hh"
 
@@ -67,6 +68,15 @@ std::optional<Bits> tryEvalConst(const hdl::ExprPtr &expr);
  */
 uint32_t netWidth(const hdl::NetItem &net);
 uint32_t memoryDepth(const hdl::NetItem &net);
+
+/**
+ * Folded (msb, lsb) of part select @p range; an HdlError when it selects
+ * from a memory (@p of_memory), is reversed, or reaches past
+ * kMaxVectorWidth. Elaboration checks every part select of the flat
+ * design with it; the simulator, expressions typed at the debugger.
+ */
+std::pair<uint32_t, uint32_t> partSelectBounds(const hdl::RangeExpr &range,
+                                               bool of_memory);
 
 /** Count of @p rep, folded; an HdlError outside 1..kMaxReplication. */
 uint32_t replicationCount(const hdl::RepeatExpr &rep,

@@ -6,10 +6,13 @@
  * source and bug variant: the backend is not part of the key, since a
  * build is backend-independent and every session picks its own engine.
  * The cached value is the debug::Workload of that design, built once:
- * the elaborated and instrumented modules, the elaborated constants,
- * the debug tape, and the one-shot stimulus. Recording a bug workload
- * is a full simulation run, so sharing the tape is where most of the
- * warm-attach speedup comes from.
+ * the elaborated and instrumented modules with their analyze::Contexts,
+ * the elaborated constants, the debug tape, and the one-shot stimulus.
+ * Recording a bug workload is a full simulation run, so sharing the
+ * tape is where most of the warm-attach speedup comes from. Sessions
+ * share the Contexts too, so each static fact of a cached design (the
+ * FSMs behind the coverage goals, the graph behind `backtrace`) is
+ * built once, by whichever session first reads it.
  *
  * The build-once guarantee is strict: for a given key the builder runs
  * exactly once even under concurrent attaches — later callers block on

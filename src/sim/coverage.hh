@@ -20,9 +20,9 @@
  *    recording), so detached simulation pays one predictable branch
  *    per site — bench/cover_overhead keeps that honest.
  *
- * The sim layer cannot depend on analysis, so FSM enumeration arrives
- * as plain data (FsmCoverSpec) extracted by the caller, typically from
- * analyze::detectFsms().
+ * The sim layer cannot depend on the analyze layer, so FSM enumeration
+ * arrives as plain data (FsmCoverSpec) extracted by the caller from
+ * the design's analyze::Context::fsms() (cover::fsmSpecs).
  */
 
 #ifndef HWDBG_SIM_COVERAGE_HH

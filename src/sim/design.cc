@@ -1,5 +1,7 @@
 #include "sim/design.hh"
 
+#include <tuple>
+
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "obs/metrics.hh"
@@ -222,21 +224,9 @@ LoweredDesign::annotateExpr(const ExprPtr &expr) const
         if (sig < 0)
             fatal("%s: unknown signal '%s'", expr->loc.str().c_str(),
                   range->base.c_str());
-        if (info(sig).arraySize != 0)
-            fatal("%s: part select of memory '%s' is not supported",
-                  expr->loc.str().c_str(), range->base.c_str());
+        std::tie(range->msbConst, range->lsbConst) =
+            elab::partSelectBounds(*range, info(sig).arraySize != 0);
         range->resolved = sig;
-        Bits msb = elab::evalConst(range->msb, {});
-        Bits lsb = elab::evalConst(range->lsb, {});
-        if (msb.compare(lsb) < 0)
-            fatal("%s: reversed part select on '%s'",
-                  expr->loc.str().c_str(), range->base.c_str());
-        if (msb.compare(Bits(32, elab::kMaxVectorWidth)) >= 0)
-            fatal("%s: part select of '%s' reaches past the %u-bit limit",
-                  expr->loc.str().c_str(), range->base.c_str(),
-                  elab::kMaxVectorWidth);
-        range->msbConst = static_cast<uint32_t>(msb.toU64());
-        range->lsbConst = static_cast<uint32_t>(lsb.toU64());
         expr->width = range->msbConst - range->lsbConst + 1;
         break;
       }

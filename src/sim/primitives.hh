@@ -9,7 +9,7 @@
  * SignalTap / Xilinx ILA); hwdbg models that as the signal_recorder
  * primitive. The simulator evaluates these models; the synthesis
  * estimator costs them analytically; the analysis framework uses their
- * port dependency models (see analysis/relations).
+ * port dependency models (see analyze/depgraph and analyze/relations).
  */
 
 #ifndef HWDBG_SIM_PRIMITIVES_HH

@@ -3,8 +3,9 @@
 # On each invalid design below, lint, analyze, resources, cover, trace,
 # profile and debug --stimulus must all exit with the same status and
 # print the same first error line; on the valid design they must all
-# succeed. The hostile designs (size caps, nesting limit) must end in
-# that error promptly, never in a signal or an unbounded run.
+# succeed. The hostile designs (size caps, nesting limits, part-select
+# bounds) must end in that error promptly, never in a signal or an
+# unbounded run.
 
 set(work ${CMAKE_CURRENT_BINARY_DIR}/cli_accept_work)
 file(MAKE_DIRECTORY ${work})
@@ -31,6 +32,20 @@ string(REPEAT " end" 100000 close)
 file(WRITE ${work}/begins.v
      "${header}reg r;\nalways @(posedge clk) ${open}r <= 1;${close}\n"
      "${body}")
+file(WRITE ${work}/partsel.v "${header}${wire}q[-1:0];\n${body}")
+# A chain of 10,000 distinct modules, each instantiating the next, under
+# the top module m (the last one in the file).
+set(chain "")
+foreach(i RANGE 9999 1 -1)
+    math(EXPR next "${i} + 1")
+    if(i EQUAL 9999)
+        string(APPEND chain "module c${i}();\nendmodule\n")
+    else()
+        string(APPEND chain "module c${i}();\nc${next} u();\nendmodule\n")
+    endif()
+endforeach()
+file(WRITE ${work}/instances.v
+     "${chain}${header}c1 u();\n${body}")
 file(WRITE ${work}/stim.txt "clk=0\nclk=1\nclk=0\nclk=1\n")
 file(WRITE ${work}/quit.txt "quit\n")
 
@@ -40,7 +55,7 @@ set(commands "lint" "analyze" "resources" "cover --cycles 8"
 
 foreach(spec "lsb;1" "mem_base;1" "mem_wire;1" "valid;0" "rep_div0;1"
         "rep_neg;1" "wide;1" "deep;1" "rep_64;1" "rep_1e9;1" "parens;1"
-        "begins;1")
+        "begins;1" "partsel;1" "instances;1")
     list(GET spec 0 design)
     list(GET spec 1 want_rc)
     set(first_error "")

@@ -197,6 +197,48 @@ TEST(EngineTest, BacktraceReportsDependencyChainWithValues)
     EXPECT_THROW(eng->backtrace("no_such_reg", 2), HdlError);
 }
 
+TEST(EngineTest, MonitorTargetsMustNameBaseDesignSignals)
+{
+    // Every monitor reads the facts of the design under debug, so a
+    // target naming a register only an earlier monitor generated is
+    // rejected as unknown.
+    const auto &bug = bugs::bugById("D1");
+    auto elaborated = bugs::buildDesign(bug, true);
+    auto fsms = analyze::Context(*elaborated.mod).fsms();
+    ASSERT_FALSE(fsms.empty());
+    const std::string state = fsms.front().stateVar;
+
+    auto message = [&](const InstrumentConfig &icfg) {
+        try {
+            instrumentForDebug(*elaborated.mod, icfg);
+        } catch (const HdlError &err) {
+            return std::string(err.what());
+        }
+        return std::string("accepted");
+    };
+
+    InstrumentConfig icfg;
+    icfg.fsm = true;
+    icfg.depVariable = "__fsm_prev_" + state;
+    EXPECT_NE(message(icfg).find("Dependency Monitor: no signal named '" +
+                                 icfg.depVariable + "'"),
+              std::string::npos)
+        << message(icfg);
+
+    icfg.depVariable = state;
+    core::LossCheckOptions loss = *bug.lossCheck;
+    loss.source = "__dep_prev_" + state;
+    icfg.lossCheck = loss;
+    EXPECT_NE(message(icfg).find("LossCheck: no signal named '" +
+                                 loss.source + "'"),
+              std::string::npos)
+        << message(icfg);
+
+    // The same targets named by their base signals instrument fine.
+    icfg.lossCheck = bug.lossCheck;
+    EXPECT_EQ(message(icfg), "accepted");
+}
+
 TEST(EngineTest, StimulusFileRoundTrips)
 {
     std::string path = testing::TempDir() + "/hwdbg_stim.txt";

@@ -114,6 +114,32 @@ TEST(ElaborateCapsTest, MemoryDepthCapIsInclusive)
     EXPECT_NE(elabError("reg [7:0] m [4294967296:0];"), "");
 }
 
+TEST(ElaborateCapsTest, InstanceNestingCapIsInclusive)
+{
+    // A chain of @p levels distinct modules, m0 (the top) to m<levels-1>.
+    auto chain = [](int levels) {
+        std::string src;
+        for (int i = 0; i < levels; ++i) {
+            src += "module m" + std::to_string(i) + "();\n";
+            if (i + 1 < levels)
+                src += "m" + std::to_string(i + 1) + " u();\n";
+            src += "endmodule\n";
+        }
+        try {
+            elaborate(parse(src), "m0");
+        } catch (const HdlError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_EQ(chain(kMaxNesting), "");
+    int over = kMaxNesting + 1;
+    EXPECT_EQ(chain(over),
+              "<input>:" + std::to_string(3 * kMaxNesting - 1) +
+                  ":1: instance 'u' nesting deeper than " +
+                  std::to_string(kMaxNesting) + " levels");
+}
+
 TEST(ElaborateCapsTest, ShapeHelperReadsDeclaredForm)
 {
     Design d = parse("module m();\nreg [7:0] mem [0:3];\nwire s;\n"
