@@ -4,7 +4,6 @@
 #include <cctype>
 #include <sstream>
 
-#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/ip_models.hh"
 #include "obs/metrics.hh"

@@ -1,40 +1,31 @@
 /**
  * @file
- * The one fact store per module, and the static-analysis run loop
- * `hwdbg lint` and `hwdbg analyze` share.
+ * The one fact store per module, and the check run loop `hwdbg lint`
+ * and `hwdbg analyze` share.
  *
- * A Context is built over one elaborated module. Every static fact any
- * tool reads about that module comes from it, built on first use and
- * then shared by every later reader: the lint rules and analyze passes
- * of one run, the monitors instrumenting the module, the debugger's
- * coverage goals and backtraces, serve sessions on a cached design,
- * the resource and timing estimators, and the bytecode lowerer.
+ * Every static fact any tool reads about a module comes from the one
+ * Context over it, built on first use and shared by every later reader
+ * (checks, monitors, the debugger, serve sessions, the estimators and
+ * the bytecode lowerer):
  *
- *   signals()     declarations: widths, kinds, directions, locations,
- *                 declaration order
- *   assigns()     every guarded assignment, in module order
- *   displays()    every $display in a clocked process, with its guard
- *   graph()       the signal dependency graph, over assigns()
- *   fsms()        detected state machines, over assigns()
- *   relations()   register propagation relations, over assigns() and
- *                 graph()
- *   fixpoint()    the known-bits constant fixpoint over assigns()
- *   wires()       each singly driven wire's defining expression
+ *   signals()    declarations: widths, kinds, directions, locations,
+ *                declaration order
+ *   assigns()    every guarded assignment, in module order
+ *   displays()   every $display in a clocked process, with its guard
+ *   graph()      the signal dependency graph (over assigns())
+ *   fsms()       detected state machines (over assigns())
+ *   relations()  register propagation relations (over graph())
+ *   fixpoint()   the known-bits constant fixpoint (over assigns())
+ *   wires()      each singly driven wire's defining expression
  *
- * A module is never changed once a Context exists over it:
- * instrumentation makes a new module, with its own Context. So facts
- * are never invalidated. The fact accessors are const and safe to call
- * from several threads at once: each fact is built under its own
- * std::once_flag, and later reads take no lock. Each build counts in
- * the "analyze.fact.<name>.builds" metric.
- *
- * The non-const rest (the read/drive census, reset and clock names,
- * the diagnostic sink) serves one runChecks() run and is
- * single-threaded.
- *
- * Lint rules and analyze passes are both Checks, entries of a preset
- * table (lint::lintRules(), analyze::analyzePasses()) that runChecks()
- * executes over one Context.
+ * A module never changes once a Context exists over it (instrumentation
+ * makes a new module, with its own Context), so facts are never
+ * invalidated. The fact accessors are const and thread-safe: each fact
+ * is built under its own std::once_flag, later reads take no lock, and
+ * each build counts in "analyze.fact.<name>.builds". The non-const rest
+ * (the census, reset and clock names, the diagnostic sink) serves one
+ * single-threaded runChecks() run of a preset table (lint::lintRules(),
+ * analyze::analyzePasses()).
  */
 
 #ifndef HWDBG_ANALYZE_CONTEXT_HH
@@ -48,13 +39,10 @@
 #include <string>
 #include <vector>
 
-#include "analyze/depgraph.hh"
 #include "analyze/diagnostic.hh"
 #include "analyze/domain.hh"
+#include "analyze/facts.hh"
 #include "analyze/fixpoint.hh"
-#include "analyze/fsm_detect.hh"
-#include "analyze/guards.hh"
-#include "analyze/relations.hh"
 #include "hdl/ast.hh"
 
 namespace hwdbg::analyze
@@ -123,8 +111,6 @@ class Context
 {
   public:
     explicit Context(const hdl::Module &mod);
-    Context(const Context &) = delete;
-    Context &operator=(const Context &) = delete;
 
     const hdl::Module &module() const { return *mod_; }
     const SignalTable &signals() const;

@@ -1,10 +1,9 @@
-#include "analyze/depgraph.hh"
+#include "analyze/facts.hh"
 
 #include <algorithm>
 #include <queue>
 
 #include "analyze/context.hh"
-#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "elab/ip_models.hh"
@@ -14,19 +13,9 @@ namespace hwdbg::analyze
 
 using namespace hdl;
 
-DepGraph::DepGraph(const Context &facts)
+DepGraph::DepGraph(const Context &facts) : sigs_(&facts.signals())
 {
     const Module &mod = facts.module();
-    for (const auto &item : mod.items) {
-        if (item->kind != ItemKind::Net)
-            continue;
-        const auto *net = item->as<NetItem>();
-        if (net->net == NetKind::Reg)
-            regs_.insert(net->name);
-        if (net->dir == PortDir::Input)
-            inputs_.insert(net->name);
-    }
-
     for (const auto &item : mod.items) {
         if (item->kind != ItemKind::Instance)
             continue;
@@ -131,13 +120,15 @@ DepGraph::edgesOutOf(const std::string &name) const
 bool
 DepGraph::isReg(const std::string &name) const
 {
-    return regs_.count(name) != 0;
+    const auto *decl = sigs_->find(name);
+    return decl && decl->isReg;
 }
 
 bool
 DepGraph::isInput(const std::string &name) const
 {
-    return inputs_.count(name) != 0;
+    const auto *decl = sigs_->find(name);
+    return decl && decl->dir == PortDir::Input;
 }
 
 bool

@@ -1,4 +1,4 @@
-#include "analyze/exprutil.hh"
+#include "analyze/facts.hh"
 
 #include "common/logging.hh"
 
@@ -61,78 +61,6 @@ wireDefinitions(const Module &mod)
         defs[name] = assign->rhs;
     }
     return defs;
-}
-
-namespace
-{
-
-ExprPtr
-inlineWiresRec(const ExprPtr &expr,
-               const std::map<std::string, ExprPtr> &defs,
-               std::set<std::string> &expanding)
-{
-    if (!expr)
-        return nullptr;
-    if (expr->kind == ExprKind::Id) {
-        const std::string &name = expr->as<IdExpr>()->name;
-        auto it = defs.find(name);
-        if (it == defs.end() || expanding.count(name))
-            return cloneExpr(expr);
-        expanding.insert(name);
-        ExprPtr inlined = inlineWiresRec(it->second, defs, expanding);
-        expanding.erase(name);
-        return inlined;
-    }
-
-    ExprPtr copy = cloneExpr(expr);
-    switch (copy->kind) {
-      case ExprKind::Unary: {
-        auto *un = copy->as<UnaryExpr>();
-        un->arg = inlineWiresRec(un->arg, defs, expanding);
-        break;
-      }
-      case ExprKind::Binary: {
-        auto *bin = copy->as<BinaryExpr>();
-        bin->lhs = inlineWiresRec(bin->lhs, defs, expanding);
-        bin->rhs = inlineWiresRec(bin->rhs, defs, expanding);
-        break;
-      }
-      case ExprKind::Ternary: {
-        auto *tern = copy->as<TernaryExpr>();
-        tern->cond = inlineWiresRec(tern->cond, defs, expanding);
-        tern->thenExpr = inlineWiresRec(tern->thenExpr, defs, expanding);
-        tern->elseExpr = inlineWiresRec(tern->elseExpr, defs, expanding);
-        break;
-      }
-      case ExprKind::Concat: {
-        auto *cat = copy->as<ConcatExpr>();
-        for (auto &part : cat->parts)
-            part = inlineWiresRec(part, defs, expanding);
-        break;
-      }
-      case ExprKind::Repeat: {
-        auto *rep = copy->as<RepeatExpr>();
-        rep->inner = inlineWiresRec(rep->inner, defs, expanding);
-        break;
-      }
-      case ExprKind::Index: {
-        auto *idx = copy->as<IndexExpr>();
-        idx->index = inlineWiresRec(idx->index, defs, expanding);
-        break;
-      }
-      default:
-        break;
-    }
-    return copy;
-}
-
-} // namespace
-
-ExprPtr
-inlineWires(const ExprPtr &expr, const std::map<std::string, ExprPtr> &defs)
-{
-    std::set<std::string> expanding;
-    return inlineWiresRec(expr, defs, expanding);
 }
 
 } // namespace hwdbg::analyze

@@ -4,7 +4,6 @@
 #include <deque>
 #include <map>
 
-#include "analyze/exprutil.hh"
 #include "analyze/solver.hh"
 
 namespace hwdbg::analyze

@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "analyze/guards.hh"
 #include "analyze/cfg.hh"
 #include "analyze/domain.hh"
+#include "analyze/facts.hh"
 
 namespace hwdbg::analyze
 {

@@ -1,13 +1,11 @@
-#include "analyze/fsm_detect.hh"
+#include "analyze/facts.hh"
 
 #include <algorithm>
 #include <map>
 #include <set>
 
 #include "analyze/context.hh"
-#include "analyze/exprutil.hh"
 #include "common/logging.hh"
-#include "elab/elaborate.hh"
 
 namespace hwdbg::analyze
 {
@@ -16,30 +14,6 @@ using namespace hdl;
 
 namespace
 {
-
-/** Visit every expression node of the module's logic. */
-void
-forEachExprInModule(const Module &mod,
-                    const std::function<void(ExprPtr &)> &fn)
-{
-    for (const auto &item : mod.items) {
-        switch (item->kind) {
-          case ItemKind::ContAssign:
-            forEachExpr(item->as<ContAssignItem>()->lhs, fn);
-            forEachExpr(item->as<ContAssignItem>()->rhs, fn);
-            break;
-          case ItemKind::Always:
-            forEachExpr(item->as<AlwaysItem>()->body, fn);
-            break;
-          case ItemKind::Instance:
-            for (auto &conn : item->as<InstanceItem>()->conns)
-                forEachExpr(conn.actual, fn);
-            break;
-          default:
-            break;
-        }
-    }
-}
 
 bool
 isArithOp(BinaryOp op)
@@ -104,11 +78,10 @@ struct BitsLess
 std::vector<FsmInfo>
 detectFsms(const Context &facts, const FsmDetectOptions &opts)
 {
-    const Module &mod = facts.module();
     // Registers excluded because the design does arithmetic on them or
     // selects their bits.
     std::set<std::string> excluded;
-    forEachExprInModule(mod, [&](const ExprPtr &expr) {
+    forEachExpr(facts.module(), [&](const ExprPtr &expr) {
         if (expr->kind == ExprKind::Binary) {
             const auto *bin = expr->as<BinaryExpr>();
             if (opts.excludeArithmetic && isArithOp(bin->op)) {
@@ -155,21 +128,14 @@ detectFsms(const Context &facts, const FsmDetectOptions &opts)
         }
     }
 
-    // Signal widths: single-bit registers are flag/toggle idioms
-    // (valid bits, phases), not state machines.
-    std::map<std::string, uint32_t> widths;
-    for (const auto &item : mod.items) {
-        if (item->kind != ItemKind::Net)
-            continue;
-        const auto *net = item->as<NetItem>();
-        widths[net->name] = elab::netWidth(*net);
-    }
-
     std::vector<FsmInfo> out;
     for (const auto &[name, assigns] : by_target) {
         if (excluded.count(name) || disqualified.count(name))
             continue;
-        if (opts.minWidthTwo && widths[name] < 2)
+        // Single-bit registers are flag/toggle idioms (valid bits,
+        // phases), not state machines.
+        const auto *decl = facts.signals().find(name);
+        if (opts.minWidthTwo && (!decl || decl->width < 2))
             continue;
 
         bool ok = true;

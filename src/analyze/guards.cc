@@ -1,4 +1,4 @@
-#include "analyze/guards.hh"
+#include "analyze/facts.hh"
 
 #include "common/logging.hh"
 

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"

@@ -10,7 +10,6 @@
 #include <functional>
 #include <sstream>
 
-#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "common/logging.hh"

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/exprutil.hh"
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
 #include "analyze/solver.hh"

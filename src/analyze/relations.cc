@@ -1,7 +1,6 @@
-#include "analyze/relations.hh"
+#include "analyze/facts.hh"
 
 #include "analyze/context.hh"
-#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "elab/ip_models.hh"

@@ -2,7 +2,7 @@
 
 #include "common/testhooks.hh"
 
-#include "analyze/guards.hh"
+#include "analyze/facts.hh"
 #include "common/logging.hh"
 #include "hdl/printer.hh"
 

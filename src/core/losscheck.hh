@@ -86,8 +86,8 @@ struct LossCheckReport
  * Run the full LossCheck flow: instrument the module of @p facts,
  * execute the ground-truth workload (a passing test) to learn
  * intentional drops, then execute the failing workload and report the
- * remaining loss sites. Each workload callback receives the instrumented module,
- * simulates it, and returns the log.
+ * remaining loss sites. Each workload callback receives the
+ * instrumented module, simulates it, and returns the log.
  */
 LossCheckReport runLossCheck(
     const analyze::Context &facts, const LossCheckOptions &opts,

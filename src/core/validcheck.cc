@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "core/instrument.hh"
 #include "obs/metrics.hh"

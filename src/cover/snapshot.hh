@@ -40,7 +40,7 @@
 #include <utility>
 #include <vector>
 
-#include "analyze/fsm_detect.hh"
+#include "analyze/facts.hh"
 #include "sim/coverage.hh"
 
 namespace hwdbg::cover

@@ -293,29 +293,12 @@ checkPartSelects(const Module &mod)
     for (const auto &item : mod.items)
         if (item->kind == ItemKind::Net && item->as<NetItem>()->array)
             memories.insert(item->as<NetItem>()->name);
-    auto check = [&](ExprPtr &expr) {
+    forEachExpr(mod, [&](ExprPtr &expr) {
         if (expr->kind == ExprKind::Range) {
             const auto *range = expr->as<RangeExpr>();
             partSelectBounds(*range, memories.count(range->base) != 0);
         }
-    };
-    for (const auto &item : mod.items) {
-        switch (item->kind) {
-          case ItemKind::ContAssign:
-            forEachExpr(item->as<ContAssignItem>()->lhs, check);
-            forEachExpr(item->as<ContAssignItem>()->rhs, check);
-            break;
-          case ItemKind::Always:
-            forEachExpr(item->as<AlwaysItem>()->body, check);
-            break;
-          case ItemKind::Instance:
-            for (auto &conn : item->as<InstanceItem>()->conns)
-                forEachExpr(conn.actual, check);
-            break;
-          default:
-            break;
-        }
-    }
+    });
 }
 
 class Elaborator

@@ -454,6 +454,28 @@ forEachExpr(const StmtPtr &stmt, const std::function<void(ExprPtr &)> &fn)
     }
 }
 
+void
+forEachExpr(const Module &mod, const std::function<void(ExprPtr &)> &fn)
+{
+    for (const auto &item : mod.items) {
+        switch (item->kind) {
+          case ItemKind::ContAssign:
+            forEachExpr(item->as<ContAssignItem>()->lhs, fn);
+            forEachExpr(item->as<ContAssignItem>()->rhs, fn);
+            break;
+          case ItemKind::Always:
+            forEachExpr(item->as<AlwaysItem>()->body, fn);
+            break;
+          case ItemKind::Instance:
+            for (auto &conn : item->as<InstanceItem>()->conns)
+                forEachExpr(conn.actual, fn);
+            break;
+          default:
+            break;
+        }
+    }
+}
+
 namespace
 {
 

@@ -473,6 +473,10 @@ ModulePtr cloneModule(const Module &mod);
 void forEachExpr(ExprPtr &expr, const std::function<void(ExprPtr &)> &fn);
 void forEachExpr(const StmtPtr &stmt,
                  const std::function<void(ExprPtr &)> &fn);
+/** forEachExpr over the module's logic: continuous assigns, process
+ *  bodies and instance connections. */
+void forEachExpr(const Module &mod,
+                 const std::function<void(ExprPtr &)> &fn);
 
 /** Invoke @p fn on every identifier referenced by @p expr (incl. bases). */
 void forEachIdent(const ExprPtr &expr,

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/exprutil.hh"
+#include "analyze/facts.hh"
 #include "common/logging.hh"
 #include "elab/elaborate.hh"
 #include "lint/rules.hh"

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/exprutil.hh"
+#include "analyze/facts.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "elab/ip_models.hh"

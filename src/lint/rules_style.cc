@@ -11,7 +11,7 @@
 #include <set>
 #include <string>
 
-#include "analyze/exprutil.hh"
+#include "analyze/facts.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "lint/rules.hh"

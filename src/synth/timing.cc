@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "analyze/exprutil.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -27,16 +26,9 @@ log2d(double value)
     return value <= 2 ? 1.0 : std::log2(value);
 }
 
-uint32_t
-widthOfNet(const Module &mod, const std::string &name)
-{
-    const NetItem *net = mod.findNet(name);
-    return net ? elab::netWidth(*net) : 1;
-}
-
 struct DelayModel
 {
-    const Module &mod;
+    const analyze::SignalTable &sigs;
     std::map<std::string, double> wireDelay;
     /** Reader counts per signal: instrumentation that taps a signal
      *  adds load (and thus routing delay) to its existing paths. */
@@ -61,8 +53,10 @@ struct DelayModel
             const auto *num = expr->as<NumberExpr>();
             return num->sized ? num->value.width() : 32;
           }
-          case ExprKind::Id:
-            return widthOfNet(mod, expr->as<IdExpr>()->name);
+          case ExprKind::Id: {
+            const auto *decl = sigs.find(expr->as<IdExpr>()->name);
+            return decl ? decl->width : 1;
+          }
           case ExprKind::Unary:
             return width(expr->as<UnaryExpr>()->arg);
           case ExprKind::Binary:
@@ -186,10 +180,9 @@ struct DelayModel
 TimingReport
 estimateTiming(const analyze::Context &facts)
 {
-    const Module &mod = facts.module();
     obs::ObsSpan span("synth.timing");
     HWDBG_STAT_INC("synth.timing_estimates", 1);
-    DelayModel model{mod, {}, {}};
+    DelayModel model{facts.signals(), {}, {}};
 
     // Fanout census: every identifier occurrence in an expression is a
     // reader of that signal.
@@ -201,7 +194,7 @@ estimateTiming(const analyze::Context &facts)
             ++model.fanout[name];
         });
     }
-    for (const auto &item : mod.items) {
+    for (const auto &item : facts.module().items) {
         if (item->kind != ItemKind::Instance)
             continue;
         for (const auto &conn : item->as<InstanceItem>()->conns)

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "analyze/context.hh"
-#include "analyze/exprutil.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 #include "hdl/printer.hh"
@@ -144,32 +143,21 @@ TEST(ExprUtilTest, LValueTargets)
     EXPECT_TRUE(all.count("mem"));
 }
 
-TEST(ExprUtilTest, InlineWiresExpandsChains)
+TEST(ExprUtilTest, WiresMapSinglyDrivenWires)
 {
     auto mod = flat(
         "module m(input wire [3:0] a, input wire [3:0] b,\n"
         "         output wire [3:0] x);\n"
-        "wire [3:0] t, u;\n"
-        "assign t = a & b;\nassign u = t | a;\nassign x = u;\nendmodule");
+        "wire [3:0] t, u, v;\n"
+        "assign t = a & b;\nassign u = t | a;\nassign x = u;\n"
+        "assign v = a;\nassign v = b;\nassign u[0] = 1'b0;\nendmodule");
     auto defs = Context(*mod).wires();
-    ExprPtr inlined = inlineWires(mkId("x"), defs);
-    auto sigs = collectSignals(inlined);
-    EXPECT_TRUE(sigs.count("a"));
-    EXPECT_TRUE(sigs.count("b"));
-    EXPECT_FALSE(sigs.count("t"));
-    EXPECT_FALSE(sigs.count("u"));
-    EXPECT_FALSE(sigs.count("x"));
-}
-
-TEST(ExprUtilTest, InlineWiresStopsOnCycle)
-{
-    // Combinational loop: inlining must terminate.
-    auto mod = flat(
-        "module m(input wire a, output wire x);\nwire y;\n"
-        "assign x = y & a;\nassign y = x;\nendmodule");
-    auto defs = Context(*mod).wires();
-    ExprPtr inlined = inlineWires(mkId("x"), defs);
-    EXPECT_NE(inlined, nullptr);
+    EXPECT_EQ(printExpr(defs.at("t")), "a & b");
+    EXPECT_EQ(printExpr(defs.at("x")), "u");
+    // Multiply driven wires stay opaque; a part-select driver is not a
+    // definition.
+    EXPECT_FALSE(defs.count("v"));
+    EXPECT_EQ(printExpr(defs.at("u")), "t | a");
 }
 
 TEST(GuardsTest, NestedCaseDefaultComposesNegations)
