@@ -73,7 +73,8 @@ uint32_t memoryDepth(const hdl::NetItem &net);
  * Folded (msb, lsb) of part select @p range; an HdlError when it selects
  * from a memory (@p of_memory), is reversed, or reaches past
  * kMaxVectorWidth. Elaboration checks every part select of the flat
- * design with it; the simulator, expressions typed at the debugger.
+ * design with it, and the simulator each expression typed at the
+ * debugger.
  */
 std::pair<uint32_t, uint32_t> partSelectBounds(const hdl::RangeExpr &range,
                                                bool of_memory);
