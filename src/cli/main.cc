@@ -738,7 +738,7 @@ cmdCover(const Args &args)
     debug::Workload w = debug::buildWorkload(workloadSpec(args));
 
     cover::Snapshot snap = cover::coverDesign(
-        w.base, oneShotStimulus(args, w), backendOf(args));
+        w.base, *w.baseFacts, oneShotStimulus(args, w), backendOf(args));
     if (!args.opt("out").empty())
         writeFileOrFatal(args.opt("out"), cover::toJson(snap));
     std::fputs((jsonFormat(args) ? cover::toJson(snap)

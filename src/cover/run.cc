@@ -9,16 +9,16 @@ namespace hwdbg::cover
 {
 
 Snapshot
-coverDesign(hdl::ModulePtr elaborated, const sim::Stimulus &stim,
-            const sim::BackendFactory &backend)
+coverDesign(hdl::ModulePtr elaborated, const analyze::Context &facts,
+            const sim::Stimulus &stim, const sim::BackendFactory &backend)
 {
     obs::ObsSpan span("cover:" + stim.label);
     std::string top = elaborated->name;
     sim::Simulator sim(std::move(elaborated));
     if (backend)
         sim.setBackend(backend);
-    sim::CoverageItems items = buildCoverageItems(
-        sim.design(), fsmSpecsFor(sim.design().module()));
+    sim::CoverageItems items =
+        buildCoverageItems(sim.design(), fsmSpecs(facts.fsms()));
     sim::CoverageCollector collector(items);
     sim.enableCoverage(&collector);
     stim.drive(sim, "cover");
@@ -30,7 +30,8 @@ Snapshot
 coverBugWorkload(const bugs::TestbedBug &bug, bool buggy,
                  const sim::BackendFactory &backend)
 {
-    return coverDesign(bugs::buildDesign(bug, buggy).mod,
+    auto mod = bugs::buildDesign(bug, buggy).mod;
+    return coverDesign(mod, analyze::Context(*mod),
                        bugs::workloadStimulus(bug, buggy), backend);
 }
 

@@ -124,8 +124,8 @@ std::string coverPct(uint64_t covered, uint64_t total);
 std::vector<sim::FsmCoverSpec>
 fsmSpecs(const std::vector<analyze::FsmInfo> &fsms);
 
-/** fsmSpecs() of the FSMs of @p mod, for a caller without a Context
- *  over it. */
+/** fsmSpecs() of the FSMs of @p mod, over a one-off Context (for
+ *  benchmark code that composes the coverage layers by hand). */
 std::vector<sim::FsmCoverSpec> fsmSpecsFor(const hdl::Module &mod);
 
 /** Capture @p collector's state into a Snapshot. */

@@ -269,6 +269,7 @@ Server::openSession(const std::vector<std::string> &args)
                     sess->engine->sim().design().numSignals()));
         } else if (kind == "cover") {
             auto snap = cover::coverDesign(hdl::cloneModule(*design->base),
+                                           *design->baseFacts,
                                            *design->stimulus, backend);
             auto totals = snap.totals();
             if (!oa.opt("out").empty())

@@ -37,7 +37,8 @@ Snapshot
 snapFor(const char *src, uint64_t seed, uint32_t cycles = 40)
 {
     hdl::Design design = hdl::parse(src);
-    return coverDesign(elab::elaborate(design, "m").mod,
+    auto mod = elab::elaborate(design, "m").mod;
+    return coverDesign(mod, analyze::Context(*mod),
                        sim::Stimulus::random(seed, cycles));
 }
 

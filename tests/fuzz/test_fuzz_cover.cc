@@ -36,12 +36,13 @@ smallCampaign()
 TEST(FuzzCoverTest, SignatureKeysAreDeterministic)
 {
     GeneratedDesign gd = generateDesign(3);
-    auto snapA = cover::coverDesign(
-        elab::elaborate(gd.design, gd.top).mod, sim::Stimulus::random(3, 24));
+    auto modA = elab::elaborate(gd.design, gd.top).mod;
+    auto snapA = cover::coverDesign(modA, analyze::Context(*modA),
+                                    sim::Stimulus::random(3, 24));
     GeneratedDesign gd2 = generateDesign(3);
-    auto snapB = cover::coverDesign(
-        elab::elaborate(gd2.design, gd2.top).mod,
-        sim::Stimulus::random(3, 24));
+    auto modB = elab::elaborate(gd2.design, gd2.top).mod;
+    auto snapB = cover::coverDesign(modB, analyze::Context(*modB),
+                                    sim::Stimulus::random(3, 24));
     auto keysA = cover::signatureKeys(snapA);
     EXPECT_FALSE(keysA.empty());
     EXPECT_EQ(keysA, cover::signatureKeys(snapB));
