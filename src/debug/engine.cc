@@ -247,61 +247,45 @@ Engine::restoreTo(uint64_t target)
 }
 
 Engine::StopInfo
-Engine::run()
+Engine::advance(const std::function<bool()> &more,
+                const hdl::ExprPtr &until)
 {
-    obs::ObsSpan span("debug.run");
-    while (!atEnd() && !finished()) {
+    while (more() && !atEnd() && !finished()) {
         auto events = stepOnce(false);
         auto hits = bps_.check(sim_.context(), events, cover_.get());
         if (!hits.empty())
             return {StopReason::Breakpoint, std::move(hits),
                     std::move(events)};
+        if (until && sim::evalBool(until, sim_.context()))
+            return {StopReason::UntilTrue, {}, std::move(events)};
         if (finished())
             return {StopReason::Finished, {}, std::move(events)};
     }
-    return {finished() ? StopReason::Finished : StopReason::EndOfTape,
+    return {!more()       ? StopReason::None
+            : finished() ? StopReason::Finished
+                         : StopReason::EndOfTape,
             {},
             {}};
+}
+
+Engine::StopInfo
+Engine::run()
+{
+    obs::ObsSpan span("debug.run");
+    return advance([] { return true; }, nullptr);
 }
 
 Engine::StopInfo
 Engine::stepCycles(uint64_t n)
 {
     uint64_t target = cycle() + n;
-    while (cycle() < target && !atEnd() && !finished()) {
-        auto events = stepOnce(false);
-        auto hits = bps_.check(sim_.context(), events, cover_.get());
-        if (!hits.empty())
-            return {StopReason::Breakpoint, std::move(hits),
-                    std::move(events)};
-        if (finished())
-            return {StopReason::Finished, {}, std::move(events)};
-    }
-    if (cycle() >= target)
-        return {StopReason::None, {}, {}};
-    return {finished() ? StopReason::Finished : StopReason::EndOfTape,
-            {},
-            {}};
+    return advance([&] { return cycle() < target; }, nullptr);
 }
 
 Engine::StopInfo
 Engine::runUntil(const std::string &expr_text)
 {
-    hdl::ExprPtr expr = parseExpr(expr_text);
-    while (!atEnd() && !finished()) {
-        auto events = stepOnce(false);
-        auto hits = bps_.check(sim_.context(), events, cover_.get());
-        if (!hits.empty())
-            return {StopReason::Breakpoint, std::move(hits),
-                    std::move(events)};
-        if (sim::evalBool(expr, sim_.context()))
-            return {StopReason::UntilTrue, {}, std::move(events)};
-        if (finished())
-            return {StopReason::Finished, {}, std::move(events)};
-    }
-    return {finished() ? StopReason::Finished : StopReason::EndOfTape,
-            {},
-            {}};
+    return advance([] { return true; }, parseExpr(expr_text));
 }
 
 Engine::StopInfo

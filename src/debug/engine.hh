@@ -24,6 +24,7 @@
 #ifndef HWDBG_DEBUG_ENGINE_HH
 #define HWDBG_DEBUG_ENGINE_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -240,6 +241,11 @@ class Engine
   private:
     /** Apply the next tape step; returns the events it emitted. */
     std::vector<DebugEvent> stepOnce(bool quiet);
+    /** Step while @p more() holds, stopping early on a breakpoint hit,
+     *  on @p until turning true after a step (when set), at $finish or
+     *  at the end of the tape. */
+    StopInfo advance(const std::function<bool()> &more,
+                     const hdl::ExprPtr &until);
     /** Restore to tape position @p target (< pos_) via checkpoints. */
     void restoreTo(uint64_t target);
     /** Cycle count after @p position steps. */

@@ -77,9 +77,8 @@ buildWorkload(const WorkloadSpec &spec)
             // instrumented design; the engine replays it
             // deterministically.
             sim::Simulator recorder(w.instrumented);
-            recorder.recordStimulus(tape.get());
+            sim::StimulusRecorder taping(recorder, *tape);
             bugs::runWorkload(*bug, recorder);
-            recorder.recordStimulus(nullptr);
         }
         w.tape = tape;
     }

@@ -18,8 +18,6 @@ namespace hwdbg::obs
 namespace
 {
 
-std::atomic<bool> metricsOn{false};
-
 std::vector<uint64_t>
 defaultBounds()
 {
@@ -120,11 +118,7 @@ Histogram::reset()
     max_.store(0, std::memory_order_relaxed);
 }
 
-bool
-metricsEnabled()
-{
-    return metricsOn.load(std::memory_order_relaxed);
-}
+std::atomic<bool> metricsOn{false};
 
 void
 enableMetrics(bool on)

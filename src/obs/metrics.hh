@@ -111,8 +111,14 @@ class Histogram
     std::atomic<uint64_t> max_{0};
 };
 
-/** True when metric recording is on (one relaxed load). */
-bool metricsEnabled();
+/** The recording switch behind metricsEnabled(). */
+extern std::atomic<bool> metricsOn;
+/** True when metric recording is on (one inlined relaxed load). */
+inline bool
+metricsEnabled()
+{
+    return metricsOn.load(std::memory_order_relaxed);
+}
 /** Turn recording on/off (instruments and values are kept either way). */
 void enableMetrics(bool on = true);
 /** Zero every registered instrument (references stay valid). */

@@ -38,7 +38,7 @@ Backend::prof() const
 CoverageCollector *
 Backend::cover() const
 {
-    return sim_.cover_;
+    return sim_.ctx_.cover;
 }
 
 void

@@ -288,14 +288,27 @@ CoverageCollector::onStore(int sig, const Bits &oldv, const Bits &newv)
     const auto &entry = items_->signals[slot];
     uint32_t bits = std::min(entry.width,
                              std::min(oldv.width(), newv.width()));
-    for (uint32_t b = 0; b < bits; ++b) {
-        bool was = oldv.bit(b);
-        bool now = newv.bit(b);
-        if (was == now)
+    const uint64_t *was = oldv.rawWords();
+    const uint64_t *now = newv.rawWords();
+    // OR @p mask (bit i = signal bit base + i) into @p map at the
+    // signal's offset; a word may straddle two bitmap words.
+    auto mark = [&](std::vector<uint64_t> &map, uint32_t base,
+                    uint64_t mask) {
+        uint32_t at = entry.bitOffset + base;
+        uint32_t shift = at & 63;
+        map[at >> 6] |= mask << shift;
+        if (shift && (mask >> (64 - shift)))
+            map[(at >> 6) + 1] |= mask >> (64 - shift);
+    };
+    for (uint32_t w = 0; w * 64 < bits; ++w) {
+        uint32_t left = bits - w * 64;
+        uint64_t live = left >= 64 ? ~uint64_t(0)
+                                   : (uint64_t(1) << left) - 1;
+        uint64_t flips = (was[w] ^ now[w]) & live;
+        if (!flips)
             continue;
-        uint32_t idx = entry.bitOffset + b;
-        auto &map = now ? riseWords_ : fallWords_;
-        map[idx >> 6] |= uint64_t(1) << (idx & 63);
+        mark(riseWords_, w * 64, flips & now[w]);
+        mark(fallWords_, w * 64, flips & was[w]);
     }
 }
 
@@ -310,7 +323,7 @@ CoverageCollector::observeState(FsmRuntime &fsm, uint64_t cur)
 }
 
 void
-CoverageCollector::sample(const EvalContext &ctx)
+CoverageCollector::onEval(EvalContext &ctx)
 {
     ++events_;
     for (auto &fsm : fsms_) {
@@ -340,7 +353,7 @@ CoverageCollector::sample(const EvalContext &ctx)
 }
 
 void
-CoverageCollector::resync(const EvalContext &ctx)
+CoverageCollector::resync(EvalContext &ctx)
 {
     for (auto &fsm : fsms_) {
         uint64_t cur = ctx.values[fsm.sig].toU64();

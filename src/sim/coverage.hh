@@ -14,11 +14,12 @@
  *    are written into Stmt::coverId so the simulator hot path marks
  *    statements with a single array index, no lookup.
  *
- *  - CoverageCollector owns flat bitmaps over those ids and the mark
- *    methods the simulator calls. The simulator tests one pointer per
- *    potential mark (the same pattern as profiling and stimulus
- *    recording), so detached simulation pays one predictable branch
- *    per site — bench/cover_overhead keeps that honest.
+ *  - CoverageCollector owns flat bitmaps over those ids. Statement,
+ *    arm and store marks come from the backends through the nullable
+ *    EvalContext::cover sink, so detached simulation pays one
+ *    predictable branch per site; poke toggles and per-eval FSM
+ *    sampling come through the simulator's observer list.
+ *    bench/hook_overhead keeps both costs honest.
  *
  * The sim layer cannot depend on the analyze layer, so FSM enumeration
  * arrives as plain data (FsmCoverSpec) extracted by the caller from
@@ -35,12 +36,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/design.hh"
+#include "sim/eval.hh"
 
 namespace hwdbg::sim
 {
-
-struct EvalContext;
 
 /** One FSM to cover, as plain data (no analysis dependency). */
 struct FsmCoverSpec
@@ -153,7 +152,7 @@ struct CoverageTotals
  * path calls. Marks are idempotent (bit set), so replaying stimulus
  * after a snapshot restore cannot distort coverage.
  */
-class CoverageCollector
+class CoverageCollector : public Observer
 {
   public:
     explicit CoverageCollector(const CoverageItems &items);
@@ -189,19 +188,25 @@ class CoverageCollector
         armWords_[a >> 6] |= uint64_t(1) << (a & 63);
     }
 
-    /** Value-changing store of @p next over @p old on signal @p sig. */
+    /** Value-changing store of @p newv over @p oldv on signal @p sig. */
     void onStore(int sig, const Bits &oldv, const Bits &newv);
 
-    /** Sample FSM state registers (call after each eval settles). */
-    void sample(const EvalContext &ctx);
+    /** A poked input toggles like any other store. */
+    void onPoke(int sig, const Bits &before, const Bits &after) override
+    {
+        onStore(sig, before, after);
+    }
+
+    /** Sample FSM state registers after the eval settled. */
+    void onEval(EvalContext &ctx) override;
 
     /**
-     * Re-seed FSM last-state tracking from current values; call after
-     * a snapshot restore or attach. Credits the state currently
-     * occupied (idempotent) but records no transition — time travel
-     * must not fabricate arcs the design never took.
+     * Re-seed FSM last-state tracking from current values (attach or
+     * snapshot restore). Credits the state currently occupied
+     * (idempotent) but records no transition — time travel must not
+     * fabricate arcs the design never took.
      */
-    void resync(const EvalContext &ctx);
+    void resync(EvalContext &ctx) override;
 
     /** Mark hook executions so far (the bench overhead currency). */
     uint64_t events() const { return events_; }

@@ -91,6 +91,33 @@ struct EvalContext
 };
 
 /**
+ * An observer of one simulator's run (Simulator::attach), called in
+ * attach order on any backend. Per-construct marks are not observer
+ * calls: they stay nullable sinks on the backends' data path
+ * (EvalContext::cover, Simulator::enableProfiling).
+ */
+class Observer
+{
+  public:
+    virtual ~Observer() = default;
+
+    /** poke() is about to store @p after over @p before in input @p sig. */
+    virtual void onPoke(int sig, const Bits &before, const Bits &after)
+    {
+        (void)sig, (void)before, (void)after;
+    }
+
+    /** End of every eval() (ctx.evalSeq identifies it), with backend
+     *  state flushed into @p ctx. */
+    virtual void onEval(EvalContext &ctx) { (void)ctx; }
+
+    /** State was replaced outside eval() (attach, restoreState); @p ctx
+     *  is flushed. Re-seed change/edge baselines here, so neither can
+     *  fabricate or drop an observation. */
+    virtual void resync(EvalContext &ctx) { (void)ctx; }
+};
+
+/**
  * Evaluate @p expr. @p ctx_width is the context width (0 = use the
  * expression's self-determined width). The result has width
  * max(ctx_width, self width) for operators and is resized for leaves.

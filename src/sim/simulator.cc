@@ -13,52 +13,6 @@ namespace hwdbg::sim
 
 using namespace hdl;
 
-namespace
-{
-
-/** Collect the signal ids an expression reads (clock-expr flushing). */
-void
-collectSignals(const ExprPtr &expr, std::vector<int> &out)
-{
-    if (!expr)
-        return;
-    switch (expr->kind) {
-      case ExprKind::Id:
-        out.push_back(expr->as<IdExpr>()->resolved);
-        break;
-      case ExprKind::Unary:
-        collectSignals(expr->as<UnaryExpr>()->arg, out);
-        break;
-      case ExprKind::Binary:
-        collectSignals(expr->as<BinaryExpr>()->lhs, out);
-        collectSignals(expr->as<BinaryExpr>()->rhs, out);
-        break;
-      case ExprKind::Ternary:
-        collectSignals(expr->as<TernaryExpr>()->cond, out);
-        collectSignals(expr->as<TernaryExpr>()->thenExpr, out);
-        collectSignals(expr->as<TernaryExpr>()->elseExpr, out);
-        break;
-      case ExprKind::Concat:
-        for (const auto &part : expr->as<ConcatExpr>()->parts)
-            collectSignals(part, out);
-        break;
-      case ExprKind::Repeat:
-        collectSignals(expr->as<RepeatExpr>()->inner, out);
-        break;
-      case ExprKind::Index:
-        out.push_back(expr->as<IndexExpr>()->resolved);
-        collectSignals(expr->as<IndexExpr>()->index, out);
-        break;
-      case ExprKind::Range:
-        out.push_back(expr->as<RangeExpr>()->resolved);
-        break;
-      case ExprKind::Number:
-        break;
-    }
-}
-
-} // namespace
-
 Simulator::Simulator(ModulePtr elaborated)
     : mod_(std::move(elaborated)), design_(mod_), ctx_(design_)
 {
@@ -76,7 +30,9 @@ Simulator::Simulator(ModulePtr elaborated)
     }
     prevPrimClocks_.assign(primClocks_.size(), false);
     for (const auto &pc : primClocks_)
-        collectSignals(pc.expr, primClockSigs_);
+        forEachIdent(pc.expr, [&](const std::string &name) {
+            primClockSigs_.push_back(design_.requireSignal(name));
+        });
     std::sort(primClockSigs_.begin(), primClockSigs_.end());
     primClockSigs_.erase(std::unique(primClockSigs_.begin(),
                                      primClockSigs_.end()),
@@ -273,11 +229,34 @@ Simulator::setBackend(const BackendFactory &factory)
     backend_->load();
 }
 
-void
-Simulator::recordStimulus(StimulusTape *tape)
+StimulusRecorder::StimulusRecorder(Simulator &sim, StimulusTape &tape)
+    : sim_(sim), tape_(tape)
 {
-    tape_ = tape;
-    pendingStep_.pokes.clear();
+    sim_.attach(this);
+}
+
+StimulusRecorder::~StimulusRecorder()
+{
+    sim_.detach(this);
+}
+
+void
+StimulusRecorder::onPoke(int sig, const Bits &, const Bits &after)
+{
+    pending_.pokes.emplace_back(sim_.design().info(sig).name, after);
+}
+
+void
+StimulusRecorder::onEval(EvalContext &)
+{
+    tape_.steps.push_back(std::move(pending_));
+    pending_.pokes.clear();
+}
+
+void
+StimulusRecorder::resync(EvalContext &)
+{
+    pending_.pokes.clear();
 }
 
 void
@@ -343,16 +322,10 @@ Simulator::restoreState(const SimSnapshot &snap)
         const uint8_t *cursor = blob.data();
         prims_[i]->restoreState(cursor, blob.data() + blob.size());
     }
-    pendingStep_.pokes.clear();
-    // Coverage marks are idempotent, but FSM transition detection
-    // compares against the last sampled state; re-seed it so time
-    // travel cannot fabricate a restore-point transition.
-    if (cover_)
-        cover_->resync(ctx_);
-    // Same contract for the per-eval hook: restored state is a new
-    // baseline, never a fabricated change.
-    if (hook_)
-        hook_->resync(ctx_);
+    // Restored state is a new baseline for every observer, never a
+    // fabricated change.
+    for (Observer *observer : observers_)
+        observer->resync(ctx_);
     HWDBG_STAT_INC("sim.restores", 1);
 }
 
@@ -379,26 +352,27 @@ Simulator::enableProfiling(SimCounters *counters)
 void
 Simulator::enableCoverage(CoverageCollector *collector)
 {
-    cover_ = collector;
+    if (ctx_.cover)
+        detach(ctx_.cover);
     ctx_.cover = collector;
-    // Seed FSM tracking from current values: the occupied state is
-    // credited, but attaching mid-run fabricates no transition.
-    if (cover_) {
-        backend_->flush();
-        cover_->resync(ctx_);
-    }
+    if (collector)
+        attach(collector);
 }
 
 void
-Simulator::setEvalHook(EvalHook *hook)
+Simulator::attach(Observer *observer)
 {
-    hook_ = hook;
-    // Seed change/edge baselines from current state: attaching mid-run
-    // observes from here on and fabricates nothing retroactively.
-    if (hook_) {
-        backend_->flush();
-        hook_->resync(ctx_);
-    }
+    observers_.push_back(observer);
+    backend_->flush();
+    observer->resync(ctx_);
+}
+
+void
+Simulator::detach(Observer *observer)
+{
+    observers_.erase(
+        std::remove(observers_.begin(), observers_.end(), observer),
+        observers_.end());
 }
 
 void
@@ -408,16 +382,11 @@ Simulator::poke(const std::string &signal, const Bits &value)
     const SignalInfo &sig = design_.info(id);
     if (sig.dir != PortDir::Input)
         fatal("poke: '%s' is not a top-level input", signal.c_str());
-    if (cover_) {
-        Bits next = value.resized(sig.width);
-        cover_->onStore(id, ctx_.values[id], next);
-        ctx_.values[id] = std::move(next);
-    } else {
-        ctx_.values[id] = value.resized(sig.width);
-    }
+    Bits next = value.resized(sig.width);
+    for (Observer *observer : observers_)
+        observer->onPoke(id, ctx_.values[id], next);
+    ctx_.values[id] = std::move(next);
     backend_->onPoke(id);
-    if (tape_)
-        pendingStep_.pokes.emplace_back(signal, ctx_.values[id]);
 }
 
 void
@@ -509,10 +478,6 @@ Simulator::setProcessOrder(std::vector<size_t> order)
 void
 Simulator::eval()
 {
-    if (tape_) {
-        tape_->steps.push_back(std::move(pendingStep_));
-        pendingStep_.pokes.clear();
-    }
     ++ctx_.evalSeq;
     backend_->settleComb();
 
@@ -565,18 +530,20 @@ Simulator::eval()
 
     prevClocks_ = clockNow_;
 
-    if (triggered.empty() && prim_triggered.empty()) {
-        if (cover_) {
-            backend_->flush();
-            cover_->sample(ctx_);
-        }
-        if (hook_) {
-            backend_->flush();
-            hook_->onEval(ctx_);
-        }
-        return;
-    }
+    if (!triggered.empty() || !prim_triggered.empty())
+        runTriggered(prim_triggered);
 
+    if (!observers_.empty()) {
+        backend_->flush();
+        for (Observer *observer : observers_)
+            observer->onEval(ctx_);
+    }
+}
+
+void
+Simulator::runTriggered(const std::vector<size_t> &prim_triggered)
+{
+    std::vector<size_t> &triggered = triggered_;
     // Execute processes with pre-edge (settled) values; NBAs commit
     // together afterwards. Primitives also sample inputs pre-edge.
     if (!procOrder_.empty())
@@ -611,15 +578,6 @@ Simulator::eval()
     backend_->commitNba();
 
     backend_->settleComb();
-
-    if (cover_) {
-        backend_->flush();
-        cover_->sample(ctx_);
-    }
-    if (hook_) {
-        backend_->flush();
-        hook_->onEval(ctx_);
-    }
 }
 
 } // namespace hwdbg::sim

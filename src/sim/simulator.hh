@@ -39,30 +39,6 @@ struct SimCounters;
 class CoverageCollector;
 
 /**
- * Observer invoked at the end of every eval() with backend shadow state
- * flushed into the shared context (so ctx.values/arrays are current on
- * any backend). The trace recorder is the canonical implementation; the
- * detached path costs one pointer test per eval (bench/trace_overhead
- * measures it).
- */
-class EvalHook
-{
-  public:
-    virtual ~EvalHook() = default;
-
-    /** End of one eval(); ctx.evalSeq identifies it. Called for every
-     *  eval, including ones that trigger no process. */
-    virtual void onEval(EvalContext &ctx) = 0;
-
-    /**
-     * State was replaced outside eval() (attach, restoreState). ctx is
-     * flushed. Implementations re-seed any change/edge baselines so
-     * time travel can neither fabricate nor drop an observation.
-     */
-    virtual void resync(EvalContext &ctx) = 0;
-};
-
-/**
  * One eval() step of recorded stimulus: the pokes applied since the
  * previous eval, in poke order (later pokes of the same signal win,
  * exactly as they did live).
@@ -83,6 +59,33 @@ struct StimulusTape
 {
     std::vector<StimulusStep> steps;
     size_t sizeBytes() const;
+};
+
+class Simulator;
+
+/**
+ * Records every poke()/eval() of a simulator into a StimulusTape, one
+ * StimulusStep per eval(), from construction until destruction.
+ */
+class StimulusRecorder : public Observer
+{
+  public:
+    StimulusRecorder(Simulator &sim, StimulusTape &tape);
+    ~StimulusRecorder() override;
+
+    StimulusRecorder(const StimulusRecorder &) = delete;
+    StimulusRecorder &operator=(const StimulusRecorder &) = delete;
+
+    void onPoke(int sig, const Bits &before, const Bits &after) override;
+    void onEval(EvalContext &ctx) override;
+    /** Drops pokes not yet followed by an eval(). */
+    void resync(EvalContext &ctx) override;
+
+  private:
+    Simulator &sim_;
+    StimulusTape &tape_;
+    /** Pokes since the last eval(). */
+    StimulusStep pending_;
 };
 
 /**
@@ -141,22 +144,20 @@ class Simulator
     /**
      * Mark statement/branch/toggle/FSM coverage into @p collector
      * (built over this design's CoverageItems) until detached with
-     * nullptr. The uncovered path costs one branch per site;
-     * bench/cover_overhead measures it.
+     * nullptr: sets the per-construct sink (EvalContext::cover) and
+     * attaches the collector as an observer for its poke toggles and
+     * per-eval FSM sampling.
      */
     void enableCoverage(CoverageCollector *collector);
 
     /**
-     * Attach a per-eval observer (trace recording) until detached with
-     * nullptr. The hook fires at the end of every eval() with backend
-     * state flushed; attach and restoreState() call resync() so the
-     * hook can re-seed its baselines. One hook at a time — the trace
-     * recorder owns the slot the way the coverage collector owns its.
+     * Add @p observer to the end of the observer list and resync() it
+     * from current state, so attaching mid-run observes from here on.
+     * Observers attach and detach outside their own callbacks.
      */
-    void setEvalHook(EvalHook *hook);
-
-    /** The attached per-eval observer (null when detached). */
-    EvalHook *evalHook() const { return hook_; }
+    void attach(Observer *observer);
+    /** Remove @p observer from the list (no-op when not attached). */
+    void detach(Observer *observer);
 
     /**
      * Replace the execution backend (null factory restores the
@@ -206,13 +207,6 @@ class Simulator
      */
     void setProcessOrder(std::vector<size_t> order);
 
-    /**
-     * Record every poke()/eval() into @p tape until detached with
-     * nullptr. Pokes are grouped into one StimulusStep per eval(). The
-     * detached path costs one pointer test per poke/eval.
-     */
-    void recordStimulus(StimulusTape *tape);
-
     /** Replay one recorded step: apply its pokes, then eval(). */
     void applyStep(const StimulusStep &step);
 
@@ -261,16 +255,16 @@ class Simulator
     friend class Backend;
 
     void noteSettle(size_t iters, size_t work);
+    /** Run the clocked processes in triggered_ and the primitive clock
+     *  edges in @p prim_triggered, commit NBAs, and re-settle. */
+    void runTriggered(const std::vector<size_t> &prim_triggered);
 
     hdl::ModulePtr mod_;
     LoweredDesign design_;
     EvalContext ctx_;
     SimCounters *prof_ = nullptr;
-    CoverageCollector *cover_ = nullptr;
-    EvalHook *hook_ = nullptr;
-    StimulusTape *tape_ = nullptr;
-    /** Pokes since the last eval() while recording. */
-    StimulusStep pendingStep_;
+    /** Attached observers, in attach order. */
+    std::vector<Observer *> observers_;
 
     std::unique_ptr<Backend> backend_;
 

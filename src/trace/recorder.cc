@@ -160,7 +160,7 @@ TraceRecorder::attach()
     if (attached_)
         return;
     attached_ = true;
-    sim_.setEvalHook(this);
+    sim_.attach(this);
     HWDBG_STAT_INC("trace.attaches", 1);
 }
 
@@ -170,8 +170,7 @@ TraceRecorder::detach()
     if (!attached_)
         return;
     attached_ = false;
-    if (sim_.evalHook() == this)
-        sim_.setEvalHook(nullptr);
+    sim_.detach(this);
 }
 
 void

@@ -12,9 +12,9 @@
  *    Verilog expressions (edge or change semantics, like debugger
  *    breakpoints), and a bytes-of-buffer budget from which the ring
  *    depth is derived — the capture half of a future overlay cost model.
- *  - TraceRecorder implements sim::EvalHook, so it records identically
- *    on any backend (interp or bytecode) through the one nullable
- *    per-eval hook; bench/trace_overhead gates the detached cost.
+ *  - TraceRecorder is a sim::Observer, so it records identically on
+ *    any backend (interp or bytecode), and any number of recorders
+ *    record side by side; bench/hook_overhead gates the detached cost.
  *  - Recording is value-change based: an eval contributes a row only
  *    when a traced signal changed (the first observed eval anchors the
  *    dump with a full row).
@@ -135,7 +135,7 @@ resolveSignals(const sim::LoweredDesign &design, const TraceConfig &cfg);
  * attach() hooks the simulator and recording runs until detach() or
  * destruction. dump() may be called attached or detached.
  */
-class TraceRecorder : public sim::EvalHook
+class TraceRecorder : public sim::Observer
 {
   public:
     TraceRecorder(sim::Simulator &sim, const TraceConfig &cfg);
@@ -144,13 +144,13 @@ class TraceRecorder : public sim::EvalHook
     TraceRecorder(const TraceRecorder &) = delete;
     TraceRecorder &operator=(const TraceRecorder &) = delete;
 
-    /** Start recording (installs the per-eval hook). */
+    /** Start recording (attaches to the simulator's observers). */
     void attach();
     /** Stop recording; recorded state is kept for dump(). */
     void detach();
     bool attached() const { return attached_; }
 
-    // sim::EvalHook
+    // sim::Observer
     void onEval(sim::EvalContext &ctx) override;
     void resync(sim::EvalContext &ctx) override;
 

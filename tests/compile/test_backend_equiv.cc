@@ -75,9 +75,8 @@ recordWorkload(const bugs::TestbedBug &bug, const hdl::ModulePtr &mod)
 {
     StimulusTape tape;
     Simulator recorder(mod);
-    recorder.recordStimulus(&tape);
+    StimulusRecorder taping(recorder, tape);
     bugs::runWorkload(bug, recorder);
-    recorder.recordStimulus(nullptr);
     return tape;
 }
 

@@ -187,6 +187,45 @@ TEST(CoverageCollectorTest, PokeCountsAsToggle)
     EXPECT_TRUE(collector.bitRose(sel.bitOffset + 1));
 }
 
+TEST(CoverageCollectorTest, WideTogglesMarkEveryFlippedBit)
+{
+    // Widths 3, 70 and 130 put multi-word signals at bit offsets that
+    // straddle bitmap words.
+    hdl::Design design = hdl::parse(
+        "module w(input wire [2:0] a, input wire [69:0] b,\n"
+        "         input wire [129:0] c);\nendmodule\n");
+    Simulator sim(elab::elaborate(design, "w").mod);
+    CoverageItems items = buildCoverageItems(sim.design());
+    CoverageCollector collector(items);
+
+    uint64_t state = 0x9e3779b97f4a7c15ull;
+    auto draw = [&](uint32_t width) {
+        uint64_t words[3];
+        for (uint64_t &word : words) {
+            state = state * 6364136223846793005ull + 1442695040888963407ull;
+            word = state ^ (state >> 29);
+        }
+        return Bits::fromWords(width, words, 3);
+    };
+    std::vector<bool> rose(items.toggleBits), fell(items.toggleBits);
+    for (int round = 0; round < 8; ++round) {
+        for (const auto &sig : items.signals) {
+            Bits before = draw(sig.width);
+            Bits after = draw(sig.width);
+            collector.onStore(sig.sig, before, after);
+            for (uint32_t b = 0; b < sig.width; ++b) {
+                uint32_t bit = sig.bitOffset + b;
+                rose[bit] = rose[bit] || (!before.bit(b) && after.bit(b));
+                fell[bit] = fell[bit] || (before.bit(b) && !after.bit(b));
+            }
+        }
+        for (uint32_t bit = 0; bit < items.toggleBits; ++bit) {
+            ASSERT_EQ(collector.bitRose(bit), rose[bit]) << "bit " << bit;
+            ASSERT_EQ(collector.bitFell(bit), fell[bit]) << "bit " << bit;
+        }
+    }
+}
+
 TEST(CoverageCollectorTest, DetachedSimulationDoesNotMark)
 {
     auto sim = makeSim();

@@ -66,9 +66,8 @@ makeBugEngine(const bugs::TestbedBug &bug, EngineOptions opts = {})
     sim::StimulusTape tape;
     {
         sim::Simulator recorder(instr.module);
-        recorder.recordStimulus(&tape);
+        sim::StimulusRecorder taping(recorder, tape);
         bugs::runWorkload(bug, recorder);
-        recorder.recordStimulus(nullptr);
     }
     opts.constants = elaborated.constants;
     return std::make_unique<Engine>(instr.module, std::move(tape), opts);

@@ -102,9 +102,8 @@ TEST(SnapshotTest, SaveRestoreIsDeterministicOnEveryTestbedBug)
         StimulusTape tape;
         {
             Simulator recorder(elaborated.mod);
-            recorder.recordStimulus(&tape);
+            StimulusRecorder taping(recorder, tape);
             bugs::runWorkload(bug, recorder);
-            recorder.recordStimulus(nullptr);
         }
         ASSERT_GT(tape.steps.size(), 2u);
         size_t k = tape.steps.size() / 2;
@@ -220,10 +219,11 @@ TEST(SnapshotTest, TapeRecordsPokesPerEval)
         "         output reg [7:0] q);\n"
         "always @(posedge clk) q <= d;\nendmodule");
     StimulusTape tape;
-    sim->recordStimulus(&tape);
-    sim->poke("d", uint64_t(7));
-    tick(*sim, 2);
-    sim->recordStimulus(nullptr);
+    {
+        StimulusRecorder taping(*sim, tape);
+        sim->poke("d", uint64_t(7));
+        tick(*sim, 2);
+    }
     // 2 ticks = 4 evals; the first carries the d poke and a clk poke.
     ASSERT_EQ(tape.steps.size(), 4u);
     ASSERT_EQ(tape.steps[0].pokes.size(), 2u);
