@@ -73,10 +73,28 @@ BM_PrintModule(benchmark::State &state)
     auto mod = elab::elaborate(
         hdl::parseWithDefines(corpusSource(), {}, "optimus.v"),
         "optimus").mod;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(hdl::printModule(*mod));
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::string text = hdl::printModule(*mod);
+        bytes += text.size();
+        benchmark::DoNotOptimize(text);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_PrintModule);
+
+void
+BM_CountCodeLines(benchmark::State &state)
+{
+    std::string text = hdl::printModule(*elab::elaborate(
+        hdl::parseWithDefines(corpusSource(), {}, "optimus.v"),
+        "optimus").mod);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hdl::countCodeLines(text));
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_CountCodeLines);
 
 void
 BM_SimulatorBuild(benchmark::State &state)

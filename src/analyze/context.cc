@@ -172,6 +172,13 @@ Context::assigns() const
     return get(assigns_, "assigns", [&] { return collectAssigns(*mod_); });
 }
 
+const AssignIndex &
+Context::assignsOf() const
+{
+    return get(assignsOf_, "assignsOf",
+               [&] { return indexAssigns(assigns()); });
+}
+
 const std::vector<GuardedDisplay> &
 Context::displays() const
 {
@@ -202,7 +209,7 @@ const ConstFixpoint &
 Context::fixpoint() const
 {
     return get(fix_, "fixpoint", [&] {
-        return solveConstants(*mod_, signals(), assigns());
+        return solveConstants(*mod_, signals(), assigns(), assignsOf());
     });
 }
 

@@ -11,6 +11,7 @@
  *   signals()    declarations: widths, kinds, directions, locations,
  *                declaration order
  *   assigns()    every guarded assignment, in module order
+ *   assignsOf()  each target's assignments, as indices into assigns()
  *   displays()   every $display in a clocked process, with its guard
  *   graph()      the signal dependency graph (over assigns())
  *   fsms()       detected state machines (over assigns())
@@ -115,6 +116,8 @@ class Context
     const hdl::Module &module() const { return *mod_; }
     const SignalTable &signals() const;
     const std::vector<GuardedAssign> &assigns() const;
+    /** Target -> indices into assigns() of its assignments. */
+    const AssignIndex &assignsOf() const;
     const std::vector<GuardedDisplay> &displays() const;
     const DepGraph &graph() const;
     const std::vector<FsmInfo> &fsms() const;
@@ -185,6 +188,7 @@ class Context
     const hdl::Module *mod_;
     mutable Fact<SignalTable> sigs_;
     mutable Fact<std::vector<GuardedAssign>> assigns_;
+    mutable Fact<AssignIndex> assignsOf_;
     mutable Fact<std::vector<GuardedDisplay>> displays_;
     mutable Fact<DepGraph> graph_;
     mutable Fact<std::vector<FsmInfo>> fsms_;

@@ -114,6 +114,13 @@ struct GuardedDisplay
  *  it through Context::assigns(). */
 std::vector<GuardedAssign> collectAssigns(const hdl::Module &mod);
 
+/** Assignment target -> indices into the assignment list of the
+ *  assignments that write it, in list order. */
+using AssignIndex = std::map<std::string, std::vector<size_t>>;
+
+/** Index @p assigns by target; read it through Context::assignsOf(). */
+AssignIndex indexAssigns(const std::vector<GuardedAssign> &assigns);
+
 /** Every $display in a clocked process; read it through
  *  Context::displays(). */
 std::vector<GuardedDisplay> collectDisplays(const hdl::Module &mod);

@@ -89,7 +89,8 @@ ConstFixpoint::factOf(const std::string &name,
 
 ConstFixpoint
 solveConstants(const Module &mod, const SignalTable &sigs,
-               const std::vector<GuardedAssign> &assigns)
+               const std::vector<GuardedAssign> &assigns,
+               const AssignIndex &assignsOf)
 {
     ConstFixpoint fix;
     fix.primConnected = primitiveConnections(mod);
@@ -98,13 +99,11 @@ solveConstants(const Module &mod, const SignalTable &sigs,
     // registers never expose their zero init (settling overwrites it
     // before anything observes the value).
     std::map<const AlwaysItem *, std::set<std::string>> combMust;
-    std::map<std::string, std::vector<size_t>> assignsOf;
     std::map<std::string, std::vector<const AlwaysItem *>> combProcsOf;
     std::map<std::string, bool> hasNonCombAssign;
     for (size_t i = 0; i < assigns.size(); ++i) {
         const auto &ga = assigns[i];
         for (const auto &target : lvalueTargets(ga.lhs)) {
-            assignsOf[target].push_back(i);
             if (ga.proc && ga.proc->isComb) {
                 auto &procs = combProcsOf[target];
                 if (std::find(procs.begin(), procs.end(), ga.proc) ==
@@ -175,7 +174,10 @@ solveConstants(const Module &mod, const SignalTable &sigs,
         std::optional<KnownBits> acc;
         if (seeds[name] == Seed::Zero)
             acc = KnownBits::constant(info->width, 0);
-        for (size_t i : assignsOf[name]) {
+        auto of = assignsOf.find(name);
+        if (of == assignsOf.end())
+            return acc;
+        for (size_t i : of->second) {
             const auto &ga = assigns[i];
             auto guard = triEval(ga.guard, sigs, fix.env);
             if (!guard || *guard == Tri::False)

@@ -77,7 +77,8 @@ struct ConstFixpoint
 /** Read it through Context::fixpoint(). */
 ConstFixpoint solveConstants(
     const hdl::Module &mod, const SignalTable &sigs,
-    const std::vector<GuardedAssign> &assigns);
+    const std::vector<GuardedAssign> &assigns,
+    const AssignIndex &assignsOf);
 
 } // namespace hwdbg::analyze
 

@@ -134,6 +134,16 @@ collectAssigns(const Module &mod)
     return out;
 }
 
+AssignIndex
+indexAssigns(const std::vector<GuardedAssign> &assigns)
+{
+    AssignIndex index;
+    for (size_t i = 0; i < assigns.size(); ++i)
+        for (const auto &target : lvalueTargets(assigns[i].lhs))
+            index[target].push_back(i);
+    return index;
+}
+
 std::vector<GuardedDisplay>
 collectDisplays(const Module &mod)
 {

@@ -88,11 +88,7 @@ passXinit(Context &ctx)
     }
 
     // --- read-uninitialized: every assignment to a register is dead.
-    std::map<std::string, std::vector<size_t>> assignsOf;
-    for (size_t i = 0; i < assigns.size(); ++i)
-        for (const auto &target : lvalueTargets(assigns[i].lhs))
-            assignsOf[target].push_back(i);
-
+    const auto &assignsOf = ctx.assignsOf();
     const auto &graph = ctx.graph();
     for (const auto &[name, info] : sigs.all()) {
         if (!info.isReg || info.isArray)

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <iterator>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -173,60 +175,42 @@ Bits::parseVerilog(const std::string &text, bool *sized)
 
     char base = static_cast<char>(
         std::tolower(static_cast<unsigned char>(s[tick + 1])));
-    std::string digits = s.substr(tick + 2);
+    std::string_view digits = std::string_view(s).substr(tick + 2);
     if (digits.empty())
         fatal("literal '%s' has no digits", text.c_str());
 
-    Bits result(width);
-    auto shift_in = [&](uint32_t bits_per_digit, uint64_t digit) {
-        result = result.shl(bits_per_digit);
-        Bits add_in(width, digit);
-        result = result.bitOr(add_in);
-    };
-
+    uint32_t radix;
+    const char *radix_name;
     switch (base) {
-      case 'b':
-        for (char c : digits) {
-            if (c != '0' && c != '1')
-                fatal("bad binary digit in '%s'", text.c_str());
-            shift_in(1, static_cast<uint64_t>(c - '0'));
-        }
-        break;
-      case 'h':
-        for (char c : digits) {
-            int v;
-            if (std::isdigit(static_cast<unsigned char>(c)))
-                v = c - '0';
-            else if (c >= 'a' && c <= 'f')
-                v = 10 + (c - 'a');
-            else if (c >= 'A' && c <= 'F')
-                v = 10 + (c - 'A');
-            else {
-                fatal("bad hex digit in '%s'", text.c_str());
-            }
-            shift_in(4, static_cast<uint64_t>(v));
-        }
-        break;
-      case 'o':
-        for (char c : digits) {
-            if (c < '0' || c > '7')
-                fatal("bad octal digit in '%s'", text.c_str());
-            shift_in(3, static_cast<uint64_t>(c - '0'));
-        }
-        break;
-      case 'd': {
-        Bits ten(width, 10);
-        for (char c : digits) {
-            if (!std::isdigit(static_cast<unsigned char>(c)))
-                fatal("bad decimal digit in '%s'", text.c_str());
-            result = result.mul(ten).add(
-                Bits(width, static_cast<uint64_t>(c - '0')));
-        }
-        break;
-      }
+      case 'b': radix = 2; radix_name = "binary"; break;
+      case 'o': radix = 8; radix_name = "octal"; break;
+      case 'd': radix = 10; radix_name = "decimal"; break;
+      case 'h': radix = 16; radix_name = "hex"; break;
       default:
         fatal("unknown literal base '%c' in '%s'", base, text.c_str());
     }
+    // Up to 64 bits the digits accumulate in one word: truncating to
+    // the width once at the end equals truncating after every digit.
+    uint64_t word = 0;
+    Bits result(width);
+    const Bits radix_bits(width, radix);
+    for (char c : digits) {
+        uint32_t digit = 16;
+        if (c >= '0' && c <= '9')
+            digit = static_cast<uint32_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            digit = 10 + static_cast<uint32_t>(c - 'a');
+        else if (c >= 'A' && c <= 'F')
+            digit = 10 + static_cast<uint32_t>(c - 'A');
+        if (digit >= radix)
+            fatal("bad %s digit in '%s'", radix_name, text.c_str());
+        if (width <= 64)
+            word = word * radix + digit;
+        else
+            result = result.mul(radix_bits).add(Bits(width, digit));
+    }
+    if (width <= 64)
+        return Bits(width, word);
     return result;
 }
 
@@ -525,14 +509,28 @@ Bits::operator==(const Bits &rhs) const
 std::string
 Bits::toHexString() const
 {
+    std::string out;
+    appendHex(out);
+    return out;
+}
+
+void
+Bits::appendHex(std::string &out) const
+{
     static const char digits[] = "0123456789abcdef";
     uint32_t nibbles = (width_ + 3) / 4;
-    std::string out;
-    out.reserve(nibbles);
-    for (uint32_t i = nibbles; i-- > 0;)
-        out.push_back(
-            digits[readBits64(words(), numWords(), i * 4) & 0xf]);
-    return out;
+    size_t at = out.size();
+    out.resize(at + nibbles);
+    char *dst = out.data() + at;
+    if (width_ <= 64) {
+        uint64_t value = toU64();
+        for (uint32_t i = nibbles; i-- > 0; value >>= 4)
+            dst[i] = digits[value & 0xf];
+        return;
+    }
+    for (uint32_t i = 0; i < nibbles; ++i)
+        dst[nibbles - 1 - i] =
+            digits[readBits64(words(), numWords(), i * 4) & 0xf];
 }
 
 std::string
@@ -548,8 +546,19 @@ Bits::toBinString() const
 std::string
 Bits::toDecString() const
 {
-    if (width_ <= 64)
-        return std::to_string(toU64());
+    std::string out;
+    appendDec(out);
+    return out;
+}
+
+void
+Bits::appendDec(std::string &out) const
+{
+    char buf[20];
+    if (width_ <= 64) {
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, toU64()).ptr);
+        return;
+    }
     // Peel off 19 decimal digits per division, least significant first.
     const uint64_t ten19 = 10000000000000000000ull;
     std::vector<uint64_t> value(words(), words() + numWords());
@@ -565,21 +574,33 @@ Bits::toDecString() const
                     1);
         chunks.push_back(chunk);
     }
-    if (chunks.empty())
-        return "0";
-    std::string out = std::to_string(chunks.back());
-    for (size_t i = chunks.size() - 1; i-- > 0;) {
-        std::string digits = std::to_string(chunks[i]);
-        out.append(19 - digits.size(), '0');
-        out += digits;
+    if (chunks.empty()) {
+        out += '0';
+        return;
     }
-    return out;
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, chunks.back()).ptr);
+    for (size_t i = chunks.size() - 1; i-- > 0;) {
+        char *end = std::to_chars(buf, buf + sizeof buf, chunks[i]).ptr;
+        out.append(19 - static_cast<size_t>(end - buf), '0');
+        out.append(buf, end);
+    }
 }
 
 std::string
 Bits::toVerilog() const
 {
-    return std::to_string(width_) + "'h" + toHexString();
+    std::string out;
+    appendVerilog(out);
+    return out;
+}
+
+void
+Bits::appendVerilog(std::string &out) const
+{
+    char buf[10];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, width_).ptr);
+    out += "'h";
+    appendHex(out);
 }
 
 bool

@@ -144,7 +144,14 @@ class Bits
     /** Verilog literal form, e.g. 8'hff. */
     std::string toVerilog() const;
 
+    /** Append toDecString() or toVerilog() to @p out. */
+    void appendDec(std::string &out) const;
+    void appendVerilog(std::string &out) const;
+
   private:
+    /** Append toHexString() to @p out. */
+    void appendHex(std::string &out) const;
+
     /** Widths above this keep their words on the heap. */
     static constexpr uint32_t kInlineBits = 128;
 

@@ -27,9 +27,34 @@ designClock(const Module &mod)
     return "clk";
 }
 
+namespace
+{
+
+/**
+ * The module the last builder on this thread counted, with its code
+ * lines. Passes chain: each hands its result on as the next pass's
+ * original, so the count it took of its result is the next builder's
+ * count of its original, and each module of a chain prints once.
+ */
+struct CountedModule
+{
+    std::weak_ptr<const Module> mod;
+    int lines = 0;
+};
+thread_local CountedModule lastCounted;
+
+int
+codeLines(const Module &mod)
+{
+    if (auto last = lastCounted.mod.lock(); last.get() == &mod)
+        return lastCounted.lines;
+    return countCodeLines(printModule(mod));
+}
+
+} // namespace
+
 InstrumentBuilder::InstrumentBuilder(const Module &original)
-    : mod_(cloneModule(original)),
-      originalLines_(countCodeLines(printModule(original)))
+    : mod_(cloneModule(original)), originalLines_(codeLines(original))
 {
 }
 
@@ -124,7 +149,9 @@ InstrumentBuilder::generatedLines() const
 {
     if (!finished_)
         panic("generatedLines() before finish()");
-    return countCodeLines(printModule(*mod_)) - originalLines_;
+    int lines = countCodeLines(printModule(*mod_));
+    lastCounted = CountedModule{mod_, lines};
+    return lines - originalLines_;
 }
 
 } // namespace hwdbg::core

@@ -44,7 +44,11 @@ class InstrumentBuilder
     /** Materialize queued clocked blocks into the module. */
     void finish();
 
-    /** Lines of Verilog added relative to the original module. */
+    /**
+     * Lines of Verilog added relative to the original module. Counting
+     * prints the result once; a pass that instruments that result, as
+     * it was returned, reuses the count for its original.
+     */
     int generatedLines() const;
 
   private:

@@ -56,7 +56,8 @@ resolveLineStmts(const sim::CoverageItems &items, const std::string &file,
         const auto &loc = items.statements[i].loc;
         if (loc.line != static_cast<int>(line))
             continue;
-        if (loc.file == file || (bareName && basenameOf(loc.file) == file))
+        if (loc.file.str() == file ||
+            (bareName && basenameOf(loc.file) == file))
             ids.push_back(static_cast<uint32_t>(i));
     }
     return ids;

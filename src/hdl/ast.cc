@@ -1,14 +1,49 @@
 #include "hdl/ast.hh"
 
+#include <mutex>
+#include <ostream>
+#include <unordered_set>
+
 #include "common/logging.hh"
 
 namespace hwdbg::hdl
 {
 
+namespace
+{
+
+const std::string *
+noFile()
+{
+    static const std::string empty;
+    return &empty;
+}
+
+} // namespace
+
+FileName::FileName() : name_(noFile()) {}
+
+FileName::FileName(const std::string &name) : name_(noFile())
+{
+    if (name.empty())
+        return;
+    static std::mutex mutex;
+    static std::unordered_set<std::string> names;
+    std::lock_guard<std::mutex> lock(mutex);
+    name_ = &*names.insert(name).first;
+}
+
+std::ostream &
+operator<<(std::ostream &os, const FileName &name)
+{
+    return os << name.str();
+}
+
 std::string
 SourceLoc::str() const
 {
-    return file + ":" + std::to_string(line) + ":" + std::to_string(col);
+    return file.str() + ":" + std::to_string(line) + ":" +
+           std::to_string(col);
 }
 
 NetItem *

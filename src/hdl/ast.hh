@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,10 +32,46 @@
 namespace hwdbg::hdl
 {
 
+/**
+ * A source file name, interned: every FileName of one spelling points
+ * at one stored copy, so copying a SourceLoc copies a pointer. The
+ * intern table is global and thread-safe; it keeps each name it has
+ * seen for the life of the process.
+ */
+class FileName
+{
+  public:
+    /** The empty name. */
+    FileName();
+    FileName(const std::string &name);
+    FileName(const char *name) : FileName(std::string(name)) {}
+
+    const std::string &str() const { return *name_; }
+    operator const std::string &() const { return *name_; }
+    const char *c_str() const { return name_->c_str(); }
+    bool empty() const { return name_->empty(); }
+
+    friend bool
+    operator==(const FileName &a, const FileName &b)
+    {
+        return a.name_ == b.name_;
+    }
+    friend bool
+    operator<(const FileName &a, const FileName &b)
+    {
+        return *a.name_ < *b.name_;
+    }
+
+  private:
+    const std::string *name_;
+};
+
+std::ostream &operator<<(std::ostream &os, const FileName &name);
+
 /** Position of a construct in the original source text. */
 struct SourceLoc
 {
-    std::string file;
+    FileName file;
     int line = 0;
     int col = 0;
 

@@ -1,7 +1,7 @@
 #include "hdl/lexer.hh"
 
-#include <cctype>
-#include <map>
+#include <array>
+#include <cstdint>
 
 #include "common/logging.hh"
 
@@ -11,288 +11,277 @@ namespace hwdbg::hdl
 namespace
 {
 
-const std::map<std::string, TokKind> keywords = {
-    {"module", TokKind::KwModule},
-    {"endmodule", TokKind::KwEndmodule},
-    {"input", TokKind::KwInput},
-    {"output", TokKind::KwOutput},
-    {"inout", TokKind::KwInout},
-    {"wire", TokKind::KwWire},
-    {"reg", TokKind::KwReg},
-    {"integer", TokKind::KwInteger},
-    {"parameter", TokKind::KwParameter},
-    {"localparam", TokKind::KwLocalparam},
-    {"assign", TokKind::KwAssign},
-    {"always", TokKind::KwAlways},
-    {"posedge", TokKind::KwPosedge},
-    {"negedge", TokKind::KwNegedge},
-    {"or", TokKind::KwOr},
-    {"begin", TokKind::KwBegin},
-    {"end", TokKind::KwEnd},
-    {"if", TokKind::KwIf},
-    {"else", TokKind::KwElse},
-    {"case", TokKind::KwCase},
-    {"casez", TokKind::KwCasez},
-    {"endcase", TokKind::KwEndcase},
-    {"default", TokKind::KwDefault},
-};
-
-class Lexer
+/** The keyword spelled @p text, or Ident: one comparison per keyword of
+ *  the same length and first letter. */
+TokKind
+keywordOrIdent(std::string_view text)
 {
-  public:
-    Lexer(const std::string &source, const std::string &file)
-        : src_(source), file_(file)
-    {}
-
-    std::vector<Token>
-    run()
-    {
-        std::vector<Token> tokens;
-        while (true) {
-            skipSpaceAndComments();
-            Token tok = next();
-            tokens.push_back(tok);
-            if (tok.kind == TokKind::Eof)
-                break;
+    auto is = [&](std::string_view word, TokKind kind) {
+        return text == word ? kind : TokKind::Ident;
+    };
+    switch (text.size()) {
+      case 2:
+        return text[0] == 'i' ? is("if", TokKind::KwIf)
+                              : is("or", TokKind::KwOr);
+      case 3:
+        return text[0] == 'r' ? is("reg", TokKind::KwReg)
+                              : is("end", TokKind::KwEnd);
+      case 4:
+        switch (text[0]) {
+          case 'w': return is("wire", TokKind::KwWire);
+          case 'e': return is("else", TokKind::KwElse);
+          case 'c': return is("case", TokKind::KwCase);
         }
-        return tokens;
-    }
-
-  private:
-    char peek(size_t ahead = 0) const
-    {
-        return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
-    }
-
-    char
-    advance()
-    {
-        char c = peek();
-        ++pos_;
-        if (c == '\n') {
-            ++line_;
-            col_ = 1;
-        } else {
-            ++col_;
+        return TokKind::Ident;
+      case 5:
+        switch (text[0]) {
+          case 'i':
+            return text[2] == 'p' ? is("input", TokKind::KwInput)
+                                  : is("inout", TokKind::KwInout);
+          case 'b': return is("begin", TokKind::KwBegin);
+          case 'c': return is("casez", TokKind::KwCasez);
         }
-        return c;
-    }
-
-    SourceLoc here() const { return SourceLoc{file_, line_, col_}; }
-
-    [[noreturn]] void
-    error(const std::string &msg) const
-    {
-        fatal("%s:%d:%d: %s", file_.c_str(), line_, col_, msg.c_str());
-    }
-
-    void
-    skipSpaceAndComments()
-    {
-        while (true) {
-            char c = peek();
-            if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-                advance();
-            } else if (c == '/' && peek(1) == '/') {
-                while (peek() != '\n' && peek() != '\0')
-                    advance();
-            } else if (c == '/' && peek(1) == '*') {
-                advance();
-                advance();
-                while (!(peek() == '*' && peek(1) == '/')) {
-                    if (peek() == '\0')
-                        error("unterminated block comment");
-                    advance();
-                }
-                advance();
-                advance();
-            } else {
-                return;
-            }
+        return TokKind::Ident;
+      case 6:
+        switch (text[0]) {
+          case 'm': return is("module", TokKind::KwModule);
+          case 'o': return is("output", TokKind::KwOutput);
+          case 'a':
+            return text[1] == 's' ? is("assign", TokKind::KwAssign)
+                                  : is("always", TokKind::KwAlways);
         }
-    }
-
-    Token
-    make(TokKind kind, const SourceLoc &loc, std::string text = "")
-    {
-        Token tok;
-        tok.kind = kind;
-        tok.text = std::move(text);
-        tok.loc = loc;
-        return tok;
-    }
-
-    Token
-    lexNumber(const SourceLoc &loc)
-    {
-        std::string text;
-        auto take_digits = [&] {
-            while (std::isalnum(static_cast<unsigned char>(peek())) ||
-                   peek() == '_')
-                text.push_back(advance());
-        };
-        // Leading size digits (or the whole number if no base follows).
-        while (std::isdigit(static_cast<unsigned char>(peek())) ||
-               peek() == '_')
-            text.push_back(advance());
-        if (peek() == '\'') {
-            text.push_back(advance());
-            char base = peek();
-            if (base != 'b' && base != 'B' && base != 'd' && base != 'D' &&
-                base != 'h' && base != 'H' && base != 'o' && base != 'O')
-                error("bad literal base");
-            text.push_back(advance());
-            take_digits();
+        return TokKind::Ident;
+      case 7:
+        switch (text[0]) {
+          case 'i': return is("integer", TokKind::KwInteger);
+          case 'p': return is("posedge", TokKind::KwPosedge);
+          case 'n': return is("negedge", TokKind::KwNegedge);
+          case 'e': return is("endcase", TokKind::KwEndcase);
+          case 'd': return is("default", TokKind::KwDefault);
         }
-        return make(TokKind::Number, loc, text);
+        return TokKind::Ident;
+      case 9:
+        return text[0] == 'e' ? is("endmodule", TokKind::KwEndmodule)
+                              : is("parameter", TokKind::KwParameter);
+      case 10:
+        return is("localparam", TokKind::KwLocalparam);
     }
+    return TokKind::Ident;
+}
 
-    Token
-    lexString(const SourceLoc &loc)
-    {
-        advance(); // opening quote
-        std::string body;
-        while (true) {
-            char c = peek();
-            if (c == '\0' || c == '\n')
-                error("unterminated string literal");
-            advance();
-            if (c == '"')
-                break;
-            if (c == '\\') {
-                char esc = advance();
-                switch (esc) {
-                  case 'n': body.push_back('\n'); break;
-                  case 't': body.push_back('\t'); break;
-                  case '\\': body.push_back('\\'); break;
-                  case '"': body.push_back('"'); break;
-                  default: body.push_back(esc); break;
-                }
-            } else {
-                body.push_back(c);
-            }
-        }
-        return make(TokKind::String, loc, body);
-    }
+// Character classes, ASCII as <cctype> gives them in the "C" locale.
+enum : uint8_t { kDigit = 1, kAlpha = 2, kUnder = 4, kDollar = 8 };
 
-    Token
-    next()
-    {
-        SourceLoc loc = here();
-        char c = peek();
-        if (c == '\0')
-            return make(TokKind::Eof, loc);
+constexpr std::array<uint8_t, 256> kClass = [] {
+    std::array<uint8_t, 256> cls{};
+    for (int c = '0'; c <= '9'; ++c)
+        cls[c] = kDigit;
+    for (int c = 'a'; c <= 'z'; ++c)
+        cls[c] = cls[c - 'a' + 'A'] = kAlpha;
+    cls['_'] = kUnder;
+    cls['$'] = kDollar;
+    return cls;
+}();
 
-        if (std::isdigit(static_cast<unsigned char>(c)) || c == '\'')
-            return lexNumber(loc);
-
-        if (c == '"')
-            return lexString(loc);
-
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            std::string text;
-            while (std::isalnum(static_cast<unsigned char>(peek())) ||
-                   peek() == '_' || peek() == '$')
-                text.push_back(advance());
-            auto kw = keywords.find(text);
-            if (kw != keywords.end())
-                return make(kw->second, loc, text);
-            return make(TokKind::Ident, loc, text);
-        }
-
-        if (c == '$') {
-            std::string text;
-            text.push_back(advance());
-            while (std::isalnum(static_cast<unsigned char>(peek())) ||
-                   peek() == '_')
-                text.push_back(advance());
-            return make(TokKind::SysName, loc, text);
-        }
-
-        advance();
-        switch (c) {
-          case '(': return make(TokKind::LParen, loc);
-          case ')': return make(TokKind::RParen, loc);
-          case '[': return make(TokKind::LBracket, loc);
-          case ']': return make(TokKind::RBracket, loc);
-          case '{': return make(TokKind::LBrace, loc);
-          case '}': return make(TokKind::RBrace, loc);
-          case ';': return make(TokKind::Semi, loc);
-          case ':': return make(TokKind::Colon, loc);
-          case ',': return make(TokKind::Comma, loc);
-          case '.': return make(TokKind::Dot, loc);
-          case '#': return make(TokKind::Hash, loc);
-          case '@': return make(TokKind::At, loc);
-          case '?': return make(TokKind::Question, loc);
-          case '*': return make(TokKind::Star, loc);
-          case '+': return make(TokKind::Plus, loc);
-          case '-': return make(TokKind::Minus, loc);
-          case '/': return make(TokKind::Slash, loc);
-          case '%': return make(TokKind::Percent, loc);
-          case '~': return make(TokKind::Tilde, loc);
-          case '^': return make(TokKind::Caret, loc);
-          case '&':
-            if (peek() == '&') {
-                advance();
-                return make(TokKind::AmpAmp, loc);
-            }
-            return make(TokKind::Amp, loc);
-          case '|':
-            if (peek() == '|') {
-                advance();
-                return make(TokKind::PipePipe, loc);
-            }
-            return make(TokKind::Pipe, loc);
-          case '!':
-            if (peek() == '=') {
-                advance();
-                return make(TokKind::BangEq, loc);
-            }
-            return make(TokKind::Bang, loc);
-          case '=':
-            if (peek() == '=') {
-                advance();
-                return make(TokKind::EqEq, loc);
-            }
-            return make(TokKind::Assign, loc);
-          case '<':
-            if (peek() == '=') {
-                advance();
-                return make(TokKind::LtEq, loc);
-            }
-            if (peek() == '<') {
-                advance();
-                return make(TokKind::LtLt, loc);
-            }
-            return make(TokKind::Lt, loc);
-          case '>':
-            if (peek() == '=') {
-                advance();
-                return make(TokKind::GtEq, loc);
-            }
-            if (peek() == '>') {
-                advance();
-                return make(TokKind::GtGt, loc);
-            }
-            return make(TokKind::Gt, loc);
-          default:
-            error(csprintf("unexpected character '%c'", c));
-        }
-    }
-
-    const std::string &src_;
-    const std::string file_;
-    size_t pos_ = 0;
-    int line_ = 1;
-    int col_ = 1;
-};
+bool
+isA(char c, uint8_t classes)
+{
+    return kClass[static_cast<unsigned char>(c)] & classes;
+}
 
 } // namespace
 
-std::vector<Token>
-tokenize(const std::string &source, const std::string &file)
+Lexer::Lexer(std::string_view source, const std::string &file)
+    : src_(source), file_(file)
 {
-    return Lexer(source, file).run();
+    lex();
+}
+
+void
+Lexer::skipToEnd()
+{
+    while (!tok_.is(TokKind::Eof))
+        lex();
+}
+
+void
+Lexer::skipWhile(uint8_t classes)
+{
+    while (pos_ < src_.size() && isA(src_[pos_], classes))
+        ++pos_;
+}
+
+void
+Lexer::error(const std::string &msg)
+{
+    failed_ = true;
+    fatal("%s:%d:%d: %s", file_.c_str(), line_, col(), msg.c_str());
+}
+
+void
+Lexer::skipSpaceAndComments()
+{
+    while (true) {
+        char c = at(pos_);
+        if (c == ' ' || c == '\t' || c == '\r') {
+            ++pos_;
+        } else if (c == '\n') {
+            newline(pos_++);
+        } else if (c == '/' && at(pos_ + 1) == '/') {
+            while (at(pos_) != '\n' && at(pos_) != '\0')
+                ++pos_;
+        } else if (c == '/' && at(pos_ + 1) == '*') {
+            pos_ += 2;
+            while (!(at(pos_) == '*' && at(pos_ + 1) == '/')) {
+                char in = at(pos_);
+                if (in == '\0')
+                    error("unterminated block comment");
+                if (in == '\n')
+                    newline(pos_);
+                ++pos_;
+            }
+            pos_ += 2;
+        } else {
+            return;
+        }
+    }
+}
+
+TokKind
+Lexer::lexNumber()
+{
+    // Leading size digits (or the whole number if no base follows).
+    skipWhile(kDigit | kUnder);
+    if (at(pos_) == '\'') {
+        ++pos_;
+        char base = at(pos_);
+        if (base != 'b' && base != 'B' && base != 'd' && base != 'D' &&
+            base != 'h' && base != 'H' && base != 'o' && base != 'O')
+            error("bad literal base");
+        ++pos_;
+        skipWhile(kDigit | kAlpha | kUnder);
+    }
+    return TokKind::Number;
+}
+
+void
+Lexer::lexString()
+{
+    ++pos_; // opening quote
+    size_t body = pos_;
+    while (true) {
+        char c = at(pos_);
+        if (c == '\0' || c == '\n')
+            error("unterminated string literal");
+        if (c == '"')
+            break;
+        if (c == '\\') {
+            // The escaped character is taken whatever it is.
+            if (at(++pos_) == '\n')
+                newline(pos_);
+        }
+        ++pos_;
+    }
+    tok_.text = src_.substr(body, pos_ - body);
+    ++pos_; // closing quote
+}
+
+void
+Lexer::lex()
+{
+    skipSpaceAndComments();
+    ++count_;
+    tok_.line = line_;
+    tok_.col = col();
+    tok_.text = {};
+    size_t start = pos_;
+    char c = at(pos_);
+    if (c == '\0') {
+        tok_.kind = TokKind::Eof;
+        return;
+    }
+
+    if (isA(c, kDigit) || c == '\'') {
+        tok_.kind = lexNumber();
+        tok_.text = src_.substr(start, pos_ - start);
+        return;
+    }
+
+    if (c == '"') {
+        tok_.kind = TokKind::String;
+        lexString();
+        return;
+    }
+
+    if (isA(c, kAlpha | kUnder)) {
+        skipWhile(kDigit | kAlpha | kUnder | kDollar);
+        tok_.text = src_.substr(start, pos_ - start);
+        tok_.kind = keywordOrIdent(tok_.text);
+        return;
+    }
+
+    if (c == '$') {
+        ++pos_;
+        skipWhile(kDigit | kAlpha | kUnder);
+        tok_.text = src_.substr(start, pos_ - start);
+        tok_.kind = TokKind::SysName;
+        return;
+    }
+
+    ++pos_;
+    // One or two characters: @p two when @p second follows, else @p one.
+    auto either = [&](char second, TokKind two, TokKind one) {
+        if (at(pos_) != second)
+            return one;
+        ++pos_;
+        return two;
+    };
+    switch (c) {
+      case '(': tok_.kind = TokKind::LParen; return;
+      case ')': tok_.kind = TokKind::RParen; return;
+      case '[': tok_.kind = TokKind::LBracket; return;
+      case ']': tok_.kind = TokKind::RBracket; return;
+      case '{': tok_.kind = TokKind::LBrace; return;
+      case '}': tok_.kind = TokKind::RBrace; return;
+      case ';': tok_.kind = TokKind::Semi; return;
+      case ':': tok_.kind = TokKind::Colon; return;
+      case ',': tok_.kind = TokKind::Comma; return;
+      case '.': tok_.kind = TokKind::Dot; return;
+      case '#': tok_.kind = TokKind::Hash; return;
+      case '@': tok_.kind = TokKind::At; return;
+      case '?': tok_.kind = TokKind::Question; return;
+      case '*': tok_.kind = TokKind::Star; return;
+      case '+': tok_.kind = TokKind::Plus; return;
+      case '-': tok_.kind = TokKind::Minus; return;
+      case '/': tok_.kind = TokKind::Slash; return;
+      case '%': tok_.kind = TokKind::Percent; return;
+      case '~': tok_.kind = TokKind::Tilde; return;
+      case '^': tok_.kind = TokKind::Caret; return;
+      case '&':
+        tok_.kind = either('&', TokKind::AmpAmp, TokKind::Amp);
+        return;
+      case '|':
+        tok_.kind = either('|', TokKind::PipePipe, TokKind::Pipe);
+        return;
+      case '!':
+        tok_.kind = either('=', TokKind::BangEq, TokKind::Bang);
+        return;
+      case '=':
+        tok_.kind = either('=', TokKind::EqEq, TokKind::Assign);
+        return;
+      case '<':
+        tok_.kind = at(pos_) == '<'
+                        ? either('<', TokKind::LtLt, TokKind::Lt)
+                        : either('=', TokKind::LtEq, TokKind::Lt);
+        return;
+      case '>':
+        tok_.kind = at(pos_) == '>'
+                        ? either('>', TokKind::GtGt, TokKind::Gt)
+                        : either('=', TokKind::GtEq, TokKind::Gt);
+        return;
+      default:
+        error(csprintf("unexpected character '%c'", c));
+    }
 }
 
 } // namespace hwdbg::hdl

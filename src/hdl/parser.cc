@@ -18,7 +18,7 @@ namespace
 class Parser
 {
   public:
-    Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+    explicit Parser(Lexer &lexer) : lex_(lexer) {}
 
     Design
     run()
@@ -30,22 +30,11 @@ class Parser
     }
 
   private:
-    const Token &peek(size_t ahead = 0) const
-    {
-        size_t idx = pos_ + ahead;
-        if (idx >= tokens_.size())
-            idx = tokens_.size() - 1;
-        return tokens_[idx];
-    }
+    const Token &peek() const { return lex_.peek(); }
+    Token advance() { return lex_.next(); }
 
-    Token
-    advance()
-    {
-        Token tok = peek();
-        if (pos_ + 1 < tokens_.size())
-            ++pos_;
-        return tok;
-    }
+    SourceLoc loc(const Token &tok) const { return lex_.loc(tok); }
+    SourceLoc here() const { return loc(peek()); }
 
     bool
     accept(TokKind kind)
@@ -63,8 +52,8 @@ class Parser
         if (!peek().is(kind)) {
             const Token &tok = peek();
             fatal("%s: expected %s in %s, found %s '%s'",
-                  tok.loc.str().c_str(), tokKindName(kind), context,
-                  tokKindName(tok.kind), tok.text.c_str());
+                  loc(tok).str().c_str(), tokKindName(kind), context,
+                  tokKindName(tok.kind), tokenText(tok).c_str());
         }
         return advance();
     }
@@ -72,7 +61,7 @@ class Parser
     [[noreturn]] void
     tooDeep()
     {
-        fatal("%s: nesting deeper than %d", peek().loc.str().c_str(),
+        fatal("%s: nesting deeper than %d", here().str().c_str(),
               kMaxNesting);
     }
 
@@ -98,8 +87,8 @@ class Parser
     errorHere(const std::string &msg)
     {
         const Token &tok = peek();
-        fatal("%s: %s (found %s '%s')", tok.loc.str().c_str(), msg.c_str(),
-              tokKindName(tok.kind), tok.text.c_str());
+        fatal("%s: %s (found %s '%s')", loc(tok).str().c_str(), msg.c_str(),
+              tokKindName(tok.kind), tokenText(tok).c_str());
     }
 
     // -- Modules ------------------------------------------------------
@@ -109,7 +98,7 @@ class Parser
     {
         Token kw = expect(TokKind::KwModule, "design");
         auto mod = std::make_shared<Module>();
-        mod->loc = kw.loc;
+        mod->loc = loc(kw);
         mod->name = expect(TokKind::Ident, "module header").text;
 
         if (accept(TokKind::Hash)) {
@@ -117,12 +106,12 @@ class Parser
             do {
                 accept(TokKind::KwParameter);
                 auto param = std::make_shared<ParamItem>();
-                param->loc = peek().loc;
+                param->loc = here();
                 param->name = expect(TokKind::Ident, "parameter").text;
                 expect(TokKind::Assign, "parameter");
                 param->value = parseExpr();
                 param->inHeader = true;
-                mod->items.push_back(param);
+                mod->items.push_back(std::move(param));
             } while (accept(TokKind::Comma));
             expect(TokKind::RParen, "parameter header");
         }
@@ -165,14 +154,14 @@ class Parser
             errorHere("port is missing a direction");
 
         auto decl = std::make_shared<NetItem>();
-        decl->loc = peek().loc;
+        decl->loc = here();
         decl->dir = dir;
         decl->net = net;
         if (peek().is(TokKind::LBracket))
             decl->range = parseRangeSpec();
         decl->name = expect(TokKind::Ident, "port declaration").text;
         mod.ports.push_back(decl->name);
-        mod.items.push_back(decl);
+        mod.items.push_back(std::move(decl));
     }
 
     AstRange
@@ -225,12 +214,12 @@ class Parser
         advance();
         do {
             auto param = std::make_shared<ParamItem>();
-            param->loc = peek().loc;
+            param->loc = here();
             param->isLocal = local;
             param->name = expect(TokKind::Ident, "parameter").text;
             expect(TokKind::Assign, "parameter");
             param->value = parseExpr();
-            mod.items.push_back(param);
+            mod.items.push_back(std::move(param));
         } while (accept(TokKind::Comma));
         expect(TokKind::Semi, "parameter");
     }
@@ -258,7 +247,7 @@ class Parser
 
         do {
             auto decl = std::make_shared<NetItem>();
-            decl->loc = peek().loc;
+            decl->loc = here();
             decl->net = net;
             decl->name = expect(TokKind::Ident, "net declaration").text;
             if (range)
@@ -280,7 +269,7 @@ class Parser
                 assign->loc = decl->loc;
                 assign->lhs = mkId(decl->name);
                 assign->rhs = parseExpr();
-                mod.items.push_back(assign);
+                mod.items.push_back(std::move(assign));
             }
         } while (accept(TokKind::Comma));
         expect(TokKind::Semi, "net declaration");
@@ -292,11 +281,11 @@ class Parser
         Token kw = expect(TokKind::KwAssign, "module body");
         do {
             auto item = std::make_shared<ContAssignItem>();
-            item->loc = kw.loc;
+            item->loc = loc(kw);
             item->lhs = parseLValue();
             expect(TokKind::Assign, "continuous assignment");
             item->rhs = parseExpr();
-            mod.items.push_back(item);
+            mod.items.push_back(std::move(item));
         } while (accept(TokKind::Comma));
         expect(TokKind::Semi, "continuous assignment");
     }
@@ -306,7 +295,7 @@ class Parser
     {
         Token kw = expect(TokKind::KwAlways, "module body");
         auto item = std::make_shared<AlwaysItem>();
-        item->loc = kw.loc;
+        item->loc = loc(kw);
         expect(TokKind::At, "always block");
 
         if (accept(TokKind::Star)) {
@@ -334,26 +323,27 @@ class Parser
         }
 
         item->body = parseStmt();
-        mod.items.push_back(item);
+        mod.items.push_back(std::move(item));
     }
 
     void
     parseInstance(Module &mod)
     {
         auto inst = std::make_shared<InstanceItem>();
-        inst->loc = peek().loc;
+        inst->loc = here();
         inst->moduleName = expect(TokKind::Ident, "instantiation").text;
 
         if (accept(TokKind::Hash)) {
             expect(TokKind::LParen, "parameter overrides");
             do {
                 expect(TokKind::Dot, "parameter overrides");
-                std::string name =
-                    expect(TokKind::Ident, "parameter overrides").text;
+                std::string name(
+                    expect(TokKind::Ident, "parameter overrides").text);
                 expect(TokKind::LParen, "parameter overrides");
                 ExprPtr value = parseExpr();
                 expect(TokKind::RParen, "parameter overrides");
-                inst->paramOverrides.emplace_back(name, value);
+                inst->paramOverrides.emplace_back(std::move(name),
+                                                  std::move(value));
             } while (accept(TokKind::Comma));
             expect(TokKind::RParen, "parameter overrides");
         }
@@ -384,7 +374,7 @@ class Parser
         }
         expect(TokKind::RParen, "port connections");
         expect(TokKind::Semi, "instantiation");
-        mod.items.push_back(inst);
+        mod.items.push_back(std::move(inst));
     }
 
     // -- Statements ---------------------------------------------------
@@ -393,12 +383,12 @@ class Parser
     parseStmt()
     {
         Nest nest(*this);
-        const Token &tok = peek();
+        const Token tok = peek();
         switch (tok.kind) {
           case TokKind::KwBegin: {
             advance();
             auto block = std::make_shared<BlockStmt>();
-            block->loc = tok.loc;
+            block->loc = loc(tok);
             while (!peek().is(TokKind::KwEnd))
                 block->stmts.push_back(parseStmt());
             expect(TokKind::KwEnd, "begin/end block");
@@ -407,7 +397,7 @@ class Parser
           case TokKind::KwIf: {
             advance();
             auto branch = std::make_shared<IfStmt>();
-            branch->loc = tok.loc;
+            branch->loc = loc(tok);
             expect(TokKind::LParen, "if statement");
             branch->cond = parseExpr();
             expect(TokKind::RParen, "if statement");
@@ -420,7 +410,7 @@ class Parser
           case TokKind::KwCasez: {
             advance();
             auto sel = std::make_shared<CaseStmt>();
-            sel->loc = tok.loc;
+            sel->loc = loc(tok);
             sel->isCasez = tok.kind == TokKind::KwCasez;
             expect(TokKind::LParen, "case statement");
             sel->selector = parseExpr();
@@ -446,13 +436,13 @@ class Parser
           case TokKind::Semi: {
             advance();
             auto null_stmt = std::make_shared<NullStmt>();
-            null_stmt->loc = tok.loc;
+            null_stmt->loc = loc(tok);
             return null_stmt;
           }
           case TokKind::Ident:
           case TokKind::LBrace: {
             auto assign = std::make_shared<AssignStmt>();
-            assign->loc = tok.loc;
+            assign->loc = loc(tok);
             assign->lhs = parseLValue();
             if (accept(TokKind::LtEq))
                 assign->nonblocking = true;
@@ -478,22 +468,23 @@ class Parser
                 expect(TokKind::RParen, "$finish");
             expect(TokKind::Semi, "$finish");
             auto fin = std::make_shared<FinishStmt>();
-            fin->loc = name.loc;
+            fin->loc = loc(name);
             return fin;
         }
         if (name.text == "$display" || name.text == "$write") {
             auto disp = std::make_shared<DisplayStmt>();
-            disp->loc = name.loc;
+            disp->loc = loc(name);
             expect(TokKind::LParen, "$display");
-            disp->format = expect(TokKind::String, "$display").text;
+            disp->format =
+                decodeString(expect(TokKind::String, "$display").text);
             while (accept(TokKind::Comma))
                 disp->args.push_back(parseExpr());
             expect(TokKind::RParen, "$display");
             expect(TokKind::Semi, "$display");
             return disp;
         }
-        fatal("%s: unsupported system task '%s'", name.loc.str().c_str(),
-              name.text.c_str());
+        fatal("%s: unsupported system task '%s'", loc(name).str().c_str(),
+              std::string(name.text).c_str());
     }
 
     // -- Expressions --------------------------------------------------
@@ -502,11 +493,11 @@ class Parser
     parseLValue()
     {
         Nest nest(*this);
-        const Token &tok = peek();
+        const Token tok = peek();
         if (tok.is(TokKind::LBrace)) {
             advance();
             auto cat = std::make_shared<ConcatExpr>();
-            cat->loc = tok.loc;
+            cat->loc = loc(tok);
             do {
                 cat->parts.push_back(parseLValue());
             } while (accept(TokKind::Comma));
@@ -521,26 +512,27 @@ class Parser
     parsePostfix(const Token &name)
     {
         if (!peek().is(TokKind::LBracket)) {
-            auto id = mkId(name.text);
-            id->loc = name.loc;
+            auto id = std::make_shared<IdExpr>();
+            id->name = name.text;
+            id->loc = loc(name);
             return id;
         }
         advance();
         ExprPtr first = parseExpr();
         if (accept(TokKind::Colon)) {
             auto range = std::make_shared<RangeExpr>();
-            range->loc = name.loc;
+            range->loc = loc(name);
             range->base = name.text;
-            range->msb = first;
+            range->msb = std::move(first);
             range->lsb = parseExpr();
             expect(TokKind::RBracket, "part select");
             return range;
         }
         expect(TokKind::RBracket, "bit select");
         auto idx = std::make_shared<IndexExpr>();
-        idx->loc = name.loc;
+        idx->loc = loc(name);
         idx->base = name.text;
-        idx->index = first;
+        idx->index = std::move(first);
         return idx;
     }
 
@@ -556,8 +548,10 @@ class Parser
         ExprPtr then_e = parseTernary();
         expect(TokKind::Colon, "conditional expression");
         ExprPtr else_e = parseTernary();
-        auto expr = mkTernary(cond, then_e, else_e);
-        expr->loc = cond->loc;
+        SourceLoc at = cond->loc;
+        auto expr = mkTernary(std::move(cond), std::move(then_e),
+                              std::move(else_e));
+        expr->loc = at;
         return expr;
     }
 
@@ -616,9 +610,9 @@ class Parser
             height = std::max(height, peak_ - base) + 1;
             if (base + height > kMaxNesting)
                 tooDeep();
-            auto expr = mkBinary(info->op, lhs, rhs);
-            expr->loc = lhs->loc;
-            lhs = expr;
+            SourceLoc at = lhs->loc;
+            lhs = mkBinary(info->op, std::move(lhs), std::move(rhs));
+            lhs->loc = at;
         }
         peak_ = std::max(outer_peak, base + height);
         return lhs;
@@ -627,7 +621,7 @@ class Parser
     ExprPtr
     parseUnary()
     {
-        const Token &tok = peek();
+        const Token tok = peek();
         UnaryOp op;
         switch (tok.kind) {
           case TokKind::Minus: op = UnaryOp::Neg; break;
@@ -642,21 +636,21 @@ class Parser
         advance();
         Nest nest(*this);
         auto expr = mkUnary(op, parseUnary());
-        expr->loc = tok.loc;
+        expr->loc = loc(tok);
         return expr;
     }
 
     ExprPtr
     parsePrimary()
     {
-        const Token &tok = peek();
+        const Token tok = peek();
         switch (tok.kind) {
           case TokKind::Number: {
             advance();
             bool sized = false;
-            Bits value = Bits::parseVerilog(tok.text, &sized);
+            Bits value = Bits::parseVerilog(std::string(tok.text), &sized);
             auto num = mkNum(value, sized);
-            num->loc = tok.loc;
+            num->loc = loc(tok);
             return num;
           }
           case TokKind::Ident: {
@@ -676,7 +670,7 @@ class Parser
                 // {count{expr}} replication.
                 advance();
                 auto rep = std::make_shared<RepeatExpr>();
-                rep->loc = tok.loc;
+                rep->loc = loc(tok);
                 rep->count = first;
                 rep->inner = parseExpr();
                 expect(TokKind::RBrace, "replication");
@@ -684,8 +678,8 @@ class Parser
                 return rep;
             }
             auto cat = std::make_shared<ConcatExpr>();
-            cat->loc = tok.loc;
-            cat->parts.push_back(first);
+            cat->loc = loc(tok);
+            cat->parts.push_back(std::move(first));
             while (accept(TokKind::Comma))
                 cat->parts.push_back(parseExpr());
             expect(TokKind::RBrace, "concatenation");
@@ -696,8 +690,7 @@ class Parser
         }
     }
 
-    std::vector<Token> tokens_;
-    size_t pos_ = 0;
+    Lexer &lex_;
     /** Nesting levels open now, and the deepest reached by the
      *  expression being measured (see parseBinary). */
     int depth_ = 0;
@@ -710,12 +703,29 @@ Design
 parse(const std::string &source, const std::string &file)
 {
     obs::ObsSpan span("parse");
-    std::vector<Token> tokens = tokenize(source, file);
-    HWDBG_STAT_INC("parser.tokens", tokens.size());
-    HWDBG_STAT_INC("parser.lines",
-                   1 + std::count(source.begin(), source.end(), '\n'));
-    HWDBG_STAT_INC("parser.runs", 1);
-    return Parser(std::move(tokens)).run();
+    Lexer lexer(source, file);
+    auto count = [&] {
+        HWDBG_STAT_INC("parser.tokens", lexer.count());
+        HWDBG_STAT_INC("parser.lines",
+                       1 + std::count(source.begin(), source.end(), '\n'));
+        HWDBG_STAT_INC("parser.runs", 1);
+    };
+    Design design;
+    try {
+        design = Parser(lexer).run();
+    } catch (const HdlError &) {
+        // Tokens are lexed as the parser takes them, yet a lexical
+        // error anywhere in the input still wins over an earlier
+        // syntax error, and a syntax error still counts every token:
+        // as when the whole input was lexed before parsing began.
+        if (lexer.failed())
+            throw;
+        lexer.skipToEnd();
+        count();
+        throw;
+    }
+    count();
+    return design;
 }
 
 Design

@@ -1,7 +1,8 @@
 #include "hdl/preproc.hh"
 
 #include <cctype>
-#include <sstream>
+#include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -19,9 +20,9 @@ isIdentChar(char c)
            c == '$';
 }
 
-/** Extract the identifier starting at @p pos; advances @p pos past it. */
-std::string
-readIdent(const std::string &line, size_t &pos)
+/** The identifier starting at @p pos; advances @p pos past it. */
+std::string_view
+readIdent(std::string_view line, size_t &pos)
 {
     size_t start = pos;
     while (pos < line.size() && isIdentChar(line[pos]))
@@ -29,14 +30,20 @@ readIdent(const std::string &line, size_t &pos)
     return line.substr(start, pos - start);
 }
 
-std::string
-trim(const std::string &s)
+bool
+isBlank(char c)
 {
-    size_t begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    size_t end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
+    return c == ' ' || c == '\t' || c == '\r';
+}
+
+std::string_view
+trim(std::string_view s)
+{
+    while (!s.empty() && isBlank(s.front()))
+        s.remove_prefix(1);
+    while (!s.empty() && isBlank(s.back()))
+        s.remove_suffix(1);
+    return s;
 }
 
 } // namespace
@@ -46,7 +53,8 @@ preprocess(const std::string &source,
            const std::map<std::string, std::string> &defines,
            const std::string &file)
 {
-    std::map<std::string, std::string> macros = defines;
+    std::map<std::string, std::string, std::less<>> macros(defines.begin(),
+                                                           defines.end());
 
     // Condition stack: each entry is (currently-active, any-branch-taken).
     std::vector<std::pair<bool, bool>> stack;
@@ -57,44 +65,56 @@ preprocess(const std::string &source,
         return true;
     };
 
-    std::ostringstream out;
-    std::istringstream in(source);
-    std::string line;
+    std::string out;
+    out.reserve(source.size());
+    std::string_view text(source);
     int line_no = 0;
-    bool first = true;
 
-    while (std::getline(in, line)) {
+    // One line per pass, without its '\n'; the output keeps every line
+    // break, so suppressed and directive lines come out empty.
+    for (size_t begin = 0; begin < text.size();) {
+        const char *nl = static_cast<const char *>(
+            std::memchr(text.data() + begin, '\n', text.size() - begin));
+        size_t end = nl ? static_cast<size_t>(nl - text.data())
+                        : text.size();
+        std::string_view line = text.substr(begin, end - begin);
+        begin = end + 1;
         ++line_no;
-        if (!first)
-            out << "\n";
-        first = false;
+        if (line_no > 1)
+            out.push_back('\n');
 
-        std::string stripped = trim(line);
-        if (!stripped.empty() && stripped[0] == '`') {
+        size_t first = 0;
+        while (first < line.size() && isBlank(line[first]))
+            ++first;
+        if (first < line.size() && line[first] == '`') {
+            std::string_view stripped = trim(line);
             size_t pos = 1;
-            std::string directive = readIdent(stripped, pos);
-            std::string rest = trim(stripped.substr(pos));
+            std::string_view directive = readIdent(stripped, pos);
+            std::string_view rest = trim(stripped.substr(pos));
 
             if (directive == "define") {
                 if (active()) {
                     size_t rpos = 0;
                     while (rpos < rest.size() && !isIdentChar(rest[rpos]))
                         ++rpos;
-                    std::string name = readIdent(rest, rpos);
+                    std::string_view name = readIdent(rest, rpos);
                     if (name.empty())
                         fatal("%s:%d: `define without a name",
                               file.c_str(), line_no);
-                    macros[name] = trim(rest.substr(rpos));
+                    macros[std::string(name)] = trim(rest.substr(rpos));
                 }
                 continue;
             }
             if (directive == "undef") {
-                if (active())
-                    macros.erase(rest);
+                if (active()) {
+                    auto it = macros.find(rest);
+                    if (it != macros.end())
+                        macros.erase(it);
+                }
                 continue;
             }
             if (directive == "ifdef" || directive == "ifndef") {
-                bool defined = macros.count(rest) > 0;
+                bool defined = macros.find(rest) != macros.end();
                 bool on = directive == "ifdef" ? defined : !defined;
                 stack.emplace_back(on, on);
                 continue;
@@ -123,8 +143,11 @@ preprocess(const std::string &source,
         if (!active())
             continue;
 
+        if (line.find('`') == std::string_view::npos) {
+            out.append(line);
+            continue;
+        }
         // Substitute `NAME macro uses (not inside string literals).
-        std::string expanded;
         bool in_string = false;
         for (size_t i = 0; i < line.size(); ++i) {
             char c = line[i];
@@ -132,26 +155,24 @@ preprocess(const std::string &source,
                 in_string = !in_string;
             if (c == '`' && !in_string) {
                 size_t pos = i + 1;
-                std::string name = readIdent(line, pos);
+                std::string_view name = readIdent(line, pos);
                 auto it = macros.find(name);
                 if (it == macros.end())
-                    fatal("%s:%d: undefined macro `%s",
-                          file.c_str(), line_no, name.c_str());
-                expanded += it->second;
+                    fatal("%s:%d: undefined macro `%s", file.c_str(),
+                          line_no, std::string(name).c_str());
+                out += it->second;
                 i = pos - 1;
                 continue;
             }
-            expanded.push_back(c);
+            out.push_back(c);
         }
-        out << expanded;
     }
 
     if (!stack.empty())
         fatal("%s: unterminated `ifdef", file.c_str());
-    std::string result = out.str();
     if (!source.empty() && source.back() == '\n')
-        result.push_back('\n');
-    return result;
+        out.push_back('\n');
+    return out;
 }
 
 } // namespace hwdbg::hdl

@@ -1,21 +1,18 @@
 #include "hdl/printer.hh"
 
-#include <sstream>
+#include <cstring>
+#include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/testhooks.hh"
+#include "obs/metrics.hh"
 
 namespace hwdbg::hdl
 {
 
 namespace
 {
-
-std::string
-indentStr(int indent)
-{
-    return std::string(static_cast<size_t>(indent) * 4, ' ');
-}
 
 int
 precedence(BinaryOp op)
@@ -84,23 +81,9 @@ unOpText(UnaryOp op)
     return "?";
 }
 
-/** Print with parentheses when the context binds tighter. */
-std::string
-printPrec(const ExprPtr &expr, int min_prec)
+void
+appendEscaped(std::string &out, const std::string &s)
 {
-    std::string text = printExpr(expr);
-    bool needs_parens = false;
-    if (expr->kind == ExprKind::Binary)
-        needs_parens = precedence(expr->as<BinaryExpr>()->op) < min_prec;
-    else if (expr->kind == ExprKind::Ternary)
-        needs_parens = min_prec > 0;
-    return needs_parens ? "(" + text + ")" : text;
-}
-
-std::string
-escapeString(const std::string &s)
-{
-    std::string out;
     for (char c : s) {
         switch (c) {
           case '\n': out += "\\n"; break;
@@ -110,285 +93,352 @@ escapeString(const std::string &s)
           default: out.push_back(c); break;
         }
     }
-    return out;
 }
 
-std::string
-printRange(const AstRange &range)
+/** Indentation: four spaces a level. */
+struct Pad
 {
-    std::string out = "[";
-    out += printExpr(range.msb);
-    out += ':';
-    out += printExpr(range.lsb);
-    out += ']';
-    return out;
-}
+    int indent;
+};
+
+/** The one appender behind every print function: each node writes its
+ *  text onto the end of one buffer. */
+class Printer
+{
+  public:
+    explicit Printer(std::string &out) : out_(out) {}
+
+    void
+    expr(const ExprPtr &expr)
+    {
+        if (!expr)
+            panic("printExpr: null expression");
+        switch (expr->kind) {
+          case ExprKind::Number: {
+            const auto *num = expr->as<NumberExpr>();
+            if (!num->sized || mutationOn(MUT_PRINT_UNSIZED_NUM))
+                num->value.appendDec(out_);
+            else
+                num->value.appendVerilog(out_);
+            return;
+          }
+          case ExprKind::Id:
+            put(expr->as<IdExpr>()->name);
+            return;
+          case ExprKind::Unary: {
+            const auto *un = expr->as<UnaryExpr>();
+            bool simple = un->arg && (un->arg->kind == ExprKind::Id ||
+                                      un->arg->kind == ExprKind::Number ||
+                                      un->arg->kind == ExprKind::Index ||
+                                      un->arg->kind == ExprKind::Range ||
+                                      un->arg->kind == ExprKind::Concat);
+            if (simple)
+                put(unOpText(un->op), un->arg);
+            else
+                put(unOpText(un->op), '(', un->arg, ')');
+            return;
+          }
+          case ExprKind::Binary: {
+            const auto *bin = expr->as<BinaryExpr>();
+            int prec = precedence(bin->op);
+            tight(bin->lhs, prec);
+            put(' ', binOpText(bin->op), ' ');
+            tight(bin->rhs,
+                  mutationOn(MUT_PRINT_DROP_PARENS) ? prec : prec + 1);
+            return;
+          }
+          case ExprKind::Ternary: {
+            const auto *tern = expr->as<TernaryExpr>();
+            tight(tern->cond, 1);
+            put(" ? ");
+            tight(tern->thenExpr, 1);
+            put(" : ");
+            tight(tern->elseExpr, 0);
+            return;
+          }
+          case ExprKind::Concat:
+            put('{');
+            list(expr->as<ConcatExpr>()->parts);
+            put('}');
+            return;
+          case ExprKind::Repeat: {
+            const auto *rep = expr->as<RepeatExpr>();
+            put('{', rep->count, '{', rep->inner, "}}");
+            return;
+          }
+          case ExprKind::Index: {
+            const auto *idx = expr->as<IndexExpr>();
+            put(idx->base, '[', idx->index, ']');
+            return;
+          }
+          case ExprKind::Range: {
+            const auto *range = expr->as<RangeExpr>();
+            put(range->base, '[', range->msb, ':', range->lsb, ']');
+            return;
+          }
+        }
+        put('?');
+    }
+
+    void
+    stmt(const StmtPtr &stmt, int indent)
+    {
+        if (!stmt)
+            panic("printStmt: null statement");
+        Pad pad{indent};
+        switch (stmt->kind) {
+          case StmtKind::Block:
+            put(pad, "begin\n");
+            for (const auto &sub : stmt->as<BlockStmt>()->stmts)
+                this->stmt(sub, indent + 1);
+            put(pad, "end\n");
+            return;
+          case StmtKind::If: {
+            const auto *branch = stmt->as<IfStmt>();
+            put(pad, "if (", branch->cond, ")\n");
+            this->stmt(branch->thenStmt, indent + 1);
+            if (branch->elseStmt) {
+                put(pad, "else\n");
+                this->stmt(branch->elseStmt, indent + 1);
+            }
+            return;
+          }
+          case StmtKind::Case: {
+            const auto *sel = stmt->as<CaseStmt>();
+            put(pad, sel->isCasez ? "casez (" : "case (", sel->selector,
+                ")\n");
+            for (const auto &item : sel->items) {
+                put(Pad{indent + 1});
+                if (item.labels.empty())
+                    put("default");
+                else
+                    list(item.labels);
+                put(":\n");
+                this->stmt(item.body, indent + 2);
+            }
+            put(pad, "endcase\n");
+            return;
+          }
+          case StmtKind::Assign: {
+            const auto *assign = stmt->as<AssignStmt>();
+            put(pad, assign->lhs, assign->nonblocking ? " <= " : " = ",
+                assign->rhs, ";\n");
+            return;
+          }
+          case StmtKind::Display: {
+            const auto *disp = stmt->as<DisplayStmt>();
+            put(pad, "$display(\"");
+            appendEscaped(out_, disp->format);
+            put('"');
+            for (const auto &arg : disp->args)
+                put(", ", arg);
+            put(");\n");
+            return;
+          }
+          case StmtKind::Finish:
+            put(pad, "$finish;\n");
+            return;
+          case StmtKind::Null:
+            put(pad, ";\n");
+            return;
+        }
+    }
+
+    void
+    item(const ItemPtr &item, int indent)
+    {
+        Pad pad{indent};
+        switch (item->kind) {
+          case ItemKind::Param: {
+            const auto *param = item->as<ParamItem>();
+            if (param->inHeader)
+                return; // printed in the module header
+            put(pad, param->isLocal ? "localparam " : "parameter ",
+                param->name, " = ", param->value, ";\n");
+            return;
+          }
+          case ItemKind::Net: {
+            const auto *net = item->as<NetItem>();
+            if (net->dir != PortDir::None)
+                return; // printed in the module header (ANSI style)
+            put(pad, net->net == NetKind::Reg ? "reg " : "wire ");
+            if (net->range)
+                put(*net->range, ' ');
+            put(net->name);
+            if (net->array)
+                put(' ', *net->array);
+            put(";\n");
+            return;
+          }
+          case ItemKind::ContAssign: {
+            const auto *assign = item->as<ContAssignItem>();
+            put(pad, "assign ", assign->lhs, " = ", assign->rhs, ";\n");
+            return;
+          }
+          case ItemKind::Always: {
+            const auto *always = item->as<AlwaysItem>();
+            put(pad, "always @");
+            if (always->isComb) {
+                put('*');
+            } else {
+                put('(');
+                for (size_t i = 0; i < always->sens.size(); ++i)
+                    put(i ? " or " : "",
+                        always->sens[i].edge == EdgeKind::Posedge
+                            ? "posedge "
+                            : "negedge ",
+                        always->sens[i].signal);
+                put(')');
+            }
+            put('\n');
+            stmt(always->body, indent + 1);
+            return;
+          }
+          case ItemKind::Instance: {
+            const auto *inst = item->as<InstanceItem>();
+            put(pad, inst->moduleName);
+            if (!inst->paramOverrides.empty()) {
+                put(" #(");
+                for (size_t i = 0; i < inst->paramOverrides.size(); ++i)
+                    put(i ? ", " : "", '.', inst->paramOverrides[i].first,
+                        '(', inst->paramOverrides[i].second, ')');
+                put(')');
+            }
+            put(' ', inst->instName, " (\n");
+            for (size_t i = 0; i < inst->conns.size(); ++i) {
+                put(Pad{indent + 1}, '.', inst->conns[i].formal, '(');
+                if (inst->conns[i].actual)
+                    put(inst->conns[i].actual);
+                put(')', i + 1 < inst->conns.size() ? ",\n" : "\n");
+            }
+            put(pad, ");\n");
+            return;
+          }
+        }
+    }
+
+    void
+    module(const Module &mod)
+    {
+        HWDBG_STAT_INC("printer.modules", 1);
+        put("module ", mod.name);
+
+        // Header parameters.
+        std::vector<const ParamItem *> header_params;
+        for (const auto &item : mod.items)
+            if (item->kind == ItemKind::Param &&
+                item->as<ParamItem>()->inHeader)
+                header_params.push_back(item->as<ParamItem>());
+        if (!header_params.empty()) {
+            put(" #(\n");
+            for (size_t i = 0; i < header_params.size(); ++i)
+                put(Pad{1}, "parameter ", header_params[i]->name, " = ",
+                    header_params[i]->value,
+                    i + 1 < header_params.size() ? ",\n" : "\n");
+            put(')');
+        }
+
+        // ANSI port list.
+        put(" (\n");
+        for (size_t i = 0; i < mod.ports.size(); ++i) {
+            const NetItem *net = mod.findNet(mod.ports[i]);
+            if (!net)
+                panic("port '%s' of module '%s' has no declaration",
+                      mod.ports[i].c_str(), mod.name.c_str());
+            put(Pad{1}, net->dir == PortDir::Input ? "input " : "output ",
+                net->net == NetKind::Reg ? "reg " : "wire ");
+            if (net->range)
+                put(*net->range, ' ');
+            put(net->name, i + 1 < mod.ports.size() ? ",\n" : "\n");
+        }
+        put(");\n");
+
+        for (const auto &item : mod.items)
+            this->item(item, 1);
+        put("endmodule\n");
+    }
+
+  private:
+    /** Append each piece: text as it is, an expression or range
+     *  printed, a Pad as spaces. */
+    template <typename... Pieces>
+    void
+    put(const Pieces &...pieces)
+    {
+        (piece(pieces), ...);
+    }
+
+    void piece(std::string_view text) { out_ += text; }
+    void piece(char c) { out_ += c; }
+    void piece(const ExprPtr &e) { expr(e); }
+    void
+    piece(Pad pad)
+    {
+        out_.append(static_cast<size_t>(pad.indent) * 4, ' ');
+    }
+    void
+    piece(const AstRange &range)
+    {
+        put('[', range.msb, ':', range.lsb, ']');
+    }
+
+    /** Print with parentheses when the context binds tighter. */
+    void
+    tight(const ExprPtr &expr, int min_prec)
+    {
+        bool parens = false;
+        if (expr && expr->kind == ExprKind::Binary)
+            parens = precedence(expr->as<BinaryExpr>()->op) < min_prec;
+        else if (expr && expr->kind == ExprKind::Ternary)
+            parens = min_prec > 0;
+        if (parens)
+            put('(', expr, ')');
+        else
+            this->expr(expr);
+    }
+
+    /** Comma-separated expressions. */
+    void
+    list(const std::vector<ExprPtr> &exprs)
+    {
+        for (size_t i = 0; i < exprs.size(); ++i)
+            put(i ? ", " : "", exprs[i]);
+    }
+
+    std::string &out_;
+};
 
 } // namespace
 
 std::string
 printExpr(const ExprPtr &expr)
 {
-    if (!expr)
-        panic("printExpr: null expression");
-    switch (expr->kind) {
-      case ExprKind::Number: {
-        const auto *num = expr->as<NumberExpr>();
-        if (!num->sized || mutationOn(MUT_PRINT_UNSIZED_NUM))
-            return num->value.toDecString();
-        return num->value.toVerilog();
-      }
-      case ExprKind::Id:
-        return expr->as<IdExpr>()->name;
-      case ExprKind::Unary: {
-        const auto *un = expr->as<UnaryExpr>();
-        std::string arg = printExpr(un->arg);
-        bool simple = un->arg->kind == ExprKind::Id ||
-                      un->arg->kind == ExprKind::Number ||
-                      un->arg->kind == ExprKind::Index ||
-                      un->arg->kind == ExprKind::Range ||
-                      un->arg->kind == ExprKind::Concat;
-        if (!simple)
-            arg = "(" + arg + ")";
-        return std::string(unOpText(un->op)) + arg;
-      }
-      case ExprKind::Binary: {
-        const auto *bin = expr->as<BinaryExpr>();
-        int prec = precedence(bin->op);
-        int rhs_prec = mutationOn(MUT_PRINT_DROP_PARENS) ? prec
-                                                          : prec + 1;
-        return printPrec(bin->lhs, prec) + " " + binOpText(bin->op) + " " +
-               printPrec(bin->rhs, rhs_prec);
-      }
-      case ExprKind::Ternary: {
-        const auto *tern = expr->as<TernaryExpr>();
-        return printPrec(tern->cond, 1) + " ? " +
-               printPrec(tern->thenExpr, 1) + " : " +
-               printPrec(tern->elseExpr, 0);
-      }
-      case ExprKind::Concat: {
-        const auto *cat = expr->as<ConcatExpr>();
-        std::string out = "{";
-        for (size_t i = 0; i < cat->parts.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += printExpr(cat->parts[i]);
-        }
-        return out + "}";
-      }
-      case ExprKind::Repeat: {
-        const auto *rep = expr->as<RepeatExpr>();
-        return "{" + printExpr(rep->count) + "{" + printExpr(rep->inner) +
-               "}}";
-      }
-      case ExprKind::Index: {
-        const auto *idx = expr->as<IndexExpr>();
-        return idx->base + "[" + printExpr(idx->index) + "]";
-      }
-      case ExprKind::Range: {
-        const auto *range = expr->as<RangeExpr>();
-        return range->base + "[" + printExpr(range->msb) + ":" +
-               printExpr(range->lsb) + "]";
-      }
-    }
-    return "?";
+    std::string out;
+    Printer(out).expr(expr);
+    return out;
 }
 
 std::string
 printStmt(const StmtPtr &stmt, int indent)
 {
-    std::string pad = indentStr(indent);
-    if (!stmt)
-        panic("printStmt: null statement");
-    switch (stmt->kind) {
-      case StmtKind::Block: {
-        const auto *block = stmt->as<BlockStmt>();
-        std::string out = pad + "begin\n";
-        for (const auto &sub : block->stmts)
-            out += printStmt(sub, indent + 1);
-        out += pad + "end\n";
-        return out;
-      }
-      case StmtKind::If: {
-        const auto *branch = stmt->as<IfStmt>();
-        std::string out =
-            pad + "if (" + printExpr(branch->cond) + ")\n";
-        out += printStmt(branch->thenStmt, indent + 1);
-        if (branch->elseStmt) {
-            out += pad + "else\n";
-            out += printStmt(branch->elseStmt, indent + 1);
-        }
-        return out;
-      }
-      case StmtKind::Case: {
-        const auto *sel = stmt->as<CaseStmt>();
-        std::string out = pad + (sel->isCasez ? "casez (" : "case (") +
-                          printExpr(sel->selector) + ")\n";
-        for (const auto &item : sel->items) {
-            std::string label;
-            if (item.labels.empty()) {
-                label = "default";
-            } else {
-                for (size_t i = 0; i < item.labels.size(); ++i) {
-                    if (i)
-                        label += ", ";
-                    label += printExpr(item.labels[i]);
-                }
-            }
-            out += indentStr(indent + 1) + label + ":\n";
-            out += printStmt(item.body, indent + 2);
-        }
-        out += pad + "endcase\n";
-        return out;
-      }
-      case StmtKind::Assign: {
-        const auto *assign = stmt->as<AssignStmt>();
-        return pad + printExpr(assign->lhs) +
-               (assign->nonblocking ? " <= " : " = ") +
-               printExpr(assign->rhs) + ";\n";
-      }
-      case StmtKind::Display: {
-        const auto *disp = stmt->as<DisplayStmt>();
-        std::string out =
-            pad + "$display(\"" + escapeString(disp->format) + "\"";
-        for (const auto &arg : disp->args)
-            out += ", " + printExpr(arg);
-        return out + ");\n";
-      }
-      case StmtKind::Finish:
-        return pad + "$finish;\n";
-      case StmtKind::Null:
-        return pad + ";\n";
-    }
-    return "";
+    std::string out;
+    Printer(out).stmt(stmt, indent);
+    return out;
 }
 
 std::string
 printItem(const ItemPtr &item, int indent)
 {
-    std::string pad = indentStr(indent);
-    switch (item->kind) {
-      case ItemKind::Param: {
-        const auto *param = item->as<ParamItem>();
-        if (param->inHeader)
-            return ""; // printed in the module header
-        return pad + (param->isLocal ? "localparam " : "parameter ") +
-               param->name + " = " + printExpr(param->value) + ";\n";
-      }
-      case ItemKind::Net: {
-        const auto *net = item->as<NetItem>();
-        if (net->dir != PortDir::None)
-            return ""; // printed in the module header (ANSI style)
-        std::string out =
-            pad + (net->net == NetKind::Reg ? "reg " : "wire ");
-        if (net->range)
-            out += printRange(*net->range) + " ";
-        out += net->name;
-        if (net->array)
-            out += " " + printRange(*net->array);
-        return out + ";\n";
-      }
-      case ItemKind::ContAssign: {
-        const auto *assign = item->as<ContAssignItem>();
-        return pad + "assign " + printExpr(assign->lhs) + " = " +
-               printExpr(assign->rhs) + ";\n";
-      }
-      case ItemKind::Always: {
-        const auto *always = item->as<AlwaysItem>();
-        std::string out = pad + "always @";
-        if (always->isComb) {
-            out += "*";
-        } else {
-            out += "(";
-            for (size_t i = 0; i < always->sens.size(); ++i) {
-                if (i)
-                    out += " or ";
-                out += always->sens[i].edge == EdgeKind::Posedge
-                           ? "posedge "
-                           : "negedge ";
-                out += always->sens[i].signal;
-            }
-            out += ")";
-        }
-        out += "\n" + printStmt(always->body, indent + 1);
-        return out;
-      }
-      case ItemKind::Instance: {
-        const auto *inst = item->as<InstanceItem>();
-        std::string out = pad + inst->moduleName;
-        if (!inst->paramOverrides.empty()) {
-            out += " #(";
-            for (size_t i = 0; i < inst->paramOverrides.size(); ++i) {
-                if (i)
-                    out += ", ";
-                out += "." + inst->paramOverrides[i].first + "(" +
-                       printExpr(inst->paramOverrides[i].second) + ")";
-            }
-            out += ")";
-        }
-        out += " " + inst->instName + " (\n";
-        for (size_t i = 0; i < inst->conns.size(); ++i) {
-            out += indentStr(indent + 1) + "." + inst->conns[i].formal +
-                   "(";
-            if (inst->conns[i].actual)
-                out += printExpr(inst->conns[i].actual);
-            out += ")";
-            if (i + 1 < inst->conns.size())
-                out += ",";
-            out += "\n";
-        }
-        out += pad + ");\n";
-        return out;
-      }
-    }
-    return "";
+    std::string out;
+    Printer(out).item(item, indent);
+    return out;
 }
 
 std::string
 printModule(const Module &mod)
 {
-    std::string out = "module " + mod.name;
-
-    // Header parameters.
-    std::vector<const ParamItem *> header_params;
-    for (const auto &item : mod.items)
-        if (item->kind == ItemKind::Param &&
-            item->as<ParamItem>()->inHeader)
-            header_params.push_back(item->as<ParamItem>());
-    if (!header_params.empty()) {
-        out += " #(\n";
-        for (size_t i = 0; i < header_params.size(); ++i) {
-            out += indentStr(1) + "parameter " + header_params[i]->name +
-                   " = " + printExpr(header_params[i]->value);
-            if (i + 1 < header_params.size())
-                out += ",";
-            out += "\n";
-        }
-        out += ")";
-    }
-
-    // ANSI port list.
-    out += " (\n";
-    for (size_t i = 0; i < mod.ports.size(); ++i) {
-        const NetItem *net = mod.findNet(mod.ports[i]);
-        if (!net)
-            panic("port '%s' of module '%s' has no declaration",
-                  mod.ports[i].c_str(), mod.name.c_str());
-        out += indentStr(1);
-        out += net->dir == PortDir::Input ? "input " : "output ";
-        out += net->net == NetKind::Reg ? "reg " : "wire ";
-        if (net->range)
-            out += printRange(*net->range) + " ";
-        out += net->name;
-        if (i + 1 < mod.ports.size())
-            out += ",";
-        out += "\n";
-    }
-    out += ");\n";
-
-    for (const auto &item : mod.items)
-        out += printItem(item, 1);
-    out += "endmodule\n";
+    std::string out;
+    Printer(out).module(mod);
     return out;
 }
 
@@ -396,10 +446,11 @@ std::string
 printDesign(const Design &design)
 {
     std::string out;
+    Printer printer(out);
     for (size_t i = 0; i < design.modules.size(); ++i) {
         if (i)
-            out += "\n";
-        out += printModule(*design.modules[i]);
+            out += '\n';
+        printer.module(*design.modules[i]);
     }
     return out;
 }
@@ -408,17 +459,17 @@ int
 countCodeLines(const std::string &text)
 {
     int count = 0;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        bool blank = true;
-        for (char c : line)
-            if (c != ' ' && c != '\t' && c != '\r') {
-                blank = false;
-                break;
-            }
-        if (!blank)
+    const char *p = text.data();
+    const char *end = p + text.size();
+    while (p < end) {
+        const char *nl =
+            static_cast<const char *>(std::memchr(p, '\n', end - p));
+        const char *stop = nl ? nl : end;
+        while (p < stop && (*p == ' ' || *p == '\t' || *p == '\r'))
+            ++p;
+        if (p < stop)
             ++count;
+        p = stop + 1;
     }
     return count;
 }

@@ -3,6 +3,34 @@
 namespace hwdbg::hdl
 {
 
+std::string
+decodeString(std::string_view body)
+{
+    std::string out;
+    out.reserve(body.size());
+    for (size_t i = 0; i < body.size(); ++i) {
+        char c = body[i];
+        if (c != '\\' || i + 1 == body.size()) {
+            out.push_back(c);
+            continue;
+        }
+        switch (char esc = body[++i]) {
+          case 'n': out.push_back('\n'); break;
+          case 't': out.push_back('\t'); break;
+          default: out.push_back(esc); break;
+        }
+    }
+    return out;
+}
+
+std::string
+tokenText(const Token &tok)
+{
+    if (tok.kind == TokKind::String)
+        return decodeString(tok.text);
+    return std::string(tok.text);
+}
+
 const char *
 tokKindName(TokKind kind)
 {

@@ -7,8 +7,7 @@
 #define HWDBG_HDL_TOKEN_HH
 
 #include <string>
-
-#include "hdl/ast.hh"
+#include <string_view>
 
 namespace hwdbg::hdl
 {
@@ -18,7 +17,7 @@ enum class TokKind
     Eof,
     Ident,
     Number,   ///< literal text, e.g. "8'hff" or "42"
-    String,   ///< decoded string body (no quotes)
+    String,   ///< string body between the quotes, escapes undecoded
     SysName,  ///< $display, $finish, ... (text includes the '$')
 
     // Keywords.
@@ -42,14 +41,28 @@ enum class TokKind
     Assign,   ///< '='
 };
 
+/**
+ * One token: a kind and a view into the preprocessed text it was lexed
+ * from, which must outlive it. The view spans the lexeme of an
+ * identifier, keyword, number or system name and the body of a string
+ * literal; it is empty for punctuation, operators and end of input.
+ */
 struct Token
 {
     TokKind kind = TokKind::Eof;
-    std::string text;
-    SourceLoc loc;
+    std::string_view text;
+    int line = 0;
+    int col = 0;
 
     bool is(TokKind k) const { return kind == k; }
 };
+
+/** A string literal's body with its escapes (\n \t \\ \" \x) resolved. */
+std::string decodeString(std::string_view body);
+
+/** The token's text as the AST and diagnostics spell it: the decoded
+ *  body of a string literal, the viewed text otherwise. */
+std::string tokenText(const Token &tok);
 
 /** Human-readable token kind name (for diagnostics). */
 const char *tokKindName(TokKind kind);

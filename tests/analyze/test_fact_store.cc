@@ -33,8 +33,9 @@ using namespace hwdbg;
 namespace
 {
 
-const char *const kFacts[] = {"signals", "assigns", "graph", "fsms",
-                              "relations", "fixpoint", "wires"};
+const char *const kFacts[] = {"signals",  "assigns",   "assignsOf",
+                              "graph",    "fsms",      "relations",
+                              "fixpoint", "wires"};
 
 /** Fact name -> builds since the last reset. */
 std::map<std::string, uint64_t>
@@ -108,6 +109,8 @@ TEST_F(FactStoreTest, LintAndAnalyzeBuildEachFactOnce)
     auto analyze = factBuilds();
     expectAtMost(analyze, 1);
     EXPECT_EQ(analyze["assigns"], 1u);
+    // The fixpoint and the read-uninitialized pass share one index.
+    EXPECT_EQ(analyze["assignsOf"], 1u);
     EXPECT_EQ(analyze["fixpoint"], 1u);
 }
 

@@ -28,6 +28,7 @@
 #include "cover/run.hh"
 #include "debug/engine.hh"
 #include "hdl/printer.hh"
+#include "obs/metrics.hh"
 
 using namespace hwdbg;
 
@@ -56,10 +57,19 @@ hex64(uint64_t v)
     return buf;
 }
 
-std::string
-variantLine(const bugs::TestbedBug &bug, bool buggy)
+/** What the instrument pipeline made of one design variant. */
+struct Instrumented
 {
-    auto elaborated = bugs::buildDesign(bug, buggy);
+    hdl::ModulePtr mod;
+    int generated = 0;
+    /** Instrumentation passes run, SignalCat included. */
+    int passes = 0;
+};
+
+/** The bug's monitors, then SignalCat when the design supports it. */
+Instrumented
+instrument(const bugs::TestbedBug &bug, const elab::ElabResult &elaborated)
+{
     debug::InstrumentConfig icfg;
     icfg.fsm = bug.monitors.fsm;
     icfg.depVariable = bug.monitors.depVariable;
@@ -67,13 +77,23 @@ variantLine(const bugs::TestbedBug &bug, bool buggy)
     icfg.lossCheck = bug.lossCheck;
     icfg.constants = elaborated.constants;
     auto instr = debug::instrumentForDebug(*elaborated.mod, icfg);
-    hdl::ModulePtr mod = instr.module;
-    int generated = instr.generatedLines;
-    if (core::signalCatSupported(*mod)) {
-        auto cat = core::applySignalCat(*mod);
-        mod = cat.module;
-        generated += cat.generatedLines;
+    Instrumented out{instr.module, instr.generatedLines,
+                     int(icfg.fsm) + int(!icfg.depVariable.empty()) +
+                         int(icfg.lossCheck.has_value())};
+    if (core::signalCatSupported(*out.mod)) {
+        auto cat = core::applySignalCat(*out.mod);
+        out.mod = cat.module;
+        out.generated += cat.generatedLines;
+        ++out.passes;
     }
+    return out;
+}
+
+std::string
+variantLine(const bugs::TestbedBug &bug, bool buggy)
+{
+    auto [mod, generated, passes] =
+        instrument(bug, bugs::buildDesign(bug, buggy));
 
     std::ostringstream goals;
     auto snap = cover::coverBugWorkload(bug, buggy);
@@ -100,6 +120,23 @@ variantLine(const bugs::TestbedBug &bug, bool buggy)
 }
 
 } // namespace
+
+TEST(InstrumentGoldenTest, ChainPrintsEachModuleOnce)
+{
+    // D3 runs the FSM and Dependency Monitors and LossCheck, then
+    // SignalCat. Counting generated lines prints the original once and
+    // each pass's result once: the next pass reuses that count.
+    const auto &bug = bugs::bugById("D3");
+    auto elaborated = bugs::buildDesign(bug, true);
+    obs::enableMetrics(true);
+    obs::resetMetrics();
+    Instrumented out = instrument(bug, elaborated);
+    uint64_t prints = obs::counterValue("printer.modules");
+    obs::enableMetrics(false);
+    ASSERT_EQ(out.passes, 4);
+    EXPECT_GE(prints, 1u);
+    EXPECT_LE(prints, static_cast<uint64_t>(out.passes + 1));
+}
 
 TEST(InstrumentGoldenTest, TestbedInstrumentationIsPinned)
 {

@@ -120,10 +120,11 @@ TEST(ElaborateCapsTest, InstanceNestingCapIsInclusive)
     auto chain = [](int levels) {
         std::string src;
         for (int i = 0; i < levels; ++i) {
-            src += "module m" + std::to_string(i) + "();\n";
+            src.append("module m").append(std::to_string(i)).append("();\n");
             if (i + 1 < levels)
-                src += "m" + std::to_string(i + 1) + " u();\n";
-            src += "endmodule\n";
+                src.append("m").append(std::to_string(i + 1)).append(
+                    " u();\n");
+            src.append("endmodule\n");
         }
         try {
             elaborate(parse(src), "m0");

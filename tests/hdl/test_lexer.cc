@@ -14,6 +14,28 @@ using hwdbg::HdlError;
 namespace
 {
 
+/** A lexed token with its text and location copied out of the source. */
+struct Lexed
+{
+    TokKind kind;
+    std::string text;
+    SourceLoc loc;
+};
+
+/** Every token of @p src, end of input included. */
+std::vector<Lexed>
+tokenize(const std::string &src, const std::string &file = "<input>")
+{
+    Lexer lexer(src, file);
+    std::vector<Lexed> out;
+    while (true) {
+        Token tok = lexer.next();
+        out.push_back({tok.kind, tokenText(tok), lexer.loc(tok)});
+        if (tok.is(TokKind::Eof))
+            return out;
+    }
+}
+
 std::vector<TokKind>
 kinds(const std::string &src)
 {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -397,4 +398,31 @@ TEST(ParserTest, DeepInputFailsInsteadOfExhaustingTheStack)
     for (const auto &body : bodies)
         EXPECT_TRUE(endsWithNestingError(parseError(body)))
             << body.substr(0, 60);
+}
+
+TEST(ParserTest, FileNamesInternAcrossThreads)
+{
+    // Concurrent parses (as serve runs them) share one intern table:
+    // each location keeps its own file's name, and equal names intern
+    // to equal handles.
+    std::vector<std::thread> threads;
+    std::vector<std::string> seen(4);
+    for (size_t t = 0; t < seen.size(); ++t)
+        threads.emplace_back([&, t] {
+            std::string file = "f" + std::to_string(t % 2) + ".v";
+            for (int i = 0; i < 50; ++i) {
+                Design design =
+                    parse("module m();\nwire w;\nendmodule", file);
+                seen[t] = design.modules[0]->items[0]->loc.str();
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(seen[0], "f0.v:2:6");
+    EXPECT_EQ(seen[1], "f1.v:2:6");
+    EXPECT_EQ(seen[2], "f0.v:2:6");
+    EXPECT_EQ(seen[3], "f1.v:2:6");
+    EXPECT_EQ(SourceLoc{"f0.v"}.file, FileName(std::string("f0.v")));
+    EXPECT_FALSE(SourceLoc{"f0.v"}.file == SourceLoc{"f1.v"}.file);
+    EXPECT_TRUE(SourceLoc{}.file.empty());
 }
