@@ -1,7 +1,5 @@
 #include "analyze/analyze.hh"
 
-#include <sstream>
-
 #include "analyze/passes.hh"
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
@@ -68,19 +66,19 @@ std::string
 renderAnalyzeJson(const std::vector<std::string> &passes,
                   const std::vector<Diagnostic> &diags)
 {
-    std::ostringstream out;
-    out << "{\"format\": \"hwdbg-analyze\", \"version\": 1,\n";
-    out << "\"build\": " << obs::buildInfoJson() << ",\n";
-    out << "\"passes\": [";
-    for (size_t i = 0; i < passes.size(); ++i)
-        out << (i ? ", " : "") << "\"" << obs::jsonEscape(passes[i])
-            << "\"";
-    out << "],\n";
-    std::string body = renderJson(diags);
-    while (!body.empty() && body.back() == '\n')
-        body.pop_back();
-    out << "\"diagnostics\": " << body << "}\n";
-    return out.str();
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Spaced);
+    w.beginObject().member("format", "hwdbg-analyze").member("version", 1);
+    w.newline(0).key("build").raw(obs::buildInfoJson());
+    w.newline(0).key("passes").beginArray();
+    for (const auto &pass : passes)
+        w.value(pass);
+    w.endArray();
+    w.newline(0).key("diagnostics");
+    writeJson(w, diags);
+    w.endObject();
+    out += '\n';
+    return out;
 }
 
 std::string

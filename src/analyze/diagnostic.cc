@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "obs/json.hh"
 
 namespace hwdbg::analyze
 {
@@ -52,28 +51,35 @@ renderText(const std::vector<Diagnostic> &diags)
     return out.str();
 }
 
+void
+writeJson(obs::JsonWriter &w, const std::vector<Diagnostic> &diags)
+{
+    w.beginArray();
+    for (const auto &diag : diags) {
+        w.newline(2).beginObject()
+            .member("rule", diag.rule)
+            .member("severity", severityName(diag.severity))
+            .member("subclass", diag.subclass)
+            .member("file", diag.loc.file.str())
+            .member("line", diag.loc.line)
+            .member("col", diag.loc.col)
+            .member("message", diag.message)
+            .key("signals").beginArray();
+        for (const auto &sig : diag.signals)
+            w.value(sig);
+        w.endArray().endObject();
+    }
+    w.newline(0).endArray();
+}
+
 std::string
 renderJson(const std::vector<Diagnostic> &diags)
 {
-    using obs::jsonEscape;
-    std::ostringstream out;
-    out << "[\n";
-    for (size_t i = 0; i < diags.size(); ++i) {
-        const auto &diag = diags[i];
-        out << "  {\"rule\": \"" << jsonEscape(diag.rule)
-            << "\", \"severity\": \"" << severityName(diag.severity)
-            << "\", \"subclass\": \"" << jsonEscape(diag.subclass)
-            << "\", \"file\": \"" << jsonEscape(diag.loc.file)
-            << "\", \"line\": " << diag.loc.line
-            << ", \"col\": " << diag.loc.col << ", \"message\": \""
-            << jsonEscape(diag.message) << "\", \"signals\": [";
-        for (size_t j = 0; j < diag.signals.size(); ++j)
-            out << (j ? ", " : "") << "\""
-                << jsonEscape(diag.signals[j]) << "\"";
-        out << "]}" << (i + 1 < diags.size() ? "," : "") << "\n";
-    }
-    out << "]\n";
-    return out.str();
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Spaced);
+    writeJson(w, diags);
+    out += '\n';
+    return out;
 }
 
 bool

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "hdl/ast.hh"
+#include "obs/json.hh"
 
 namespace hwdbg::analyze
 {
@@ -47,7 +48,9 @@ void sortDiagnostics(std::vector<Diagnostic> &diags);
  */
 std::string renderText(const std::vector<Diagnostic> &diags);
 
-/** JSON array rendering (one object per diagnostic). */
+/** JSON array rendering, one object per line. */
+void writeJson(obs::JsonWriter &w, const std::vector<Diagnostic> &diags);
+/** writeJson as a document (spaced, newline-terminated). */
 std::string renderJson(const std::vector<Diagnostic> &diags);
 
 /** True when any diagnostic has Error severity (CLI exit status). */

@@ -54,8 +54,8 @@ renderCoverText(const Snapshot &snap, const ReportOptions &opts)
     sim::CoverageTotals totals = snap.totals();
 
     out << "coverage report: top '" << snap.top << "'\n";
-    out << "build " << snap.buildVersion << " (" << snap.buildGit
-        << ", " << snap.buildType << "), design fingerprint "
+    out << "build " << snap.build.version << " (" << snap.build.git
+        << ", " << snap.build.buildType << "), design fingerprint "
         << hexU64(snap.fingerprint) << "\n";
     out << "workloads:";
     for (const auto &workload : snap.workloads)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "analyze/context.hh"
 #include "obs/json.hh"
@@ -10,9 +9,6 @@
 
 namespace hwdbg::cover
 {
-
-using obs::hexU64;
-using obs::jsonEscape;
 
 const char *
 stmtKindName(hdl::StmtKind kind)
@@ -41,6 +37,13 @@ hexFingerprint(uint64_t value)
     return buf;
 }
 
+/** covered / total in tenths of a percent, rounded half up. */
+uint64_t
+pctTenths(uint64_t covered, uint64_t total)
+{
+    return total ? (covered * 1000 + total / 2) / total : 0;
+}
+
 uint64_t
 popAll(const std::vector<uint64_t> &words)
 {
@@ -63,10 +66,8 @@ sortUnique(std::vector<T> &items)
 std::string
 coverPct(uint64_t covered, uint64_t total)
 {
-    // Fixed-point so the rendering is deterministic.
-    uint64_t p10 = total ? (covered * 1000 + total / 2) / total : 0;
-    return std::to_string(p10 / 10) + "." +
-           std::to_string(p10 % 10);
+    uint64_t p10 = pctTenths(covered, total);
+    return std::to_string(p10 / 10) + "." + std::to_string(p10 % 10);
 }
 
 sim::CoverageTotals
@@ -128,10 +129,7 @@ snapshotFrom(const sim::CoverageItems &items,
              const std::string &top, const std::string &workload)
 {
     Snapshot snap;
-    const obs::BuildInfo &build = obs::buildInfo();
-    snap.buildVersion = build.version;
-    snap.buildGit = build.git;
-    snap.buildType = build.buildType;
+    snap.build = obs::buildInfo();
     snap.top = top;
     snap.fingerprint = items.fingerprint();
     if (!workload.empty())
@@ -248,121 +246,112 @@ scopeRollups(const Snapshot &snap)
 std::string
 toJson(const Snapshot &snap)
 {
-    std::ostringstream out;
-    out << "{\"format\": \"hwdbg-cover\", \"version\": 1,\n";
-    out << "\"build\": {\"tool\": \"hwdbg\", \"version\": \""
-        << jsonEscape(snap.buildVersion) << "\", \"git\": \""
-        << jsonEscape(snap.buildGit) << "\", \"type\": \""
-        << jsonEscape(snap.buildType) << "\"},\n";
-    out << "\"design\": {\"top\": \"" << jsonEscape(snap.top)
-        << "\", \"fingerprint\": \""
-        << hexFingerprint(snap.fingerprint) << "\"},\n";
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Spaced);
+    w.beginObject().member("format", "hwdbg-cover").member("version", 1);
+    w.newline(0).member("build", snap.build);
+    w.newline(0).key("design").beginObject()
+        .member("top", snap.top)
+        .key("fingerprint").hexWords(&snap.fingerprint, 1, 64)
+        .endObject();
 
-    out << "\"workloads\": [";
-    for (size_t i = 0; i < snap.workloads.size(); ++i)
-        out << (i ? ", " : "") << "\"" << jsonEscape(snap.workloads[i])
-            << "\"";
-    out << "],\n";
+    w.newline(0).key("workloads").beginArray();
+    for (const auto &workload : snap.workloads)
+        w.value(workload);
+    w.endArray();
 
-    out << "\"signals\": [";
-    for (size_t i = 0; i < snap.signals.size(); ++i) {
-        const auto &sig = snap.signals[i];
-        out << (i ? ",\n " : "\n ") << "{\"name\": \""
-            << jsonEscape(sig.name) << "\", \"width\": " << sig.width
-            << ", \"scope\": \"" << jsonEscape(sig.scope)
-            << "\", \"rise\": \""
-            << obs::hexWords(sig.rise.data(), sig.rise.size(), sig.width)
-            << "\", \"fall\": \""
-            << obs::hexWords(sig.fall.data(), sig.fall.size(), sig.width)
-            << "\"}";
-    }
-    out << "],\n";
+    w.newline(0).key("signals").beginArray();
+    for (const auto &sig : snap.signals)
+        w.newline(1).beginObject()
+            .member("name", sig.name)
+            .member("width", sig.width)
+            .member("scope", sig.scope)
+            .key("rise").hexWords(sig.rise.data(), sig.rise.size(), sig.width)
+            .key("fall").hexWords(sig.fall.data(), sig.fall.size(), sig.width)
+            .endObject();
+    w.endArray();
 
-    out << "\"statements\": [";
-    for (size_t i = 0; i < snap.statements.size(); ++i) {
-        const auto &stmt = snap.statements[i];
-        out << (i ? ",\n " : "\n ") << "{\"kind\": \"" << stmt.kind
-            << "\", \"loc\": \"" << jsonEscape(stmt.loc)
-            << "\", \"scope\": \"" << jsonEscape(stmt.scope)
-            << "\", \"hit\": " << (stmt.hit ? "true" : "false")
-            << "}";
-    }
-    out << "],\n";
+    w.newline(0).key("statements").beginArray();
+    for (const auto &stmt : snap.statements)
+        w.newline(1).beginObject()
+            .member("kind", stmt.kind)
+            .member("loc", stmt.loc)
+            .member("scope", stmt.scope)
+            .member("hit", stmt.hit)
+            .endObject();
+    w.endArray();
 
-    out << "\"arms\": [";
-    for (size_t i = 0; i < snap.arms.size(); ++i) {
-        const auto &arm = snap.arms[i];
-        out << (i ? ",\n " : "\n ") << "{\"stmt\": " << arm.stmt
-            << ", \"label\": \"" << jsonEscape(arm.label)
-            << "\", \"taken\": " << (arm.taken ? "true" : "false")
-            << "}";
-    }
-    out << "],\n";
+    w.newline(0).key("arms").beginArray();
+    for (const auto &arm : snap.arms)
+        w.newline(1).beginObject()
+            .member("stmt", arm.stmt)
+            .member("label", arm.label)
+            .member("taken", arm.taken)
+            .endObject();
+    w.endArray();
 
-    out << "\"fsms\": [";
-    for (size_t i = 0; i < snap.fsms.size(); ++i) {
-        const auto &fsm = snap.fsms[i];
-        out << (i ? ",\n " : "\n ") << "{\"state_var\": \""
-            << jsonEscape(fsm.stateVar) << "\", \"states\": [";
-        for (size_t s = 0; s < fsm.states.size(); ++s)
-            out << (s ? ", " : "") << "\"" << hexU64(fsm.states[s])
-                << "\"";
-        out << "], \"seen\": [";
-        for (size_t s = 0; s < fsm.seen.size(); ++s)
-            out << (s ? ", " : "") << (fsm.seen[s] ? "true" : "false");
-        out << "], \"transitions\": [";
-        for (size_t t = 0; t < fsm.transitions.size(); ++t) {
-            const auto &trans = fsm.transitions[t];
-            out << (t ? ", " : "") << "{";
+    w.newline(0).key("fsms").beginArray();
+    for (const auto &fsm : snap.fsms) {
+        w.newline(1).beginObject().member("state_var", fsm.stateVar);
+        w.key("states").beginArray();
+        for (uint64_t state : fsm.states)
+            w.hexU64(state);
+        w.endArray().key("seen").beginArray();
+        for (bool seen : fsm.seen)
+            w.value(seen);
+        w.endArray().key("transitions").beginArray();
+        for (const auto &trans : fsm.transitions) {
+            w.beginObject();
             if (trans.hasFrom)
-                out << "\"from\": \"" << hexU64(trans.from) << "\", ";
-            out << "\"to\": \"" << hexU64(trans.to) << "\", \"seen\": "
-                << (trans.seen ? "true" : "false") << "}";
+                w.key("from").hexU64(trans.from);
+            w.key("to").hexU64(trans.to).member("seen", trans.seen);
+            w.endObject();
         }
-        out << "], \"unexpected_states\": [";
-        for (size_t s = 0; s < fsm.unexpectedStates.size(); ++s)
-            out << (s ? ", " : "") << "\""
-                << hexU64(fsm.unexpectedStates[s]) << "\"";
-        out << "], \"unexpected_transitions\": [";
-        for (size_t t = 0; t < fsm.unexpectedTransitions.size(); ++t)
-            out << (t ? ", " : "") << "[\""
-                << hexU64(fsm.unexpectedTransitions[t].first)
-                << "\", \""
-                << hexU64(fsm.unexpectedTransitions[t].second)
-                << "\"]";
-        out << "]}";
+        w.endArray().key("unexpected_states").beginArray();
+        for (uint64_t state : fsm.unexpectedStates)
+            w.hexU64(state);
+        w.endArray().key("unexpected_transitions").beginArray();
+        for (const auto &[from, to] : fsm.unexpectedTransitions)
+            w.beginArray().hexU64(from).hexU64(to).endArray();
+        w.endArray().endObject();
     }
-    out << "],\n";
+    w.endArray();
 
-    sim::CoverageTotals totals = snap.totals();
-    auto section = [&](const char *name, uint64_t covered,
-                       uint64_t total, bool last = false) {
-        out << "  \"" << name << "\": {\"covered\": " << covered
-            << ", \"total\": " << total << ", \"pct\": "
-            << coverPct(covered, total) << "}" << (last ? "\n" : ",\n");
+    auto section = [&](uint64_t covered, uint64_t total) {
+        w.beginObject()
+            .member("covered", covered)
+            .member("total", total)
+            .key("pct").fixed(pctTenths(covered, total) / 10.0, 1)
+            .endObject();
     };
-    out << "\"summary\": {\n";
-    section("statements", totals.stmtHit, totals.stmtTotal);
-    section("branches", totals.armTaken, totals.armTotal);
-    section("toggles", totals.toggleHit, totals.toggleTotal);
-    section("fsm_states", totals.fsmStateHit, totals.fsmStateTotal);
-    section("fsm_transitions", totals.fsmTransHit,
-            totals.fsmTransTotal);
-    section("overall", totals.covered(), totals.total());
-    out << "  \"modules\": [";
-    auto rollups = scopeRollups(snap);
-    for (size_t i = 0; i < rollups.size(); ++i) {
-        const auto &entry = rollups[i];
-        out << (i ? ",\n   " : "\n   ") << "{\"scope\": \""
-            << jsonEscape(entry.scope)
-            << "\", \"covered\": " << entry.totals.covered()
-            << ", \"total\": " << entry.totals.total()
-            << ", \"pct\": "
-            << coverPct(entry.totals.covered(), entry.totals.total())
-            << "}";
+    sim::CoverageTotals totals = snap.totals();
+    w.newline(0).key("summary").beginObject();
+    w.newline(2).key("statements");
+    section(totals.stmtHit, totals.stmtTotal);
+    w.newline(2).key("branches");
+    section(totals.armTaken, totals.armTotal);
+    w.newline(2).key("toggles");
+    section(totals.toggleHit, totals.toggleTotal);
+    w.newline(2).key("fsm_states");
+    section(totals.fsmStateHit, totals.fsmStateTotal);
+    w.newline(2).key("fsm_transitions");
+    section(totals.fsmTransHit, totals.fsmTransTotal);
+    w.newline(2).key("overall");
+    section(totals.covered(), totals.total());
+    w.newline(2).key("modules").beginArray();
+    for (const auto &entry : scopeRollups(snap)) {
+        w.newline(3).beginObject().member("scope", entry.scope);
+        w.member("covered", entry.totals.covered())
+            .member("total", entry.totals.total())
+            .key("pct")
+            .fixed(pctTenths(entry.totals.covered(), entry.totals.total()) /
+                       10.0,
+                   1)
+            .endObject();
     }
-    out << "]\n}\n}\n";
-    return out.str();
+    w.endArray().newline(0).endObject().newline(0).endObject();
+    out += '\n';
+    return out;
 }
 
 namespace
@@ -473,9 +462,8 @@ parseSnapshot(const std::string &text, Snapshot *out,
 
     *out = Snapshot{};
     if (const auto *build = root->get("build")) {
-        out->buildVersion = (*build)["version"].text;
-        out->buildGit = (*build)["git"].text;
-        out->buildType = (*build)["type"].text;
+        out->build = {(*build)["version"].text, (*build)["git"].text,
+                      (*build)["type"].text};
     }
     out->top = (*root)["design"]["top"].text;
     out->fingerprint = hexValue((*root)["design"]["fingerprint"]);

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "analyze/facts.hh"
+#include "obs/json.hh"
 #include "sim/coverage.hh"
 
 namespace hwdbg::cover
@@ -48,7 +49,8 @@ namespace hwdbg::cover
 
 struct Snapshot
 {
-    std::string buildVersion, buildGit, buildType;
+    /** Provenance of the collector (from the file when parsed). */
+    obs::BuildInfo build;
     std::string top;
     uint64_t fingerprint = 0;
     /** Sorted unique workload labels (e.g. "bug:D3", "seed:42"). */

@@ -232,8 +232,6 @@ runSelfCheck(const FuzzConfig &config)
     return report;
 }
 
-using obs::jsonEscape;
-
 std::string
 indented(const std::string &text, const std::string &pad)
 {
@@ -286,123 +284,99 @@ runFuzz(const FuzzConfig &config)
                             : runCampaign(config);
 }
 
+namespace
+{
+
+std::string
+renderReportJson(const FuzzReport &report, const FuzzConfig &config)
+{
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Spaced);
+    w.beginObject();
+    w.newline(2).member("mode", report.selfCheck
+                                    ? "self-check"
+                                    : (config.replay ? "replay" : "fuzz"));
+    w.newline(2).key("build").raw(obs::buildInfoJson());
+    w.newline(2).member("start", config.replay ? config.replaySeed
+                                               : config.start);
+    w.newline(2).member("seeds", report.seedsRun);
+    w.newline(2).member("cycles", config.cycles);
+    w.newline(2).key("oracles").beginArray();
+    for (uint32_t i = 0; i < kOracleCount; ++i)
+        if (config.mask & (1u << i))
+            w.value(oracleName(static_cast<Oracle>(i)));
+    w.endArray();
+    if (report.selfCheck) {
+        uint64_t caught = 0;
+        w.newline(2).key("mutations").beginArray();
+        for (const auto &outcome : report.mutations) {
+            caught += outcome.caught;
+            w.newline(4).beginObject()
+                .member("id", outcome.id)
+                .member("description", outcome.description)
+                .member("expected_oracle", outcome.expectedOracle)
+                .member("caught", outcome.caught);
+            if (outcome.caught)
+                w.member("seed", outcome.seed)
+                    .member("caught_by", outcome.caughtBy)
+                    .member("detail", outcome.detail)
+                    .member("reproducer", outcome.reproducer);
+            w.member("seeds_tried", outcome.seedsTried).endObject();
+        }
+        w.newline(2).endArray();
+        w.newline(2).member("caught", caught);
+        w.newline(2).member("total", report.mutations.size());
+    } else {
+        w.newline(2).key("failures").beginArray();
+        for (const auto &failure : report.failures) {
+            w.newline(4).beginObject()
+                .member("seed", failure.seed)
+                .member("oracle", oracleName(failure.oracle))
+                .member("detail", failure.detail);
+            if (!failure.reproducer.empty())
+                w.member("items_before", failure.itemsBefore)
+                    .member("items_after", failure.itemsAfter)
+                    .member("shrink_attempts", failure.shrinkAttempts)
+                    .member("reproducer", failure.reproducer);
+            w.endObject();
+        }
+        w.newline(2).endArray();
+        if (config.mask & oracleBit(Oracle::Order))
+            w.newline(2).key("order").beginObject()
+                .member("flagged", report.order.flagged)
+                .member("confirmed", report.order.confirmed)
+                .member("unrefuted", report.order.unrefuted)
+                .endObject();
+        if (config.cover) {
+            w.newline(2).key("coverage").beginObject();
+            w.newline(4).member("keys", report.coverKeys);
+            w.newline(4).member("plateau_window", config.coverPlateau);
+            w.newline(4).member("plateaued", report.coverPlateaued);
+            if (report.coverPlateaued)
+                w.newline(4).member("plateau_seed", report.coverPlateauSeed);
+            w.newline(4).key("seeds").beginArray();
+            for (const auto &sc : report.coverage)
+                w.newline(6).beginObject()
+                    .member("seed", sc.seed)
+                    .member("keys", sc.keys)
+                    .member("new", sc.newKeys)
+                    .endObject();
+            w.newline(4).endArray().newline(2).endObject();
+        }
+    }
+    w.newline(2).member("ok", reportOk(report)).newline(0).endObject();
+    out += '\n';
+    return out;
+}
+
+} // namespace
+
 std::string
 renderReport(const FuzzReport &report, const FuzzConfig &config)
 {
+    if (config.json)
+        return renderReportJson(report, config);
     std::ostringstream out;
-    if (config.json) {
-        out << "{\n";
-        out << "  \"mode\": \""
-            << (report.selfCheck ? "self-check"
-                                 : (config.replay ? "replay" : "fuzz"))
-            << "\",\n";
-        out << "  \"build\": " << obs::buildInfoJson() << ",\n";
-        out << "  \"start\": "
-            << (config.replay ? config.replaySeed : config.start)
-            << ",\n";
-        out << "  \"seeds\": " << report.seedsRun << ",\n";
-        out << "  \"cycles\": " << config.cycles << ",\n";
-        out << "  \"oracles\": [";
-        bool firstOracle = true;
-        for (uint32_t i = 0; i < kOracleCount; ++i) {
-            if (!(config.mask & (1u << i)))
-                continue;
-            if (!firstOracle)
-                out << ", ";
-            firstOracle = false;
-            out << '"' << oracleName(static_cast<Oracle>(i)) << '"';
-        }
-        out << "],\n";
-        if (report.selfCheck) {
-            uint64_t caught = 0;
-            for (const auto &outcome : report.mutations)
-                if (outcome.caught)
-                    ++caught;
-            out << "  \"mutations\": [\n";
-            for (size_t i = 0; i < report.mutations.size(); ++i) {
-                const auto &outcome = report.mutations[i];
-                out << "    {\"id\": " << outcome.id
-                    << ", \"description\": \""
-                    << jsonEscape(outcome.description)
-                    << "\", \"expected_oracle\": \""
-                    << jsonEscape(outcome.expectedOracle)
-                    << "\", \"caught\": "
-                    << (outcome.caught ? "true" : "false");
-                if (outcome.caught) {
-                    out << ", \"seed\": " << outcome.seed
-                        << ", \"caught_by\": \""
-                        << jsonEscape(outcome.caughtBy)
-                        << "\", \"detail\": \""
-                        << jsonEscape(outcome.detail)
-                        << "\", \"reproducer\": \""
-                        << jsonEscape(outcome.reproducer) << '"';
-                }
-                out << ", \"seeds_tried\": " << outcome.seedsTried
-                    << "}"
-                    << (i + 1 < report.mutations.size() ? "," : "")
-                    << "\n";
-            }
-            out << "  ],\n";
-            out << "  \"caught\": " << caught << ",\n";
-            out << "  \"total\": " << report.mutations.size() << ",\n";
-        } else {
-            out << "  \"failures\": [\n";
-            for (size_t i = 0; i < report.failures.size(); ++i) {
-                const auto &failure = report.failures[i];
-                out << "    {\"seed\": " << failure.seed
-                    << ", \"oracle\": \"" << oracleName(failure.oracle)
-                    << "\", \"detail\": \"" << jsonEscape(failure.detail)
-                    << '"';
-                if (!failure.reproducer.empty()) {
-                    out << ", \"items_before\": " << failure.itemsBefore
-                        << ", \"items_after\": " << failure.itemsAfter
-                        << ", \"shrink_attempts\": "
-                        << failure.shrinkAttempts
-                        << ", \"reproducer\": \""
-                        << jsonEscape(failure.reproducer) << '"';
-                }
-                out << "}"
-                    << (i + 1 < report.failures.size() ? "," : "")
-                    << "\n";
-            }
-            out << "  ],\n";
-            if (config.mask & oracleBit(Oracle::Order)) {
-                out << "  \"order\": {\"flagged\": "
-                    << report.order.flagged
-                    << ", \"confirmed\": " << report.order.confirmed
-                    << ", \"unrefuted\": " << report.order.unrefuted
-                    << "},\n";
-            }
-            if (config.cover) {
-                out << "  \"coverage\": {\n";
-                out << "    \"keys\": " << report.coverKeys << ",\n";
-                out << "    \"plateau_window\": "
-                    << config.coverPlateau << ",\n";
-                out << "    \"plateaued\": "
-                    << (report.coverPlateaued ? "true" : "false")
-                    << ",\n";
-                if (report.coverPlateaued)
-                    out << "    \"plateau_seed\": "
-                        << report.coverPlateauSeed << ",\n";
-                out << "    \"seeds\": [\n";
-                for (size_t i = 0; i < report.coverage.size(); ++i) {
-                    const auto &sc = report.coverage[i];
-                    out << "      {\"seed\": " << sc.seed
-                        << ", \"keys\": " << sc.keys
-                        << ", \"new\": " << sc.newKeys << "}"
-                        << (i + 1 < report.coverage.size() ? ","
-                                                           : "")
-                        << "\n";
-                }
-                out << "    ]\n";
-                out << "  },\n";
-            }
-        }
-        out << "  \"ok\": " << (reportOk(report) ? "true" : "false")
-            << "\n";
-        out << "}\n";
-        return out.str();
-    }
 
     if (report.selfCheck) {
         out << "hwdbg fuzz --self-check: " << report.mutations.size()

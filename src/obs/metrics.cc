@@ -186,44 +186,45 @@ metricsJson()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> guard(r.lock);
-    std::ostringstream out;
-    out << "{\n  \"build\": " << buildInfoJson() << ",\n"
-        << "  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, c] : r.counters) {
-        out << (first ? "" : ",") << "\n    \"" << name
-            << "\": " << c->value();
-        first = false;
-    }
-    out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, g] : r.gauges) {
-        out << (first ? "" : ",") << "\n    \"" << name
-            << "\": " << g->value();
-        first = false;
-    }
-    out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    for (const auto &[name, h] : r.histograms) {
-        out << (first ? "" : ",") << "\n    \"" << name << "\": {";
-        out << "\"buckets\": [";
-        const auto &bounds = h->bounds();
-        for (size_t i = 0; i <= bounds.size(); ++i) {
-            if (i)
-                out << ", ";
-            if (i < bounds.size())
-                out << "[" << bounds[i] << ", " << h->bucketCount(i)
-                    << "]";
-            else
-                out << "[null, " << h->bucketCount(i) << "]";
+    std::string out;
+    JsonWriter w(out, JsonWriter::Style::Spaced);
+    w.beginObject().newline(2).key("build").raw(buildInfoJson());
+    // One member per instrument, each on its own line.
+    auto section = [&](const char *name, const auto &instruments,
+                       auto &&write) {
+        w.newline(2).key(name).beginObject();
+        for (const auto &[key, inst] : instruments) {
+            w.newline(4).key(key);
+            write(*inst);
         }
-        out << "], \"count\": " << h->count() << ", \"sum\": "
-            << h->sum() << ", \"min\": " << h->min()
-            << ", \"max\": " << h->max() << "}";
-        first = false;
-    }
-    out << (first ? "" : "\n  ") << "}\n}\n";
-    return out.str();
+        if (!instruments.empty())
+            w.newline(2);
+        w.endObject();
+    };
+    auto scalar = [&](const auto &inst) { w.value(inst.value()); };
+    section("counters", r.counters, scalar);
+    section("gauges", r.gauges, scalar);
+    section("histograms", r.histograms, [&](const Histogram &h) {
+        w.beginObject().key("buckets").beginArray();
+        const auto &bounds = h.bounds();
+        for (size_t i = 0; i <= bounds.size(); ++i) {
+            w.beginArray();
+            if (i < bounds.size())
+                w.value(bounds[i]);
+            else
+                w.null();
+            w.value(h.bucketCount(i)).endArray();
+        }
+        w.endArray()
+            .member("count", h.count())
+            .member("sum", h.sum())
+            .member("min", h.min())
+            .member("max", h.max())
+            .endObject();
+    });
+    w.newline(0).endObject();
+    out += '\n';
+    return out;
 }
 
 namespace

@@ -1,7 +1,6 @@
 #include "obs/reqlog.hh"
 
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.hh"
 
@@ -167,12 +166,16 @@ RequestLog::reset()
 std::string
 RequestLog::eventJson(const RequestEvent &event)
 {
-    std::ostringstream out;
-    out << "{\"request\": " << event.id << ", \"session\": "
-        << event.session << ", \"cmd\": \"" << jsonEscape(event.cmd)
-        << "\", \"ok\": " << (event.ok ? "true" : "false")
-        << ", \"latency_us\": " << event.latencyUs << "}";
-    return out.str();
+    std::string out;
+    JsonWriter(out, JsonWriter::Style::Spaced)
+        .beginObject()
+        .member("request", event.id)
+        .member("session", event.session)
+        .member("cmd", event.cmd)
+        .member("ok", event.ok)
+        .member("latency_us", event.latencyUs)
+        .endObject();
+    return out;
 }
 
 } // namespace hwdbg::obs

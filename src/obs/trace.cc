@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
@@ -171,29 +170,34 @@ stopTrace()
                          return a.event.ts < b.event.ts;
                      });
 
-    std::ostringstream out;
-    out << "{\"build\": " << buildInfoJson()
-        << ",\n\"traceEvents\": [\n";
-    bool first = true;
+    std::string out;
+    JsonWriter w(out, JsonWriter::Style::Spaced);
+    w.beginObject().key("build").raw(buildInfoJson());
+    w.newline(0).key("traceEvents").beginArray();
+    if (names.empty() && all.empty())
+        w.newline(0);
     for (const auto &[tid, name] : names) {
-        out << (first ? "" : ",\n")
-            << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-               "\"tid\": "
-            << tid << ", \"args\": {\"name\": \"" << jsonEscape(name)
-            << "\"}}";
-        first = false;
+        w.newline(0).beginObject()
+            .member("name", "thread_name")
+            .member("ph", "M")
+            .member("pid", 1)
+            .member("tid", tid)
+            .key("args").beginObject().member("name", name).endObject()
+            .endObject();
     }
     for (const auto &flat : all) {
-        char ts[32];
-        std::snprintf(ts, sizeof ts, "%.3f", flat.event.ts);
-        out << (first ? "" : ",\n") << "{\"name\": \""
-            << jsonEscape(flat.event.name) << "\", \"cat\": \"hwdbg\", "
-            << "\"ph\": \"" << flat.event.ph << "\", \"ts\": " << ts
-            << ", \"pid\": 1, \"tid\": " << flat.tid << "}";
-        first = false;
+        w.newline(0).beginObject()
+            .member("name", flat.event.name)
+            .member("cat", "hwdbg")
+            .member("ph", std::string_view(&flat.event.ph, 1))
+            .key("ts").fixed(flat.event.ts, 3)
+            .member("pid", 1)
+            .member("tid", flat.tid)
+            .endObject();
     }
-    out << "\n], \"displayTimeUnit\": \"ms\"}\n";
-    return out.str();
+    w.newline(0).endArray().member("displayTimeUnit", "ms").endObject();
+    out += '\n';
+    return out;
 }
 
 namespace

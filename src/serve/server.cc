@@ -775,10 +775,12 @@ runClient(uint16_t port, std::istream &script, std::ostream &out)
         if (!std::getline(rin, resp))
             break;
         out << resp << "\n";
-        if (resp.find("\"ok\":false") != std::string::npos)
-            ++failures;
         std::string perr;
-        if (auto root = obs::parseJson(resp, &perr)) {
+        auto root = obs::parseJson(resp, &perr);
+        const auto *ok = root ? root->get("ok") : nullptr;
+        if (!ok || ok->kind != obs::JsonValue::Kind::Bool || !ok->boolean)
+            ++failures;
+        if (root) {
             const auto *payload = root->get("payload");
             if (payload && payload->get("session") &&
                 payload->get("session")->isNumber())

@@ -106,8 +106,6 @@ locStr(const SourceLoc &loc)
     return loc.line == 0 ? std::string() : loc.str();
 }
 
-using obs::jsonEscape;
-
 } // namespace
 
 ProfileReport
@@ -271,46 +269,47 @@ std::string
 renderProfileJson(const ProfileReport &report,
                   const ProfileOptions &opts)
 {
-    std::ostringstream out;
-    char buf[64];
-    out << "{\n";
-    out << "  \"top\": \"" << jsonEscape(report.top) << "\",\n";
-    out << "  \"seed\": " << report.seed << ",\n";
-    out << "  \"cycles_requested\": " << report.cyclesRequested << ",\n";
-    out << "  \"cycles_run\": " << report.cyclesRun << ",\n";
-    out << "  \"finished\": " << (report.finished ? "true" : "false")
-        << ",\n";
-    std::snprintf(buf, sizeof buf, "%.3f", report.wallMs);
-    out << "  \"wall_ms\": " << buf << ",\n";
-    out << "  \"rank\": \""
-        << (opts.rank == ProfileOptions::Rank::Evals ? "evals" : "time")
-        << "\",\n";
-    out << "  \"settle\": {\"calls\": " << report.settleCalls
-        << ", \"max_depth\": " << report.maxSettleDepth
-        << ", \"by_depth\": [";
-    for (size_t i = 0; i < report.settleHist.size(); ++i)
-        out << (i ? ", " : "") << report.settleHist[i];
-    out << "]},\n";
-    out << "  \"constructs\": [\n";
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Spaced);
+    w.beginObject();
+    w.newline(2).member("top", report.top);
+    w.newline(2).member("seed", report.seed);
+    w.newline(2).member("cycles_requested", report.cyclesRequested);
+    w.newline(2).member("cycles_run", report.cyclesRun);
+    w.newline(2).member("finished", report.finished);
+    w.newline(2).key("wall_ms").fixed(report.wallMs, 3);
+    w.newline(2).member("rank", opts.rank == ProfileOptions::Rank::Evals
+                                    ? "evals"
+                                    : "time");
+    w.newline(2).key("settle").beginObject()
+        .member("calls", report.settleCalls)
+        .member("max_depth", report.maxSettleDepth)
+        .key("by_depth").beginArray();
+    for (uint64_t calls : report.settleHist)
+        w.value(calls);
+    w.endArray().endObject();
+    w.newline(2).key("constructs").beginArray();
     for (size_t i = 0; i < report.rows.size(); ++i) {
         const ProfileRow &row = report.rows[i];
-        std::snprintf(buf, sizeof buf, "%.3f", row.ms);
-        out << "    {\"rank\": " << i + 1 << ", \"kind\": \""
-            << row.kind << "\", \"label\": \"" << jsonEscape(row.label)
-            << "\", \"loc\": \"" << jsonEscape(row.loc)
-            << "\", \"evals\": " << row.evals << ", \"ms\": " << buf
-            << "}" << (i + 1 < report.rows.size() ? "," : "") << "\n";
+        w.newline(4).beginObject()
+            .member("rank", i + 1)
+            .member("kind", row.kind)
+            .member("label", row.label)
+            .member("loc", row.loc)
+            .member("evals", row.evals)
+            .key("ms").fixed(row.ms, 3)
+            .endObject();
     }
-    out << "  ],\n";
-    out << "  \"signals\": [\n";
-    for (size_t i = 0; i < report.signals.size(); ++i) {
-        const SignalToggles &sig = report.signals[i];
-        out << "    {\"name\": \"" << jsonEscape(sig.name)
-            << "\", \"toggles\": " << sig.toggles << "}"
-            << (i + 1 < report.signals.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return out.str();
+    w.newline(2).endArray();
+    w.newline(2).key("signals").beginArray();
+    for (const SignalToggles &sig : report.signals)
+        w.newline(4).beginObject()
+            .member("name", sig.name)
+            .member("toggles", sig.toggles)
+            .endObject();
+    w.newline(2).endArray().newline(0).endObject();
+    out += '\n';
+    return out;
 }
 
 } // namespace hwdbg::sim

@@ -1,15 +1,10 @@
 #include "trace/json.hh"
 
-#include <sstream>
-
 #include "obs/json.hh"
 #include "obs/jsoncheck.hh"
 
 namespace hwdbg::trace
 {
-
-using obs::hexU64;
-using obs::jsonEscape;
 
 namespace
 {
@@ -106,65 +101,66 @@ traceDumpSchema()
 std::string
 toJson(const TraceDump &dump)
 {
-    const obs::BuildInfo &build = obs::buildInfo();
-    std::ostringstream out;
-    out << "{\"format\": \"hwdbg-trace\", \"version\": 1,\n";
-    out << "\"build\": {\"tool\": \"hwdbg\", \"version\": \""
-        << jsonEscape(build.version) << "\", \"git\": \""
-        << jsonEscape(build.git) << "\", \"type\": \""
-        << jsonEscape(build.buildType) << "\"},\n";
-    out << "\"design\": {\"top\": \"" << jsonEscape(dump.top)
-        << "\"},\n";
-    out << "\"workload\": \"" << jsonEscape(dump.workload) << "\",\n";
-    out << "\"backend\": \"" << jsonEscape(dump.backend) << "\",\n";
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Spaced);
+    w.beginObject().member("format", "hwdbg-trace").member("version", 1);
+    w.newline(0).member("build", obs::buildInfo());
+    w.newline(0).key("design").beginObject().member("top", dump.top)
+        .endObject();
+    w.newline(0).member("workload", dump.workload);
+    w.newline(0).member("backend", dump.backend);
 
-    out << "\"config\": {\"signals\": [";
-    for (size_t i = 0; i < dump.config.signals.size(); ++i)
-        out << (i ? ", " : "") << "\""
-            << jsonEscape(dump.config.signals[i]) << "\"";
-    out << "], \"trigger\": \"" << jsonEscape(dump.config.trigger)
-        << "\", \"budget_bytes\": " << dump.config.budgetBytes
-        << ", \"pre_pct\": " << dump.config.prePct << "},\n";
+    w.newline(0).key("config").beginObject().key("signals").beginArray();
+    for (const auto &glob : dump.config.signals)
+        w.value(glob);
+    w.endArray()
+        .member("trigger", dump.config.trigger)
+        .member("budget_bytes", dump.config.budgetBytes)
+        .member("pre_pct", dump.config.prePct)
+        .endObject();
 
-    out << "\"window\": {\"row_bytes\": " << dump.rowBytes
-        << ", \"depth\": " << dump.depth
-        << ", \"pre_depth\": " << dump.preDepth
-        << ", \"post_depth\": " << dump.postDepth << "},\n";
+    w.newline(0).key("window").beginObject()
+        .member("row_bytes", dump.rowBytes)
+        .member("depth", dump.depth)
+        .member("pre_depth", dump.preDepth)
+        .member("post_depth", dump.postDepth)
+        .endObject();
 
-    out << "\"trigger\": {\"armed\": " << (dump.armed ? "true" : "false")
-        << ", \"fired\": " << (dump.fired ? "true" : "false")
-        << ", \"seq\": \"" << hexU64(dump.triggerSeq)
-        << "\", \"cycle\": \"" << hexU64(dump.triggerCycle)
-        << "\", \"fires\": " << dump.triggerFires << "},\n";
+    w.newline(0).key("trigger").beginObject()
+        .member("armed", dump.armed)
+        .member("fired", dump.fired)
+        .key("seq").hexU64(dump.triggerSeq)
+        .key("cycle").hexU64(dump.triggerCycle)
+        .member("fires", dump.triggerFires)
+        .endObject();
 
-    out << "\"stats\": {\"samples\": " << dump.samples
-        << ", \"drops\": " << dump.drops << "},\n";
+    w.newline(0).key("stats").beginObject()
+        .member("samples", dump.samples)
+        .member("drops", dump.drops)
+        .endObject();
 
-    out << "\"signals\": [";
-    for (size_t i = 0; i < dump.signals.size(); ++i) {
-        const auto &sig = dump.signals[i];
-        out << (i ? ",\n " : "\n ") << "{\"name\": \""
-            << jsonEscape(sig.name) << "\", \"width\": " << sig.width
-            << ", \"loc\": \"" << jsonEscape(sig.loc) << "\"}";
+    w.newline(0).key("signals").beginArray();
+    for (const auto &sig : dump.signals)
+        w.newline(1).beginObject()
+            .member("name", sig.name)
+            .member("width", sig.width)
+            .member("loc", sig.loc)
+            .endObject();
+    w.endArray();
+
+    w.newline(0).key("rows").beginArray();
+    for (const auto &row : dump.rows) {
+        w.newline(1).beginObject()
+            .key("seq").hexU64(row.seq)
+            .key("cycle").hexU64(row.cycle)
+            .key("values").beginArray();
+        for (const auto &value : row.values)
+            w.hexWords(value.rawWords(), value.numWords(), value.width());
+        w.endArray().endObject();
     }
-    out << "],\n";
-
-    out << "\"rows\": [";
-    for (size_t i = 0; i < dump.rows.size(); ++i) {
-        const auto &row = dump.rows[i];
-        out << (i ? ",\n " : "\n ") << "{\"seq\": \""
-            << hexU64(row.seq) << "\", \"cycle\": \""
-            << hexU64(row.cycle) << "\", \"values\": [";
-        for (size_t v = 0; v < row.values.size(); ++v)
-            out << (v ? ", " : "") << "\""
-                << obs::hexWords(row.values[v].rawWords(),
-                                 row.values[v].numWords(),
-                                 row.values[v].width())
-                << "\"";
-        out << "]}";
-    }
-    out << "]\n}\n";
-    return out.str();
+    w.endArray().newline(0).endObject();
+    out += '\n';
+    return out;
 }
 
 bool
