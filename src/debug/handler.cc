@@ -88,14 +88,17 @@ parseU64(const std::string &text, uint64_t *out)
     return true;
 }
 
-std::string
-eventJson(const DebugEvent &ev)
+void
+writeEvents(obs::JsonWriter &w, const std::vector<DebugEvent> &events)
 {
-    return JsonObject()
-        .field("key", ev.key)
-        .field("cycle", ev.cycle)
-        .field("detail", ev.detail)
-        .str();
+    w.key("events").beginArray();
+    for (const auto &ev : events)
+        w.beginObject()
+            .member("key", ev.key)
+            .member("cycle", ev.cycle)
+            .member("detail", ev.detail)
+            .endObject();
+    w.endArray();
 }
 
 std::string
@@ -111,17 +114,14 @@ renderStop(Engine &engine, const Engine::StopInfo &stop)
 {
     CmdResult res;
 
-    JsonObject payload;
-    payload.field("stop", std::string(stopReasonName(stop.reason)));
-    std::vector<std::string> bps;
-    for (int id : stop.breakpoints)
-        bps.push_back(std::to_string(id));
-    payload.raw("breakpoints", jsonArray(bps));
-    std::vector<std::string> evs;
-    for (const auto &ev : stop.events)
-        evs.push_back(eventJson(ev));
-    payload.raw("events", jsonArray(evs));
-    res.payloadJson = payload.str();
+    res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+        w.member("stop", stopReasonName(stop.reason));
+        w.key("breakpoints").beginArray();
+        for (int id : stop.breakpoints)
+            w.value(id);
+        w.endArray();
+        writeEvents(w, stop.events);
+    });
 
     auto cyc = static_cast<unsigned long long>(engine.cycle());
     switch (stop.reason) {
@@ -185,12 +185,12 @@ cmdBreakAt(Engine &engine, const Request &req)
     int id = engine.addLineBreakpoint(loc.substr(0, colon),
                                       uint32_t(line), cond);
     const Breakpoint *bp = engine.breakpoints().find(id);
-    res.payloadJson = JsonObject()
-                          .field("id", int64_t(id))
-                          .field("kind", std::string("line"))
-                          .field("spec", bp->spec)
-                          .field("stmts", uint64_t(bp->stmtIds.size()))
-                          .str();
+    res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+        w.member("id", id)
+            .member("kind", "line")
+            .member("spec", bp->spec)
+            .member("stmts", bp->stmtIds.size());
+    });
     res.humanLines.push_back(csprintf("breakpoint %d: at %s (%zu "
                                       "statement%s)",
                                       id, bp->spec.c_str(),
@@ -213,11 +213,10 @@ cmdBreakOrWatch(Engine &engine, const Request &req)
         int id = engine.breakpoints().add(Breakpoint::Kind::Event,
                                           req.args[1], nullptr,
                                           engine.sim().context());
-        res.payloadJson = JsonObject()
-                              .field("id", int64_t(id))
-                              .field("kind", std::string("event"))
-                              .field("spec", req.args[1])
-                              .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("id", id).member("kind", "event").member("spec",
+                                                               req.args[1]);
+        });
         res.humanLines.push_back(csprintf("breakpoint %d: event %s", id,
                                           req.args[1].c_str()));
         return res;
@@ -237,12 +236,11 @@ cmdBreakOrWatch(Engine &engine, const Request &req)
                                             : Breakpoint::Kind::Expr,
                                       expr_text, expr,
                                       engine.sim().context());
-    res.payloadJson = JsonObject()
-                          .field("id", int64_t(id))
-                          .field("kind", std::string(watch ? "watch"
-                                                           : "break"))
-                          .field("spec", expr_text)
-                          .str();
+    res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+        w.member("id", id)
+            .member("kind", watch ? "watch" : "break")
+            .member("spec", expr_text);
+    });
     res.humanLines.push_back(csprintf("%s %d: %s",
                                       watch ? "watchpoint" : "breakpoint",
                                       id, expr_text.c_str()));
@@ -255,17 +253,19 @@ cmdInfo(Engine &engine, const Request &req)
     CmdResult res;
     std::string topic = req.args.empty() ? "" : req.args[0];
     if (topic == "breakpoints") {
-        std::vector<std::string> rows;
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.key("breakpoints").beginArray();
+            for (const auto &bp : engine.breakpoints().all())
+                w.beginObject()
+                    .member("id", bp.id)
+                    .member("kind", breakpointKindName(bp.kind))
+                    .member("spec", bp.spec)
+                    .member("enabled", bp.enabled)
+                    .member("hits", bp.hits)
+                    .endObject();
+            w.endArray();
+        });
         for (const auto &bp : engine.breakpoints().all()) {
-            rows.push_back(JsonObject()
-                               .field("id", int64_t(bp.id))
-                               .field("kind", std::string(
-                                                  breakpointKindName(
-                                                      bp.kind)))
-                               .field("spec", bp.spec)
-                               .field("enabled", bp.enabled)
-                               .field("hits", bp.hits)
-                               .str());
             res.humanLines.push_back(csprintf(
                 "%d\t%s\t%s\t%s\thits %llu", bp.id,
                 breakpointKindName(bp.kind), bp.spec.c_str(),
@@ -274,19 +274,16 @@ cmdInfo(Engine &engine, const Request &req)
         }
         if (res.humanLines.empty())
             res.humanLines.push_back("no breakpoints");
-        res.payloadJson =
-            JsonObject().raw("breakpoints", jsonArray(rows)).str();
         return res;
     }
     if (topic == "checkpoints") {
         const auto &ring = engine.checkpoints();
-        res.payloadJson =
-            JsonObject()
-                .field("count", uint64_t(ring.count()))
-                .field("bytes", uint64_t(ring.totalBytes()))
-                .field("interval", ring.interval())
-                .field("replayed_steps", engine.replayedSteps())
-                .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("count", ring.count())
+                .member("bytes", ring.totalBytes())
+                .member("interval", ring.interval())
+                .member("replayed_steps", engine.replayedSteps());
+        });
         res.humanLines.push_back(csprintf(
             "%zu periodic checkpoints (+1 pinned), %zu bytes, "
             "interval %llu steps, %llu steps replayed",
@@ -346,13 +343,12 @@ cmdRecord(Engine &engine, const Request &req)
         }
         engine.recordStart(cfg);
         const trace::TraceRecorder &rec = *engine.recorder();
-        res.payloadJson =
-            JsonObject()
-                .field("signals", uint64_t(rec.signals().size()))
-                .field("row_bytes", rec.rowBytes())
-                .field("depth", rec.depth())
-                .field("armed", !cfg.trigger.empty())
-                .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("signals", rec.signals().size())
+                .member("row_bytes", rec.rowBytes())
+                .member("depth", rec.depth())
+                .member("armed", !cfg.trigger.empty());
+        });
         res.humanLines.push_back(csprintf(
             "recording %zu signals (%llu bytes/row, depth %llu%s)",
             rec.signals().size(),
@@ -365,12 +361,11 @@ cmdRecord(Engine &engine, const Request &req)
     if (sub == "stop") {
         engine.recordStop();
         const trace::TraceRecorder &rec = *engine.recorder();
-        res.payloadJson =
-            JsonObject()
-                .field("samples", rec.samples())
-                .field("drops", rec.drops())
-                .field("trigger_fires", rec.triggerFires())
-                .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("samples", rec.samples())
+                .member("drops", rec.drops())
+                .member("trigger_fires", rec.triggerFires());
+        });
         res.humanLines.push_back(csprintf(
             "recording stopped: %llu change rows, %llu dropped",
             static_cast<unsigned long long>(rec.samples()),
@@ -381,21 +376,20 @@ cmdRecord(Engine &engine, const Request &req)
     if (sub == "status") {
         const trace::TraceRecorder *rec = engine.recorder();
         if (!rec) {
-            res.payloadJson =
-                JsonObject().field("recording", false).str();
+            res.payloadJson = compactObject(
+                [](obs::JsonWriter &w) { w.member("recording", false); });
             res.humanLines.push_back("not recording");
             return res;
         }
-        res.payloadJson =
-            JsonObject()
-                .field("recording", engine.recording())
-                .field("signals", uint64_t(rec->signals().size()))
-                .field("depth", rec->depth())
-                .field("samples", rec->samples())
-                .field("drops", rec->drops())
-                .field("triggered", rec->triggered())
-                .field("trigger_fires", rec->triggerFires())
-                .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("recording", engine.recording())
+                .member("signals", rec->signals().size())
+                .member("depth", rec->depth())
+                .member("samples", rec->samples())
+                .member("drops", rec->drops())
+                .member("triggered", rec->triggered())
+                .member("trigger_fires", rec->triggerFires());
+        });
         res.humanLines.push_back(csprintf(
             "%s: %llu change rows, %llu dropped, %s",
             engine.recording() ? "recording" : "stopped",
@@ -433,12 +427,12 @@ cmdRecord(Engine &engine, const Request &req)
             }
             vcdFile << trace::renderVcd(dump);
         }
-        res.payloadJson = JsonObject()
-                              .field("rows", uint64_t(dump.rows.size()))
-                              .field("samples", dump.samples)
-                              .field("drops", dump.drops)
-                              .field("fired", dump.fired)
-                              .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("rows", dump.rows.size())
+                .member("samples", dump.samples)
+                .member("drops", dump.drops)
+                .member("fired", dump.fired);
+        });
         res.humanLines.push_back(csprintf(
             "wrote %zu rows to %s%s%s", dump.rows.size(), path.c_str(),
             vcdPath.empty() ? "" : " and ", vcdPath.c_str()));
@@ -452,6 +446,14 @@ cmdRecord(Engine &engine, const Request &req)
     return res;
 }
 
+void
+writeHelp(obs::JsonWriter &w, const CmdHelp &cmd)
+{
+    w.member("name", cmd.name)
+        .member("usage", cmd.usage)
+        .member("summary", cmd.summary);
+}
+
 CmdResult
 cmdHelp(const Request &req)
 {
@@ -459,12 +461,9 @@ cmdHelp(const Request &req)
     if (!req.args.empty()) {
         for (const auto &cmd : kCommands) {
             if (req.args[0] == cmd.name) {
-                res.payloadJson =
-                    JsonObject()
-                        .field("name", std::string(cmd.name))
-                        .field("usage", std::string(cmd.usage))
-                        .field("summary", std::string(cmd.summary))
-                        .str();
+                res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+                    writeHelp(w, cmd);
+                });
                 res.humanLines.push_back(csprintf("%s -- %s", cmd.usage,
                                                   cmd.summary));
                 return res;
@@ -474,17 +473,18 @@ cmdHelp(const Request &req)
         res.error = "unknown command '" + req.args[0] + "'";
         return res;
     }
-    std::vector<std::string> rows;
-    for (const auto &cmd : kCommands) {
-        rows.push_back(JsonObject()
-                           .field("name", std::string(cmd.name))
-                           .field("usage", std::string(cmd.usage))
-                           .field("summary", std::string(cmd.summary))
-                           .str());
+    res.payloadJson = compactObject([](obs::JsonWriter &w) {
+        w.key("commands").beginArray();
+        for (const auto &cmd : kCommands) {
+            w.beginObject();
+            writeHelp(w, cmd);
+            w.endObject();
+        }
+        w.endArray();
+    });
+    for (const auto &cmd : kCommands)
         res.humanLines.push_back(
             csprintf("  %-28s %s", cmd.usage, cmd.summary));
-    }
-    res.payloadJson = JsonObject().raw("commands", jsonArray(rows)).str();
     return res;
 }
 
@@ -538,7 +538,7 @@ dispatch(Engine &engine, const Request &req)
             return res;
         }
         res.payloadJson =
-            JsonObject().field("id", int64_t(id)).str();
+            compactObject([&](obs::JsonWriter &w) { w.member("id", id); });
         res.humanLines.push_back(csprintf(
             "breakpoint %llu %sd", static_cast<unsigned long long>(id),
             req.cmd.c_str()));
@@ -556,12 +556,12 @@ dispatch(Engine &engine, const Request &req)
             return res;
         }
         Bits value = engine.evalNow(expr);
-        res.payloadJson = JsonObject()
-                              .field("expr", expr)
-                              .field("width", uint64_t(value.width()))
-                              .field("hex", value.toVerilog())
-                              .field("dec", value.toDecString())
-                              .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("expr", expr)
+                .member("width", value.width())
+                .member("hex", value.toVerilog())
+                .member("dec", value.toDecString());
+        });
         res.humanLines.push_back(csprintf("%s = %s (%s)", expr.c_str(),
                                           value.toVerilog().c_str(),
                                           value.toDecString().c_str()));
@@ -581,25 +581,24 @@ dispatch(Engine &engine, const Request &req)
             return res;
         }
         auto chain = engine.backtrace(req.args[0], int(k));
-        std::vector<std::string> rows;
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("reg", req.args[0]).member("cycles", k);
+            w.key("chain").beginArray();
+            for (const auto &entry : chain)
+                w.beginObject()
+                    .member("reg", entry.reg)
+                    .member("distance", entry.distance)
+                    .member("value", entry.value.toVerilog())
+                    .endObject();
+            w.endArray();
+        });
         for (const auto &entry : chain) {
-            rows.push_back(JsonObject()
-                               .field("reg", entry.reg)
-                               .field("distance",
-                                      int64_t(entry.distance))
-                               .field("value", entry.value.toVerilog())
-                               .str());
             res.humanLines.push_back(csprintf(
                 "  [-%d] %s = %s", entry.distance, entry.reg.c_str(),
                 entry.value.toVerilog().c_str()));
         }
         if (res.humanLines.empty())
             res.humanLines.push_back("no dependencies in range");
-        res.payloadJson = JsonObject()
-                              .field("reg", req.args[0])
-                              .field("cycles", k)
-                              .raw("chain", jsonArray(rows))
-                              .str();
         return res;
     }
 
@@ -624,38 +623,35 @@ dispatch(Engine &engine, const Request &req)
     }
 
     if (req.cmd == "events") {
-        std::vector<std::string> rows;
-        for (const auto &ev : engine.allEvents()) {
-            rows.push_back(eventJson(ev));
+        const auto &events = engine.allEvents();
+        res.payloadJson =
+            compactObject([&](obs::JsonWriter &w) { writeEvents(w, events); });
+        for (const auto &ev : events)
             res.humanLines.push_back(eventHuman(ev));
-        }
         if (res.humanLines.empty())
             res.humanLines.push_back("no events");
-        res.payloadJson =
-            JsonObject().raw("events", jsonArray(rows)).str();
         return res;
     }
 
     if (req.cmd == "cover") {
         auto summary = engine.coverageSummary();
         const auto &t = summary.totals;
-        res.payloadJson =
-            JsonObject()
-                .field("statements_hit", t.stmtHit)
-                .field("statements", t.stmtTotal)
-                .field("branches_taken", t.armTaken)
-                .field("branches", t.armTotal)
-                .field("toggles_hit", t.toggleHit)
-                .field("toggles", t.toggleTotal)
-                .field("fsm_states_hit", t.fsmStateHit)
-                .field("fsm_states", t.fsmStateTotal)
-                .field("fsm_arcs_hit", t.fsmTransHit)
-                .field("fsm_arcs", t.fsmTransTotal)
-                .field("covered", t.covered())
-                .field("total", t.total())
-                .field("pct", cover::coverPct(t.covered(), t.total()))
-                .field("new", summary.newlyCovered)
-                .str();
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.member("statements_hit", t.stmtHit)
+                .member("statements", t.stmtTotal)
+                .member("branches_taken", t.armTaken)
+                .member("branches", t.armTotal)
+                .member("toggles_hit", t.toggleHit)
+                .member("toggles", t.toggleTotal)
+                .member("fsm_states_hit", t.fsmStateHit)
+                .member("fsm_states", t.fsmStateTotal)
+                .member("fsm_arcs_hit", t.fsmTransHit)
+                .member("fsm_arcs", t.fsmTransTotal)
+                .member("covered", t.covered())
+                .member("total", t.total())
+                .member("pct", cover::coverPct(t.covered(), t.total()))
+                .member("new", summary.newlyCovered);
+        });
         res.humanLines.push_back(csprintf(
             "coverage: %s%% (%llu/%llu goals), +%llu since last check",
             cover::coverPct(t.covered(), t.total()).c_str(),
@@ -691,12 +687,17 @@ dispatch(Engine &engine, const Request &req)
             res.error = "usage: log [n]";
             return res;
         }
-        std::vector<std::string> rows;
-        for (const auto &line : engine.recentLog(n)) {
-            rows.push_back(JsonObject()
-                               .field("cycle", line.cycle)
-                               .field("text", line.text)
-                               .str());
+        auto lines = engine.recentLog(n);
+        res.payloadJson = compactObject([&](obs::JsonWriter &w) {
+            w.key("lines").beginArray();
+            for (const auto &line : lines)
+                w.beginObject()
+                    .member("cycle", line.cycle)
+                    .member("text", line.text)
+                    .endObject();
+            w.endArray();
+        });
+        for (const auto &line : lines) {
             res.humanLines.push_back(csprintf(
                 "  [%llu] %s",
                 static_cast<unsigned long long>(line.cycle),
@@ -704,8 +705,6 @@ dispatch(Engine &engine, const Request &req)
         }
         if (res.humanLines.empty())
             res.humanLines.push_back("log is empty");
-        res.payloadJson =
-            JsonObject().raw("lines", jsonArray(rows)).str();
         return res;
     }
 
@@ -728,14 +727,15 @@ std::string
 ProtocolHandler::helloJson() const
 {
     const auto &design = engine_.sim().design();
-    return JsonObject()
-        .field("proto", std::string("hwdbg-debug"))
-        .field("version", int64_t(1))
-        .field("design", design.module().name)
-        .field("steps", engine_.tapeSize())
-        .field("signals", uint64_t(design.numSignals()))
-        .raw("build", obs::buildInfoJson())
-        .str();
+    return compactObject([&](obs::JsonWriter &w) {
+        w.member("proto", "hwdbg-debug")
+            .member("version", 1)
+            .member("design", design.module().name)
+            .member("steps", engine_.tapeSize())
+            .member("signals", design.numSignals())
+            .key("build")
+            .raw(obs::buildInfoJson());
+    });
 }
 
 ProtocolHandler::Result
@@ -768,25 +768,15 @@ ProtocolHandler::handle(const Request &req)
 
 void
 ProtocolHandler::responseFields(const Request &req, const Result &res,
-                                JsonObject &resp) const
+                                obs::JsonWriter &w) const
 {
-    if (req.hasId)
-        resp.field("id", req.id);
-    else
-        resp.raw("id", "null");
-    resp.field("ok", res.ok);
-    if (!res.ok)
-        resp.field("error", res.error);
-    resp.field("cmd", req.cmd.empty() ? std::string("?") : req.cmd);
-    if (!res.payloadJson.empty())
-        resp.raw("payload", res.payloadJson);
-    resp.raw("state",
-             JsonObject()
-                 .field("cycle", engine_.cycle())
-                 .field("step", engine_.position())
-                 .field("finished", engine_.finished())
-                 .field("end", engine_.atEnd())
-                 .str());
+    writeResponseHead(w, req, res.ok, res.error, res.payloadJson);
+    w.key("state").beginObject()
+        .member("cycle", engine_.cycle())
+        .member("step", engine_.position())
+        .member("finished", engine_.finished())
+        .member("end", engine_.atEnd())
+        .endObject();
 }
 
 } // namespace hwdbg::debug

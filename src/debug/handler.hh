@@ -53,13 +53,13 @@ class ProtocolHandler
 
     /**
      * Append the machine-protocol response fields — id/ok/[error]/cmd/
-     * [payload]/state, exactly in that order — onto @p resp. The
-     * object may already carry leading transport fields (the serve
+     * [payload]/state, exactly in that order — into the object @p w
+     * has open. The object may already carry leading transport fields (the serve
      * multiplexer's "session"); with none it renders the byte-exact
      * `hwdbg debug --machine` response line.
      */
     void responseFields(const Request &req, const Result &res,
-                        JsonObject &resp) const;
+                        obs::JsonWriter &w) const;
 
     Engine &engine() { return engine_; }
 

@@ -8,79 +8,21 @@
 namespace hwdbg::debug
 {
 
-using obs::jsonEscape;
-
 void
-JsonObject::key(const std::string &k)
+writeResponseHead(obs::JsonWriter &w, const Request &req, bool ok,
+                  const std::string &error, const std::string &payload)
 {
-    if (!body_.empty())
-        body_ += ',';
-    body_ += '"';
-    body_ += jsonEscape(k);
-    body_ += "\":";
-}
-
-JsonObject &
-JsonObject::field(const std::string &k, const std::string &value)
-{
-    key(k);
-    body_ += '"';
-    body_ += jsonEscape(value);
-    body_ += '"';
-    return *this;
-}
-
-JsonObject &
-JsonObject::field(const std::string &k, int64_t value)
-{
-    key(k);
-    body_ += std::to_string(value);
-    return *this;
-}
-
-JsonObject &
-JsonObject::field(const std::string &k, uint64_t value)
-{
-    key(k);
-    body_ += std::to_string(value);
-    return *this;
-}
-
-JsonObject &
-JsonObject::field(const std::string &k, bool value)
-{
-    key(k);
-    body_ += value ? "true" : "false";
-    return *this;
-}
-
-JsonObject &
-JsonObject::raw(const std::string &k, const std::string &json)
-{
-    key(k);
-    body_ += json;
-    return *this;
-}
-
-JsonObject &
-JsonObject::merge(const JsonObject &other)
-{
-    if (!body_.empty() && !other.body_.empty())
-        body_ += ',';
-    body_ += other.body_;
-    return *this;
-}
-
-std::string
-jsonArray(const std::vector<std::string> &elems)
-{
-    std::string out = "[";
-    for (size_t i = 0; i < elems.size(); ++i) {
-        if (i)
-            out += ",";
-        out += elems[i];
-    }
-    return out + "]";
+    w.key("id");
+    if (req.hasId)
+        w.value(req.id);
+    else
+        w.null();
+    w.member("ok", ok);
+    if (!ok)
+        w.member("error", error);
+    w.member("cmd", req.cmd.empty() ? std::string_view("?") : req.cmd);
+    if (!payload.empty())
+        w.key("payload").raw(payload);
 }
 
 Request

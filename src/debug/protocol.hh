@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
+
 namespace hwdbg::obs
 {
 struct Schema;
@@ -59,30 +61,31 @@ struct Request
 Request parseRequestLine(const std::string &line);
 
 /**
- * Ordered JSON object writer: fields appear exactly in call order,
- * which is what gives machine transcripts their byte determinism.
+ * A compact JSON object whose members @p body writes into the
+ * obs::JsonWriter it is passed: the form of every protocol line and
+ * payload.
  */
-class JsonObject
+template <typename Body>
+std::string
+compactObject(Body &&body)
 {
-  public:
-    JsonObject &field(const std::string &key, const std::string &value);
-    JsonObject &field(const std::string &key, int64_t value);
-    JsonObject &field(const std::string &key, uint64_t value);
-    JsonObject &field(const std::string &key, bool value);
-    /** Pre-rendered JSON (nested object/array/null). */
-    JsonObject &raw(const std::string &key, const std::string &json);
-    /** Append every member of @p other, in order. */
-    JsonObject &merge(const JsonObject &other);
+    std::string out;
+    obs::JsonWriter w(out, obs::JsonWriter::Style::Compact);
+    w.beginObject();
+    body(w);
+    w.endObject();
+    return out;
+}
 
-    std::string str() const { return "{" + body_ + "}"; }
-
-  private:
-    void key(const std::string &k);
-    std::string body_;
-};
-
-/** Render a JSON array from pre-rendered element strings. */
-std::string jsonArray(const std::vector<std::string> &elems);
+/**
+ * Append the members every response line carries, in order:
+ * id/ok/[error]/cmd/[payload]. "error" is written when @p ok is false,
+ * "payload" (pre-rendered JSON) when non-empty, and an empty command
+ * word reads "?".
+ */
+void writeResponseHead(obs::JsonWriter &w, const Request &req, bool ok,
+                       const std::string &error,
+                       const std::string &payload = "");
 
 /**
  * Schema of one response line: id/ok/[error]/cmd/[payload]/state in

@@ -43,9 +43,9 @@ runSession(Engine &engine, std::istream &in, std::ostream &out,
             ++failures;
 
         if (opts.machine) {
-            JsonObject resp;
-            handler.responseFields(req, res, resp);
-            out << resp.str() << "\n" << std::flush;
+            out << compactObject([&](obs::JsonWriter &w) {
+                handler.responseFields(req, res, w);
+            }) << "\n" << std::flush;
         } else {
             if (opts.echo)
                 out << "(hwdbg) " << line << "\n";

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -171,11 +172,12 @@ Server::uptimeUs() const
 std::string
 Server::helloJson() const
 {
-    debug::JsonObject hello;
-    hello.field("proto", std::string("hwdbg-serve"));
-    hello.field("version", static_cast<int64_t>(1));
-    hello.raw("build", obs::buildInfoJson());
-    return hello.str();
+    return debug::compactObject([](obs::JsonWriter &w) {
+        w.member("proto", "hwdbg-serve")
+            .member("version", 1)
+            .key("build")
+            .raw(obs::buildInfoJson());
+    });
 }
 
 std::string
@@ -237,16 +239,10 @@ Server::openSession(const std::vector<std::string> &args)
     obs::ObsSpan attachSpan("serve.attach:" + kind + ":" + label,
                             sess->track);
 
-    debug::JsonObject payload;
-    payload.field("session", sess->id);
-    payload.field("kind", kind);
-    payload.field("design", design->name);
-    payload.field("cache",
-                  std::string(attach.hit ? "hit" : "miss"));
-
     // One-shot kinds put their result in the open payload and keep it
-    // as the session's summary.
-    debug::JsonObject summary;
+    // as the session's summary; debug sessions report their tape.
+    std::function<void(obs::JsonWriter &)> summary;
+    uint64_t steps = 0, signals = 0;
     try {
         if (kind == "debug") {
             debug::EngineOptions eopts;
@@ -261,12 +257,8 @@ Server::openSession(const std::vector<std::string> &args)
             sess->handler = std::make_unique<debug::ProtocolHandler>(
                 *sess->engine);
             sess->handler->setTraceTrack(sess->track);
-            payload.field("steps",
-                          static_cast<uint64_t>(sess->engine->tapeSize()));
-            payload.field(
-                "signals",
-                static_cast<uint64_t>(
-                    sess->engine->sim().design().numSignals()));
+            steps = sess->engine->tapeSize();
+            signals = sess->engine->sim().design().numSignals();
         } else if (kind == "cover") {
             auto snap = cover::coverDesign(hdl::cloneModule(*design->base),
                                            *design->baseFacts,
@@ -274,8 +266,10 @@ Server::openSession(const std::vector<std::string> &args)
             auto totals = snap.totals();
             if (!oa.opt("out").empty())
                 writeFileOrFatal(oa.opt("out"), cover::toJson(snap));
-            summary.field("covered", totals.covered());
-            summary.field("total", totals.total());
+            summary = [totals](obs::JsonWriter &w) {
+                w.member("covered", totals.covered())
+                    .member("total", totals.total());
+            };
         } else if (kind == "trace") {
             trace::TraceConfig cfg;
             cfg.signals = splitCsv(oa.opt("signals"));
@@ -289,11 +283,14 @@ Server::openSession(const std::vector<std::string> &args)
                 writeFileOrFatal(oa.opt("out"), trace::toJson(dump));
             if (!oa.opt("vcd").empty())
                 writeFileOrFatal(oa.opt("vcd"), trace::renderVcd(dump));
-            summary.field("rows",
-                          static_cast<uint64_t>(dump.rows.size()));
-            summary.field("samples", dump.samples);
-            summary.field("drops", dump.drops);
-            summary.field("fired", dump.fired);
+            summary = [rows = dump.rows.size(), samples = dump.samples,
+                       drops = dump.drops,
+                       fired = dump.fired](obs::JsonWriter &w) {
+                w.member("rows", rows)
+                    .member("samples", samples)
+                    .member("drops", drops)
+                    .member("fired", fired);
+            };
         } else { // analyze
             analyze::AnalyzeOptions aopts;
             for (const auto &pass : splitCsv(oa.opt("passes")))
@@ -304,20 +301,31 @@ Server::openSession(const std::vector<std::string> &args)
             if (!oa.opt("out").empty())
                 writeFileOrFatal(oa.opt("out"),
                                  analyze::renderAnalyzeJson(ran, diags));
-            summary.field("passes",
-                          static_cast<uint64_t>(ran.size()));
-            summary.field("diagnostics",
-                          static_cast<uint64_t>(diags.size()));
-            summary.field("errors", analyze::hasErrors(diags));
+            summary = [passes = ran.size(), count = diags.size(),
+                       errors = analyze::hasErrors(diags)](
+                          obs::JsonWriter &w) {
+                w.member("passes", passes)
+                    .member("diagnostics", count)
+                    .member("errors", errors);
+            };
         }
     } catch (const HdlError &) {
         // Failed opens must not leave a half-built session listed.
         registry_.close(sess->id);
         throw;
     }
-    if (kind != "debug")
-        sess->summaryJson = summary.str();
-    return payload.merge(summary).str();
+    if (summary)
+        sess->summaryJson = debug::compactObject(summary);
+    return debug::compactObject([&](obs::JsonWriter &w) {
+        w.member("session", sess->id)
+            .member("kind", kind)
+            .member("design", design->name)
+            .member("cache", attach.hit ? "hit" : "miss");
+        if (kind == "debug")
+            w.member("steps", steps).member("signals", signals);
+        else
+            summary(w);
+    });
 }
 
 std::string
@@ -326,82 +334,77 @@ Server::statsJson()
     auto cache = cache_.stats();
     auto snaps = snapshots_.stats();
 
-    debug::JsonObject server;
-    server.field("sessions", static_cast<uint64_t>(registry_.count()));
-    server.field("opened", registry_.opened());
-    server.field("channels", channels_.load(std::memory_order_relaxed));
-    server.field("channels_active",
-                 channelsActive_.load(std::memory_order_relaxed));
-    server.field("requests", reqlog_.requests());
-    server.field("errors", reqlog_.errors());
-    server.field("slow", reqlog_.slowCount());
-    server.field("slow_threshold_us", reqlog_.slowThresholdUs());
-    server.field("dispatched", registry_.dispatched());
-    server.field("retired_cmds", registry_.retiredCmds());
-    server.field("uptime_us", uptimeUs());
-
-    debug::JsonObject cacheBody;
-    cacheBody.field("entries", static_cast<uint64_t>(cache_.size()));
-    cacheBody.field("hits", cache.hits);
-    cacheBody.field("misses", cache.misses);
-    cacheBody.field("builds", cache.builds);
-    cacheBody.field("build_us", cache.buildMicros);
-
-    debug::JsonObject snapBody;
-    snapBody.field("stored", snaps.stored);
-    snapBody.field("stored_bytes", snaps.storedBytes);
-    snapBody.field("dedup_hits", snaps.dedupHits);
-    snapBody.field("dedup_bytes", snaps.dedupBytes);
     uint64_t interned = snaps.stored + snaps.dedupHits;
-    snapBody.field("dedup_ratio_pct",
-                   interned ? snaps.dedupHits * 100 / interned
-                            : uint64_t{0});
-
-    std::vector<std::string> cmdRows;
-    for (const auto &snap : reqlog_.commands()) {
-        debug::JsonObject row;
-        row.field("cmd", snap.cmd);
-        row.field("count", snap.count);
-        row.field("errors", snap.errors);
-        row.field("p50_us", snap.p50Us);
-        row.field("p95_us", snap.p95Us);
-        row.field("p99_us", snap.p99Us);
-        row.field("max_us", snap.maxUs);
-        cmdRows.push_back(row.str());
-    }
-
     uint64_t now = uptimeUs();
-    std::vector<std::string> sessRows;
-    for (const auto &sess : registry_.list()) {
-        debug::JsonObject row;
-        row.field("session", sess->id);
-        row.field("kind", sess->kind);
-        row.field("design", sess->design ? sess->design->name
-                                         : std::string());
-        row.field("cache",
-                  std::string(sess->cacheHit ? "hit" : "miss"));
-        row.field("cmds", sess->cmds.load(std::memory_order_relaxed));
-        row.field("errors", sess->errs.load(std::memory_order_relaxed));
-        if (sess->engine) {
-            std::lock_guard<std::mutex> lock(sess->mu);
-            row.field("cycle", sess->engine->sim().cycle());
+    auto sessions = registry_.list();
+    return debug::compactObject([&](obs::JsonWriter &w) {
+        w.member("format", "hwdbg-serve-stats")
+            .member("version", 1)
+            .key("build")
+            .raw(obs::buildInfoJson());
+        w.key("server").beginObject()
+            .member("sessions", registry_.count())
+            .member("opened", registry_.opened())
+            .member("channels", channels_.load(std::memory_order_relaxed))
+            .member("channels_active",
+                    channelsActive_.load(std::memory_order_relaxed))
+            .member("requests", reqlog_.requests())
+            .member("errors", reqlog_.errors())
+            .member("slow", reqlog_.slowCount())
+            .member("slow_threshold_us", reqlog_.slowThresholdUs())
+            .member("dispatched", registry_.dispatched())
+            .member("retired_cmds", registry_.retiredCmds())
+            .member("uptime_us", uptimeUs())
+            .endObject();
+        w.key("cache").beginObject()
+            .member("entries", cache_.size())
+            .member("hits", cache.hits)
+            .member("misses", cache.misses)
+            .member("builds", cache.builds)
+            .member("build_us", cache.buildMicros)
+            .endObject();
+        w.key("snapshots").beginObject()
+            .member("stored", snaps.stored)
+            .member("stored_bytes", snaps.storedBytes)
+            .member("dedup_hits", snaps.dedupHits)
+            .member("dedup_bytes", snaps.dedupBytes)
+            .member("dedup_ratio_pct",
+                    interned ? snaps.dedupHits * 100 / interned
+                             : uint64_t{0})
+            .endObject();
+        w.key("commands").beginArray();
+        for (const auto &snap : reqlog_.commands())
+            w.beginObject()
+                .member("cmd", snap.cmd)
+                .member("count", snap.count)
+                .member("errors", snap.errors)
+                .member("p50_us", snap.p50Us)
+                .member("p95_us", snap.p95Us)
+                .member("p99_us", snap.p99Us)
+                .member("max_us", snap.maxUs)
+                .endObject();
+        w.endArray().key("sessions").beginArray();
+        for (const auto &sess : sessions) {
+            w.beginObject()
+                .member("session", sess->id)
+                .member("kind", sess->kind)
+                .member("design",
+                        sess->design ? sess->design->name : std::string())
+                .member("cache", sess->cacheHit ? "hit" : "miss")
+                .member("cmds", sess->cmds.load(std::memory_order_relaxed))
+                .member("errors",
+                        sess->errs.load(std::memory_order_relaxed));
+            if (sess->engine) {
+                std::lock_guard<std::mutex> lock(sess->mu);
+                w.member("cycle", sess->engine->sim().cycle());
+            }
+            w.member("uptime_us", now > sess->openedUs
+                                      ? now - sess->openedUs
+                                      : uint64_t{0})
+                .endObject();
         }
-        row.field("uptime_us",
-                  now > sess->openedUs ? now - sess->openedUs
-                                       : uint64_t{0});
-        sessRows.push_back(row.str());
-    }
-
-    debug::JsonObject doc;
-    doc.field("format", std::string("hwdbg-serve-stats"));
-    doc.field("version", static_cast<int64_t>(1));
-    doc.raw("build", obs::buildInfoJson());
-    doc.raw("server", server.str());
-    doc.raw("cache", cacheBody.str());
-    doc.raw("snapshots", snapBody.str());
-    doc.raw("commands", debug::jsonArray(cmdRows));
-    doc.raw("sessions", debug::jsonArray(sessRows));
-    return doc.str();
+        w.endArray();
+    });
 }
 
 std::string
@@ -424,34 +427,30 @@ Server::serverCommand(const debug::Request &req, bool *failed,
             if (!registry_.close(sid))
                 fatal("no session %lld",
                       static_cast<long long>(sid));
-            debug::JsonObject body;
-            body.field("session", sid);
-            payload = body.str();
+            payload = debug::compactObject(
+                [&](obs::JsonWriter &w) { w.member("session", sid); });
         } else if (req.cmd == "sessions") {
-            std::vector<std::string> rows;
-            for (const auto &sess : registry_.list()) {
-                debug::JsonObject row;
-                row.field("session", sess->id);
-                row.field("kind", sess->kind);
-                row.field("design",
-                          sess->design ? sess->design->name
-                                       : std::string());
-                row.field("cache",
-                          std::string(sess->cacheHit ? "hit"
-                                                     : "miss"));
-                if (sess->engine) {
-                    std::lock_guard<std::mutex> lock(sess->mu);
-                    row.field("cycle", sess->engine->sim().cycle());
-                } else if (!sess->summaryJson.empty()) {
-                    row.raw("result", sess->summaryJson);
+            auto sessions = registry_.list();
+            payload = debug::compactObject([&](obs::JsonWriter &w) {
+                w.member("count", sessions.size());
+                w.key("sessions").beginArray();
+                for (const auto &sess : sessions) {
+                    w.beginObject()
+                        .member("session", sess->id)
+                        .member("kind", sess->kind)
+                        .member("design", sess->design ? sess->design->name
+                                                       : std::string())
+                        .member("cache", sess->cacheHit ? "hit" : "miss");
+                    if (sess->engine) {
+                        std::lock_guard<std::mutex> lock(sess->mu);
+                        w.member("cycle", sess->engine->sim().cycle());
+                    } else if (!sess->summaryJson.empty()) {
+                        w.key("result").raw(sess->summaryJson);
+                    }
+                    w.endObject();
                 }
-                rows.push_back(row.str());
-            }
-            debug::JsonObject body;
-            body.field("count",
-                       static_cast<uint64_t>(rows.size()));
-            body.raw("sessions", debug::jsonArray(rows));
-            payload = body.str();
+                w.endArray();
+            });
         } else if (req.cmd == "stats") {
             std::string doc = statsJson();
             // `stats out=FILE` also lands the document on disk (the CI
@@ -466,36 +465,36 @@ Server::serverCommand(const debug::Request &req, bool *failed,
             }
             payload = doc;
         } else if (req.cmd == "health") {
-            debug::JsonObject body;
-            body.field("status", std::string("ok"));
-            body.field("sessions",
-                       static_cast<uint64_t>(registry_.count()));
-            body.field("channels_active",
-                       channelsActive_.load(std::memory_order_relaxed));
-            body.field("requests", reqlog_.requests());
-            body.field("errors", reqlog_.errors());
-            body.field("uptime_us", uptimeUs());
-            payload = body.str();
+            payload = debug::compactObject([&](obs::JsonWriter &w) {
+                w.member("status", "ok")
+                    .member("sessions", registry_.count())
+                    .member("channels_active",
+                            channelsActive_.load(std::memory_order_relaxed))
+                    .member("requests", reqlog_.requests())
+                    .member("errors", reqlog_.errors())
+                    .member("uptime_us", uptimeUs());
+            });
         } else if (req.cmd == "slow") {
-            std::vector<std::string> rows;
-            for (const auto &event : reqlog_.slow())
-                rows.push_back(obs::RequestLog::eventJson(event));
-            debug::JsonObject body;
-            body.field("threshold_us", reqlog_.slowThresholdUs());
-            body.field("count", static_cast<uint64_t>(rows.size()));
-            body.raw("requests", debug::jsonArray(rows));
-            payload = body.str();
+            auto slow = reqlog_.slow();
+            payload = debug::compactObject([&](obs::JsonWriter &w) {
+                w.member("threshold_us", reqlog_.slowThresholdUs())
+                    .member("count", slow.size());
+                w.key("requests").beginArray();
+                for (const auto &event : slow)
+                    w.raw(obs::RequestLog::eventJson(event));
+                w.endArray();
+            });
         } else if (req.cmd == "help") {
             static const char *cmds[] = {
                 "open", "close", "sessions", "stats", "health",
                 "slow", "help",  "quit",     "shutdown",
             };
-            std::vector<std::string> rows;
-            for (const char *cmd : cmds)
-                rows.push_back("\"" + std::string(cmd) + "\"");
-            debug::JsonObject body;
-            body.raw("commands", debug::jsonArray(rows));
-            payload = body.str();
+            payload = debug::compactObject([](obs::JsonWriter &w) {
+                w.key("commands").beginArray();
+                for (const char *cmd : cmds)
+                    w.value(cmd);
+                w.endArray();
+            });
         } else if (req.cmd == "quit") {
             *quitChannel = true;
         } else if (req.cmd == "shutdown") {
@@ -517,19 +516,10 @@ Server::serverCommand(const debug::Request &req, bool *failed,
         *failed = true;
     }
 
-    debug::JsonObject resp;
-    resp.field("session", static_cast<int64_t>(0));
-    if (req.hasId)
-        resp.field("id", req.id);
-    else
-        resp.raw("id", "null");
-    resp.field("ok", ok);
-    if (!ok)
-        resp.field("error", error);
-    resp.field("cmd", req.cmd);
-    if (!payload.empty())
-        resp.raw("payload", payload);
-    return resp.str();
+    return debug::compactObject([&](obs::JsonWriter &w) {
+        w.member("session", 0);
+        debug::writeResponseHead(w, req, ok, error, payload);
+    });
 }
 
 std::string
@@ -548,16 +538,10 @@ Server::routedCommand(const debug::Request &req, bool *failed)
         HWDBG_STAT_INC("serve.cmds", 1);
         HWDBG_STAT_INC("serve.errors", 1);
         *failed = true;
-        debug::JsonObject resp;
-        resp.field("session", req.session);
-        if (req.hasId)
-            resp.field("id", req.id);
-        else
-            resp.raw("id", "null");
-        resp.field("ok", false);
-        resp.field("error", error);
-        resp.field("cmd", req.cmd.empty() ? std::string("?") : req.cmd);
-        return resp.str();
+        return debug::compactObject([&](obs::JsonWriter &w) {
+            w.member("session", req.session);
+            debug::writeResponseHead(w, req, false, error);
+        });
     }
 
     std::lock_guard<std::mutex> lock(sess->mu);
@@ -565,15 +549,16 @@ Server::routedCommand(const debug::Request &req, bool *failed)
     if (!res.ok)
         *failed = true;
     registry_.noteDispatch(*sess, res.ok);
-    debug::JsonObject resp;
-    resp.field("session", sess->id);
-    sess->handler->responseFields(req, res, resp);
+    std::string resp = debug::compactObject([&](obs::JsonWriter &w) {
+        w.member("session", sess->id);
+        sess->handler->responseFields(req, res, w);
+    });
     // A routed `quit` retires the session, not the channel. Dispatch
     // accounting above runs first so close() folds the quit into the
     // retired totals.
     if (res.quit)
         registry_.close(sess->id);
-    return resp.str();
+    return resp;
 }
 
 std::string
@@ -596,18 +581,10 @@ Server::handleLine(const debug::Request &req, bool *failed,
         HWDBG_STAT_INC("serve.cmds", 1);
         HWDBG_STAT_INC("serve.errors", 1);
         lineFailed = true;
-        debug::JsonObject err;
-        err.field("session",
-                  req.hasSession ? req.session
-                                 : static_cast<int64_t>(0));
-        if (req.hasId)
-            err.field("id", req.id);
-        else
-            err.raw("id", "null");
-        err.field("ok", false);
-        err.field("error", req.error);
-        err.field("cmd", event.cmd);
-        resp = err.str();
+        resp = debug::compactObject([&](obs::JsonWriter &w) {
+            w.member("session", req.hasSession ? req.session : 0);
+            debug::writeResponseHead(w, req, false, req.error);
+        });
     } else if (req.hasSession && req.session != 0) {
         resp = routedCommand(req, &lineFailed);
     } else {

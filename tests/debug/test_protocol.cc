@@ -154,19 +154,27 @@ TEST(ProtocolTest, MachineSessionAnswersHostileLinesAndKeepsServing)
     EXPECT_EQ(step.rfind("{\"id\":7,\"ok\":true,", 0), 0u) << step;
 }
 
-TEST(ProtocolTest, JsonObjectPreservesFieldOrderAndEscapes)
+TEST(ProtocolTest, CompactObjectPreservesFieldOrderAndEscapes)
 {
-    JsonObject obj;
-    obj.field("id", int64_t(3))
-        .field("ok", true)
-        .field("cmd", std::string("print"))
-        .raw("payload", "{\"x\":1}")
-        .field("note", std::string("a\"b\nc"));
-    EXPECT_EQ(obj.str(),
-              "{\"id\":3,\"ok\":true,\"cmd\":\"print\","
-              "\"payload\":{\"x\":1},\"note\":\"a\\\"b\\nc\"}");
-    EXPECT_EQ(jsonArray({}), "[]");
-    EXPECT_EQ(jsonArray({"1", "\"a\""}), "[1,\"a\"]");
+    std::string obj = compactObject([](hwdbg::obs::JsonWriter &w) {
+        w.member("id", int64_t(3))
+            .member("ok", true)
+            .member("cmd", "print")
+            .key("payload")
+            .raw("{\"x\":1}")
+            .member("note", "a\"b\nc")
+            .key("empty")
+            .beginArray()
+            .endArray()
+            .key("list")
+            .beginArray()
+            .value(1)
+            .value("a")
+            .endArray();
+    });
+    EXPECT_EQ(obj, "{\"id\":3,\"ok\":true,\"cmd\":\"print\","
+                   "\"payload\":{\"x\":1},\"note\":\"a\\\"b\\nc\","
+                   "\"empty\":[],\"list\":[1,\"a\"]}");
 }
 
 namespace
