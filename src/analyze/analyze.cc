@@ -93,17 +93,7 @@ checkAnalyzeJson(const std::string &text)
              return passById(id.text) ? std::string()
                                       : "unknown pass \"" + id.text + "\"";
          }))},
-        {"diagnostics",
-         obs::arrayOf(obs::ordered({
-             {"rule", obs::string()},
-             {"severity", obs::oneOf({"info", "warning", "error"})},
-             {"subclass", obs::string()},
-             {"file", obs::string()},
-             {"line", obs::number()},
-             {"col", obs::number()},
-             {"message", obs::string()},
-             {"signals", obs::arrayOf(obs::string())},
-         }))},
+        {"diagnostics", diagnosticsSchema()},
     });
     return obs::checkJson(schema, text);
 }

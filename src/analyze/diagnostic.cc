@@ -82,6 +82,28 @@ renderJson(const std::vector<Diagnostic> &diags)
     return out;
 }
 
+const obs::Schema &
+diagnosticsSchema()
+{
+    static const obs::Schema schema = obs::arrayOf(obs::ordered({
+        {"rule", obs::string()},
+        {"severity", obs::oneOf({"info", "warning", "error"})},
+        {"subclass", obs::string()},
+        {"file", obs::string()},
+        {"line", obs::number()},
+        {"col", obs::number()},
+        {"message", obs::string()},
+        {"signals", obs::arrayOf(obs::string())},
+    }));
+    return schema;
+}
+
+std::string
+checkDiagnosticsJson(const std::string &text)
+{
+    return obs::checkJson(diagnosticsSchema(), text);
+}
+
 bool
 hasErrors(const std::vector<Diagnostic> &diags)
 {

@@ -18,6 +18,7 @@
 
 #include "hdl/ast.hh"
 #include "obs/json.hh"
+#include "obs/jsoncheck.hh"
 
 namespace hwdbg::analyze
 {
@@ -52,6 +53,11 @@ std::string renderText(const std::vector<Diagnostic> &diags);
 void writeJson(obs::JsonWriter &w, const std::vector<Diagnostic> &diags);
 /** writeJson as a document (spaced, newline-terminated). */
 std::string renderJson(const std::vector<Diagnostic> &diags);
+
+/** Schema of writeJson's array (obs/jsoncheck.hh). */
+const obs::Schema &diagnosticsSchema();
+/** Validate renderJson text (`lint --format json`): "" when valid. */
+std::string checkDiagnosticsJson(const std::string &text);
 
 /** True when any diagnostic has Error severity (CLI exit status). */
 bool hasErrors(const std::vector<Diagnostic> &diags);

@@ -856,6 +856,9 @@ const ObsFormat kObsFormats[] = {
     {"signal trace", "format", "hwdbg-trace", trace::checkTraceDumpJson},
     {"serve stats", "format", "hwdbg-serve-stats",
      serve::checkServeStatsJson},
+    {"profile", "constructs", nullptr, sim::checkProfileJson},
+    {"fuzz report", "oracles", nullptr, fuzz::checkFuzzReportJson},
+    {"lint report", "", nullptr, analyze::checkDiagnosticsJson},
     {"metrics", nullptr, nullptr, obs::checkMetricsJson},
 };
 
@@ -871,9 +874,14 @@ sniffFormat(const std::string &text)
         const obs::JsonValue *id =
             format.key && root && root->isObject() ? root->get(format.key)
                                                    : nullptr;
-        if (!format.key ||
-            (id && (!format.value ||
-                    (id->isString() && id->text == format.value))))
+        // An empty key selects a top-level array (the lint report).
+        bool match =
+            format.key && !*format.key
+                ? root && root->kind == obs::JsonValue::Kind::Array
+                : !format.key ||
+                      (id && (!format.value ||
+                              (id->isString() && id->text == format.value)));
+        if (match)
             return format;
     }
     return kObsFormats[std::size(kObsFormats) - 1];

@@ -495,4 +495,64 @@ fuzzMain(const FuzzConfig &config)
     return reportOk(report) ? 0 : 1;
 }
 
+std::string
+checkFuzzReportJson(const std::string &text)
+{
+    using obs::integer;
+    std::vector<std::string> names;
+    for (uint32_t i = 0; i < kOracleCount; ++i)
+        names.push_back(oracleName(static_cast<Oracle>(i)));
+    static const obs::Schema schema = obs::ordered({
+        {"mode", obs::oneOf({"fuzz", "replay", "self-check"})},
+        {"build", obs::buildSchema()},
+        {"start", integer(0)},
+        {"seeds", integer(0)},
+        {"cycles", integer(0)},
+        {"oracles", obs::arrayOf(obs::oneOf(names))},
+        {"mutations",
+         obs::arrayOf(obs::ordered({
+             {"id", integer(0)},
+             {"description", obs::string()},
+             {"expected_oracle", obs::string()},
+             {"caught", obs::boolean()},
+             {"seed", integer(0), false},
+             {"caught_by", obs::string(), false},
+             {"detail", obs::string(), false},
+             {"reproducer", obs::string(), false},
+             {"seeds_tried", integer(0)},
+         })),
+         false},
+        {"caught", integer(0), false},
+        {"total", integer(0), false},
+        {"failures",
+         obs::arrayOf(obs::ordered({
+             {"seed", integer(0)},
+             {"oracle", obs::oneOf(names)},
+             {"detail", obs::string()},
+             {"items_before", integer(0), false},
+             {"items_after", integer(0), false},
+             {"shrink_attempts", integer(0), false},
+             {"reproducer", obs::string(), false},
+         })),
+         false},
+        {"order",
+         obs::ordered({{"flagged", integer(0)},
+                       {"confirmed", integer(0)},
+                       {"unrefuted", integer(0)}}),
+         false},
+        {"coverage",
+         obs::ordered({{"keys", integer(0)},
+                       {"plateau_window", integer(0)},
+                       {"plateaued", obs::boolean()},
+                       {"plateau_seed", integer(0), false},
+                       {"seeds", obs::arrayOf(obs::ordered(
+                                     {{"seed", integer(0)},
+                                      {"keys", integer(0)},
+                                      {"new", integer(0)}}))}}),
+         false},
+        {"ok", obs::boolean()},
+    });
+    return obs::checkJson(schema, text);
+}
+
 } // namespace hwdbg::fuzz

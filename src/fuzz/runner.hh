@@ -142,6 +142,9 @@ bool reportOk(const FuzzReport &report);
 FuzzReport runFuzz(const FuzzConfig &config);
 
 /** Deterministic report text (text or JSON per config.json). */
+/** Validate the JSON report (`fuzz --format json`): "" when valid. */
+std::string checkFuzzReportJson(const std::string &text);
+
 std::string renderReport(const FuzzReport &report,
                          const FuzzConfig &config);
 

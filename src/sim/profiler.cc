@@ -7,6 +7,7 @@
 
 #include "hdl/printer.hh"
 #include "obs/json.hh"
+#include "obs/jsoncheck.hh"
 #include "obs/trace.hh"
 #include "sim/simulator.hh"
 #include "sim/stimulus.hh"
@@ -310,6 +311,35 @@ renderProfileJson(const ProfileReport &report,
     w.newline(2).endArray().newline(0).endObject();
     out += '\n';
     return out;
+}
+
+std::string
+checkProfileJson(const std::string &text)
+{
+    using obs::integer;
+    static const obs::Schema schema = obs::ordered({
+        {"top", obs::string()},
+        {"seed", integer(0)},
+        {"cycles_requested", integer(0)},
+        {"cycles_run", integer(0)},
+        {"finished", obs::boolean()},
+        {"wall_ms", obs::number(0)},
+        {"rank", obs::oneOf({"evals", "time"})},
+        {"settle", obs::ordered({{"calls", integer(0)},
+                                 {"max_depth", integer(0)},
+                                 {"by_depth", obs::arrayOf(integer(0))}})},
+        {"constructs",
+         obs::arrayOf(obs::ordered({{"rank", integer(1)},
+                                    {"kind", obs::oneOf({"seq", "comb",
+                                                         "assign"})},
+                                    {"label", obs::string()},
+                                    {"loc", obs::string()},
+                                    {"evals", integer(0)},
+                                    {"ms", obs::number(0)}}))},
+        {"signals", obs::arrayOf(obs::ordered({{"name", obs::string()},
+                                               {"toggles", integer(0)}}))},
+    });
+    return obs::checkJson(schema, text);
 }
 
 } // namespace hwdbg::sim

@@ -111,6 +111,8 @@ std::string renderProfileText(const ProfileReport &report,
                               const ProfileOptions &opts);
 std::string renderProfileJson(const ProfileReport &report,
                               const ProfileOptions &opts);
+/** Validate renderProfileJson text: "" when valid. */
+std::string checkProfileJson(const std::string &text);
 
 } // namespace hwdbg::sim
 

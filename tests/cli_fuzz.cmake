@@ -19,6 +19,15 @@ execute_process(COMMAND ${HWDBG} fuzz --seeds 20 --format json
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "hwdbg fuzz --format json failed (rc=${rc})")
 endif()
+# ... and passes its own obscheck schema.
+set(fuzz_work ${CMAKE_CURRENT_BINARY_DIR}/cli_fuzz_work)
+file(MAKE_DIRECTORY ${fuzz_work})
+file(WRITE ${fuzz_work}/fuzz.json "${json_out}")
+execute_process(COMMAND ${HWDBG} obscheck ${fuzz_work}/fuzz.json
+                RESULT_VARIABLE rc OUTPUT_VARIABLE check_out)
+if(NOT rc EQUAL 0 OR NOT check_out MATCHES "fuzz.json: ok \\(fuzz report\\)")
+    message(FATAL_ERROR "obscheck on the fuzz report: ${check_out}")
+endif()
 foreach(key
         "\"mode\": \"fuzz\""
         "\"seeds\": 20"

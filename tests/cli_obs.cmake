@@ -101,6 +101,25 @@ foreach(span "parse" "elaborate" "lint")
     endif()
 endforeach()
 
+# Lint and profile JSON each pass their own schema (before, both fell
+# through to the metrics schema and read INVALID).
+execute_process(COMMAND ${HWDBG} lint ${work}/d1.v --format json
+                OUTPUT_FILE ${work}/lint.json ERROR_QUIET)
+execute_process(COMMAND ${HWDBG} lint --bug D3 --format json
+                OUTPUT_FILE ${work}/lint_d3.json ERROR_QUIET)
+execute_process(COMMAND ${HWDBG} profile ${work}/d1.v --format json
+                OUTPUT_FILE ${work}/profile.json ERROR_QUIET)
+execute_process(COMMAND ${HWDBG} obscheck ${work}/lint.json
+                ${work}/lint_d3.json ${work}/profile.json
+                RESULT_VARIABLE rc OUTPUT_VARIABLE check_out)
+foreach(pattern "lint.json: ok \\(lint report\\)"
+                "lint_d3.json: ok \\(lint report\\)"
+                "profile.json: ok \\(profile\\)")
+    if(NOT rc EQUAL 0 OR NOT check_out MATCHES "${pattern}")
+        message(FATAL_ERROR "obscheck on lint/profile JSON: ${check_out}")
+    endif()
+endforeach()
+
 # obscheck rejects corrupted files and exits 1.
 file(WRITE ${work}/broken.json "{\"traceEvents\": [{\"ph\": \"E\", "
      "\"ts\": 1, \"pid\": 1, \"tid\": 1}]}")
