@@ -499,9 +499,12 @@ std::string
 checkFuzzReportJson(const std::string &text)
 {
     using obs::integer;
-    std::vector<std::string> names;
-    for (uint32_t i = 0; i < kOracleCount; ++i)
-        names.push_back(oracleName(static_cast<Oracle>(i)));
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (uint32_t i = 0; i < kOracleCount; ++i)
+            out.push_back(oracleName(static_cast<Oracle>(i)));
+        return out;
+    }();
     static const obs::Schema schema = obs::ordered({
         {"mode", obs::oneOf({"fuzz", "replay", "self-check"})},
         {"build", obs::buildSchema()},
