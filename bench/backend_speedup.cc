@@ -5,10 +5,12 @@
  * A corpus of generated designs (the fuzz generator with every template
  * enabled, so memories, FSMs, FIFOs, and submodules are all present)
  * runs the same deterministic stimulus on both backends. Per design the
- * bench reports cycles/second on each backend and their ratio; the gate
+ * bench reports the run time on each backend and their ratio, and the
+ * time to build the bytecode Program (installing the backend on a
+ * constructed simulator), each the median of kRepeats runs; the gate
  * is the geometric-mean speedup, which must stay >= 5x or the bench
- * exits 1 — the bar ISSUE 7 sets for the compiled backend to justify
- * its existence. The worst per-design ratio and its seed are reported
+ * exits 1 — the bar the compiled backend must clear to justify its
+ * existence. The worst per-design ratio and its seed are reported
  * next to the geomean, ungated.
  *
  * While it measures, the bench asserts what the equivalence tests
@@ -21,6 +23,7 @@
  * PRs diff against.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -71,6 +74,23 @@ struct FinalState
     }
 };
 
+/** Seconds since @p begin. */
+double
+since(std::chrono::steady_clock::time_point begin)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         begin)
+        .count();
+}
+
+double
+median(std::vector<double> xs)
+{
+    std::sort(xs.begin(), xs.end());
+    size_t n = xs.size();
+    return n % 2 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2;
+}
+
 /** Clock @p cycles of seeded stimulus through @p sim; returns seconds. */
 double
 runStimulus(sim::Simulator &sim, const fuzz::GeneratedDesign &gd,
@@ -88,7 +108,7 @@ runStimulus(sim::Simulator &sim, const fuzz::GeneratedDesign &gd,
         sim.poke("clk", uint64_t(1));
         sim.eval();
     }
-    auto end = std::chrono::steady_clock::now();
+    double sec = since(begin);
     out->values = sim.context().values;
     out->arrays = sim.context().arrays;
     out->cycle = sim.cycle();
@@ -98,10 +118,8 @@ runStimulus(sim::Simulator &sim, const fuzz::GeneratedDesign &gd,
     // pays.
     auto fmtBegin = std::chrono::steady_clock::now();
     out->logLines = sim.log().size();
-    out->fmtSec = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - fmtBegin)
-                      .count();
-    return std::chrono::duration<double>(end - begin).count();
+    out->fmtSec = since(fmtBegin);
+    return sec;
 }
 
 struct Row
@@ -110,6 +128,7 @@ struct Row
     size_t signals;
     double interpSec;
     double bytecodeSec;
+    double buildSec;
     double speedup;
     double interpFmtSec;
     double bytecodeFmtSec;
@@ -127,6 +146,7 @@ main(int argc, char **argv)
                           : 3000;
     const char *jsonPath = argc > 2 ? argv[2] : nullptr;
     const double kGate = 5.0;
+    const int kRepeats = 5;
 
     // Every template on: the corpus leans large on purpose — the gate
     // measures the backend on designs worth compiling, and the small
@@ -140,11 +160,11 @@ main(int argc, char **argv)
     opts.displayChance = 30;
 
     std::printf("Backend speedup: interpreter vs. compiled bytecode, "
-                "%u cycles/design\n",
-                cycles);
-    std::printf("%-6s %-8s %-11s %-13s %-9s %-9s %s\n", "seed",
-                "signals", "interp s", "bytecode s", "speedup",
-                "fmt s", "state");
+                "%u cycles/design, median of %d\n",
+                cycles, kRepeats);
+    std::printf("%-6s %-8s %-11s %-13s %-10s %-9s %-9s %s\n", "seed",
+                "signals", "interp s", "bytecode s", "build ms",
+                "speedup", "fmt s", "state");
 
     std::vector<Row> rows;
     double logSum = 0;
@@ -152,31 +172,45 @@ main(int argc, char **argv)
     bool diverged = false;
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         fuzz::GeneratedDesign gd = fuzz::generateDesign(seed, opts);
-        auto modA = elab::elaborate(gd.design, gd.top).mod;
-        auto modB = elab::elaborate(gd.design, gd.top).mod;
+        std::vector<double> secA, secB, build, fmtA, fmtB;
+        size_t signals = 0;
+        bool identical = true;
+        for (int rep = 0; rep < kRepeats; ++rep) {
+            // Lowering annotates the AST, so each run elaborates afresh.
+            sim::Simulator interp(elab::elaborate(gd.design, gd.top).mod);
+            sim::Simulator bytecode(elab::elaborate(gd.design, gd.top).mod);
+            auto buildBegin = std::chrono::steady_clock::now();
+            bytecode.setBackend(compile::makeBytecodeBackend());
+            build.push_back(since(buildBegin));
 
-        sim::Simulator interp(modA);
-        sim::Simulator bytecode(modB);
-        bytecode.setBackend(compile::makeBytecodeBackend());
+            FinalState stateA, stateB;
+            secA.push_back(runStimulus(interp, gd, seed, cycles, &stateA));
+            secB.push_back(
+                runStimulus(bytecode, gd, seed, cycles, &stateB));
+            fmtA.push_back(stateA.fmtSec);
+            fmtB.push_back(stateB.fmtSec);
+            signals = interp.design().numSignals();
+            identical = identical && stateA == stateB;
+        }
 
-        FinalState stateA, stateB;
-        double secA = runStimulus(interp, gd, seed, cycles, &stateA);
-        double secB = runStimulus(bytecode, gd, seed, cycles, &stateB);
-
+        double interpSec = median(secA), bytecodeSec = median(secB);
         Row row{seed,
-                interp.design().numSignals(),
-                secA,
-                secB,
-                secB > 0 ? secA / secB : 0,
-                stateA.fmtSec,
-                stateB.fmtSec,
-                stateA == stateB};
+                signals,
+                interpSec,
+                bytecodeSec,
+                median(build),
+                bytecodeSec > 0 ? interpSec / bytecodeSec : 0,
+                median(fmtA),
+                median(fmtB),
+                identical};
         rows.push_back(row);
         logSum += std::log(row.speedup);
         diverged = diverged || !row.identical;
-        std::printf("%-6llu %-8zu %-11.4f %-13.4f %-9.2f %-9.4f %s\n",
+        std::printf("%-6llu %-8zu %-11.4f %-13.4f %-10.3f %-9.2f %-9.4f "
+                    "%s\n",
                     static_cast<unsigned long long>(seed), row.signals,
-                    secA, secB, row.speedup, stateA.fmtSec,
+                    row.interpSec, row.bytecodeSec, row.buildSec * 1e3,
+                    row.speedup, row.interpFmtSec,
                     row.identical ? "identical" : "DIVERGED");
     }
 
@@ -197,19 +231,22 @@ main(int argc, char **argv)
         }
         std::fprintf(f,
                      "{\n  \"bench\": \"backend_speedup\",\n"
-                     "  \"cycles_per_design\": %u,\n  \"designs\": [\n",
-                     cycles);
+                     "  \"cycles_per_design\": %u,\n  \"repeats\": %d,\n"
+                     "  \"designs\": [\n",
+                     cycles, kRepeats);
         for (size_t i = 0; i < rows.size(); ++i)
             std::fprintf(f,
                          "    {\"seed\": %llu, \"signals\": %zu, "
                          "\"interp_sec\": %.6f, "
                          "\"bytecode_sec\": %.6f, "
+                         "\"bytecode_build_sec\": %.6f, "
                          "\"speedup\": %.3f, "
                          "\"interp_fmt_sec\": %.6f, "
                          "\"bytecode_fmt_sec\": %.6f}%s\n",
                          static_cast<unsigned long long>(rows[i].seed),
                          rows[i].signals, rows[i].interpSec,
-                         rows[i].bytecodeSec, rows[i].speedup,
+                         rows[i].bytecodeSec, rows[i].buildSec,
+                         rows[i].speedup,
                          rows[i].interpFmtSec, rows[i].bytecodeFmtSec,
                          i + 1 < rows.size() ? "," : "");
         std::fprintf(f,

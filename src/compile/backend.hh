@@ -2,9 +2,11 @@
  * @file
  * The compiled bytecode simulation backend.
  *
- * BytecodeBackend lowers the design once at construction and then
- * executes settle passes, clocked processes, and the nonblocking
- * commit queue over a dense word slab. State is reconciled with the
+ * BytecodeBackend lowers the design once at construction, folding
+ * nothing and building no static-analysis fact, so construction costs
+ * tens of microseconds on a testbed design. It then executes settle
+ * passes, clocked processes, and the nonblocking commit queue over a
+ * dense word slab. State is reconciled with the
  * shared EvalContext only at the seam's flush/load points, so every
  * tool above the Simulator facade (snapshots, coverage, profiler, the
  * debugger) observes values identical to the interpreter's.
@@ -35,9 +37,6 @@ class BytecodeBackend final : public sim::Backend
     void load() override;
     void exportNba(std::vector<sim::PendingNba> &out) const override;
     void importNba(const std::vector<sim::PendingNba> &in) override;
-
-    /** The lowered program; tests and reports inspect fold stats. */
-    const Program &program() const { return prog_; }
 
   private:
     void run(const Program::Chunk &chunk);

@@ -199,10 +199,6 @@ struct Program
     std::vector<StoreDesc> stores;
     std::vector<NbaDesc> nbas;
     std::vector<DisplayDesc> displays;
-
-    // Lowering statistics (reported by tests and `--backend` tooling).
-    size_t foldedConsts = 0; ///< expressions folded to constant slots
-    size_t deadArms = 0;     ///< if-branches dropped by known-bits facts
 };
 
 /** Words needed for @p width bits. */
@@ -221,13 +217,10 @@ topWordMask(uint32_t width)
 }
 
 /**
- * Lower @p design to bytecode. When @p fold is set, the known-bits
- * fixpoint from src/analyze folds fully-known expressions into constant
- * slots and drops if-branches with proven conditions; callers must
- * disable folding when a simulator mutation is active (the abstract
- * domain models unmutated semantics).
+ * Lower @p design to bytecode. Nothing is folded and both arms of every
+ * if are kept, so the build reads no static-analysis fact.
  */
-Program lowerProgram(const sim::LoweredDesign &design, bool fold);
+Program lowerProgram(const sim::LoweredDesign &design);
 
 } // namespace hwdbg::compile
 

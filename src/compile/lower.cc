@@ -10,16 +10,13 @@
  * shift off-by-one, ternary swap, xor/or, lt/le) stay runtime checks in
  * the executor so both backends read the same global switch.
  *
- * Constant folding consults the analyze known-bits fixpoint, whose
- * facts hold for every stored value (including transients inside a
- * settle pass), so replacing a fully-known expression with its constant
- * cannot perturb the trajectory — including the settle iteration count.
+ * Lowering does no constant folding: every expression becomes ops, so
+ * the program never bakes in a value the interpreter computes live.
  */
 
 #include <algorithm>
 #include <map>
 
-#include "analyze/context.hh"
 #include "common/logging.hh"
 #include "common/testhooks.hh"
 #include "compile/bytecode.hh"
@@ -38,12 +35,7 @@ namespace
 class Lowerer
 {
   public:
-    Lowerer(const LoweredDesign &design, bool fold)
-        : design_(design), fold_(fold), facts_(design.module())
-    {
-        if (fold_)
-            env_ = &facts_.fixpoint().env;
-    }
+    explicit Lowerer(const LoweredDesign &design) : design_(design) {}
 
     Program run();
 
@@ -102,9 +94,6 @@ class Lowerer
     }
 
     const LoweredDesign &design_;
-    bool fold_;
-    analyze::Context facts_;
-    const analyze::Env *env_ = nullptr;
 
     Program prog_;
     uint32_t slabTop_ = 0;
@@ -156,19 +145,6 @@ Lowerer::lowerExpr(const ExprPtr &e, uint32_t cw)
 
     if (e->kind == ExprKind::Number)
         return constSlot(e->as<NumberExpr>()->value.resized(w));
-
-    // Known-bits folding: the abstract evaluator mirrors the
-    // interpreter's width rules, so a fully-known fact at exactly the
-    // natural width can replace the whole subtree with a constant
-    // slot. The conservative width check skips the rare nodes whose
-    // natural width exceeds w (wide-operand bitwise/shift chains).
-    if (fold_ && w <= 64 && e->kind != ExprKind::Id) {
-        auto kb = analyze::kbEval(e, cw, facts_.signals(), *env_);
-        if (kb && kb->fullyKnown() && kb->width == w) {
-            ++prog_.foldedConsts;
-            return constSlot(Bits(w, kb->value));
-        }
-    }
 
     switch (e->kind) {
       case ExprKind::Number:
@@ -641,26 +617,6 @@ Lowerer::lowerStmt(const StmtPtr &stmt, bool clocked)
         break;
       case StmtKind::If: {
         const auto *branch = stmt->as<IfStmt>();
-        if (fold_) {
-            auto kb = analyze::kbEval(branch->cond, 0, facts_.signals(),
-                                      *env_);
-            if (kb && kb->knownZero()) {
-                ++prog_.deadArms;
-                Op &arm = emit(Opc::CoverArm);
-                arm.stmt = stmt.get();
-                arm.aux = 1;
-                lowerStmt(branch->elseStmt, clocked);
-                break;
-            }
-            if (kb && kb->knownNonzero()) {
-                ++prog_.deadArms;
-                Op &arm = emit(Opc::CoverArm);
-                arm.stmt = stmt.get();
-                arm.aux = 0;
-                lowerStmt(branch->thenStmt, clocked);
-                break;
-            }
-        }
         Slot c = lowerExpr(branch->cond, 0);
         uint32_t jz_at = here();
         Op &jz = emit(Opc::Jz);
@@ -846,9 +802,9 @@ Lowerer::run()
 } // namespace
 
 Program
-lowerProgram(const LoweredDesign &design, bool fold)
+lowerProgram(const LoweredDesign &design)
 {
-    return Lowerer(design, fold).run();
+    return Lowerer(design).run();
 }
 
 } // namespace hwdbg::compile

@@ -21,14 +21,20 @@ std::string
 renderTopFrame(const std::string &statsJson)
 {
     std::string error;
-    obs::JsonPtr root =
-        obs::parseChecked(serveStatsSchema(), statsJson, &error);
-    if (!root)
+    obs::JsonPtr root = obs::parseJson(statsJson, &error);
+    return root ? renderTopFrame(*root) : "stats: " + error + "\n";
+}
+
+std::string
+renderTopFrame(const obs::JsonValue &stats)
+{
+    std::string error = obs::checkJson(serveStatsSchema(), stats);
+    if (!error.empty())
         return "stats: " + error + "\n";
 
-    const obs::JsonValue &server = (*root)["server"];
-    const obs::JsonValue &cache = (*root)["cache"];
-    const obs::JsonValue &snaps = (*root)["snapshots"];
+    const obs::JsonValue &server = stats["server"];
+    const obs::JsonValue &cache = stats["cache"];
+    const obs::JsonValue &snaps = stats["snapshots"];
 
     std::ostringstream out;
     char line[256];
@@ -52,7 +58,7 @@ renderTopFrame(const std::string &statsJson)
                   snaps["dedup_ratio_pct"].number);
     out << line;
 
-    const auto &cmds = (*root)["commands"].elems;
+    const auto &cmds = stats["commands"].elems;
     if (!cmds.empty()) {
         std::snprintf(line, sizeof line,
                       "%-14s %7s %5s %8s %8s %8s %8s\n", "COMMAND",
@@ -73,7 +79,7 @@ renderTopFrame(const std::string &statsJson)
         }
     }
 
-    const auto &sessions = (*root)["sessions"].elems;
+    const auto &sessions = stats["sessions"].elems;
     if (!sessions.empty()) {
         std::snprintf(line, sizeof line,
                       "%4s %-8s %-16s %-5s %6s %4s %9s\n", "SID",
@@ -119,20 +125,15 @@ runTop(uint16_t port, const TopOptions &opts, std::ostream &out)
                 std::chrono::milliseconds(opts.intervalMs));
         if (!(req << "stats\n" << std::flush) || !std::getline(in, line))
             break;
-        // The stats document is the response's "payload" member;
-        // payload is always the last field, so the document is the
-        // text between `"payload":` and the response's final brace.
-        std::string payload;
+        // The stats document is the response's "payload" member; a
+        // line without one renders as the error it is.
         std::string error;
-        if (auto root = obs::parseJson(line, &error)) {
-            const auto *p = root->get("payload");
-            auto at = line.find("\"payload\":");
-            if (p && p->isObject() && at != std::string::npos)
-                payload = line.substr(at + 10, line.size() - at - 11);
-        }
+        obs::JsonPtr root = obs::parseJson(line, &error);
+        const obs::JsonValue *payload = root ? root->get("payload") : nullptr;
         if (opts.clear)
             out << "\x1b[H\x1b[2J";
-        out << renderTopFrame(payload.empty() ? line : payload)
+        out << (payload && payload->isObject() ? renderTopFrame(*payload)
+                                               : renderTopFrame(line))
             << std::flush;
     }
     req << "quit\n" << std::flush;

@@ -17,6 +17,11 @@
 #include <iosfwd>
 #include <string>
 
+namespace hwdbg::obs
+{
+struct JsonValue;
+}
+
 namespace hwdbg::serve
 {
 
@@ -31,10 +36,13 @@ struct TopOptions
 };
 
 /**
- * Render one monitor frame from a hwdbg-serve-stats v1 document (the
- * `stats` payload). Malformed input renders as an error line rather
- * than failing — a live view should survive a flaky poll.
+ * Render one monitor frame from a parsed hwdbg-serve-stats v1 document
+ * (the `stats` payload), checked against serveStatsSchema(). Malformed
+ * input renders as an error line rather than failing — a live view
+ * should survive a flaky poll.
  */
+std::string renderTopFrame(const obs::JsonValue &stats);
+/** renderTopFrame() over @p statsJson, parsed first. */
 std::string renderTopFrame(const std::string &statsJson);
 
 /**

@@ -7,7 +7,8 @@
  *  - lint, then analyze, on D1;
  *  - three serve debug sessions, then two cover sessions, on one
  *    cached D4 design;
- * plus several threads first-touching the facts of one shared Context.
+ * plus several threads first-touching the facts of one shared Context,
+ * and bytecode simulators, which lower and run without building any.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +23,16 @@
 #include "analyze/analyze.hh"
 #include "analyze/context.hh"
 #include "bugbase/testbed.hh"
+#include "compile/backend.hh"
 #include "debug/engine.hh"
 #include "debug/workload.hh"
+#include "elab/elaborate.hh"
+#include "fuzz/generator.hh"
 #include "lint/lint.hh"
+#include "obs/jsoncheck.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
+#include "sim/simulator.hh"
 
 using namespace hwdbg;
 
@@ -45,6 +51,23 @@ factBuilds()
     for (const char *fact : kFacts)
         out[fact] = obs::counterValue(std::string("analyze.fact.") + fact +
                                       ".builds");
+    return out;
+}
+
+/** Every "analyze.fact.<name>.builds" counter registered, by name. */
+std::map<std::string, uint64_t>
+registeredFactBuilds()
+{
+    std::string error;
+    obs::JsonPtr root = obs::parseJson(obs::metricsJson(), &error);
+    EXPECT_TRUE(root) << error;
+    std::map<std::string, uint64_t> out;
+    if (!root)
+        return out;
+    const std::string prefix = "analyze.fact.", suffix = ".builds";
+    for (const auto &[name, value] : (*root)["counters"].members)
+        if (name.starts_with(prefix) && name.ends_with(suffix))
+            out[name] = value->asUint();
     return out;
 }
 
@@ -164,4 +187,30 @@ TEST_F(FactStoreTest, ConcurrentFirstTouchBuildsEachFactOnce)
     expectAtMost(builds, 1);
     EXPECT_EQ(builds["graph"], 1u);
     EXPECT_EQ(builds["relations"], 1u);
+}
+
+TEST_F(FactStoreTest, BytecodeSimulatorBuildsNoFact)
+{
+    // Lowering to bytecode reads the elaborated module alone: a
+    // bytecode Simulator, built and run, builds no static fact — on a
+    // testbed bug and on a generated design with every template on
+    // (FSMs, FIFOs, memories, submodules), as in the speedup corpus.
+    auto bug = bugs::buildDesign(bugs::bugById("D1"), false).mod;
+    fuzz::GeneratorOptions opts;
+    opts.fsmChance = opts.fifoChance = opts.memChance = 100;
+    opts.submoduleChance = 100;
+    fuzz::GeneratedDesign gd = fuzz::generateDesign(6, opts);
+    auto corpus = elab::elaborate(gd.design, gd.top).mod;
+    obs::resetMetrics();
+
+    for (const auto &mod : {bug, corpus}) {
+        sim::Simulator sim(mod);
+        sim.setBackend(compile::makeBytecodeBackend());
+        for (int i = 0; i < 4; ++i) {
+            sim.poke("clk", uint64_t(i % 2));
+            sim.eval();
+        }
+    }
+    for (const auto &[name, n] : registeredFactBuilds())
+        EXPECT_EQ(n, 0u) << name;
 }

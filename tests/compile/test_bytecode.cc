@@ -9,11 +9,11 @@
  * without defaults, concatenation lvalues, nonblocking swap ordering,
  * $display logs and $finish, non-power-of-two memories (index masking
  * plus out-of-range drops), the read/write asymmetry of scalar bit
- * indexing, the known-bits folding statistics, wide division against
- * literal values (both engines share its kernel), and the single-word
- * op forms: each at operand widths 1, 63, 64 and 65, with the profiler
- * and coverage attached, the widths that select them, and the value
- * mutations each one must keep checking.
+ * indexing, a constant-guarded if that keeps both arms, wide division
+ * against literal values (both engines share its kernel), and the
+ * single-word op forms: each at operand widths 1, 63, 64 and 65, with
+ * the profiler and coverage attached, the widths that select them, and
+ * the value mutations each one must keep checking.
  */
 
 #include <gtest/gtest.h>
@@ -179,11 +179,11 @@ randomBits(std::mt19937_64 &rng, uint32_t width)
 }
 
 compile::Program
-lower(const std::string &src, bool fold, const std::string &top = "m")
+lower(const std::string &src, const std::string &top = "m")
 {
     hdl::Design design = hdl::parse(src);
     LoweredDesign lowered(elab::elaborate(design, top).mod);
-    return compile::lowerProgram(lowered, fold);
+    return compile::lowerProgram(lowered);
 }
 
 } // namespace
@@ -432,24 +432,15 @@ TEST(BytecodeTest, ScalarBitIndexReadWriteAsymmetry)
 
 TEST(BytecodeTest, FoldingStatsAndDeadGuards)
 {
-    std::string src =
-        "module m(input wire clk, input wire [7:0] a,\n"
-        "         output reg [7:0] q);\n"
-        "wire [7:0] k = 8'd3 + 8'd4;\n" // foldable
-        "always @(posedge clk) begin\n"
-        "  if (k == 8'd7) q <= a;\n" // provably true guard
-        "  else q <= 8'hEE;\n"       // dead branch
-        "end\nendmodule";
-    compile::Program folded = lower(src, true);
-    compile::Program plain = lower(src, false);
-    EXPECT_GT(folded.foldedConsts, 0u);
-    EXPECT_GT(folded.deadArms, 0u);
-    EXPECT_EQ(plain.foldedConsts, 0u);
-    EXPECT_EQ(plain.deadArms, 0u);
-    EXPECT_LT(folded.ops.size(), plain.ops.size());
-
-    // Folding must not change behavior.
-    Pair p(src);
+    // A constant expression feeding a guard that is always true: the
+    // lowered program keeps both arms and must still run in lockstep.
+    Pair p("module m(input wire clk, input wire [7:0] a,\n"
+           "         output reg [7:0] q);\n"
+           "wire [7:0] k = 8'd3 + 8'd4;\n"
+           "always @(posedge clk) begin\n"
+           "  if (k == 8'd7) q <= a;\n"
+           "  else q <= 8'hEE;\n"
+           "end\nendmodule");
     p.poke("a", uint64_t(0x5A));
     p.tick();
     EXPECT_EQ(p.peek("q").toU64(), 0x5Au);
@@ -462,8 +453,7 @@ TEST(BytecodeTest, ProgramStateRegionLayout)
         "         output reg [64:0] q);\n"
         "reg [15:0] mem[0:2];\n"
         "always @(posedge clk) q <= d;\n"
-        "endmodule",
-        true);
+        "endmodule");
     // Every signal has a scalar slot and every array an element block,
     // all inside the state region.
     ASSERT_EQ(prog.sigOff.size(), prog.arrOff.size());
@@ -761,22 +751,20 @@ TEST(BytecodeTest, SingleWordDesignsLowerToNoWideArithmeticCompareOrStore)
             }
         return n;
     };
-    for (bool fold : {false, true}) {
-        compile::Program narrow = lower(design(64), fold);
-        EXPECT_EQ(wideOps(narrow), 0u) << fold;
-        size_t stores = 0;
-        for (const compile::Op &op : narrow.ops)
-            stores += op.opc == compile::Opc::Store1;
-        EXPECT_EQ(stores, 10u) << fold;
-        EXPECT_GT(wideOps(lower(design(65), fold)), 0u) << fold;
-    }
+    compile::Program narrow = lower(design(64));
+    EXPECT_EQ(wideOps(narrow), 0u);
+    size_t stores = 0;
+    for (const compile::Op &op : narrow.ops)
+        stores += op.opc == compile::Opc::Store1;
+    EXPECT_EQ(stores, 10u);
+    EXPECT_GT(wideOps(lower(design(65))), 0u);
 }
 
 TEST(BytecodeTest, ValueMutationsReachEverySingleWordKernel)
 {
     // A kernel that dropped its mutation check would disagree with the
-    // interpreter here. Arming the mutation before both simulators are
-    // built turns constant folding off, so the kernels really run.
+    // interpreter here. The mutation is armed before both simulators
+    // are built, as the fuzz self-check arms its mutations.
     struct Case
     {
         int mutation;

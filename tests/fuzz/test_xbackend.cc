@@ -48,30 +48,37 @@ TEST(XbackendOracleTest, RegistrationAndNaming)
 TEST(XbackendOracleTest, ComparisonHasTeeth)
 {
     // A correct interpreter and a correct lowering can only disagree
-    // through stale folding: constants baked in under unmutated
-    // semantics survive a mutation armed afterwards, while the
-    // interpreter applies the mutation live. Construct exactly that
-    // divergence and check the comparison the oracle relies on sees it
-    // — guarding both the oracle's sensitivity and the rule that
-    // lowering must re-run when a mutation arms.
+    // where lowering bakes in semantics: a structural mutation armed
+    // after the program was built reaches the interpreter live but not
+    // the lowered ops. Construct exactly that divergence and check the
+    // comparison the oracle relies on sees it — guarding both the
+    // oracle's sensitivity and the rule that lowering must re-run when
+    // a mutation arms.
     hdl::Design design = hdl::parse(
-        "module m(input wire clk, output wire [7:0] k);\n"
-        "assign k = 8'd3 + 8'd4;\n"
+        "module m(input wire [7:0] a, output reg [1:0] z);\n"
+        "always @(*) case (a + 8'd1)\n"
+        "  9'd256: z = 2'd1;\n"
+        "  default: z = 2'd2;\n"
+        "endcase\n"
         "endmodule");
     auto mod = elab::elaborate(design, "m").mod;
     sim::Simulator interp(mod);
     sim::Simulator bytecode(mod);
-    bytecode.setBackend(compile::makeBytecodeBackend()); // folds k = 7
+    bytecode.setBackend(compile::makeBytecodeBackend());
 
-    activeMutation = MUT_SIM_ADD_AS_SUB;
-    interp.eval();   // live mutation: 3 - 4 = 0xFF
-    bytecode.eval(); // folded constant survives: still 7
-    Bits ki = interp.peek("k");
-    Bits kb = bytecode.peek("k");
+    // Labels compared at the selector's 8 bits: 9'd256 truncates to 0,
+    // which a + 1 wraps to.
+    activeMutation = MUT_SIM_CASE_SEL_WIDTH;
+    interp.poke("a", uint64_t(255));
+    bytecode.poke("a", uint64_t(255));
+    interp.eval();   // live mutation: the label matches
+    bytecode.eval(); // lowered at 9 bits: falls to default
+    Bits zi = interp.peek("z");
+    Bits zb = bytecode.peek("z");
     activeMutation = MUT_NONE;
 
-    EXPECT_EQ(ki.toU64(), 0xFFu);
-    EXPECT_EQ(kb.toU64(), 0x7u);
-    EXPECT_NE(ki.toU64(), kb.toU64())
+    EXPECT_EQ(zi.toU64(), 1u);
+    EXPECT_EQ(zb.toU64(), 2u);
+    EXPECT_NE(zi.toU64(), zb.toU64())
         << "planted divergence was not observable";
 }

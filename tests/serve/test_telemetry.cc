@@ -3,8 +3,9 @@
  * Serve telemetry: the hwdbg-serve-stats v1 document validates and
  * reconciles, deterministic fields survive a double run byte-identical
  * under concurrent TCP load, stats requests never observe themselves,
- * the slow ring and JSON-lines spill capture what they claim, and a
- * loaded server emits one named Perfetto track per session.
+ * the slow ring and JSON-lines spill capture what they claim, a loaded
+ * server emits one named Perfetto track per session, and the monitor
+ * renders a parsed stats document as it renders the document's text.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "common/logging.hh"
 #include "obs/jsoncheck.hh"
 #include "obs/trace.hh"
+#include "serve/monitor.hh"
 #include "serve/server.hh"
 #include "serve/stats.hh"
 
@@ -435,6 +437,29 @@ TEST(ServeTelemetryTest, SessionsGetNamedPerfettoTracks)
     EXPECT_NE(json.find("serve.attach:debug:D4"), std::string::npos);
     EXPECT_NE(json.find("debug.cmd:step"), std::string::npos);
     EXPECT_NE(json.find("serve.snapshot.intern"), std::string::npos);
+}
+
+TEST(ServeTelemetryTest, MonitorFrameFromTheParsedDocument)
+{
+    // The monitor renders the response's parsed "payload" member: the
+    // frame equals the one rendered from the document's text, and a
+    // document off the schema renders as its first violation.
+    Server server(quietOptions());
+    runScript(server, "open debug bug=D4\n");
+    std::string doc = server.statsJson();
+    std::string error;
+    obs::JsonPtr root = obs::parseJson(doc, &error);
+    ASSERT_TRUE(root) << error;
+    std::string frame = renderTopFrame(*root);
+    EXPECT_EQ(frame, renderTopFrame(doc));
+    EXPECT_EQ(frame.rfind("hwdbg serve — up ", 0), 0u) << frame;
+    EXPECT_NE(frame.find(" debug "), std::string::npos) << frame;
+
+    ASSERT_EQ(root->members.back().first, "sessions");
+    root->members.pop_back();
+    EXPECT_EQ(renderTopFrame(*root), "stats: sessions: missing\n");
+    EXPECT_EQ(renderTopFrame("[1"),
+              "stats: offset 2: expected ',' or ']' in array\n");
 }
 
 TEST(ServeTelemetryTest, CheckerRejectsMalformedStatsDocuments)
