@@ -129,6 +129,67 @@ TEST(AnalyzeXinitTest, CombReadBeforeWrite)
                         "assign y = b;\nendmodule";
     EXPECT_FALSE(fires(analyzeSrc(clean, "xinit"),
                        "comb-read-before-write"));
+
+    // One row per statement shape: the combinational body (from line
+    // 4) and each early read as signal@line. A signal is reported once,
+    // at its first early read; any write, full or partial, counts.
+    struct Row
+    {
+        const char *name;
+        const char *body;
+        std::set<std::string> reads;
+    };
+    const Row rows[] = {
+        {"IfWithoutElse",
+         "always @* begin\n  if (en) a = d;\n  b = a;\nend", {"a@6"}},
+        {"NestedIfInCaseArm",
+         "always @* case (s)\n"
+         "  2'd0: begin if (en) a = d; else a = 4'd0; b = a; end\n"
+         "  default: b = 4'd0;\nendcase",
+         {}},
+        {"NestedIfWithoutElseInCaseArm",
+         "always @* case (s)\n"
+         "  2'd0: begin if (en) a = d; b = a; end\n"
+         "  default: b = 4'd0;\nendcase",
+         {"a@5"}},
+        {"CaseWithDefault",
+         "always @* begin\n"
+         "  case (s) 2'd0: a = d; default: a = 4'd0; endcase\n"
+         "  b = a;\nend",
+         {}},
+        {"CaseWithoutDefault",
+         "always @* begin\n"
+         "  case (s) 2'd0: a = d; 2'd1: a = 4'd0; endcase\n"
+         "  b = a;\nend",
+         {"a@6"}},
+        {"EmptyCase",
+         "always @* begin\n  a = d;\n  case (s) endcase\n"
+         "  b = a;\nend",
+         {}},
+        {"EmptyCaseReadsItsSelector",
+         "always @* begin\n  case (a) endcase\n  a = d;\n"
+         "  b = a;\nend",
+         {"a@5"}},
+        {"PartialBitSelectWrite",
+         "always @* begin\n  a[0] = d[0];\n  b = a;\nend", {}},
+        {"ReadInConditionBeforeWrite",
+         "always @* begin\n  if (a[0]) b = d; else b = 4'd0;\n"
+         "  a = d;\nend",
+         {"a@5"}},
+    };
+    for (const Row &row : rows) {
+        std::string src = "module m(input wire en, input wire [1:0] s,\n"
+                          "  input wire [3:0] d, output wire [3:0] y);\n"
+                          "reg [3:0] a; reg [3:0] b;\n" +
+                          std::string(row.body) +
+                          "\nassign y = b;\nendmodule";
+        std::set<std::string> reads;
+        for (const auto &diag : analyzeSrc(src, "xinit"))
+            if (diag.rule == "comb-read-before-write")
+                reads.insert(diag.signals.at(0) + "@" +
+                             std::to_string(diag.loc.line));
+        EXPECT_EQ(reads, row.reads) << row.name;
+    }
 }
 
 TEST(AnalyzeXinitTest, ReadUninitializedWhenNoAssignReachable)

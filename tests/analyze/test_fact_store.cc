@@ -39,9 +39,9 @@ using namespace hwdbg;
 namespace
 {
 
-const char *const kFacts[] = {"signals",  "assigns",   "assignsOf",
-                              "graph",    "fsms",      "relations",
-                              "fixpoint", "wires"};
+const char *const kFacts[] = {"signals",   "assigns",  "assignsOf",
+                              "displays",  "graph",    "fsms",
+                              "relations", "fixpoint", "wires"};
 
 /** Fact name -> builds since the last reset. */
 std::map<std::string, uint64_t>

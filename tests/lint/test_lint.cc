@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "bugbase/testbed.hh"
 #include "common/logging.hh"
@@ -108,6 +110,54 @@ TEST(LintRuleTest, InferredLatch)
         "always @* if (en) y = d; else y = 1'b0;\nendmodule";
     EXPECT_TRUE(fires(pos, "inferred-latch"));
     EXPECT_FALSE(fires(neg, "inferred-latch"));
+
+    // One row per statement shape: the combinational body, and the
+    // targets the rule names. Any write, full or partial, counts as an
+    // assignment; a case without a default can skip every arm.
+    struct Row
+    {
+        const char *name;
+        const char *body;
+        std::set<std::string> latched;
+    };
+    const Row rows[] = {
+        {"IfWithoutElse", "always @* if (en) y = d;", {"y"}},
+        {"NestedIfInCaseArm",
+         "always @* case (s)\n"
+         "  2'd0: if (en) y = d; else y = 1'b0;\n"
+         "  default: y = 1'b1;\nendcase",
+         {}},
+        {"NestedIfWithoutElseInCaseArm",
+         "always @* case (s)\n"
+         "  2'd0: if (en) y = d;\n"
+         "  default: y = 1'b1;\nendcase",
+         {"y"}},
+        {"CaseWithDefault",
+         "always @* case (s) 2'd0: y = d; default: y = 1'b0; endcase",
+         {}},
+        {"CaseWithoutDefault",
+         "always @* case (s) 2'd0: y = d; 2'd1: y = 1'b0; endcase",
+         {"y"}},
+        {"EmptyCase",
+         "always @* begin\n  y = 1'b0;\n  case (s) endcase\n"
+         "  if (en) z = 2'd0;\nend",
+         {"z"}},
+        {"PartialBitSelectWrite", "always @* z[0] = d;", {}},
+        {"ReadInConditionBeforeWrite",
+         "always @* begin\n  if (y) z = 2'd1; else z = 2'd0;\n"
+         "  y = d;\nend",
+         {}},
+    };
+    for (const Row &row : rows) {
+        std::string src = "module m(input wire en, input wire [1:0] s,\n"
+                          "  input wire d, output reg y,\n"
+                          "  output reg [1:0] z);\n" +
+                          std::string(row.body) + "\nendmodule";
+        std::set<std::string> latched;
+        for (const auto &diag : lintSrc(src, "inferred-latch"))
+            latched.insert(diag.signals.at(0));
+        EXPECT_EQ(latched, row.latched) << row.name;
+    }
 }
 
 TEST(LintRuleTest, BlockingInSeq)

@@ -65,7 +65,7 @@ TEST(Latin1Path, JsonIsValidUtf8AndPassesItsSchema)
     }
     debug::WorkloadSpec spec;
     spec.file = path;
-    spec.defines[bug.bugDefine] = "1";
+    spec.defines.emplace(bug.bugDefine, "1");
     debug::Workload w = debug::buildWorkload(spec);
 
     std::string lint = lint::renderJson(lint::runLint(*w.base));
