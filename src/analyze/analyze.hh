@@ -4,9 +4,9 @@
  *
  * Where `hwdbg lint` pattern-matches local AST shapes, the analyze
  * framework computes whole-design dataflow facts — a known-bits
- * constant fixpoint across processes (fixpoint.hh), per-process
- * must-assign solutions over statement CFGs (cfg.hh/solver.hh), and
- * the signal dependency graph — and derives diagnostics from them:
+ * constant fixpoint across processes (fixpoint.hh), the signals each
+ * process assigns on every path (mustAssign, context.hh), and the
+ * signal dependency graph — and derives diagnostics from them:
  *
  *   const  dead logic: guards proven always-false/true, outputs or
  *          output bits stuck at a constant, signals that never reach

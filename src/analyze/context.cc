@@ -60,6 +60,15 @@ lvalueReads(const ExprPtr &lhs, std::set<std::string> &out)
     }
 }
 
+/** Keep in @p into only the signals @p other also holds. */
+void
+intersectInto(std::set<std::string> &into,
+              const std::set<std::string> &other)
+{
+    std::erase_if(into,
+                  [&](const std::string &sig) { return !other.count(sig); });
+}
+
 } // namespace
 
 void
@@ -111,6 +120,50 @@ forEachStmt(const StmtPtr &stmt, const std::function<void(const Stmt &)> &fn)
         break;
       default:
         break;
+    }
+}
+
+std::set<std::string>
+mustAssign(const StmtPtr &stmt, std::set<std::string> assigned,
+           const MustAssignVisit &visit)
+{
+    if (!stmt)
+        return assigned;
+    if (visit && stmt->kind != StmtKind::Block)
+        visit(*stmt, assigned);
+    switch (stmt->kind) {
+      case StmtKind::Block:
+        for (const auto &sub : stmt->as<BlockStmt>()->stmts)
+            assigned = mustAssign(sub, std::move(assigned), visit);
+        return assigned;
+      case StmtKind::If: {
+        const auto *branch = stmt->as<IfStmt>();
+        auto out = mustAssign(branch->thenStmt, assigned, visit);
+        intersectInto(out, mustAssign(branch->elseStmt, assigned, visit));
+        return out;
+      }
+      case StmtKind::Case: {
+        // Every arm starts from `assigned`, so when an unmatched
+        // selector can skip them all (no default) that is the result.
+        std::optional<std::set<std::string>> out;
+        bool has_default = false;
+        for (const auto &item : stmt->as<CaseStmt>()->items) {
+            has_default = has_default || item.labels.empty();
+            auto arm = mustAssign(item.body, assigned, visit);
+            if (out)
+                intersectInto(*out, arm);
+            else
+                out = std::move(arm);
+        }
+        return has_default ? std::move(*out) : assigned;
+      }
+      case StmtKind::Assign:
+        for (const auto &target :
+             lvalueTargets(stmt->as<AssignStmt>()->lhs))
+            assigned.insert(target);
+        return assigned;
+      default:
+        return assigned;
     }
 }
 

@@ -102,6 +102,25 @@ void stmtReads(const hdl::Stmt &stmt, std::set<std::string> &out);
 void forEachStmt(const hdl::StmtPtr &stmt,
                  const std::function<void(const hdl::Stmt &)> &fn);
 
+/** Called per statement with the signals assigned before it. */
+using MustAssignVisit = std::function<void(
+    const hdl::Stmt &, const std::set<std::string> &assigned)>;
+
+/**
+ * Signals assigned on every path through @p stmt, given @p assigned
+ * already assigned on entry. Any write, full or partial, counts. An
+ * `if` yields the intersection of its arms (a missing else arm
+ * assigns nothing); a `case` the intersection of its arms, with
+ * @p assigned joining it when there is no default. The statement
+ * subset has no loops, so one walk over the tree is exact.
+ *
+ * @p visit, when set, is called at each non-block statement in source
+ * pre-order with the signals assigned before that statement.
+ */
+std::set<std::string> mustAssign(const hdl::StmtPtr &stmt,
+                                 std::set<std::string> assigned,
+                                 const MustAssignVisit &visit = {});
+
 /** Flatten a guard's && tree into its conjuncts. */
 std::vector<hdl::ExprPtr> conjuncts(const hdl::ExprPtr &expr);
 

@@ -4,50 +4,12 @@
 #include <deque>
 #include <map>
 
-#include "analyze/solver.hh"
+#include "analyze/context.hh"
 
 namespace hwdbg::analyze
 {
 
 using namespace hdl;
-
-// ------------------------------------------------------------- must-assign
-
-bool
-MustAssignDomain::meetInto(Value &into, const Value &from)
-{
-    size_t before = into.size();
-    for (auto it = into.begin(); it != into.end();) {
-        if (!from.count(*it))
-            it = into.erase(it);
-        else
-            ++it;
-    }
-    return into.size() != before;
-}
-
-MustAssignDomain::Value
-MustAssignDomain::transfer(const CfgNode &node, Value in)
-{
-    if (node.kind == CfgNode::Kind::Stmt && node.stmt &&
-        node.stmt->kind == StmtKind::Assign) {
-        const auto *assign = node.stmt->as<AssignStmt>();
-        for (const auto &target : lvalueTargets(assign->lhs))
-            in.insert(target);
-    }
-    return in;
-}
-
-std::set<std::string>
-mustAssignAtExit(const AlwaysItem &proc)
-{
-    Cfg cfg = buildCfg(proc);
-    MustAssignDomain dom;
-    auto res = solveForward(cfg, dom);
-    if (!res.in[cfg.exit])
-        return {};
-    return *res.in[cfg.exit];
-}
 
 // ---------------------------------------------------------- const fixpoint
 
@@ -110,7 +72,7 @@ solveConstants(const Module &mod, const SignalTable &sigs,
                     procs.end())
                     procs.push_back(ga.proc);
                 if (!combMust.count(ga.proc))
-                    combMust[ga.proc] = mustAssignAtExit(*ga.proc);
+                    combMust[ga.proc] = mustAssign(ga.proc->body, {});
             } else {
                 hasNonCombAssign[target] = true;
             }

@@ -9,7 +9,7 @@
  * it); everything else contributes. Registers additionally join their
  * two-state initial value (zero) unless a combinational process
  * provably assigns them on every activation path — that per-process
- * fact comes from a must-assign dataflow over the statement CFG.
+ * fact comes from the must-assign walk (context.hh).
  *
  * The iteration is optimistic (signals start at bottom, rise
  * monotonically toward all-unknown), so the result is the least — most
@@ -23,36 +23,11 @@
 #include <string>
 #include <vector>
 
-#include "analyze/cfg.hh"
 #include "analyze/domain.hh"
 #include "analyze/facts.hh"
 
 namespace hwdbg::analyze
 {
-
-/**
- * Forward must-assign domain: the set of signals assigned on every
- * path reaching a point. Joins intersect; any write (full or partial)
- * counts as an assignment.
- */
-struct MustAssignDomain
-{
-    using Value = std::set<std::string>;
-
-    Value
-    entryValue()
-    {
-        return {};
-    }
-
-    /** Intersection; returns true when @p into shrank. */
-    bool meetInto(Value &into, const Value &from);
-
-    Value transfer(const CfgNode &node, Value in);
-};
-
-/** Signals assigned on every activation path of @p proc. */
-std::set<std::string> mustAssignAtExit(const hdl::AlwaysItem &proc);
 
 /** Fixpoint over a module's assignments (Context::assigns());
  *  the per-assign vectors are indexed like that list. */

@@ -9,8 +9,9 @@
  *   comb-read-before-write  inside a combinational process, a signal
  *       the process itself drives is read on a path where no assignment
  *       has executed yet — the read sees the previous settling value
- *       (latch-like behavior). Detected with a forward must-assign
- *       dataflow over the process CFG.
+ *       (latch-like behavior). Detected with the must-assign walk
+ *       (context.hh), which hands each statement the signals assigned
+ *       before it.
  *
  *   read-uninitialized  a register has assignments, but the constant
  *       fixpoint proves every one of them dead (guard never true), and
@@ -25,7 +26,6 @@
 
 #include "analyze/context.hh"
 #include "analyze/passes.hh"
-#include "analyze/solver.hh"
 #include "common/logging.hh"
 
 namespace hwdbg::analyze
@@ -41,7 +41,7 @@ passXinit(Context &ctx)
     const auto &assigns = ctx.assigns();
     const ConstFixpoint &fix = ctx.fixpoint();
 
-    // --- comb-read-before-write: must-assign dataflow per comb proc.
+    // --- comb-read-before-write: must-assign walk per comb proc.
     for (const auto &item : mod.items) {
         if (item->kind != ItemKind::Always)
             continue;
@@ -59,32 +59,27 @@ passXinit(Context &ctx)
         if (written.empty())
             continue;
 
-        Cfg cfg = buildCfg(*proc);
-        MustAssignDomain dom;
-        auto res = solveForward(cfg, dom);
-
         std::set<std::string> reported;
-        for (uint32_t n = 0; n < cfg.nodes.size(); ++n) {
-            const CfgNode &node = cfg.nodes[n];
-            if (!node.stmt || !res.in[n])
-                continue;
+        mustAssign(proc->body, {},
+                   [&](const Stmt &stmt,
+                       const std::set<std::string> &assigned) {
             std::set<std::string> reads;
-            stmtReads(*node.stmt, reads);
+            stmtReads(stmt, reads);
             for (const auto &sig : reads) {
-                if (!written.count(sig) || res.in[n]->count(sig))
+                if (!written.count(sig) || assigned.count(sig))
                     continue;
                 if (!reported.insert(sig).second)
                     continue;
                 ctx.report(
                     "comb-read-before-write", Severity::Warning,
-                    "Signal Asynchrony", node.stmt->loc,
+                    "Signal Asynchrony", stmt.loc,
                     csprintf("'%s' is read before this combinational "
                              "process assigns it; the read observes "
                              "the previous settling value",
                              sig.c_str()),
                     {sig});
             }
-        }
+        });
     }
 
     // --- read-uninitialized: every assignment to a register is dead.

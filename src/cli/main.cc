@@ -932,7 +932,7 @@ commands()
          "analyze <file|--bug ID> [--pass LIST] [--format F]",
          "dataflow static analysis (exit 1 when errors)",
          "Computes whole-design dataflow facts (known-bits constant\n"
-         "fixpoint, per-process must-assign CFG solutions, the signal\n"
+         "fixpoint, per-process must-assign sets, the signal\n"
          "dependency graph) and reports what they prove:\n"
          "  const   dead/constant guards, stuck outputs and bits,\n"
          "          dead signals\n"

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -97,42 +96,6 @@ lvalueWidth(const ExprPtr &lhs, const analyze::SignalTable &sigs)
     }
 }
 
-/** True when @p stmt assigns @p name on every execution path. */
-bool
-assignsOnAllPaths(const StmtPtr &stmt, const std::string &name)
-{
-    if (!stmt)
-        return false;
-    switch (stmt->kind) {
-      case StmtKind::Block:
-        for (const auto &sub : stmt->as<BlockStmt>()->stmts)
-            if (assignsOnAllPaths(sub, name))
-                return true;
-        return false;
-      case StmtKind::If: {
-        const auto *branch = stmt->as<IfStmt>();
-        return assignsOnAllPaths(branch->thenStmt, name) &&
-               assignsOnAllPaths(branch->elseStmt, name);
-      }
-      case StmtKind::Case: {
-        const auto *sel = stmt->as<CaseStmt>();
-        bool has_default = false;
-        for (const auto &item : sel->items) {
-            if (item.labels.empty())
-                has_default = true;
-            if (!assignsOnAllPaths(item.body, name))
-                return false;
-        }
-        return has_default && !sel->items.empty();
-      }
-      case StmtKind::Assign:
-        return analyze::lvalueTargets(stmt->as<AssignStmt>()->lhs)
-            .count(name) != 0;
-      default:
-        return false;
-    }
-}
-
 } // namespace
 
 void
@@ -190,8 +153,9 @@ checkInferredLatch(Context &ctx)
                  analyze::lvalueTargets(stmt.as<AssignStmt>()->lhs))
                 targets.insert(t);
         });
+        std::set<std::string> assigned = analyze::mustAssign(proc->body, {});
         for (const auto &target : targets) {
-            if (assignsOnAllPaths(proc->body, target))
+            if (assigned.count(target))
                 continue;
             ctx.report(proc->loc,
                        csprintf("'%s' is not assigned on every path "

@@ -2,16 +2,15 @@
  * @file
  * Tests for the known-bits domain: the lattice, the abstract expression
  * evaluator against the simulator's width rules, three-valued guards,
- * the must-assign dataflow, and the whole-design constant fixpoint.
+ * the structural must-assign walk, and the whole-design constant
+ * fixpoint.
  */
 
 #include <gtest/gtest.h>
 
-#include "analyze/cfg.hh"
 #include "analyze/context.hh"
 #include "analyze/domain.hh"
 #include "analyze/fixpoint.hh"
-#include "analyze/solver.hh"
 #include "elab/elaborate.hh"
 #include "hdl/parser.hh"
 
@@ -27,6 +26,28 @@ flat(const std::string &src)
 {
     return elab::elaborate(parse(src), "m").mod;
 }
+
+const AlwaysItem *
+firstProc(const Module &mod)
+{
+    for (const auto &item : mod.items)
+        if (item->kind == ItemKind::Always)
+            return item->as<AlwaysItem>();
+    return nullptr;
+}
+
+/** mustAssign over the first always block of @p src from @p entry. */
+std::set<std::string>
+mustOf(const std::string &src, std::set<std::string> entry = {})
+{
+    auto mod = flat(src);
+    const AlwaysItem *proc = firstProc(*mod);
+    EXPECT_NE(proc, nullptr);
+    return proc ? mustAssign(proc->body, std::move(entry))
+                : std::set<std::string>{};
+}
+
+using Names = std::set<std::string>;
 
 /** Parse "module m; wire [w-1:0] t; assign t = <expr>; ..." and
  *  abstractly evaluate the expression under an empty environment. */
@@ -234,12 +255,9 @@ TEST(MustAssignTest, IntersectionAcrossBranches)
                     "  a = 4'd0;\n"
                     "  if (c) begin b = 4'd1; d = 4'd1; end\n"
                     "  else b = 4'd2;\nend\nendmodule");
-    const AlwaysItem *proc = nullptr;
-    for (const auto &item : mod->items)
-        if (item->kind == ItemKind::Always)
-            proc = item->as<AlwaysItem>();
+    const AlwaysItem *proc = firstProc(*mod);
     ASSERT_NE(proc, nullptr);
-    auto must = mustAssignAtExit(*proc);
+    auto must = mustAssign(proc->body, {});
     // a and b are assigned on every path; d only when c holds.
     EXPECT_TRUE(must.count("a"));
     EXPECT_TRUE(must.count("b"));
@@ -255,12 +273,111 @@ TEST(MustAssignTest, CaseWithoutDefaultGuaranteesNothing)
                     "    2'd0: a = 4'd1;\n"
                     "    2'd1: a = 4'd2;\n"
                     "  endcase\nend\nendmodule");
-    const AlwaysItem *proc = nullptr;
-    for (const auto &item : mod->items)
-        if (item->kind == ItemKind::Always)
-            proc = item->as<AlwaysItem>();
-    auto must = mustAssignAtExit(*proc);
+    const AlwaysItem *proc = firstProc(*mod);
+    ASSERT_NE(proc, nullptr);
+    auto must = mustAssign(proc->body, {});
     EXPECT_FALSE(must.count("a"));
+
+    // An unmatched selector skips every arm: only what was assigned
+    // before the case survives it, with or without arms.
+    EXPECT_EQ(mustOf("module m(input wire clk, input wire [1:0] s);\n"
+                     "reg [3:0] a; reg [3:0] b;\n"
+                     "always @* begin\n"
+                     "  b = 4'd0;\n"
+                     "  case (s) 2'd0: a = 4'd1; endcase\n"
+                     "end\nendmodule"),
+              (Names{"b"}));
+    EXPECT_EQ(mustOf("module m(input wire clk, input wire [1:0] s);\n"
+                     "reg [3:0] a;\n"
+                     "always @* case (s) endcase\nendmodule",
+                     {"a"}),
+              (Names{"a"}));
+}
+
+TEST(MustAssignTest, StraightLine)
+{
+    const char *src = "module m(input wire clk);\n"
+                      "reg [3:0] a; reg [3:0] b;\n"
+                      "always @(posedge clk) begin\n"
+                      "  a <= 4'd1;\n  b <= a;\nend\nendmodule";
+    EXPECT_EQ(mustOf(src), (Names{"a", "b"}));
+    // The entry set carries through.
+    EXPECT_EQ(mustOf(src, {"x"}), (Names{"a", "b", "x"}));
+}
+
+TEST(MustAssignTest, IfWithoutElseAddsNothing)
+{
+    const char *src = "module m(input wire clk, input wire c);\n"
+                      "reg [3:0] a;\n"
+                      "always @(posedge clk) if (c) a <= 4'd1;\n"
+                      "endmodule";
+    // The missing else arm is a path that assigns nothing.
+    EXPECT_EQ(mustOf(src), Names{});
+    EXPECT_EQ(mustOf(src, {"a"}), (Names{"a"}));
+}
+
+TEST(MustAssignTest, CaseWithDefaultIntersectsItsArms)
+{
+    EXPECT_EQ(mustOf("module m(input wire clk, input wire [1:0] s);\n"
+                     "reg [3:0] a; reg [3:0] b;\n"
+                     "always @(posedge clk) begin\n"
+                     "  case (s)\n"
+                     "    2'd0: a <= 4'd1;\n"
+                     "    2'd1: begin a <= 4'd2; b <= 4'd2; end\n"
+                     "    default: a <= 4'd3;\n"
+                     "  endcase\nend\nendmodule"),
+              (Names{"a"}));
+    // A lone default arm always runs.
+    EXPECT_EQ(mustOf("module m(input wire clk, input wire [1:0] s);\n"
+                     "reg [3:0] a;\n"
+                     "always @(posedge clk)\n"
+                     "  case (s) default: a <= 4'd1; endcase\n"
+                     "endmodule"),
+              (Names{"a"}));
+}
+
+TEST(MustAssignTest, BareStatement)
+{
+    EXPECT_EQ(mustOf("module m(input wire clk);\nreg [3:0] a;\n"
+                     "always @(posedge clk) a <= 4'd1;\nendmodule"),
+              (Names{"a"}));
+    EXPECT_EQ(mustAssign(nullptr, {"x"}), (Names{"x"}));
+}
+
+TEST(MustAssignTest, VisitsStatementsInPreOrderWithTheirInSets)
+{
+    auto mod = flat("module m(input wire clk, input wire c,\n"
+                    "         input wire [1:0] s);\n"
+                    "reg [3:0] a; reg [3:0] b;\n"
+                    "always @(posedge clk) begin\n"
+                    "  if (c) begin\n"
+                    "    case (s)\n"
+                    "      2'd0: a <= 4'd1;\n"
+                    "      default: a <= 4'd2;\n"
+                    "    endcase\n"
+                    "    b <= 4'd0;\n"
+                    "  end else a <= 4'd3;\n"
+                    "  b <= a;\nend\nendmodule");
+    const AlwaysItem *proc = firstProc(*mod);
+    ASSERT_NE(proc, nullptr);
+    // kind@line, then the signals assigned before the statement.
+    std::vector<std::string> visits;
+    auto must = mustAssign(
+        proc->body, {}, [&](const Stmt &stmt, const Names &assigned) {
+            static const char *const kKinds[] = {
+                "block", "if", "case", "assign", "display", "finish",
+                "null"};
+            std::string visit = kKinds[static_cast<int>(stmt.kind)];
+            visit.append("@").append(std::to_string(stmt.loc.line));
+            visit.append(":");
+            for (const auto &sig : assigned)
+                visit.append(" ").append(sig);
+            visits.push_back(visit);
+        });
+    EXPECT_EQ(visits, (std::vector<std::string>{
+                          "if@5:", "case@6:", "assign@7:", "assign@8:",
+                          "assign@10: a", "assign@11:", "assign@12: a"}));
+    EXPECT_EQ(must, (Names{"a", "b"}));
 }
 
 TEST(FixpointTest, ProvesConstantsThroughWiresAndRegs)
@@ -321,25 +438,4 @@ TEST(FixpointTest, PrimitiveConnectionsForceUnknown)
     // Even though nothing in the module assigns q, the IP may: no
     // constant claim is allowed.
     EXPECT_FALSE(fix.factOf("q", sigs).anyKnown());
-}
-
-TEST(SolverTest, UnreachableNodesKeepBottom)
-{
-    // Hand-build a CFG with an orphan node the entry never reaches.
-    Cfg cfg;
-    cfg.nodes.resize(4);
-    cfg.nodes[0].kind = CfgNode::Kind::Entry;
-    cfg.nodes[1].kind = CfgNode::Kind::Exit;
-    cfg.nodes[2].kind = CfgNode::Kind::Stmt;
-    cfg.nodes[3].kind = CfgNode::Kind::Stmt; // orphan
-    cfg.nodes[0].succs = {2};
-    cfg.nodes[2].preds = {0};
-    cfg.nodes[2].succs = {1};
-    cfg.nodes[1].preds = {2};
-    MustAssignDomain dom;
-    auto res = solveForward(cfg, dom);
-    EXPECT_TRUE(res.in[0].has_value());
-    EXPECT_TRUE(res.in[1].has_value());
-    EXPECT_FALSE(res.in[3].has_value());
-    EXPECT_FALSE(res.out[3].has_value());
 }
