@@ -316,6 +316,44 @@ TEST(MustAssignTest, IfWithoutElseAddsNothing)
     EXPECT_EQ(mustOf(src, {"a"}), (Names{"a"}));
 }
 
+TEST(MustAssignTest, IfElseBranchesAndRejoins)
+{
+    auto mod = flat("module m(input wire clk, input wire c);\n"
+                    "reg [3:0] a; reg [3:0] b;\n"
+                    "always @(posedge clk) begin\n"
+                    "  if (c) a <= 4'd1; else a <= 4'd2;\n"
+                    "  b <= a;\nend\nendmodule");
+    const AlwaysItem *proc = firstProc(*mod);
+    ASSERT_NE(proc, nullptr);
+    // Each arm starts from the set before the if; the statement after
+    // the rejoin sees what both arms assigned.
+    std::vector<std::string> visits;
+    auto must = mustAssign(
+        proc->body, {}, [&](const Stmt &stmt, const Names &assigned) {
+            std::string visit = std::to_string(stmt.loc.line) + ":";
+            for (const auto &sig : assigned)
+                visit.append(" ").append(sig);
+            visits.push_back(visit);
+        });
+    EXPECT_EQ(visits, (std::vector<std::string>{"4:", "4:", "4:", "5: a"}));
+    EXPECT_EQ(must, (Names{"a", "b"}));
+}
+
+TEST(MustAssignTest, CaseWithoutDefaultCanSkipEveryArm)
+{
+    const char *src = "module m(input wire clk, input wire [1:0] s);\n"
+                      "reg [3:0] a;\n"
+                      "always @(posedge clk)\n"
+                      "  case (s)\n"
+                      "    2'd0: a <= 4'd1;\n"
+                      "  endcase\nendmodule";
+    // One labeled arm plus the implicit no-match path, which assigns
+    // nothing; what held before the case still holds after it.
+    EXPECT_EQ(mustOf(src), Names{});
+    EXPECT_EQ(mustOf(src, {"x"}), (Names{"x"}));
+    EXPECT_EQ(mustOf(src, {"a"}), (Names{"a"}));
+}
+
 TEST(MustAssignTest, CaseWithDefaultIntersectsItsArms)
 {
     EXPECT_EQ(mustOf("module m(input wire clk, input wire [1:0] s);\n"
